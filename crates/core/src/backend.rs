@@ -29,7 +29,7 @@
 use cmc_bdd::BddStats;
 use cmc_ctl::{
     simulates_explicit, CheckError, Checker, ExplicitLimits, Formula, Restriction, SimError,
-    MAX_EXPLICIT_PROPS, MAX_SIM_PAIR_PROPS,
+    MAX_SIM_PAIR_PROPS,
 };
 use cmc_kripke::{Alphabet, SimulationOutcome, State, System};
 use cmc_symbolic::{
@@ -95,24 +95,6 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Resolve the policy on *width alone* — the pre-cost-model fallback,
-    /// kept for callers that have no [`Restriction`] in hand. The routed
-    /// path ([`BackendChoice::route`] / [`check_routed`]) supersedes this
-    /// wherever an initial condition is available.
-    pub fn select(self, width: usize) -> BackendKind {
-        match self {
-            BackendChoice::Explicit => BackendKind::Explicit,
-            BackendChoice::Symbolic => BackendKind::Symbolic,
-            BackendChoice::Auto => {
-                if width > MAX_EXPLICIT_PROPS {
-                    BackendKind::Symbolic
-                } else {
-                    BackendKind::Explicit
-                }
-            }
-        }
-    }
-
     /// Plan a backend for `target ⊨_r …` using the measured cost model.
     /// Deterministic in its inputs (the planned kind is what store keys
     /// hash), and recorded verbatim in [`CheckStats::route`]; the actual
@@ -172,7 +154,9 @@ pub const AUTO_CROSSOVER_STATES: usize = 128;
 /// 8 (87 µs vs 141 µs) but losing from width 10 up (342 µs vs 167 µs) —
 /// so past width 8 an explicit-routed target runs the hash-compacted
 /// reachable kernel, whose cost tracks the *estimated* state count
-/// instead of `2^width`.
+/// instead of `2^width`. The SMV driver's `Auto` routes on this constant
+/// alone: its explicit path always labels the dense universe, so a module
+/// runs explicit iff its encoded width is at most `AUTO_DENSE_BITS`.
 pub const AUTO_DENSE_BITS: usize = 8;
 
 /// How `Auto`'s explicit attempt bounds wasted work when the estimate is
@@ -930,18 +914,30 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_crosses_at_the_explicit_limit() {
-        assert_eq!(BackendChoice::Auto.select(1), BackendKind::Explicit);
-        assert_eq!(
-            BackendChoice::Auto.select(MAX_EXPLICIT_PROPS),
-            BackendKind::Explicit
-        );
-        assert_eq!(
-            BackendChoice::Auto.select(MAX_EXPLICIT_PROPS + 1),
-            BackendKind::Symbolic
-        );
-        assert_eq!(BackendChoice::Explicit.select(1000), BackendKind::Explicit);
-        assert_eq!(BackendChoice::Symbolic.select(1), BackendKind::Symbolic);
+    fn auto_route_crosses_at_the_calibrated_crossover() {
+        // Each unpinned riser doubles the estimate: 7 of them estimate
+        // exactly AUTO_CROSSOVER_STATES = 128 states, 8 estimate 256.
+        let risers =
+            |n: usize| Target::composition((0..n).map(|i| riser(&format!("p{i}"))).collect());
+        let r = Restriction::trivial();
+        let (at, past) = (risers(7), risers(8));
+        let d = BackendChoice::Auto.route(&at, &r);
+        assert_eq!(d.estimated_states, AUTO_CROSSOVER_STATES as u128);
+        assert_eq!(d.planned, BackendKind::Explicit);
+        let d = BackendChoice::Auto.route(&past, &r);
+        assert_eq!(d.estimated_states, 2 * AUTO_CROSSOVER_STATES as u128);
+        assert_eq!(d.planned, BackendKind::Symbolic);
+        // Forced choices plan their own engine whatever the estimate.
+        for target in [&at, &past, &risers(30)] {
+            assert_eq!(
+                BackendChoice::Explicit.route(target, &r).planned,
+                BackendKind::Explicit
+            );
+            assert_eq!(
+                BackendChoice::Symbolic.route(target, &r).planned,
+                BackendKind::Symbolic
+            );
+        }
     }
 
     #[test]

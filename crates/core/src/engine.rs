@@ -1444,7 +1444,10 @@ mod tests {
     fn forced_backends_agree_with_auto() {
         let e = rising_pair();
         let f = parse("x -> AX x").unwrap();
-        for choice in [BackendChoice::Explicit, BackendChoice::Symbolic] {
+        for (choice, kind) in [
+            (BackendChoice::Explicit, BackendKind::Explicit),
+            (BackendChoice::Symbolic, BackendKind::Symbolic),
+        ] {
             let forced = rising_pair().with_backend(choice);
             let cert = forced.prove(&Restriction::trivial(), &f).unwrap();
             assert!(cert.valid, "{choice:?}: {cert}");
@@ -1452,7 +1455,7 @@ mod tests {
                 cert.valid,
                 e.prove(&Restriction::trivial(), &f).unwrap().valid
             );
-            let expected = Some(choice.select(1));
+            let expected = Some(kind);
             assert!(
                 cert.steps
                     .iter()

@@ -1,7 +1,7 @@
 //! The `cmc-smv` command-line driver.
 //!
 //! ```text
-//! cmc-smv MODEL.smv                 # auto backend (explicit ≤ 20 bits, else BDD)
+//! cmc-smv MODEL.smv                 # auto backend (explicit ≤ 8 encoded bits, else BDD)
 //! cmc-smv -e MODEL.smv              # explicit-state engine
 //! cmc-smv -s MODEL.smv              # symbolic (BDD) engine
 //! cmc-smv -v MODEL.smv              # validated: both engines, fail on disagreement

@@ -6,7 +6,7 @@ use crate::compile::{compile, CompiledModel};
 use crate::explicit::{compile_explicit, ExplicitCompiled};
 use crate::parse::parse_module;
 use cmc_core::engine::{Component, Engine, EngineError, Substitution};
-use cmc_core::BackendChoice;
+use cmc_core::{BackendChoice, AUTO_DENSE_BITS};
 use cmc_ctl::Restriction;
 use cmc_store::{CertStore, Entry, ObligationKey};
 use std::fmt;
@@ -83,19 +83,36 @@ pub fn run_compiled(mut compiled: CompiledModel) -> Result<RunOutcome, DriverErr
     })
 }
 
-/// The driver's `Auto` plan: prefer the explicit engine when the model's
-/// *valid-state count* (`Π|domᵢ|`, not `2^bits`) is small enough to
-/// enumerate cheaply and the encoding fits 128 bits; route symbolic
-/// beyond. A state count rather than a bit cliff: ten three-valued enums
-/// encode to 20 bits but only 59049 states and stay explicit, while 25
-/// booleans (33M states) go to the BDD engine.
-fn auto_prefers_explicit(module: &Module) -> bool {
-    const AUTO_STATES: u128 = 1 << 16;
-    let bits: usize = module.vars.iter().map(|(_, ty)| ty.bits()).sum();
-    let states = module.vars.iter().try_fold(1u128, |acc, (_, ty)| {
-        acc.checked_mul(ty.cardinality() as u128)
-    });
-    bits <= 128 && states.is_some_and(|n| n <= AUTO_STATES)
+/// Resolve `choice` for a parsed module: whether the explicit engine runs
+/// it, and the report's `engine:` line naming the engine (and, under
+/// `Auto`, why).
+///
+/// `Auto` reads `cmc_core`'s published calibration and nothing else. The
+/// driver's explicit path labels the dense `2^bits` universe of the
+/// module's Figure-3 encoding, and the `backend_crossover` sweep shows
+/// dense labelling beating the BDD engine only up to
+/// [`AUTO_DENSE_BITS`] encoded bits — so a module at most that wide runs
+/// explicit and every wider one runs symbolic.
+fn resolve_backend(module: &Module, choice: BackendChoice) -> (bool, String) {
+    const EXPLICIT: &str = "engine: explicit-state";
+    const SYMBOLIC: &str = "engine: symbolic (BDD)";
+    match choice {
+        BackendChoice::Explicit => (true, format!("{EXPLICIT}\n")),
+        BackendChoice::Symbolic => (false, format!("{SYMBOLIC}\n")),
+        BackendChoice::Auto => {
+            let bits: usize = module.vars.iter().map(|(_, ty)| ty.bits()).sum();
+            let (explicit, engine, cmp) = if bits <= AUTO_DENSE_BITS {
+                (true, EXPLICIT, "<=")
+            } else {
+                (false, SYMBOLIC, ">")
+            };
+            let line = format!(
+                "{engine} \u{2014} Auto: {bits} encoded bits {cmp} AUTO_DENSE_BITS \
+                 {AUTO_DENSE_BITS}\n"
+            );
+            (explicit, line)
+        }
+    }
 }
 
 /// Verify every `SPEC` through the engine selected by `choice`.
@@ -104,28 +121,24 @@ fn auto_prefers_explicit(module: &Module) -> bool {
 /// `Explicit` runs the independent explicit-state compilation (and fails
 /// with a semantic error past its [`cmc_ctl::ExplicitLimits`] state
 /// budget);
-/// `Auto` picks the explicit engine while the model's valid-state count
-/// stays enumerable and the symbolic engine beyond it — so wide models
-/// verify instead of erroring. The report's trailer names the engine
-/// that ran.
+/// `Auto` runs the explicit engine on modules of at most
+/// [`AUTO_DENSE_BITS`] encoded bits and the symbolic engine on wider ones
+/// — so wide models verify instead of erroring. The report's last line
+/// names the engine that ran and, under `Auto`, the width that chose it.
 pub fn run_source_with_backend(
     src: &str,
     choice: BackendChoice,
 ) -> Result<RunOutcome, DriverError> {
     let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let use_explicit = match choice {
-        BackendChoice::Explicit => true,
-        BackendChoice::Symbolic => false,
-        BackendChoice::Auto => auto_prefers_explicit(&module),
-    };
-    if use_explicit {
-        run_module_explicit(&module)
+    let (explicit, engine) = resolve_backend(&module, choice);
+    let mut out = if explicit {
+        run_module_explicit(&module)?
     } else {
         let compiled = compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-        let mut out = run_compiled(compiled)?;
-        out.report.push_str("engine: symbolic (BDD)\n");
-        Ok(out)
-    }
+        run_compiled(compiled)?
+    };
+    out.report.push_str(&engine);
+    Ok(out)
 }
 
 /// Verify every `SPEC` of a parsed module with the explicit-state engine.
@@ -135,35 +148,11 @@ fn run_module_explicit(module: &Module) -> Result<RunOutcome, DriverError> {
     let mut results = Vec::new();
     let mut lines = Vec::new();
     for (i, (text, _)) in explicit.specs.iter().enumerate() {
-        let holds = explicit
-            .check_spec(i)
-            .map_err(|e| DriverError::Check(e.to_string()))?;
-        lines.push(format!(
-            "-- specification {text} is {}",
-            if holds { "true" } else { "false" }
-        ));
-        if !holds {
-            let violating = explicit
-                .violating_init(i)
-                .map_err(|e| DriverError::Check(e.to_string()))?;
-            if let Some(s) = violating.first() {
-                lines.push("-- as demonstrated by the initial state".into());
-                for (name, value) in explicit.decode_state(*s) {
-                    lines.push(format!("   {name} = {value}"));
-                }
-            }
-        }
+        let (holds, spec_lines) = check_one_spec_explicit(&explicit, i, text)?;
+        lines.extend(spec_lines);
         results.push((text.clone(), holds));
     }
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         explicit states enumerated over {} propositions; {} proper transitions\n\
-         engine: explicit-state\n",
-        start.elapsed().as_secs_f64(),
-        explicit.system.alphabet().len(),
-        explicit.system.proper_transition_count(),
-    ));
+    let report = render_explicit_report(&explicit, lines, start.elapsed());
     let cache_misses = results.len();
     Ok(RunOutcome {
         results,
@@ -318,18 +307,14 @@ pub fn run_source_with_store_and_backend(
     choice: BackendChoice,
 ) -> Result<RunOutcome, DriverError> {
     let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let use_explicit = match choice {
-        BackendChoice::Explicit => true,
-        BackendChoice::Symbolic => false,
-        BackendChoice::Auto => auto_prefers_explicit(&module),
-    };
-    if use_explicit {
-        run_module_explicit_with_store(src, &module, store)
+    let (explicit, engine) = resolve_backend(&module, choice);
+    let mut out = if explicit {
+        run_module_explicit_with_store(src, &module, store)?
     } else {
-        let mut out = run_module_symbolic_with_store(src, &module, store)?;
-        out.report.push_str("engine: symbolic (BDD)\n");
-        Ok(out)
-    }
+        run_module_symbolic_with_store(src, &module, store)?
+    };
+    out.report.push_str(&engine);
+    Ok(out)
 }
 
 /// Explicit-state store-backed run over a parsed module.
@@ -339,8 +324,7 @@ fn run_module_explicit_with_store(
     store: &CertStore,
 ) -> Result<RunOutcome, DriverError> {
     let start = Instant::now();
-    if let Some(mut out) = fully_warm_outcome(src, module, store, start) {
-        out.report.push_str("engine: explicit-state\n");
+    if let Some(out) = fully_warm_outcome(src, module, store, start) {
         return Ok(out);
     }
     let explicit = compile_explicit(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
@@ -361,45 +345,63 @@ fn run_module_explicit_with_store(
             }
             None => {
                 cache_misses += 1;
-                let holds = explicit
-                    .check_spec(i)
-                    .map_err(|e| DriverError::Check(e.to_string()))?;
+                let (holds, spec_lines) = check_one_spec_explicit(&explicit, i, text)?;
                 store.insert(key, Entry::verdict(holds));
-                lines.push(format!(
-                    "-- specification {text} is {}",
-                    if holds { "true" } else { "false" }
-                ));
-                if !holds {
-                    let violating = explicit
-                        .violating_init(i)
-                        .map_err(|e| DriverError::Check(e.to_string()))?;
-                    if let Some(s) = violating.first() {
-                        lines.push("-- as demonstrated by the initial state".into());
-                        for (name, value) in explicit.decode_state(*s) {
-                            lines.push(format!("   {name} = {value}"));
-                        }
-                    }
-                }
+                lines.extend(spec_lines);
                 results.push((text.clone(), holds));
             }
         }
     }
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         explicit states enumerated over {} propositions; {} proper transitions\n",
-        start.elapsed().as_secs_f64(),
-        explicit.system.alphabet().len(),
-        explicit.system.proper_transition_count(),
-    ));
+    let mut report = render_explicit_report(&explicit, lines, start.elapsed());
     report.push_str(&store_trailer(store, cache_hits, cache_misses));
-    report.push_str("engine: explicit-state\n");
     Ok(RunOutcome {
         results,
         report,
         cache_hits,
         cache_misses,
     })
+}
+
+/// Check spec `i` on the explicit engine, returning its verdict and its
+/// report lines (including the first violating initial state for
+/// failures).
+fn check_one_spec_explicit(
+    explicit: &ExplicitCompiled,
+    i: usize,
+    text: &str,
+) -> Result<(bool, Vec<String>), DriverError> {
+    let violating = explicit
+        .violating_init(i)
+        .map_err(|e| DriverError::Check(e.to_string()))?;
+    let holds = violating.is_empty();
+    let mut lines = vec![format!(
+        "-- specification {text} is {}",
+        if holds { "true" } else { "false" }
+    )];
+    if let Some(s) = violating.first() {
+        lines.push("-- as demonstrated by the initial state".into());
+        for (name, value) in explicit.decode_state(*s) {
+            lines.push(format!("   {name} = {value}"));
+        }
+    }
+    Ok((holds, lines))
+}
+
+/// Assemble explicit spec lines plus their `resources used:` trailer.
+fn render_explicit_report(
+    explicit: &ExplicitCompiled,
+    lines: Vec<String>,
+    user_time: Duration,
+) -> String {
+    let mut report = lines.join("\n");
+    report.push_str(&format!(
+        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
+         explicit states enumerated over {} propositions; {} proper transitions\n",
+        user_time.as_secs_f64(),
+        explicit.system.alphabet().len(),
+        explicit.system.proper_transition_count(),
+    ));
+    report
 }
 
 /// Check one spec, returning its verdict and its report lines (including
@@ -797,23 +799,36 @@ mod tests {
 
     #[test]
     fn backend_choices_agree_on_small_models() {
-        let src = "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
-                   next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
-                   SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c";
-        let symbolic = run_source_with_backend(src, BackendChoice::Symbolic).unwrap();
-        let explicit = run_source_with_backend(src, BackendChoice::Explicit).unwrap();
-        let auto = run_source_with_backend(src, BackendChoice::Auto).unwrap();
-        assert_eq!(symbolic.results, explicit.results);
-        assert_eq!(symbolic.results, auto.results);
-        assert!(symbolic.report.contains("engine: symbolic (BDD)"));
-        assert!(explicit.report.contains("engine: explicit-state"));
-        // Auto picks explicit for this 2-bit model.
-        assert!(auto.report.contains("engine: explicit-state"));
+        use cmc_serve::workload::{afs_source, ring_source};
+        let enum3 = "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
+                     next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
+                     SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c";
+        // (source, encoded bits, does Auto pick explicit?): the 2-bit
+        // enum and the 7-bit 3-client AFS sit at or under AUTO_DENSE_BITS;
+        // the daemon's 10-16-station rings and 4-6-client AFS do not.
+        let mut cases = vec![(enum3.to_string(), 2, true), (afs_source(3), 7, true)];
+        cases.extend((10..=16).map(|n| (ring_source(n), n, false)));
+        cases.extend((4..=6).map(|c| (afs_source(c), 1 + 2 * c, false)));
+        for (src, bits, auto_explicit) in &cases {
+            let symbolic = run_source_with_backend(src, BackendChoice::Symbolic).unwrap();
+            let explicit = run_source_with_backend(src, BackendChoice::Explicit).unwrap();
+            let auto = run_source_with_backend(src, BackendChoice::Auto).unwrap();
+            assert_eq!(symbolic.results, explicit.results, "{bits} bits");
+            assert_eq!(symbolic.results, auto.results, "{bits} bits");
+            assert!(symbolic.report.ends_with("engine: symbolic (BDD)\n"));
+            assert!(explicit.report.ends_with("engine: explicit-state\n"));
+            let expected = if *auto_explicit {
+                format!("engine: explicit-state \u{2014} Auto: {bits} encoded bits <= AUTO_DENSE_BITS 8\n")
+            } else {
+                format!("engine: symbolic (BDD) \u{2014} Auto: {bits} encoded bits > AUTO_DENSE_BITS 8\n")
+            };
+            assert!(auto.report.ends_with(&expected), "{}", auto.report);
+        }
     }
 
     #[test]
     fn auto_backend_handles_models_past_the_explicit_budget() {
-        // 25 boolean variables: over the 20-bit explicit budget.
+        // 25 boolean variables: 2^25 states, over the explicit state budget.
         let vars: String = (0..25).map(|i| format!("v{i} : boolean;\n")).collect();
         let assigns: String = (0..25).map(|i| format!("next(v{i}) := 1;\n")).collect();
         let src =

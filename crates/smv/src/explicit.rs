@@ -13,6 +13,7 @@ use crate::check::{check_module, SemError, Symbols};
 use crate::compile::CompiledVar;
 use cmc_ctl::{Checker, ExplicitLimits, Formula, Restriction, StateSet};
 use cmc_kripke::{Alphabet, State, System};
+use std::sync::OnceLock;
 
 /// An SMV module compiled to an explicit system.
 #[derive(Debug)]
@@ -34,6 +35,10 @@ pub struct ExplicitCompiled {
     /// The limits this module was compiled under; checking consults
     /// `dense_bits` to pick the dense or reachable-only kernel.
     pub limits: ExplicitLimits,
+    /// The checker (and its CSR index), built from `system`,
+    /// `init_states` and `limits` on the first check and shared by every
+    /// later one — so change those fields only before checking.
+    checker: OnceLock<Checker>,
 }
 
 /// A concrete value during evaluation.
@@ -284,22 +289,28 @@ pub fn compile_explicit_with(
         vars: ctx.vars,
         atoms,
         limits: *limits,
+        checker: OnceLock::new(),
     })
 }
 
 impl ExplicitCompiled {
-    /// Build the checker this module's width calls for: dense labelling up
-    /// to `limits.dense_bits`, the hash-compacted reachable-only kernel
-    /// (seeded from the initial states) beyond. Spec verdicts agree
-    /// between the two modes because the reachable fragment is
-    /// successor-closed and specs are quantified over initial states only.
-    fn checker(&self) -> Result<Checker, cmc_ctl::CheckError> {
-        let bits = self.system.alphabet().len();
-        if bits <= self.limits.dense_bits {
-            Checker::with_limit(&self.system, self.limits.dense_bits)
-        } else {
-            Checker::reachable_from_system(&self.system, &self.init_states, &self.limits)
+    /// The checker this module's width calls for, built once: dense
+    /// labelling up to `limits.dense_bits`, the hash-compacted
+    /// reachable-only kernel (seeded from the initial states) beyond. Spec
+    /// verdicts agree between the two modes because the reachable fragment
+    /// is successor-closed and specs are quantified over initial states
+    /// only. A failed build is not cached, so it fails again on retry.
+    fn checker(&self) -> Result<&Checker, cmc_ctl::CheckError> {
+        if let Some(checker) = self.checker.get() {
+            return Ok(checker);
         }
+        let bits = self.system.alphabet().len();
+        let checker = if bits <= self.limits.dense_bits {
+            Checker::with_limit(&self.system, self.limits.dense_bits)?
+        } else {
+            Checker::reachable_from_system(&self.system, &self.init_states, &self.limits)?
+        };
+        Ok(self.checker.get_or_init(|| checker))
     }
 
     /// Is `s` in `sat`, whichever index space the checker labels in?
@@ -312,16 +323,12 @@ impl ExplicitCompiled {
     /// Check one spec: true iff every initial state satisfies it under the
     /// module's fairness constraints.
     pub fn check_spec(&self, idx: usize) -> Result<bool, cmc_ctl::CheckError> {
-        let checker = self.checker()?;
-        let f = &self.specs[idx].1;
-        let sat = checker.sat_fair(f, &self.fairness)?;
-        Ok(self
-            .init_states
-            .iter()
-            .all(|s| Self::sat_at(&checker, &sat, *s)))
+        Ok(self.violating_init(idx)?.is_empty())
     }
 
-    /// The initial states violating spec `idx` (empty when it holds).
+    /// The initial states violating spec `idx` under the module's fairness
+    /// constraints (empty when it holds). One satisfaction set answers
+    /// both the verdict and its witnesses.
     pub fn violating_init(&self, idx: usize) -> Result<Vec<State>, cmc_ctl::CheckError> {
         let checker = self.checker()?;
         let f = &self.specs[idx].1;
@@ -330,7 +337,7 @@ impl ExplicitCompiled {
             .init_states
             .iter()
             .copied()
-            .filter(|s| !Self::sat_at(&checker, &sat, *s))
+            .filter(|s| !Self::sat_at(checker, &sat, *s))
             .collect())
     }
 
@@ -430,7 +437,7 @@ impl ExplicitCompiled {
         Ok(self
             .init_states
             .iter()
-            .all(|s| !Self::sat_at(&checker, &init_extra, *s) || Self::sat_at(&checker, &sat, *s)))
+            .all(|s| !Self::sat_at(checker, &init_extra, *s) || Self::sat_at(checker, &sat, *s)))
     }
 }
 

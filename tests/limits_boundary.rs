@@ -4,9 +4,12 @@
 //! refusing — and the only hard guard left is the opt-in state budget
 //! (`max_states`), measured in materialised states, not encoded bits.
 //! Guards against off-by-one regressions in `Checker::with_limit`, the
-//! `ExplicitBackend`, and the SMV driver's explicit compilation.
+//! `ExplicitBackend`, the SMV driver's explicit compilation and its
+//! `Auto` routing.
 
-use compositional_mc::core::{Backend, BackendChoice, BackendError, ExplicitBackend, Target};
+use compositional_mc::core::{
+    Backend, BackendChoice, BackendError, ExplicitBackend, Target, AUTO_DENSE_BITS,
+};
 use compositional_mc::ctl::{
     CheckError, Checker, ExplicitLimits, Formula, Restriction, MAX_EXPLICIT_PROPS,
 };
@@ -149,27 +152,32 @@ fn smv_explicit_budget_counts_states_not_bits() {
 }
 
 #[test]
-fn smv_driver_auto_routes_by_state_count() {
-    // 3^10 = 59049 ≤ 2^16: Auto keeps the explicit engine even though the
-    // encoding is 20 bits wide.
-    let src = smv_module(10, 0);
-    let out = run_source_with_backend(&src, BackendChoice::Explicit)
-        .expect("explicit driver must accept a 59049-state model");
-    assert!(out.all_true());
-    let out = run_source_with_backend(&src, BackendChoice::Auto).unwrap();
-    assert!(out.all_true());
-    assert!(
-        out.report.contains("explicit"),
-        "auto under the state threshold should pick the explicit engine:\n{}",
-        out.report
-    );
-    // Doubling past 2^16 states flips Auto to the symbolic engine.
-    let wide = smv_module(10, 1);
-    let out = run_source_with_backend(&wide, BackendChoice::Auto).unwrap();
-    assert!(out.all_true());
-    assert!(
-        out.report.contains("symbolic"),
-        "auto past the state threshold should pick the symbolic engine:\n{}",
-        out.report
-    );
+fn smv_driver_auto_routes_by_encoded_width() {
+    // The driver's explicit path labels the dense 2^bits universe, so
+    // Auto crosses at cmc_core's AUTO_DENSE_BITS = 8 encoded bits:
+    // 4 enums = 8 bits stay explicit, one more boolean goes symbolic.
+    assert_eq!(AUTO_DENSE_BITS, 8);
+    for (src, bits, engine) in [
+        (smv_module(4, 0), 8, "engine: explicit-state"),
+        (smv_module(4, 1), 9, "engine: symbolic (BDD)"),
+        // 3^10 = 59049 valid states, 20 encoded bits: symbolic, however
+        // few states the domains admit.
+        (smv_module(10, 0), 20, "engine: symbolic (BDD)"),
+    ] {
+        let auto = run_source_with_backend(&src, BackendChoice::Auto).unwrap();
+        assert!(
+            auto.report.contains(engine),
+            "{bits} bits should route to `{engine}`:\n{}",
+            auto.report
+        );
+        assert!(
+            auto.report.contains(&format!("Auto: {bits} encoded bits")),
+            "{}",
+            auto.report
+        );
+        let explicit = run_source_with_backend(&src, BackendChoice::Explicit)
+            .expect("the explicit driver accepts every module here");
+        assert_eq!(auto.results, explicit.results, "{bits} bits");
+        assert!(auto.all_true());
+    }
 }
