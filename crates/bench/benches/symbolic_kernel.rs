@@ -6,8 +6,9 @@
 //!
 //! * **unbounded** — maintenance disabled, computed table large enough to
 //!   never rotate: the grow-forever baseline the kernel replaces;
-//! * **bounded** — automatic GC at a low dead-node threshold plus a
-//!   bounded cache, no reordering (so node counts stay comparable);
+//! * **bounded** — automatic GC at an arena threshold sized from the
+//!   unbounded run's peak, plus a bounded cache, no reordering (so node
+//!   counts stay comparable);
 //! * **forced** — GC at every 4th safe point with periodic sift-based
 //!   rehosting: the stress schedule the conformance suite pins.
 //!
@@ -33,13 +34,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Dead-node threshold for the bounded policy, scaled with ring size so
-/// every point in the sweep collects a handful of times mid-fixpoint —
-/// enough to bound the arena, not so often that cache flushes dominate
-/// (the manager also adapts the threshold upward to twice the live count
-/// after each collection).
-fn bounded_threshold(n: usize) -> usize {
-    64 * n
+/// Arena threshold for the bounded policy: a quarter of the peak the
+/// unbounded run measured on the same obligation, so every point in the
+/// sweep collects a handful of times mid-fixpoint, however few nodes the
+/// check needs — enough to bound the arena, not so often that cache
+/// flushes dominate (the manager also adapts the threshold upward to
+/// twice the live count after each collection).
+fn bounded_threshold(unbounded_peak: usize) -> usize {
+    unbounded_peak / 4
 }
 
 /// Computed-table capacity for the bounded and forced policies.
@@ -85,12 +87,21 @@ fn unbounded_backend() -> SymbolicBackend {
 
 /// Automatic GC, bounded cache, no reordering — reorder-free so peak
 /// node counts are directly comparable with the unbounded baseline.
-fn bounded_backend(n: usize) -> SymbolicBackend {
+fn bounded_backend(unbounded_peak: usize) -> SymbolicBackend {
     SymbolicBackend::with_maintenance(MaintenanceConfig {
-        gc_threshold: bounded_threshold(n),
+        gc_threshold: bounded_threshold(unbounded_peak),
         ..MaintenanceConfig::default()
     })
     .cache_capacity(BOUNDED_CACHE)
+}
+
+/// Peak live nodes of one unbounded check of `f`.
+fn unbounded_peak(target: &Target, r: &Restriction, f: &Formula) -> usize {
+    let v = unbounded_backend().check(target, r, f).unwrap();
+    v.stats
+        .bdd
+        .expect("symbolic backend reports BDD stats")
+        .peak_live_nodes
 }
 
 /// The conformance stress schedule: collect at every 4th safe point,
@@ -146,15 +157,16 @@ fn stats_json(wall_ns: f64, s: &BddStats) -> Json {
 }
 
 /// Live-node trajectory of one long-lived session over a stream of `EF`
-/// checks (one per station, cycling). With maintenance the curve
-/// plateaus; without it the arena only grows.
-fn session_series(n: usize, checks: usize, maintained: bool) -> Vec<Json> {
+/// checks (one per station, cycling). Maintained (with the unbounded
+/// single-check peak the threshold is sized from), the curve plateaus;
+/// without it the arena only grows.
+fn session_series(n: usize, checks: usize, maintained: Option<usize>) -> Vec<Json> {
     let systems = stations(n);
     let refs: Vec<&System> = systems.iter().collect();
     let mut model = SymbolicModel::from_components(&refs, &Alphabet::empty());
-    if maintained {
+    if let Some(peak) = maintained {
         model.set_maintenance(MaintenanceConfig {
-            gc_threshold: bounded_threshold(n),
+            gc_threshold: bounded_threshold(peak),
             ..MaintenanceConfig::default()
         });
         model.mgr().set_cache_capacity(BOUNDED_CACHE);
@@ -193,7 +205,8 @@ fn emit_summary(c: &mut Criterion) {
         let target = Target::composition(stations(n));
         let f = ef_goal(n);
         let (u_ns, u) = run_policy(&target, &r, &f, unbounded_backend(), iters);
-        let (b_ns, b) = run_policy(&target, &r, &f, bounded_backend(n), iters);
+        let bounded = bounded_backend(u.peak_live_nodes);
+        let (b_ns, b) = run_policy(&target, &r, &f, bounded, iters);
         let (f_ns, fo) = run_policy(&target, &r, &f, forced_backend(), iters);
         assert!(
             b.gc_runs > 0,
@@ -279,8 +292,13 @@ fn emit_summary(c: &mut Criterion) {
     // kernel, over a stream of checks against one shared manager.
     let session_stations = if quick { 8 } else { 12 };
     let session_checks = if quick { 8 } else { 24 };
-    let maintained = session_series(session_stations, session_checks, true);
-    let unmaintained = session_series(session_stations, session_checks, false);
+    let session_peak = unbounded_peak(
+        &Target::composition(stations(session_stations)),
+        &r,
+        &ef_goal(session_stations),
+    );
+    let maintained = session_series(session_stations, session_checks, Some(session_peak));
+    let unmaintained = session_series(session_stations, session_checks, None);
 
     let doc = Json::Obj(vec![
         ("benchmark".into(), Json::Str("symbolic_kernel".into())),
@@ -304,7 +322,8 @@ fn emit_summary(c: &mut Criterion) {
                 (
                     "bounded".into(),
                     Json::Str(format!(
-                        "auto GC at a 64n dead-node threshold, cache {BOUNDED_CACHE}, no reorder"
+                        "auto GC at a quarter of the unbounded peak, cache {BOUNDED_CACHE}, \
+                         no reorder"
                     )),
                 ),
                 (
@@ -348,9 +367,10 @@ fn bounded_kernel(c: &mut Criterion) {
     let target = Target::composition(stations(n));
     let r = Restriction::trivial();
     let f = ef_goal(n);
+    let bounded = bounded_backend(unbounded_peak(&target, &r, &f));
     c.bench_function(&format!("symbolic_bounded_{n}"), |b| {
         b.iter(|| {
-            let v = bounded_backend(n).check(&target, &r, &f).unwrap();
+            let v = bounded.check(&target, &r, &f).unwrap();
             black_box(v.sat_states)
         })
     });

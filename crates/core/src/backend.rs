@@ -694,31 +694,22 @@ impl Backend for SymbolicBackend {
         if let Some(cfg) = self.schedule {
             model.set_schedule_config(cfg);
         }
-        let v = model.check(r, f)?;
+        // One full-space evaluation answers both questions: the exact
+        // satisfying count (which the testkit oracle compares against the
+        // explicit engine, so it must range over the whole universe) and
+        // the violating `I`-states. Components built by `from_components`
+        // carry no model-level fairness, so `sat_under(f, r.fairness)` is
+        // the set `SymbolicModel::check` would decide on — without its
+        // reach fixpoint, which a whole-universe count cannot use.
+        let sat = model.sat_under(f, &r.fairness)?;
         let n = model.num_state_vars();
-        // Count the satisfying states while the sat-set BDD is still cheap
-        // to rebuild (the fixpoints are cached in the manager). Components
-        // built by `from_components` carry no model-level fairness, so
-        // `sat_under(f, r.fairness)` is exactly the set `check` used.
-        // `sat_under` runs fixpoints and therefore maintenance, so the
-        // violating set rides in the root registry across it.
-        let rviol = model.mgr().protect(v.violating);
-        let sat_states = if n <= EXACT_COUNT_PROPS {
-            match model.sat_under(f, &r.fairness) {
-                Ok(sat) => {
-                    let count = model.mgr_ref().sat_count(sat, 2 * n) / (1u64 << n) as f64;
-                    Some(count as u128)
-                }
-                Err(e) => {
-                    model.mgr().unprotect(rviol);
-                    return Err(e.into());
-                }
-            }
-        } else {
-            None
-        };
-        let violating_bdd = model.mgr_ref().root(rviol);
-        model.mgr().unprotect(rviol);
+        let sat_states = (n <= EXACT_COUNT_PROPS).then(|| {
+            let count = model.mgr_ref().sat_count(sat, 2 * n) / (1u64 << n) as f64;
+            count as u128
+        });
+        let init = model.restricted_init(r)?;
+        let nsat = model.mgr().not(sat);
+        let violating_bdd = model.mgr().and(init, nsat);
         let alphabet = target.union_alphabet();
         let violating = model
             .enumerate_states(violating_bdd, MAX_WITNESSES)
@@ -726,7 +717,7 @@ impl Backend for SymbolicBackend {
             .filter_map(|ns| ns.to_state(&alphabet))
             .collect();
         Ok(Verdict {
-            holds: v.holds,
+            holds: violating_bdd.is_false(),
             violating,
             sat_states,
             stats: CheckStats {

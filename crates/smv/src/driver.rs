@@ -484,6 +484,16 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
         trans_nodes,
         aux
     ));
+    // The set every check of this run was restricted to: the symbolic
+    // counterpart of the explicit engine's reachable-state count.
+    if let Some(reach) = compiled.model.reachable_memo() {
+        let bits = compiled.model.num_state_vars();
+        let count = compiled.model.mgr_ref().sat_count(reach, 2 * bits) / 2f64.powi(bits as i32);
+        report.push_str(&format!(
+            "reachable states: {count:.0} (2^{:.2}) of 2^{bits}\n",
+            count.log2()
+        ));
+    }
     if let Some(sched) = compiled.model.schedule_stats() {
         report.push_str(&format!(
             "quantification schedule: {} cluster(s) merged from {} partition(s), \
@@ -824,6 +834,22 @@ mod tests {
             };
             assert!(auto.report.ends_with(&expected), "{}", auto.report);
         }
+    }
+
+    /// The symbolic trailer reports the reachable set every check was
+    /// restricted to: one state per token position, out of `2^20`
+    /// encodings. The `engine:` line stays last.
+    #[test]
+    fn symbolic_report_counts_reachable_states() {
+        use cmc_serve::workload::ring_source;
+        let out = run_source_with_backend(&ring_source(20), BackendChoice::Symbolic).unwrap();
+        assert!(
+            out.report
+                .contains("reachable states: 20 (2^4.32) of 2^20\n"),
+            "{}",
+            out.report
+        );
+        assert!(out.report.ends_with("engine: symbolic (BDD)\n"));
     }
 
     #[test]

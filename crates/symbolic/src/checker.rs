@@ -178,20 +178,26 @@ impl SymbolicModel {
         out
     }
 
-    /// States with at least one fair path, memoised per fairness-set list.
+    /// States of `care` with at least one fair path, memoised per
+    /// `(care, fairness-set list)`.
     ///
     /// `sat_under` recomputes the fairness sets for every nested call, but
     /// hash-consing makes the recomputed BDDs hit identical node ids while
-    /// no GC has intervened — so a raw-id memo is exact. The memo is keyed
-    /// on the node ids and cleared on every epoch bump (GC or rehost), so
-    /// it can never serve a stale id.
-    pub fn fair_states(&mut self, fair_sets: &[Bdd]) -> Bdd {
-        let key: Vec<u32> = fair_sets.iter().map(|f| f.raw()).collect();
+    /// no GC has intervened — so a raw-id memo is exact. The key includes
+    /// `care`, so a set restricted by [`SymbolicModel::check`] is never
+    /// served to a full-space `sat_under` (`care` = TRUE). The memo is
+    /// cleared on every epoch bump (GC or rehost), so it can never serve a
+    /// stale id.
+    pub fn fair_states(&mut self, care: Bdd, fair_sets: &[Bdd]) -> Bdd {
+        let key: Vec<u32> = std::iter::once(care)
+            .chain(fair_sets.iter().copied())
+            .map(|b| b.raw())
+            .collect();
         if let Some(hit) = self.fair_memo_get(&key) {
             return hit;
         }
         let epoch = self.maintenance_epoch();
-        let result = self.global_exists_fair(Bdd::TRUE, fair_sets);
+        let result = self.global_exists_fair(care, fair_sets);
         // Only memoise if no maintenance ran mid-computation (the key's
         // ids would otherwise be stale).
         self.fair_memo_put(key, result, epoch);
@@ -204,53 +210,75 @@ impl SymbolicModel {
     }
 
     /// Satisfaction set of `f` with path quantifiers over fair paths
-    /// (fairness given as CTL formulas, as in a restriction `r = (I, F)`).
+    /// (fairness given as CTL formulas, as in a restriction `r = (I, F)`),
+    /// over the whole `2^n` state space.
     pub fn sat_under(&mut self, f: &Formula, fairness: &[Formula]) -> Result<Bdd, SymbolicError> {
-        let mut fair_roots: Vec<RootId> = Vec::new();
-        let mut err = None;
-        for c in fairness {
-            if *c == Formula::True {
-                continue;
-            }
+        let care = self.mgr().protect(Bdd::TRUE);
+        let result = self.sat_within(f, fairness, Vec::new(), care);
+        self.mgr().unprotect(care);
+        result
+    }
+
+    /// Satisfaction set of `f` within `care`, under the borrowed fairness
+    /// roots `fair_roots` plus the full-space sets of the non-trivial
+    /// `fairness` formulas (rooted here for the duration of the call).
+    fn sat_within(
+        &mut self,
+        f: &Formula,
+        fairness: &[Formula],
+        mut fair_roots: Vec<RootId>,
+        care: RootId,
+    ) -> Result<Bdd, SymbolicError> {
+        let borrowed = fair_roots.len();
+        let mut rooted = Ok(());
+        for c in fairness.iter().filter(|c| **c != Formula::True) {
             match self.sat_under(c, &[]) {
                 Ok(s) => fair_roots.push(self.mgr().protect(s)),
                 Err(e) => {
-                    err = Some(e);
+                    rooted = Err(e);
                     break;
                 }
             }
         }
-        let result = match err {
-            Some(e) => Err(e),
-            None => self.sat_with_fair_roots(f, &fair_roots),
-        };
-        for r in fair_roots {
+        let result = rooted.and_then(|()| self.sat_with_fair_roots(f, &fair_roots, care));
+        for &r in &fair_roots[borrowed..] {
             self.mgr().unprotect(r);
         }
         result
     }
 
-    /// `sat_rec` entry point once the fairness sets are protected:
-    /// computes (or memo-reads) the fair-state set, roots it, and recurses.
+    /// `sat_rec` entry point once the fairness sets and the care set are
+    /// protected: computes (or memo-reads) the fair-state set within
+    /// `care`, roots it, and recurses. With no fairness every state of
+    /// `care` is fair (the stutter loop is a path), so the fair set is
+    /// `care` itself.
     fn sat_with_fair_roots(
         &mut self,
         f: &Formula,
         fair_roots: &[RootId],
+        care: RootId,
     ) -> Result<Bdd, SymbolicError> {
+        let care_b = self.mgr().root(care);
         let fair = if fair_roots.is_empty() {
-            Bdd::TRUE
+            care_b
         } else {
             let fs = self.resolve_fair(fair_roots);
-            self.fair_states(&fs)
+            self.fair_states(care_b, &fs)
         };
         let rfair = self.mgr().protect(fair);
-        let result = self.sat_rec(f, fair_roots, rfair);
+        let result = self.sat_rec(f, fair_roots, rfair, care);
         self.mgr().unprotect(rfair);
         result
     }
 
     fn resolve_fair(&self, roots: &[RootId]) -> Vec<Bdd> {
         roots.iter().map(|&r| self.mgr_ref().root(r)).collect()
+    }
+
+    /// `s ∧ care`, reading `care` from its root.
+    fn within(&mut self, s: Bdd, care: RootId) -> Bdd {
+        let care = self.mgr().root(care);
+        self.mgr().and(s, care)
     }
 
     /// Recurse into both operands of a binary connective, keeping the
@@ -262,10 +290,11 @@ impl SymbolicModel {
         b: &Formula,
         fair_sets: &[RootId],
         fair: RootId,
+        care: RootId,
     ) -> Result<(Bdd, Bdd), SymbolicError> {
-        let sa = self.sat_rec(a, fair_sets, fair)?;
+        let sa = self.sat_rec(a, fair_sets, fair, care)?;
         let ra = self.mgr().protect(sa);
-        let sb = match self.sat_rec(b, fair_sets, fair) {
+        let sb = match self.sat_rec(b, fair_sets, fair, care) {
             Ok(sb) => sb,
             Err(e) => {
                 self.mgr().unprotect(ra);
@@ -277,16 +306,25 @@ impl SymbolicModel {
         Ok((sa, sb))
     }
 
-    /// The recursion works over [`RootId`]s for the fairness sets and the
-    /// fair-state set: subformula evaluation runs fixpoints, fixpoints run
-    /// maintenance, and maintenance invalidates plain [`Bdd`] handles.
-    /// Values produced *between* maintenance points (the `and`/`not`
-    /// plumbing below) are safe to hold as plain handles.
+    /// The recursion works over [`RootId`]s for the fairness sets, the
+    /// fair-state set and the care set: subformula evaluation runs
+    /// fixpoints, fixpoints run maintenance, and maintenance invalidates
+    /// plain [`Bdd`] handles. Values produced *between* maintenance points
+    /// (the `and`/`not` plumbing below) are safe to hold as plain handles.
+    ///
+    /// `care` is a successor-closed set (TRUE, or `Reach(I)` from
+    /// [`SymbolicModel::check`]). Every fixpoint stays inside it: `until`
+    /// operands and greatest-fixpoint seeds are conjoined with `care`, and
+    /// image targets with `fair ⊆ care`. The result agrees with the
+    /// full-space satisfaction set on every state of `care`, because
+    /// every path from a `care` state stays in `care`; outside `care` it
+    /// is unspecified.
     fn sat_rec(
         &mut self,
         f: &Formula,
         fair_sets: &[RootId],
         fair: RootId,
+        care: RootId,
     ) -> Result<Bdd, SymbolicError> {
         use Formula::*;
         Ok(match f {
@@ -294,81 +332,81 @@ impl SymbolicModel {
             False => Bdd::FALSE,
             Ap(_) => self.prop_to_bdd(f)?,
             Not(g) => {
-                let b = self.sat_rec(g, fair_sets, fair)?;
+                let b = self.sat_rec(g, fair_sets, fair, care)?;
                 self.mgr().not(b)
             }
             And(a, b) => {
-                let (x, y) = self.sat_pair(a, b, fair_sets, fair)?;
+                let (x, y) = self.sat_pair(a, b, fair_sets, fair, care)?;
                 self.mgr().and(x, y)
             }
             Or(a, b) => {
-                let (x, y) = self.sat_pair(a, b, fair_sets, fair)?;
+                let (x, y) = self.sat_pair(a, b, fair_sets, fair, care)?;
                 self.mgr().or(x, y)
             }
             Implies(a, b) => {
-                let (x, y) = self.sat_pair(a, b, fair_sets, fair)?;
+                let (x, y) = self.sat_pair(a, b, fair_sets, fair, care)?;
                 self.mgr().implies(x, y)
             }
             Iff(a, b) => {
-                let (x, y) = self.sat_pair(a, b, fair_sets, fair)?;
+                let (x, y) = self.sat_pair(a, b, fair_sets, fair, care)?;
                 self.mgr().iff(x, y)
             }
             Ex(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(sg, fair_b);
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
+                let target = self.within(sg, fair);
                 self.pre_exists(target)
             }
             Ax(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
                 let ng = self.mgr().not(sg);
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(ng, fair_b);
+                let target = self.within(ng, fair);
                 let pre = self.pre_exists(target);
                 self.mgr().not(pre)
             }
             Ef(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(sg, fair_b);
-                self.until_exists(Bdd::TRUE, target)
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
+                let target = self.within(sg, fair);
+                let care_b = self.mgr().root(care);
+                self.until_exists(care_b, target)
             }
             Af(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
                 let ng = self.mgr().not(sg);
+                let seed = self.within(ng, care);
                 let fairs = self.resolve_fair(fair_sets);
-                let eg = self.global_exists_fair(ng, &fairs);
+                let eg = self.global_exists_fair(seed, &fairs);
                 self.mgr().not(eg)
             }
             Eg(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
+                let seed = self.within(sg, care);
                 let fairs = self.resolve_fair(fair_sets);
-                self.global_exists_fair(sg, &fairs)
+                self.global_exists_fair(seed, &fairs)
             }
             Ag(g) => {
-                let sg = self.sat_rec(g, fair_sets, fair)?;
+                let sg = self.sat_rec(g, fair_sets, fair, care)?;
                 let ng = self.mgr().not(sg);
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(ng, fair_b);
-                let ef = self.until_exists(Bdd::TRUE, target);
+                let target = self.within(ng, fair);
+                let care_b = self.mgr().root(care);
+                let ef = self.until_exists(care_b, target);
                 self.mgr().not(ef)
             }
             Eu(a, b) => {
-                let (sa, sb) = self.sat_pair(a, b, fair_sets, fair)?;
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(sb, fair_b);
-                self.until_exists(sa, target)
+                let (sa, sb) = self.sat_pair(a, b, fair_sets, fair, care)?;
+                let target = self.within(sb, fair);
+                let s1 = self.within(sa, care);
+                self.until_exists(s1, target)
             }
             Au(a, b) => {
                 // ¬( E[¬b U (¬a ∧ ¬b)] ∨ EG ¬b ); ¬b is needed on both
                 // sides of the disjunction, and `left` must survive the
                 // second fixpoint, so both ride in the registry.
-                let (sa, sb) = self.sat_pair(a, b, fair_sets, fair)?;
+                let (sa, sb) = self.sat_pair(a, b, fair_sets, fair, care)?;
                 let na = self.mgr().not(sa);
                 let nb = self.mgr().not(sb);
+                let nb = self.within(nb, care);
                 let nanb = self.mgr().and(na, nb);
-                let fair_b = self.mgr().root(fair);
-                let target = self.mgr().and(nanb, fair_b);
+                let target = self.within(nanb, fair);
                 let rnb = self.mgr().protect(nb);
                 let left = self.until_exists(nb, target);
                 let rleft = self.mgr().protect(left);
@@ -387,51 +425,31 @@ impl SymbolicModel {
     /// `M ⊨_r f`: every state satisfying `r.init` (conjoined with the
     /// model's own initial predicate if set) satisfies `f` under
     /// `r.fairness` ∪ the model's own fairness formulas.
+    ///
+    /// Only the `I`-states are asked about, so every fixpoint runs inside
+    /// `care = Reach(I)`, memoised per model (see
+    /// [`SymbolicModel::reachable_memo`]). That is exact: `Reach(I)`
+    /// contains `I` and is successor-closed, so the restricted
+    /// satisfaction set agrees with the full-space one on every state
+    /// of `I`, and `violating = I ∧ ¬sat(f)` is the same BDD — with the
+    /// same witness — as a full-space evaluation would give.
     pub fn check(
         &mut self,
         r: &Restriction,
         f: &Formula,
     ) -> Result<SymbolicVerdict, SymbolicError> {
-        let mut fairness: Vec<Formula> = r.fairness.clone();
-        // Model-level fairness constraints (added as BDDs) participate too.
-        // Their roots are owned by the model — borrowed here, never
-        // unprotected; only the roots for formula-level sets are temporary.
-        let model_fair_roots = self.fairness_root_ids();
-        let sat = if model_fair_roots.is_empty() {
-            self.sat_under(f, &fairness)?
-        } else {
-            // Mix formula-level and BDD-level fairness.
-            let mut fair_roots = model_fair_roots;
-            fairness.retain(|c| *c != Formula::True);
-            let mut temp = Vec::new();
-            let mut err = None;
-            for c in &fairness {
-                match self.sat_under(c, &[]) {
-                    Ok(s) => {
-                        let root = self.mgr().protect(s);
-                        fair_roots.push(root);
-                        temp.push(root);
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let result = match err {
-                Some(e) => Err(e),
-                None => self.sat_with_fair_roots(f, &fair_roots),
-            };
-            for t in temp {
-                self.mgr().unprotect(t);
-            }
-            result?
-        };
+        let init = self.restricted_init(r)?;
+        let care = self.reachable_from(init);
+        let care = self.mgr().protect(care);
+        // Model-level fairness constraints participate too. Their roots
+        // are owned by the model — borrowed here, never unprotected.
+        let model_fair = self.fairness_root_ids();
+        let sat = self.sat_within(f, &r.fairness, model_fair, care);
+        self.mgr().unprotect(care);
+        let sat = sat?;
         // Everything below is maintenance-free (propositional ops and
         // witness extraction only), so plain handles are safe to hold.
-        let init_r = self.prop_to_bdd(&r.init)?;
-        let model_init = self.init();
-        let init = self.mgr().and(init_r, model_init);
+        let init = self.restricted_init(r)?;
         let nsat = self.mgr().not(sat);
         let violating = self.mgr().and(init, nsat);
         let nvars = self.num_state_vars();
@@ -444,6 +462,13 @@ impl SymbolicModel {
             violating,
             witness,
         })
+    }
+
+    /// `I = r.init ∧ init()`: the states `M ⊨_r f` asks about.
+    pub fn restricted_init(&mut self, r: &Restriction) -> Result<Bdd, SymbolicError> {
+        let init_r = self.prop_to_bdd(&r.init)?;
+        let model_init = self.init();
+        Ok(self.mgr().and(init_r, model_init))
     }
 
     /// `M ⊨ f` — true in every state (trivial restriction).
@@ -646,18 +671,47 @@ mod tests {
     fn fair_states_memo_is_exact_and_gc_safe() {
         let mut m = counter();
         let goal = m.prop_to_bdd(&parse("b0 & b1").unwrap()).unwrap();
-        let f1 = m.fair_states(&[goal]);
+        let f1 = m.fair_states(Bdd::TRUE, &[goal]);
         let count = m.mgr_ref().sat_count(f1, 4);
-        let f2 = m.fair_states(&[goal]);
+        let f2 = m.fair_states(Bdd::TRUE, &[goal]);
         assert_eq!(f1, f2, "memo hit must return the identical node");
         m.gc_now(); // clears the memo; node ids are remapped
         let goal = m.prop_to_bdd(&parse("b0 & b1").unwrap()).unwrap();
-        let f3 = m.fair_states(&[goal]);
+        let f3 = m.fair_states(Bdd::TRUE, &[goal]);
         assert_eq!(
             m.mgr_ref().sat_count(f3, 4),
             count,
             "fair-state set changed across a collection"
         );
+    }
+
+    /// `check` reads the memoised `Reach(I)`; adding a partition that
+    /// makes a new state reachable must drop the memo, or the `AG`
+    /// verdict below would be answered inside the stale set.
+    #[test]
+    fn new_partition_drops_the_reach_memo() {
+        let mut m = SymbolicModel::new(vec!["a".into(), "b".into()]);
+        let (a, b) = (
+            m.state_var("a").unwrap().clone(),
+            m.state_var("b").unwrap().clone(),
+        );
+        let g = m.mgr();
+        let (ac, an, bc, bn) = (g.var(a.cur), g.var(a.next), g.var(b.cur), g.var(b.next));
+        let (nac, nbc) = (g.not(ac), g.not(bc));
+        let rise_a = g.and(nac, an);
+        let set_b = g.and(ac, nbc);
+        let set_b = g.and(set_b, bn);
+        let init = g.and(nac, nbc);
+        m.set_init(init);
+        m.add_trans_part_owned(rise_a, vec![0]);
+        let r = Restriction::trivial();
+        let f = parse("AG !b").unwrap();
+        assert!(m.check(&r, &f).unwrap().holds);
+        let reach = m.reachable_memo().expect("check memoises Reach(I)");
+        assert_eq!(m.mgr_ref().sat_count(reach, 4) / 4.0, 2.0);
+        m.add_trans_part_owned(set_b, vec![1]);
+        assert!(m.reachable_memo().is_none());
+        assert!(!m.check(&r, &f).unwrap().holds, "stale reach memo");
     }
 
     /// Cross-validation under fairness.

@@ -12,6 +12,10 @@
 //! Semantics match `cmc-ctl`'s explicit checker exactly — `M ⊨_r f`
 //! quantifies over *all* states satisfying `I`, over `F`-fair paths — and
 //! the two engines are cross-validated in the test-suites.
+//! [`SymbolicModel::check`] runs its fixpoints inside the states reachable
+//! from `I` (memoised per model) — exact, because that set contains `I`
+//! and is successor-closed — while `sat`, `sat_under` and
+//! `holds_everywhere` stay over the whole `2^n` space.
 //!
 //! Long-running checks stay memory-bounded: every long-lived BDD is held
 //! in the manager's root registry, fixpoints are frontier-seeded and run

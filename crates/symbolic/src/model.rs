@@ -253,9 +253,13 @@ pub struct SymbolicModel {
     /// Bumped on every GC/rehost; anything keyed on node ids (the
     /// `fair_states` memo) is only valid within one epoch.
     epoch: u64,
-    /// Memoised `fair_states` results: (fair-set node ids, result).
-    /// Cleared on every epoch bump, so stored ids are never stale.
+    /// Memoised `fair_states` results: (care and fair-set node ids,
+    /// result). Cleared on every epoch bump, so stored ids are never stale.
     fair_memo: Vec<(Vec<u32>, Bdd)>,
+    /// Memoised `(I, Reach(I))` as two registry roots, so GC and rehost
+    /// keep both; compared against a fresh `I` by node identity and
+    /// dropped when a partition is added.
+    reach_memo: Option<(RootId, RootId)>,
 }
 
 impl SymbolicModel {
@@ -304,6 +308,7 @@ impl SymbolicModel {
             maint_ticks: 0,
             epoch: 0,
             fair_memo: Vec::new(),
+            reach_memo: None,
         }
     }
 
@@ -393,6 +398,7 @@ impl SymbolicModel {
         if let Some(root) = self.full_trans_memo.take() {
             self.mgr.unprotect(root);
         }
+        self.drop_reach_memo();
         self.drop_schedule();
     }
 
@@ -1019,30 +1025,64 @@ impl SymbolicModel {
         out
     }
 
-    /// States reachable from `init` — a frontier-seeded forward fixpoint:
-    /// each round images only the states discovered in the previous round,
-    /// not the whole accumulated set. Runs maintenance between rounds.
+    /// States reachable from `init`, memoised per model like every
+    /// reach set [`SymbolicModel::check`] restricts to.
     pub fn reachable(&mut self) -> Bdd {
         let init = self.init();
-        let total = self.mgr.protect(init);
-        let front = self.mgr.protect(init);
-        loop {
-            self.maybe_maintain();
-            let frontier = self.mgr.root(front);
-            if frontier.is_false() {
-                break;
+        self.reachable_from(init)
+    }
+
+    /// States reachable from `from` — a frontier-seeded forward fixpoint:
+    /// each round images only the states discovered in the previous round,
+    /// not the whole accumulated set. Runs maintenance between rounds.
+    ///
+    /// The answer is memoised per model in two registry roots keyed by
+    /// `from`, so every check from the same `I` runs the fixpoint once; a
+    /// different `from` recomputes, and adding a partition drops the memo.
+    /// `Reach(TRUE)` is TRUE, so that case skips the fixpoint outright.
+    pub(crate) fn reachable_from(&mut self, from: Bdd) -> Bdd {
+        if let Some((key, reach)) = self.reach_memo {
+            if self.mgr.root(key) == from {
+                return self.mgr.root(reach);
             }
-            let post = self.post_exists(frontier);
-            let r = self.mgr.root(total);
-            let fresh = self.mgr.diff(post, r);
-            let r = self.mgr.or(r, fresh);
-            self.mgr.set_root(total, r);
-            self.mgr.set_root(front, fresh);
         }
-        let out = self.mgr.root(total);
-        self.mgr.unprotect(total);
-        self.mgr.unprotect(front);
-        out
+        self.drop_reach_memo();
+        let key = self.mgr.protect(from);
+        let total = self.mgr.protect(from);
+        if !from.is_true() {
+            let front = self.mgr.protect(from);
+            loop {
+                self.maybe_maintain();
+                let frontier = self.mgr.root(front);
+                if frontier.is_false() {
+                    break;
+                }
+                let post = self.post_exists(frontier);
+                let r = self.mgr.root(total);
+                let fresh = self.mgr.diff(post, r);
+                let r = self.mgr.or(r, fresh);
+                self.mgr.set_root(total, r);
+                self.mgr.set_root(front, fresh);
+            }
+            self.mgr.unprotect(front);
+        }
+        self.reach_memo = Some((key, total));
+        self.mgr.root(total)
+    }
+
+    /// The memoised reachable set of the last [`SymbolicModel::reachable`]
+    /// or [`SymbolicModel::check`] call, if no partition has been added
+    /// since.
+    pub fn reachable_memo(&self) -> Option<Bdd> {
+        self.reach_memo.map(|(_, reach)| self.mgr.root(reach))
+    }
+
+    /// Drop the memoised reachable set, releasing its two roots.
+    fn drop_reach_memo(&mut self) {
+        if let Some((from, reach)) = self.reach_memo.take() {
+            self.mgr.unprotect(from);
+            self.mgr.unprotect(reach);
+        }
     }
 
     /// Cube of all current-state variables.

@@ -85,12 +85,28 @@ proptest! {
         init in arb_formula(3).prop_filter("propositional init", |g| g.is_propositional()),
     ) {
         let r = Restriction::new(init, fairness.clone());
-        let explicit = Checker::new(&m).unwrap().check(&r, &f).unwrap().holds;
+        let explicit = Checker::new(&m).unwrap().check(&r, &f).unwrap();
         let mut sym = SymbolicModel::from_explicit(&m);
-        let symbolic = sym.check(&r, &f).unwrap().holds;
+        let symbolic = sym.check(&r, &f).unwrap();
         prop_assert_eq!(
-            explicit, symbolic,
+            explicit.holds, symbolic.holds,
             "engines disagree on {} under fairness set {:?}",
+            f, fairness
+        );
+        // The symbolic check runs inside Reach(I); its violating I-states
+        // must still be exactly the explicit checker's (all 8 states fit
+        // under the explicit witness cap, so its list is complete).
+        let mut violating: Vec<State> = sym
+            .enumerate_states(symbolic.violating, 1 << 3)
+            .iter()
+            .map(|ns| ns.to_state(m.alphabet()).unwrap())
+            .collect();
+        violating.sort();
+        let mut want = explicit.violating.clone();
+        want.sort();
+        prop_assert_eq!(
+            want, violating,
+            "violating I-states differ on {} under fairness set {:?}",
             f, fairness
         );
     }

@@ -204,3 +204,26 @@ fn tiny_cache_preserves_verdicts() {
         );
     }
 }
+
+/// `check` memoises the fair-state set *within* `Reach(I)`; a later
+/// full-space `sat_under` with the same fairness on the same model must
+/// not be served that restricted set. From `I = ¬p ∧ ¬q` only `q` can
+/// rise, so no reachable state is fair under `F = {p}`, while the
+/// unreachable `p`-states stutter fairly forever.
+#[test]
+fn restricted_fair_states_never_leak_into_sat_under() {
+    let mut sys = System::new(Alphabet::new(["p", "q"]));
+    sys.add_transition_named(&[], &["q"]);
+    sys.add_transition_named(&["p"], &["p", "q"]);
+    let fairness = [parse("p").unwrap()];
+    let f = Formula::True.ex();
+    let mut fresh = SymbolicModel::from_explicit(&sys);
+    let want = sat_states(&mut fresh, &f, &fairness);
+    assert_eq!(want, 2.0, "the two p-states are the fair ones");
+    let mut model = SymbolicModel::from_explicit(&sys);
+    let r = Restriction::new(parse("!p & !q").unwrap(), fairness.clone());
+    let v = model.check(&r, &parse("EF q").unwrap()).unwrap();
+    assert!(!v.holds, "no fair path from I, so EF q fails under F");
+    let got = sat_states(&mut model, &f, &fairness);
+    assert_eq!(want, got, "sat_under was served the restricted fair set");
+}
