@@ -367,10 +367,10 @@ mod tests {
         assert!(out.all_true(), "{}", out.report);
     }
 
-    /// E11: the compositional invariant proof succeeds for n = 1, 2, 3.
+    /// E11: the compositional invariant proof succeeds for n = 1..=12.
     #[test]
-    fn invariant_compositional_n123() {
-        for n in 1..=3 {
+    fn invariant_compositional_up_to_12_clients() {
+        for n in 1..=12 {
             let proof = prove_invariant_compositional(n).unwrap();
             assert!(proof.valid(), "n={n}: {proof:?}");
             assert_eq!(proof.component_checks.len(), n + 1);
@@ -437,6 +437,48 @@ mod tests {
         // Union: failure + per client (validFile, sbelief, response, time,
         // request, cbelief) = 1 + 6n.
         assert_eq!(union.len(), 1 + 6 * 3);
+    }
+
+    /// Each client's `cbelief_i` joins its shared variables: the union
+    /// layout is `failure` then one `[validFile sbelief response time
+    /// request cbelief]` block per client.
+    #[test]
+    fn union_layout_keeps_client_blocks_together() {
+        for n in 1..=4 {
+            let names: Vec<String> = union_variables(&modules(n))
+                .unwrap()
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect();
+            let mut expected = vec!["failure".to_string()];
+            for i in 1..=n {
+                for v in [
+                    "validFile",
+                    "sbelief",
+                    "response",
+                    "time",
+                    "request",
+                    "cbelief",
+                ] {
+                    expected.push(format!("{v}{i}"));
+                }
+            }
+            assert_eq!(names, expected, "n={n}");
+        }
+    }
+
+    /// `Inv`'s conjunct `i` only couples client `i`'s block, so with the
+    /// blocks kept together its BDD is linear: exactly `6n` nodes on the
+    /// server's expansion.
+    #[test]
+    fn invariant_bdd_is_linear_in_clients() {
+        for n in 1..=12 {
+            let mods = modules(n);
+            let union = union_variables(&mods).unwrap();
+            let mut server = compile_expansion(&union, &mods[0]).unwrap();
+            let inv = server.model.prop_to_bdd(&invariant_formula(n)).unwrap();
+            assert_eq!(server.model.mgr_ref().node_count(inv), 6 * n, "n={n}");
+        }
     }
 
     /// Explicit cross-validation for n = 1: the kripke composition of the

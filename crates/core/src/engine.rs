@@ -760,18 +760,7 @@ impl Engine {
         let r = Restriction::new(init.clone(), fairness.iter().cloned());
         let mut cert = Certificate::new(format!("system ⊨_{r} AG ({inv})"));
         // I ⇒ Inv: a propositional validity over the mentioned props.
-        let mut validity_props = validity.atomic_props();
-        if validity_props.is_empty() {
-            validity_props.insert(
-                self.union
-                    .names()
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| "p".into()),
-            );
-        }
-        let validity_alphabet = Alphabet::new(validity_props.into_iter().collect::<Vec<_>>());
-        let valid_init = crate::parallel::propositional_validity(&validity_alphabet, &validity);
+        let valid_init = crate::parallel::propositional_validity(&validity);
         cert.step(format!("validity of {validity}"), valid_init, true);
 
         // Each conjunct is its own obligation unit `K`; the hypothesis
@@ -1329,30 +1318,93 @@ mod tests {
         assert!(!e.monolithic_check(&g.rhs[0].1, &g.rhs[0].0).unwrap());
     }
 
-    /// The hypothesis-escalation ladder: a mutual-induction invariant
-    /// whose conjuncts are not inductive alone must pass at level >= 2 and
-    /// the certificate must say so.
-    #[test]
-    fn invariant_escalation_levels() {
-        // Ring of three stations passing a token (t0 -> t1 -> t2 -> t0).
+    /// A ring of `n` stations passing a token (t0 -> t1 -> ... -> t0):
+    /// station `i` hands off `(t_i, *) -> (!t_i, t_j)`.
+    fn ring(n: usize) -> Engine {
         let station = |i: usize| {
-            let j = (i + 1) % 3;
+            let j = (i + 1) % n;
             let names = [format!("t{i}"), format!("t{j}")];
             let mut m = System::new(Alphabet::new(names));
             let st = |b: bool, c: bool| {
                 let s = cmc_kripke::State::EMPTY;
                 s.with(0, b).with(1, c)
             };
-            // token handoff: (t_i, *) -> (!t_i, t_j)
             m.add_transition(st(true, false), st(false, true));
             m.add_transition(st(true, true), st(false, true));
             m
         };
-        let e = Engine::new(vec![
-            Component::new("s0", station(0)),
-            Component::new("s1", station(1)),
-            Component::new("s2", station(2)),
-        ]);
+        Engine::new(
+            (0..n)
+                .map(|i| Component::new(format!("s{i}"), station(i)))
+                .collect(),
+        )
+    }
+
+    /// Pairwise mutual exclusion `⋀_{i<j} ¬(tᵢ ∧ tⱼ)` over `n` stations.
+    fn at_most_one(n: usize) -> Formula {
+        Formula::and_many((0..n).flat_map(|i| {
+            (i + 1..n).map(move |j| {
+                Formula::ap(format!("t{i}"))
+                    .and(Formula::ap(format!("t{j}")))
+                    .not()
+            })
+        }))
+    }
+
+    /// The one-hot initial condition: the token starts at station 0.
+    fn token_at_zero(n: usize) -> Formula {
+        Formula::and_many((0..n).map(|k| {
+            let t = Formula::ap(format!("t{k}"));
+            if k == 0 {
+                t
+            } else {
+                t.not()
+            }
+        }))
+    }
+
+    /// `I ⇒ Inv` is decided on a BDD, so 64 propositions cost a diagram
+    /// of a few hundred nodes, not `2^64` truth-table rows.
+    #[test]
+    fn validity_scales_past_truth_tables() {
+        let n = 64;
+        let valid = token_at_zero(n).implies(at_most_one(n));
+        assert!(crate::parallel::propositional_validity(&valid));
+        // The all-clear state satisfies at-most-one but not t0.
+        let invalid = at_most_one(n).implies(token_at_zero(n));
+        assert!(!crate::parallel::propositional_validity(&invalid));
+    }
+
+    /// An initial condition outside the invariant fails exactly the
+    /// `validity of …` step; the inductive steps still pass.
+    #[test]
+    fn invariant_rule_reports_invalid_initial_condition() {
+        let n = 4;
+        let cert = ring(n)
+            .prove_invariant(&at_most_one(n), &parse("t0 & t1").unwrap(), &[])
+            .unwrap();
+        assert!(!cert.valid, "{cert}");
+        let validity = cert
+            .steps
+            .iter()
+            .find(|s| s.description.starts_with("validity of "))
+            .expect("a validity step");
+        assert!(!validity.ok, "{cert}");
+        assert!(
+            cert.steps
+                .iter()
+                .filter(|s| !s.ok)
+                .all(|s| s.description.starts_with("validity of ")),
+            "{cert}"
+        );
+    }
+
+    /// The hypothesis-escalation ladder: a mutual-induction invariant
+    /// whose conjuncts are not inductive alone must pass at level >= 2 and
+    /// the certificate must say so.
+    #[test]
+    fn invariant_escalation_levels() {
+        let e = ring(3);
         // Pairwise mutual exclusion: each conjunct alone is NOT inductive
         // (a handoff into t_j needs to know the source t_k was exclusive),
         // so the engine must escalate.

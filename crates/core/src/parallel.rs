@@ -14,8 +14,9 @@
 use crate::backend::{check_routed, BackendChoice, BackendKind, Target, Verdict};
 use crate::scheduler;
 use cmc_ctl::{Formula, Restriction};
-use cmc_kripke::{Alphabet, System};
+use cmc_kripke::System;
 use cmc_store::{CertStore, Entry, ObligationKey};
+use cmc_symbolic::SymbolicModel;
 use std::sync::Arc;
 
 /// Check `⊨ f` (all states) on each system concurrently, routing each
@@ -142,17 +143,26 @@ pub fn check_targets_with_store(
         .collect()
 }
 
-/// Decide propositional validity of `f` over all states of `alphabet`
-/// (used for the `I ⇒ Inv` obligation of the invariant rule).
-pub fn propositional_validity(alphabet: &Alphabet, f: &Formula) -> bool {
+/// Decide propositional validity of `f` (the `I ⇒ Inv` obligation of the
+/// invariant rule): `f` is valid iff its BDD over the propositions it
+/// mentions is the constant TRUE. Cost follows the diagram's size, not
+/// the `2^|props|` states a truth table would enumerate.
+pub fn propositional_validity(f: &Formula) -> bool {
     debug_assert!(f.is_propositional());
-    cmc_kripke::state::all_states(alphabet).all(|s| f.eval_in_state(alphabet, s))
+    let mut vocab = SymbolicModel::new(f.atomic_props());
+    vocab
+        .prop_to_bdd(f)
+        .expect("every proposition of f is a variable of its own vocabulary")
+        .is_true()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cmc_ctl::parse;
+    use cmc_kripke::Alphabet;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn rising(name: &str) -> System {
         let mut m = System::new(Alphabet::new([name]));
@@ -274,11 +284,80 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
+    /// The reference oracle: evaluate `f` in every state over `alphabet`.
+    fn truth_table_validity(alphabet: &Alphabet, f: &Formula) -> bool {
+        cmc_kripke::state::all_states(alphabet).all(|s| f.eval_in_state(alphabet, s))
+    }
+
+    /// A random propositional formula over `props` of depth at most
+    /// `depth`, drawing every connective and both constants.
+    fn random_formula(rng: &mut StdRng, props: &[&str], depth: u32) -> Formula {
+        if depth == 0 || rng.gen_bool(0.2) {
+            return match rng.gen_range(0..props.len() + 2) {
+                0 => Formula::True,
+                1 => Formula::False,
+                k => Formula::ap(props[k - 2]),
+            };
+        }
+        let a = random_formula(rng, props, depth - 1);
+        if rng.gen_bool(0.2) {
+            return a.not();
+        }
+        let b = random_formula(rng, props, depth - 1);
+        match rng.gen_range(0..4) {
+            0 => a.and(b),
+            1 => a.or(b),
+            2 => a.implies(b),
+            _ => a.iff(b),
+        }
+    }
+
     #[test]
     fn propositional_validity_decides_tautologies() {
-        let al = Alphabet::new(["a", "b"]);
-        assert!(propositional_validity(&al, &parse("a | !a").unwrap()));
-        assert!(propositional_validity(&al, &parse("a & b -> a").unwrap()));
-        assert!(!propositional_validity(&al, &parse("a -> b").unwrap()));
+        assert!(propositional_validity(&parse("a | !a").unwrap()));
+        assert!(propositional_validity(&parse("a & b -> a").unwrap()));
+        assert!(!propositional_validity(&parse("a -> b").unwrap()));
+        // Constant formulas mention no proposition at all.
+        assert!(propositional_validity(&Formula::True));
+        assert!(!propositional_validity(&Formula::False));
+        assert!(propositional_validity(
+            &Formula::False.implies(Formula::False)
+        ));
+    }
+
+    /// The BDD verdict equals the truth table on a generated family over
+    /// up to six propositions: random formulas (mostly non-tautologies)
+    /// and tautologies built from them (`g <-> g`, `g & h -> g`).
+    #[test]
+    fn propositional_validity_matches_truth_table() {
+        let all = ["a", "b", "c", "d", "e", "f"];
+        let alphabet = Alphabet::new(all);
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        let (mut valid, mut invalid) = (0, 0);
+        for width in 1..=all.len() {
+            for _ in 0..200 {
+                let g = random_formula(&mut rng, &all[..width], 5);
+                let h = random_formula(&mut rng, &all[..width], 3);
+                for f in [
+                    g.clone(),
+                    g.clone().or(h.clone()),
+                    g.clone().iff(g.clone()),
+                    g.clone().and(h).implies(g),
+                ] {
+                    let expected = truth_table_validity(&alphabet, &f);
+                    assert_eq!(propositional_validity(&f), expected, "{f}");
+                    if expected {
+                        valid += 1;
+                    } else {
+                        invalid += 1;
+                    }
+                }
+            }
+        }
+        // Both verdicts are exercised in bulk.
+        assert!(
+            valid > 1000 && invalid > 1000,
+            "{valid} valid, {invalid} invalid"
+        );
     }
 }

@@ -31,22 +31,36 @@ pub fn compile_composition(modules: &[Module]) -> Result<CompiledModel, SemError
     compile_parts(&union, modules)
 }
 
-/// The union variable layout `Σ*` of a set of modules: first occurrence
-/// wins the ordering; a shared name must have the same type everywhere.
+/// The union variable layout `Σ*` of a set of modules, which is also the
+/// BDD variable order. Each module's variables stay together: a variable
+/// not yet in the layout goes right after the variable its module
+/// declared just before it, and is appended when it is the module's
+/// first. Modules that share nothing are therefore laid out one after
+/// another, while a module that adds a variable to shared ones (an AFS-2
+/// client's `cbelief_i` next to the server's `request_i`) places it
+/// beside them. A shared name must have the same type everywhere.
 pub fn union_variables(modules: &[Module]) -> Result<Vec<(String, Type)>, SemError> {
     let mut union: Vec<(String, Type)> = Vec::new();
     for m in modules {
+        // Layout position of the module's previously declared variable.
+        let mut prev_at: Option<usize> = None;
         for (name, ty) in &m.vars {
-            match union.iter().find(|(n, _)| n == name) {
-                None => union.push((name.clone(), ty.clone())),
-                Some((_, prev)) if prev == ty => {}
-                Some((_, prev)) => {
+            let at = match union.iter().position(|(n, _)| n == name) {
+                None => {
+                    let at = prev_at.map_or(union.len(), |p| p + 1);
+                    union.insert(at, (name.clone(), ty.clone()));
+                    at
+                }
+                Some(at) if union[at].1 == *ty => at,
+                Some(at) => {
                     return Err(SemError(format!(
                         "shared variable {name:?} declared with type {ty} in one \
-                         module and {prev} in another"
+                         module and {} in another",
+                        union[at].1
                     )))
                 }
-            }
+            };
+            prev_at = Some(at);
         }
     }
     Ok(union)
@@ -180,6 +194,28 @@ mod tests {
             Ok(_) => panic!("conflicting types must be rejected"),
         };
         assert!(err.0.contains("shared variable"));
+    }
+
+    fn layout(modules: &[Module]) -> Vec<String> {
+        union_variables(modules)
+            .unwrap()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect()
+    }
+
+    #[test]
+    fn union_layout_keeps_module_variables_together() {
+        let a = module("MODULE main\nVAR x : boolean; y : boolean;\n");
+        let b = module("MODULE main\nVAR x : boolean; z : boolean; y : boolean; w : boolean;\n");
+        // z follows b's x and w follows b's y, not the end of a's layout.
+        assert_eq!(layout(&[a.clone(), b.clone()]), ["x", "z", "y", "w"]);
+        // A module's first variable, when new, is appended.
+        let c = module("MODULE main\nVAR v : boolean; y : boolean;\n");
+        assert_eq!(layout(&[a.clone(), c]), ["x", "y", "v"]);
+        // Modules that share nothing keep declaration order.
+        let d = module("MODULE main\nVAR p : boolean; q : boolean;\n");
+        assert_eq!(layout(&[a, d]), ["x", "y", "p", "q"]);
     }
 
     #[test]

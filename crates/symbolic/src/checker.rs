@@ -57,13 +57,31 @@ impl SymbolicModel {
                 let b = self.prop_to_bdd(g)?;
                 self.mgr().not(b)
             }
-            And(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().and(x, y)
-            }
-            Or(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().or(x, y)
+            And(..) | Or(..) => {
+                // `Formula::and_many`/`or_many` fold left, so a long
+                // conjunction nests down its left operand. Walk that spine
+                // iteratively and recurse only into the right operands:
+                // the recursion depth stays that of the operands, not the
+                // chain's length (2016 for a 64-station exclusion
+                // invariant). Operands are combined in the same order as
+                // the plain recursion would.
+                let is_and = matches!(f, And(..));
+                let mut rights = Vec::new();
+                let mut left = f;
+                while let (And(a, b), true) | (Or(a, b), false) = (left, is_and) {
+                    rights.push(b.as_ref());
+                    left = a;
+                }
+                let mut acc = self.prop_to_bdd(left)?;
+                for g in rights.into_iter().rev() {
+                    let y = self.prop_to_bdd(g)?;
+                    acc = if is_and {
+                        self.mgr().and(acc, y)
+                    } else {
+                        self.mgr().or(acc, y)
+                    };
+                }
+                acc
             }
             Implies(a, b) => {
                 let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
