@@ -180,6 +180,12 @@ pub fn verify_client() -> RunOutcome {
 
 /// A vocabulary over the union alphabet (for building formulas that
 /// mention both components' variables).
+///
+/// Only its atom table is used, so every variable is frozen
+/// (`next(v) := v`): the module compiles to its 90 valid states with
+/// nothing but their stutter steps. Left unassigned, every variable would
+/// be free, and compilation would build a transition between every pair
+/// of valid states just to produce the same atom table.
 pub fn union_vocabulary() -> ExplicitCompiled {
     let src = "
 MODULE main
@@ -188,6 +194,11 @@ VAR
   r : {null, fetch, validate, val, inval};
   validFile : boolean;
   cbelief : {valid, suspect, nofile};
+ASSIGN
+  next(sbelief) := sbelief;
+  next(r) := r;
+  next(validFile) := validFile;
+  next(cbelief) := cbelief;
 ";
     compile_explicit(&parse_module(src).unwrap()).unwrap()
 }

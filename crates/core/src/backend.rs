@@ -263,7 +263,21 @@ pub fn check_routed_with_workers(
     f: &Formula,
     workers: usize,
 ) -> Result<Verdict, BackendError> {
-    let mut decision = choice.route(target, r);
+    check_planned(choice, choice.route(target, r), target, r, f, workers)
+}
+
+/// [`check_routed_with_workers`] on a plan the caller already made with
+/// `choice.route(target, r)` — for callers that need the plan before the
+/// check (a store key names the planned engine), so the cost model runs
+/// once per check.
+pub fn check_planned(
+    choice: BackendChoice,
+    mut decision: RouteDecision,
+    target: &Target,
+    r: &Restriction,
+    f: &Formula,
+    workers: usize,
+) -> Result<Verdict, BackendError> {
     if decision.planned == BackendKind::Explicit {
         let limits = match choice {
             // The attempt is budgeted by the cost model: cheap to be wrong.

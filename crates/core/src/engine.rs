@@ -6,14 +6,21 @@
 //! justified by Lemmas 5, 8, 9), classified as universal or existential
 //! (Rules 1–3), and transferred to the composed system; guarantees
 //! properties (Rules 4, 5) are discharged by proving their left-hand
-//! obligations on the system, compositionally where possible.
+//! obligations on the system, compositionally where possible. A Rule-2
+//! obligation on a component that declares none of its propositions needs
+//! no checker at all: the expansion freezes them, so the frame argument of
+//! Lemma 8 decides it propositionally.
 //!
 //! Every deduction produces a [`Certificate`] recording each step, so a
 //! component consumer can audit the proof — the paper's stated goal is
 //! exactly this workflow: "the developer of a component take\[s\] a greater
 //! part in proving correctness" and ships the proof with the component.
 
-use crate::backend::{check_refines, check_routed, BackendChoice, BackendKind, Target};
+use crate::backend::{
+    check_planned, check_refines, check_routed, BackendChoice, BackendKind, RouteDecision, Target,
+    Verdict,
+};
+use crate::parallel::propositional_validity;
 use crate::property::{classify, PropertyClass};
 use crate::rules::{
     circular_refines, invariant_obligations, substitution_side_conditions, Guarantee,
@@ -24,6 +31,7 @@ use cmc_kripke::{Alphabet, System};
 use cmc_store::{
     CertStore, Entry, ObligationKey, StoredCertificate, StoredStep, StoredSubstitution,
 };
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -325,10 +333,84 @@ impl Substitution {
     }
 }
 
+/// A set of positions in an engine's union alphabet, one bit each, so
+/// that "does component `i` declare any of these propositions?" and "does
+/// this conjunct fit inside that footprint?" are word operations rather
+/// than string-set work.
+#[derive(Debug, Clone, Default)]
+struct PropMask(Vec<u64>);
+
+impl PropMask {
+    /// The positions of `names` in `union`; the first name `union` lacks
+    /// is the error.
+    fn of<'a>(
+        union: &Alphabet,
+        names: impl IntoIterator<Item = &'a String>,
+    ) -> Result<Self, &'a String> {
+        let mut mask = PropMask::default();
+        for name in names {
+            let pos = union.position(name).ok_or(name)?;
+            if mask.0.len() <= pos / 64 {
+                mask.0.resize(pos / 64 + 1, 0);
+            }
+            mask.0[pos / 64] |= 1 << (pos % 64);
+        }
+        Ok(mask)
+    }
+
+    fn word(&self, w: usize) -> u64 {
+        self.0.get(w).copied().unwrap_or(0)
+    }
+
+    fn is_disjoint(&self, other: &PropMask) -> bool {
+        self.0.iter().zip(&other.0).all(|(a, b)| a & b == 0)
+    }
+
+    /// `self ⊆ a ∪ b`.
+    fn is_within(&self, a: &PropMask, b: &PropMask) -> bool {
+        self.0
+            .iter()
+            .enumerate()
+            .all(|(w, m)| m & !(a.word(w) | b.word(w)) == 0)
+    }
+}
+
+/// The error for a formula proposition that no component declares.
+fn unknown_proposition(p: &str) -> EngineError {
+    EngineError::Check(format!(
+        "formula proposition {p:?} unknown to every component"
+    ))
+}
+
+/// The `(p, q)` of a Rule-2 obligation `p ⇒ AX q`, `p` and `q`
+/// propositional.
+fn rule2_parts(f: &Formula) -> Option<(&Formula, &Formula)> {
+    match f {
+        Formula::Implies(p, next) => match next.as_ref() {
+            Formula::Ax(q) if p.is_propositional() && q.is_propositional() => Some((p, q)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The invariant rule's per-proof bookkeeping: every conjunct with its
+/// proposition set and union mask, computed once per proof rather than per
+/// (conjunct, component) pair.
+struct InvariantGrid<'a> {
+    inv: &'a Formula,
+    inv_props: BTreeSet<String>,
+    conjuncts: Vec<Formula>,
+    props: Vec<BTreeSet<String>>,
+    masks: Vec<PropMask>,
+}
+
 /// The assume-guarantee engine for a fixed set of components.
 pub struct Engine {
     components: Vec<Component>,
     union: Alphabet,
+    /// Each component's alphabet as a mask over `union`.
+    owned: Vec<PropMask>,
     store: Option<Arc<CertStore>>,
     backend: BackendChoice,
 }
@@ -341,9 +423,17 @@ impl Engine {
         let union = components
             .iter()
             .fold(Alphabet::empty(), |acc, c| acc.union(c.system.alphabet()));
+        let owned = components
+            .iter()
+            .map(|c| {
+                PropMask::of(&union, c.system.alphabet().names())
+                    .expect("a component's propositions are in the union")
+            })
+            .collect();
         Engine {
             components,
             union,
+            owned,
             store: None,
             backend: BackendChoice::Auto,
         }
@@ -413,21 +503,34 @@ impl Engine {
     ///
     /// Returned as a lazy [`Target`] so the backend decides how to realise
     /// the expansion: the explicit engine pads frames, the symbolic engine
-    /// just declares frozen variables.
-    fn minimal_target(&self, i: usize, props: &std::collections::BTreeSet<String>) -> Target {
+    /// just declares frozen variables. A proposition no component declares
+    /// is an [`EngineError::Check`] naming it.
+    fn minimal_target(&self, i: usize, props: &BTreeSet<String>) -> Result<Target, EngineError> {
         let own = self.components[i].system.alphabet();
         let extra: Vec<String> = props.iter().filter(|p| !own.contains(p)).cloned().collect();
-        for p in &extra {
-            assert!(
-                self.union.contains(p),
-                "formula proposition {p:?} unknown to every component"
-            );
+        if let Some(p) = extra.iter().find(|p| !self.union.contains(p)) {
+            return Err(unknown_proposition(p));
         }
-        if extra.is_empty() {
-            Target::system(self.components[i].system.clone())
+        let system = self.components[i].system.clone();
+        Ok(if extra.is_empty() {
+            Target::system(system)
         } else {
-            Target::expansion(self.components[i].system.clone(), Alphabet::new(extra))
-        }
+            Target::expansion(system, Alphabet::new(extra))
+        })
+    }
+
+    /// `props` as a mask over the union alphabet, or the error naming a
+    /// proposition no component declares.
+    fn prop_mask(&self, props: &BTreeSet<String>) -> Result<PropMask, EngineError> {
+        PropMask::of(&self.union, props).map_err(|p| unknown_proposition(p))
+    }
+
+    /// Does component `i` declare none of the propositions in `mask`? Its
+    /// minimal expansion then freezes all of them — on its own moves and
+    /// on the stutter step alike — so by Lemmas 6 and 8 an obligation
+    /// `p ⇒ AX q` over them holds there iff `p ⇒ q` is valid.
+    fn frame_local(&self, i: usize, mask: &PropMask) -> bool {
+        self.owned[i].is_disjoint(mask)
     }
 
     /// The whole composition as a lazy [`Target`].
@@ -470,41 +573,71 @@ impl Engine {
 
     /// Check a universal obligation on every component, conjunct-wise with
     /// minimal expansions, in parallel. Appends one step per (conjunct,
-    /// component) check. With a store attached, obligations answered from
-    /// the store never reach the checker; only the misses are fanned out.
+    /// component) pair, in grid order. A pair whose component declares none
+    /// of the conjunct's propositions is decided by frame (Lemma 8) without
+    /// a checker; with a store attached, obligations answered from the
+    /// store never reach the checker either. Only the rest are fanned out.
     fn check_universal(&self, f: &Formula, cert: &mut Certificate) -> Result<(), EngineError> {
-        // One slot per (conjunct, component) obligation, in order; cache
-        // hits are resolved immediately, misses carry their store key.
+        enum Slot {
+            /// Decided by frame: is `p ⇒ q` valid?
+            Frame(bool),
+            /// Answered by the store under the planned engine.
+            Cached(bool, BackendKind),
+            /// Checked fresh, memoized under its key when a store is attached.
+            Fresh(Option<ObligationKey>),
+        }
         let trivial = Restriction::trivial();
-        let mut slots: Vec<(String, Option<ObligationKey>, BackendKind, Option<bool>)> = Vec::new();
-        let mut misses: Vec<(String, Target, Formula)> = Vec::new();
+        let mut slots: Vec<(String, Slot)> = Vec::new();
+        let mut misses: Vec<(Target, Formula, Option<RouteDecision>)> = Vec::new();
         for conjunct in Self::conjuncts(f) {
             let props = conjunct.atomic_props();
+            let mask = self.prop_mask(&props)?;
+            // `p ⇒ q` decides every frame-local pair of this conjunct.
+            let mut frame = None;
             for (i, comp) in self.components.iter().enumerate() {
                 let name = format!("minimal expansion of {} ⊨ {conjunct}", comp.name);
-                let target = self.minimal_target(i, &props);
-                let kind = self.backend.route(&target, &trivial).planned;
-                let key = self
-                    .store
-                    .as_ref()
-                    .map(|_| self.target_key("check", &target, &trivial, &conjunct, kind));
-                let cached = match (&self.store, key) {
-                    (Some(store), Some(key)) => store.lookup(&key).map(|e| e.verdict),
-                    _ => None,
-                };
-                if cached.is_none() {
-                    misses.push((name.clone(), target, conjunct.clone()));
+                if let Some((p, q)) = rule2_parts(&conjunct).filter(|_| self.frame_local(i, &mask))
+                {
+                    let holds = *frame.get_or_insert_with(|| {
+                        propositional_validity(&p.clone().implies(q.clone()))
+                    });
+                    slots.push((format!("{name} by frame (Lemma 8)"), Slot::Frame(holds)));
+                    continue;
                 }
-                slots.push((name, key, kind, cached));
+                let target = self.minimal_target(i, &props)?;
+                let Some(store) = &self.store else {
+                    misses.push((target, conjunct.clone(), None));
+                    slots.push((name, Slot::Fresh(None)));
+                    continue;
+                };
+                let plan = self.backend.route(&target, &trivial);
+                let key = self.target_key("check", &target, &trivial, &conjunct, plan.planned);
+                match store.lookup(&key) {
+                    Some(entry) => slots.push((
+                        format!("{name} (cached)"),
+                        Slot::Cached(entry.verdict, plan.planned),
+                    )),
+                    None => {
+                        misses.push((target, conjunct.clone(), Some(plan)));
+                        slots.push((name, Slot::Fresh(Some(key))));
+                    }
+                }
             }
         }
-        let mut fresh = crate::parallel::check_targets_parallel(&misses, self.backend).into_iter();
-        for (name, key, kind, cached) in slots {
-            match cached {
-                Some(ok) => cert.step_checked(format!("{name} (cached)"), ok, true, kind, None),
-                None => {
-                    let (_, outcome) = fresh.next().expect("one parallel result per miss");
-                    let verdict = outcome.map_err(EngineError::Check)?;
+        let mut fresh = crate::scheduler::run(misses.len(), |m| {
+            let (target, conjunct, plan) = &misses[m];
+            self.run_check(target, &trivial, conjunct, *plan)
+        })
+        .into_iter();
+        for (name, slot) in slots {
+            match slot {
+                Slot::Frame(holds) => cert.step(name, holds, true),
+                Slot::Cached(holds, kind) => cert.step_checked(name, holds, true, kind, None),
+                Slot::Fresh(key) => {
+                    let verdict = fresh
+                        .next()
+                        .expect("one parallel result per miss")
+                        .map_err(EngineError::Check)??;
                     if let (Some(store), Some(key)) = (&self.store, key) {
                         store.insert(key, Entry::verdict(verdict.holds));
                     }
@@ -521,6 +654,23 @@ impl Engine {
         Ok(())
     }
 
+    /// `target ⊨_r f` through the selected backend — on `plan` when the
+    /// caller already routed the target (a store key names the planned
+    /// engine), so the cost model runs once per check.
+    fn run_check(
+        &self,
+        target: &Target,
+        r: &Restriction,
+        f: &Formula,
+        plan: Option<RouteDecision>,
+    ) -> Result<Verdict, EngineError> {
+        match plan {
+            Some(plan) => check_planned(self.backend, plan, target, r, f, 1),
+            None => check_routed(self.backend, target, r, f),
+        }
+        .map_err(|e| EngineError::Check(e.to_string()))
+    }
+
     /// `target ⊨_r f` through the selected backend, answered from the
     /// store when possible. Returns `(verdict, was_hit, backend,
     /// duration-of-fresh-check)`.
@@ -530,32 +680,27 @@ impl Engine {
         r: &Restriction,
         f: &Formula,
     ) -> Result<(bool, bool, BackendKind, Option<Duration>), EngineError> {
+        let Some(store) = &self.store else {
+            let v = self.run_check(target, r, f, None)?;
+            return Ok((v.holds, false, v.stats.backend, Some(v.stats.duration)));
+        };
         // The store key carries the *planned* engine (deterministic across
         // runs); the recorded backend is whatever actually answered, which
-        // differs only when Auto's explicit attempt fell back.
-        let kind = self.backend.route(target, r).planned;
-        let duration = std::cell::Cell::new(None);
-        let actual = std::cell::Cell::new(None);
-        let run = || -> Result<bool, EngineError> {
-            let v = check_routed(self.backend, target, r, f)
-                .map_err(|e| EngineError::Check(e.to_string()))?;
-            duration.set(Some(v.stats.duration));
-            actual.set(Some(v.stats.backend));
-            Ok(v.holds)
+        // differs only when Auto's explicit attempt fell back. Key and
+        // check share one plan.
+        let plan = self.backend.route(target, r);
+        let key = self.target_key("check", target, r, f, plan.planned);
+        let ran = std::cell::Cell::new(None);
+        let (entry, hit) = store.get_or_check(key, || {
+            let v = self.run_check(target, r, f, Some(plan))?;
+            ran.set(Some((v.stats.backend, v.stats.duration)));
+            Ok::<_, EngineError>(Entry::verdict(v.holds))
+        })?;
+        let (kind, duration) = match ran.get() {
+            Some((kind, duration)) => (kind, Some(duration)),
+            None => (plan.planned, None),
         };
-        match &self.store {
-            Some(store) => {
-                let key = self.target_key("check", target, r, f, kind);
-                let (entry, hit) = store.get_or_check(key, || run().map(Entry::verdict))?;
-                Ok((
-                    entry.verdict,
-                    hit,
-                    actual.get().unwrap_or(kind),
-                    duration.get(),
-                ))
-            }
-            None => Ok((run()?, false, actual.get().unwrap_or(kind), duration.get())),
-        }
+        Ok((entry.verdict, hit, kind, duration))
     }
 
     /// `⊨ f` in every state of `target` — a trivially restricted check.
@@ -655,7 +800,7 @@ impl Engine {
                 }
                 let mut found = false;
                 for (i, comp) in self.components.iter().enumerate() {
-                    let target = self.minimal_target(i, &props);
+                    let target = self.minimal_target(i, &props)?;
                     let (holds, hit, kind, duration) = self.cached_target_check(&target, r, f)?;
                     if holds {
                         cert.step_checked(
@@ -722,20 +867,22 @@ impl Engine {
     /// Prove `⊨_(I,F) AG Inv` via the invariant rule of §4.2.3: `Inv` must
     /// be propositional, `I ⇒ Inv` valid, and `Inv ⇒ AX Inv` universal.
     ///
-    /// The invariant is split into prop-connected **clusters**, and each
-    /// cluster `K` is checked per component with an escalating hypothesis:
+    /// Each conjunct `K` of the invariant is an obligation unit. On a
+    /// component that declares none of `K`'s propositions, `K ⇒ AX K`
+    /// holds by frame (Lemma 8) with no check. On every other component it
+    /// is checked with an escalating hypothesis:
     ///
     /// 1. `K ⇒ AX K` over the component's minimal expansion (local
     ///    induction — cost proportional to the cluster footprint),
-    /// 2. `H ⇒ AX K` where `H` adds the invariant conjuncts whose
-    ///    propositions touch the component's alphabet or the cluster
+    /// 2. `H ⇒ AX K` where `H` conjoins the invariant conjuncts whose
+    ///    propositions fit inside the component's alphabet plus `K`'s
     ///    (bounded mutual induction — still local),
     /// 3. `Inv ⇒ AX K` (full mutual induction, the §4.2.3 form).
     ///
     /// Every level implies the universal property `Inv ⇒ AX K` on that
     /// component (`Inv ⇒ K` and `Inv ⇒ H` propositionally), so Rule 2
     /// transfers `Inv ⇒ AX Inv` to the composition whenever each
-    /// (cluster, component) pair passes at *some* level. The certificate
+    /// (conjunct, component) pair passes at *some* level. The certificate
     /// records the level used — linear verification cost in the number of
     /// components is achieved exactly when level 3 is never needed.
     pub fn prove_invariant(
@@ -757,12 +904,6 @@ impl Engine {
         fairness: &[Formula],
     ) -> Result<Certificate, EngineError> {
         let (_universal, validity) = invariant_obligations(inv, init)?;
-        let r = Restriction::new(init.clone(), fairness.iter().cloned());
-        let mut cert = Certificate::new(format!("system ⊨_{r} AG ({inv})"));
-        // I ⇒ Inv: a propositional validity over the mentioned props.
-        let valid_init = crate::parallel::propositional_validity(&validity);
-        cert.step(format!("validity of {validity}"), valid_init, true);
-
         // Each conjunct is its own obligation unit `K`; the hypothesis
         // escalation below supplies whatever neighbouring conjuncts the
         // induction needs. (Grouping conjuncts into prop-connected
@@ -771,26 +912,53 @@ impl Engine {
         // mutual-exclusion invariant of a token ring — destroying the
         // locality this method exists to exploit.)
         let conjuncts = Self::conjuncts(inv);
-        // Fan the (conjunct, component) obligation grid out over the
-        // bounded scheduler: every pair is independent (the ladder only
-        // reads `self` and the shared store), so a 30-component proof
-        // keeps all cores busy with exactly `available_parallelism`
-        // workers. Results come back in grid order, so the certificate
-        // below is byte-identical to the sequential one.
-        let pairs: Vec<(usize, usize)> = (0..conjuncts.len())
-            .flat_map(|ki| (0..self.components.len()).map(move |i| (ki, i)))
+        let props: Vec<BTreeSet<String>> = conjuncts.iter().map(Formula::atomic_props).collect();
+        let masks = props
+            .iter()
+            .map(|ps| self.prop_mask(ps))
+            .collect::<Result<Vec<_>, _>>()?;
+        let grid = InvariantGrid {
+            inv,
+            inv_props: props.iter().flatten().cloned().collect(),
+            conjuncts,
+            props,
+            masks,
+        };
+        let r = Restriction::new(init.clone(), fairness.iter().cloned());
+        let mut cert = Certificate::new(format!("system ⊨_{r} AG ({inv})"));
+        // I ⇒ Inv: a propositional validity over the mentioned props.
+        let valid_init = propositional_validity(&validity);
+        cert.step(format!("validity of {validity}"), valid_init, true);
+
+        // Fan the pairs that share a proposition out over the bounded
+        // scheduler; frame-local pairs need no check. Every pair is
+        // independent (the ladder only reads `self` and the shared store),
+        // so a 30-component proof keeps all cores busy with exactly
+        // `available_parallelism` workers. Results come back in grid order,
+        // so the certificate below is byte-identical to the sequential one.
+        let n = self.components.len();
+        let pairs: Vec<(usize, usize)> = (0..grid.conjuncts.len())
+            .flat_map(|ki| (0..n).map(move |i| (ki, i)))
+            .filter(|&(ki, i)| !self.frame_local(i, &grid.masks[ki]))
             .collect();
         let outcomes = crate::scheduler::run(pairs.len(), |p| {
             let (ki, i) = pairs[p];
-            let k = &conjuncts[ki];
-            self.check_cluster_on_component(i, &conjuncts, inv, k, &k.atomic_props())
+            self.check_cluster_on_component(&grid, ki, i)
         });
         let mut outcomes = outcomes.into_iter();
-        for k in &conjuncts {
-            for comp in self.components.iter() {
+        for (ki, k) in grid.conjuncts.iter().enumerate() {
+            for (i, comp) in self.components.iter().enumerate() {
+                if self.frame_local(i, &grid.masks[ki]) {
+                    cert.step(
+                        format!("{}: Inv ⇒ AX ({k}) by frame (Lemma 8)", comp.name),
+                        true,
+                        true,
+                    );
+                    continue;
+                }
                 let level = outcomes
                     .next()
-                    .expect("one outcome per (conjunct, component) pair")
+                    .expect("one outcome per checked (conjunct, component) pair")
                     .map_err(EngineError::Check)??;
                 match level {
                     Some((level, kind)) => cert.step_checked(
@@ -829,52 +997,46 @@ impl Engine {
         Ok(cert)
     }
 
-    /// Try the three hypothesis levels for cluster `k` on component `i`;
+    /// Try the three hypothesis levels for conjunct `ki` on component `i`;
     /// returns the first level that passes.
     fn check_cluster_on_component(
         &self,
+        grid: &InvariantGrid,
+        ki: usize,
         i: usize,
-        conjuncts: &[Formula],
-        inv: &Formula,
-        k: &Formula,
-        k_props: &std::collections::BTreeSet<String>,
     ) -> Result<Option<(u8, BackendKind)>, EngineError> {
-        let check = |target: &Target, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
-            self.cached_holds_everywhere(target, f)
-                .map(|(holds, _, kind, _)| (holds, kind))
-        };
+        let check =
+            |props: &BTreeSet<String>, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
+                let target = self.minimal_target(i, props)?;
+                self.cached_holds_everywhere(&target, f)
+                    .map(|(holds, _, kind, _)| (holds, kind))
+            };
+        let k = &grid.conjuncts[ki];
         // Level 1: local induction.
         let local = k.clone().implies(k.clone().ax());
-        let t1 = self.minimal_target(i, k_props);
-        if let (true, kind) = check(&t1, &local)? {
+        if let (true, kind) = check(&grid.props[ki], &local)? {
             return Ok(Some((1, kind)));
         }
         // Level 2: neighbourhood hypothesis — the conjuncts that fit
         // entirely inside the footprint Σᵢ ∪ props(K). Conjuncts merely
         // *touching* the footprint would drag their remaining propositions
         // in and blow the expansion back up to the union width.
-        let own = self.components[i].system.alphabet();
-        let relevant: Vec<Formula> = conjuncts
-            .iter()
-            .filter(|c| {
-                let ps = c.atomic_props();
-                ps.iter().all(|p| own.contains(p) || k_props.contains(p))
-            })
-            .cloned()
+        let relevant: Vec<usize> = (0..grid.conjuncts.len())
+            .filter(|&c| grid.masks[c].is_within(&self.owned[i], &grid.masks[ki]))
             .collect();
-        let hyp = Formula::and_many(relevant);
-        let wide = hyp.clone().implies(k.clone().ax());
-        let mut props2 = wide.atomic_props();
-        props2.extend(k_props.iter().cloned());
-        let t2 = self.minimal_target(i, &props2);
-        if let (true, kind) = check(&t2, &wide)? {
+        let hyp = Formula::and_many(relevant.iter().map(|&c| grid.conjuncts[c].clone()));
+        let wide = hyp.implies(k.clone().ax());
+        // `K` itself fits its own footprint, so it is among `relevant`.
+        let props2: BTreeSet<String> = relevant
+            .iter()
+            .flat_map(|&c| grid.props[c].iter().cloned())
+            .collect();
+        if let (true, kind) = check(&props2, &wide)? {
             return Ok(Some((2, kind)));
         }
         // Level 3: full mutual induction.
-        let full = inv.clone().implies(k.clone().ax());
-        let props3 = full.atomic_props();
-        let t3 = self.minimal_target(i, &props3);
-        if let (true, kind) = check(&t3, &full)? {
+        let full = grid.inv.clone().implies(k.clone().ax());
+        if let (true, kind) = check(&grid.inv_props, &full)? {
             return Ok(Some((3, kind)));
         }
         Ok(None)
@@ -1422,6 +1584,123 @@ mod tests {
         // Cross-check monolithically.
         let r = Restriction::with_init(init);
         assert!(e.monolithic_check(&r, &inv.ag()).unwrap());
+    }
+
+    /// The frame rule on the ring's invariant grid: of the `n²(n−1)/2`
+    /// (conjunct, station) pairs, only the `n(2n−3)` whose station owns
+    /// one of the conjunct's tokens are checked. Every other pair is
+    /// decided by frame: ok, compositional, and run on no backend.
+    #[test]
+    fn invariant_grid_checks_only_pairs_sharing_a_proposition() {
+        for (n, checked) in [(3, 9), (4, 20), (8, 104), (20, 740)] {
+            assert_eq!(checked, n * (2 * n - 3));
+            let cert = ring(n)
+                .prove_invariant(&at_most_one(n), &token_at_zero(n), &[])
+                .unwrap();
+            assert!(cert.valid, "{cert}");
+            // Grid order follows the validity step: conjunct-major.
+            let grid = &cert.steps[1..cert.steps.len() - 1];
+            assert_eq!(grid.len(), n * n * (n - 1) / 2);
+            assert!(grid.iter().all(|s| s.description.contains(": Inv ⇒ AX (")));
+            assert_eq!(grid.iter().filter(|s| s.backend.is_some()).count(), checked);
+            for s in grid.iter().filter(|s| s.backend.is_none()) {
+                assert!(s.ok && s.compositional, "{}", s.description);
+                assert!(
+                    s.description.ends_with(") by frame (Lemma 8)"),
+                    "{}",
+                    s.description
+                );
+            }
+        }
+        // The first conjunct is ¬(t0 ∧ t1); station 2 owns t2 and t3.
+        let cert = ring(4)
+            .prove_invariant(&at_most_one(4), &token_at_zero(4), &[])
+            .unwrap();
+        assert_eq!(
+            cert.steps[1 + 2].description,
+            "s2: Inv ⇒ AX (!(t0 & t1)) by frame (Lemma 8)"
+        );
+    }
+
+    /// `tᵢ ⇒ AX (tᵢ ∨ tᵢ₊₁)` is checked on the three stations that own
+    /// `tᵢ` or `tᵢ₊₁` and decided by frame on the other `n − 3`.
+    #[test]
+    fn universal_obligation_checks_only_owning_stations() {
+        for n in [4, 7] {
+            for i in 0..n {
+                let (prev, next) = ((i + n - 1) % n, (i + 1) % n);
+                let f = parse(&format!("t{i} -> AX (t{i} | t{next})")).unwrap();
+                let cert = ring(n).prove(&Restriction::trivial(), &f).unwrap();
+                assert!(cert.valid, "{cert}");
+                let per_station = &cert.steps[1..=n];
+                let checked: BTreeSet<&str> = per_station
+                    .iter()
+                    .filter(|s| s.backend.is_some())
+                    .map(|s| s.description.as_str())
+                    .collect();
+                let owners: Vec<String> = [prev, i, next]
+                    .iter()
+                    .map(|k| format!("minimal expansion of s{k} ⊨ {f}"))
+                    .collect();
+                assert_eq!(
+                    checked,
+                    owners.iter().map(String::as_str).collect(),
+                    "{cert}"
+                );
+                for s in per_station.iter().filter(|s| s.backend.is_none()) {
+                    assert!(
+                        s.ok && s.description.ends_with(" by frame (Lemma 8)"),
+                        "{cert}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The frame rule is exact in both directions: on a bystander that
+    /// declares neither `a` nor `b`, the frame-decided verdict equals the
+    /// checker's on the bystander's expansion over `{a, b}`.
+    #[test]
+    fn frame_decisions_match_the_checker_on_the_expansion() {
+        let mut owner = System::new(Alphabet::new(["a", "b"]));
+        owner.add_transition_named(&["a"], &["a", "b"]);
+        owner.add_transition_named(&["b"], &[]);
+        let mut bystander = System::new(Alphabet::new(["c"]));
+        bystander.add_transition_named(&[], &["c"]);
+        bystander.add_transition_named(&["c"], &[]);
+        let e = Engine::new(vec![
+            Component::new("owner", owner),
+            Component::new("bystander", bystander.clone()),
+        ]);
+        let expansion = Target::expansion(bystander, Alphabet::new(["a", "b"]));
+        for (text, holds) in [
+            ("a -> AX (a | b)", true),
+            ("a -> AX b", false),
+            ("TRUE -> AX TRUE", true),
+        ] {
+            let f = parse(text).unwrap();
+            let oracle = check_routed(
+                BackendChoice::Explicit,
+                &expansion,
+                &Restriction::trivial(),
+                &f,
+            )
+            .unwrap();
+            assert_eq!(oracle.holds, holds, "{text}");
+            let cert = e.prove(&Restriction::trivial(), &f).unwrap();
+            let step = cert
+                .steps
+                .iter()
+                .find(|s| s.description.starts_with("minimal expansion of bystander "))
+                .expect("a bystander step");
+            assert!(step.description.ends_with("by frame (Lemma 8)"), "{cert}");
+            assert_eq!(step.backend, None, "{cert}");
+            assert_eq!(step.ok, holds, "{cert}");
+            assert_eq!(cert.valid, cert.steps.iter().all(|s| s.ok), "{cert}");
+            if !holds {
+                assert!(!cert.valid, "{cert}");
+            }
+        }
     }
 
     /// Minimal expansions: obligations whose propositions live inside one

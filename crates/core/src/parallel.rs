@@ -11,7 +11,7 @@
 //! still report normally, and result order is the input order regardless
 //! of worker count.
 
-use crate::backend::{check_routed, BackendChoice, BackendKind, Target, Verdict};
+use crate::backend::{check_planned, check_routed, BackendChoice, BackendKind, Target, Verdict};
 use crate::scheduler;
 use cmc_ctl::{Formula, Restriction};
 use cmc_kripke::System;
@@ -56,18 +56,11 @@ pub fn check_holds_everywhere_with_workers(
         .collect()
 }
 
-/// Run heterogeneous check tasks concurrently: each task is a labelled
-/// `⊨ f` (all states) check of one formula on one [`Target`], routed
-/// through the backend `choice` resolves for that target. Returns full
-/// [`Verdict`]s (or error messages) in task order.
-pub fn check_targets_parallel(
-    tasks: &[(String, Target, Formula)],
-    choice: BackendChoice,
-) -> Vec<(String, Result<Verdict, String>)> {
-    check_targets_with_workers(tasks, choice, scheduler::default_workers())
-}
-
-/// [`check_targets_parallel`] with an explicit worker cap.
+/// Run heterogeneous check tasks concurrently on at most `workers`
+/// threads: each task is a labelled `⊨ f` (all states) check of one
+/// formula on one [`Target`], routed through the backend `choice` resolves
+/// for that target. Returns full [`Verdict`]s (or error messages) in task
+/// order.
 pub fn check_targets_with_workers(
     tasks: &[(String, Target, Formula)],
     choice: BackendChoice,
@@ -118,22 +111,22 @@ pub fn check_targets_with_store(
     let trivial = Restriction::trivial();
     let outcomes = scheduler::run_bounded(tasks.len(), workers, |i| {
         let (_, target, f) = &tasks[i];
-        let kind = choice.route(target, &trivial).planned;
+        let plan = choice.route(target, &trivial);
         let refs: Vec<&System> = target.systems().iter().collect();
         // The expansion alphabet is part of the obligation's identity (the
         // same components over a wider Σ* is a different target), so it
         // rides in the mode tag.
         let mode = format!("fanout/{}", target.extra().names().join(","));
-        let key = ObligationKey::composed(&mode, kind.name(), &refs, &trivial, f);
+        let key = ObligationKey::composed(&mode, plan.planned.name(), &refs, &trivial, f);
         let (entry, store_hit) = store.get_or_check(key, || {
-            check_routed(choice, target, &trivial, f)
+            check_planned(choice, plan, target, &trivial, f, 1)
                 .map(|v| Entry::verdict(v.holds))
                 .map_err(|e| e.to_string())
         })?;
         Ok(FanoutOutcome {
             holds: entry.verdict,
             store_hit,
-            backend: kind,
+            backend: plan.planned,
         })
     });
     tasks

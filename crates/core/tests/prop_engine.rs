@@ -38,20 +38,33 @@ fn engine2(a: System, b: System) -> Engine {
     Engine::new(vec![Component::new("a", a), Component::new("b", b)])
 }
 
+/// [`engine2`] plus a component over the private proposition `s`: every
+/// obligation that does not mention `s` is decided on it by frame, and one
+/// over `r` and `s` alone is decided by frame on `a`.
+fn engine3(a: System, b: System, c: System) -> Engine {
+    Engine::new(vec![
+        Component::new("a", a),
+        Component::new("b", b),
+        Component::new("c", c),
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// prove() soundness for Rule-2 shapes over the union alphabet
-    /// (propositions may be private to either component).
+    /// (propositions may be private to any component, so some pairs are
+    /// decided by frame).
     #[test]
     fn prove_universal_sound(
         a in arb_system(&["p", "q"]),
         b in arb_system(&["q", "r"]),
-        p in arb_prop(&["p", "q", "r"]),
-        qf in arb_prop(&["p", "q", "r"]),
+        c in arb_system(&["s"]),
+        p in arb_prop(&["p", "q", "r", "s"]),
+        qf in arb_prop(&["p", "q", "r", "s"]),
     ) {
         let f = p.clone().implies(qf.clone().ax());
-        let e = engine2(a, b);
+        let e = engine3(a, b, c);
         let r = Restriction::trivial();
         let cert = e.prove(&r, &f).unwrap();
         if cert.valid && cert.fully_compositional() {
@@ -89,15 +102,16 @@ proptest! {
 
     /// prove_invariant() soundness: an established AG Inv must hold
     /// monolithically under the same restriction — across all three
-    /// hypothesis-escalation levels.
+    /// hypothesis-escalation levels and the frame rule.
     #[test]
     fn prove_invariant_sound(
         a in arb_system(&["p", "q"]),
         b in arb_system(&["q", "r"]),
-        inv in arb_prop(&["p", "q", "r"]),
-        init in arb_prop(&["p", "q", "r"]),
+        c in arb_system(&["s"]),
+        inv in arb_prop(&["p", "q", "r", "s"]),
+        init in arb_prop(&["p", "q", "r", "s"]),
     ) {
-        let e = engine2(a, b);
+        let e = engine3(a, b, c);
         let cert = e.prove_invariant(&inv, &init, &[]).unwrap();
         if cert.valid {
             let r = Restriction::with_init(init.clone());

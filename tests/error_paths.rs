@@ -2,7 +2,7 @@
 //! a structured, human-readable error (never a panic), and the Display
 //! impls must carry the information a user needs.
 
-use compositional_mc::core::engine::{Component, Engine};
+use compositional_mc::core::engine::{Component, Engine, EngineError};
 use compositional_mc::core::rules::{rule4, RuleError};
 use compositional_mc::ctl::{parse, CheckError, Checker, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
@@ -67,18 +67,24 @@ fn engine_surfaces_unknown_props() {
     let mut m = System::new(Alphabet::new(["x"]));
     m.add_transition_named(&[], &["x"]);
     let e = Engine::new(vec![Component::new("m", m)]);
-    // A formula over a proposition no component declares must panic with a
-    // clear message (assert) rather than silently misclassify — catch it.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        e.prove(
-            &Restriction::trivial(),
-            &parse("ghost -> AX ghost").unwrap(),
-        )
-    }));
-    assert!(
-        result.is_err(),
-        "unknown proposition must be rejected loudly"
-    );
+    // A proposition no component declares is a typed error that names it,
+    // from every entry point. `m` declares none of `ghost -> AX ghost`'s
+    // propositions, so this also pins that the frame rule never calls such
+    // an obligation valid.
+    let names_ghost = |err: EngineError| match err {
+        EngineError::Check(msg) => assert!(msg.contains("\"ghost\""), "{msg}"),
+        other => panic!("expected a check error naming ghost, got {other:?}"),
+    };
+    let trivial = Restriction::trivial();
+    for f in ["ghost -> AX ghost", "x -> AX (x | ghost)", "ghost -> EX x"] {
+        names_ghost(e.prove(&trivial, &parse(f).unwrap()).unwrap_err());
+    }
+    for inv in ["!ghost", "x | !ghost"] {
+        names_ghost(
+            e.prove_invariant(&parse(inv).unwrap(), &parse("!x").unwrap(), &[])
+                .unwrap_err(),
+        );
+    }
 }
 
 #[test]
