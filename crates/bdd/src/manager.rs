@@ -545,137 +545,6 @@ impl BddManager {
         r
     }
 
-    /// The variables of a positive cube, in order.
-    pub fn cube_vars(&self, mut cube: Bdd) -> Vec<Var> {
-        debug_assert!(self.is_cube(cube), "cube_vars argument must be a cube");
-        let mut vars = Vec::new();
-        while !cube.is_const() {
-            let n = self.node(cube);
-            vars.push(Var(n.var));
-            cube = Bdd(n.high);
-        }
-        vars
-    }
-
-    /// Clustered relational product `∃ cube. (f₁ ∧ f₂ ∧ … ∧ fₖ)` under an
-    /// **early-quantification schedule**: conjuncts are folded in the order
-    /// given, and each cube variable is existentially quantified at the
-    /// *last* conjunct whose support mentions it — after that point no
-    /// remaining conjunct can constrain it, so hoisting the quantifier is
-    /// sound (`∃x.(f ∧ g) = (∃x.f) ∧ g` when `x ∉ support(g)`). The product
-    /// relation `f₁ ∧ … ∧ fₖ` is never materialised; each fold step is one
-    /// [`BddManager::and_exists`]. Any schedule (any permutation of
-    /// `parts`) computes the same function — the partition-conformance
-    /// suite pins exactly this.
-    ///
-    /// Cube variables mentioned by no conjunct quantify to a no-op and are
-    /// dropped up front. An empty `parts` slice denotes the empty
-    /// conjunction, i.e. `TRUE`.
-    pub fn and_exists_multi(&mut self, parts: &[Bdd], cube: Bdd) -> Bdd {
-        if parts.is_empty() {
-            return Bdd::TRUE;
-        }
-        debug_assert!(
-            self.is_cube(cube),
-            "quantifier argument must be a positive cube"
-        );
-        // Last conjunct index mentioning each cube variable.
-        let cube_vars = self.cube_vars(cube);
-        let mut last: FxHashMap<u32, usize> = FxHashMap::default();
-        for (i, &p) in parts.iter().enumerate() {
-            for v in self.support(p) {
-                last.insert(v.0, i);
-            }
-        }
-        // Per-step quantification cubes.
-        let mut step_vars: Vec<Vec<Var>> = vec![Vec::new(); parts.len()];
-        for v in cube_vars {
-            if let Some(&i) = last.get(&v.0) {
-                step_vars[i].push(v);
-            }
-        }
-        let mut acc = Bdd::TRUE;
-        for (i, &p) in parts.iter().enumerate() {
-            let step_cube = self.cube(&step_vars[i]);
-            acc = self.and_exists(acc, p, step_cube);
-            if acc.is_false() {
-                return Bdd::FALSE;
-            }
-        }
-        acc
-    }
-
-    /// Choose a fold order for [`BddManager::and_exists_multi`] that
-    /// quantifies each cube variable at the earliest legal conjunct.
-    ///
-    /// Greedy IWLS-style live-span minimisation: at every step the conjunct
-    /// that *closes* the most still-open cube variables (i.e. is the last
-    /// unplaced conjunct mentioning them, so they quantify out right there)
-    /// is placed next; ties break toward the smaller support footprint,
-    /// then the smaller diagram, then declaration order — so the schedule
-    /// is deterministic for a fixed manager state. The returned vector is a
-    /// permutation of `0..parts.len()`; any permutation computes the same
-    /// function (see [`BddManager::and_exists_multi`]), so the choice is
-    /// purely a cost heuristic.
-    pub fn schedule_conjuncts(&self, parts: &[Bdd], cube: Bdd) -> Vec<usize> {
-        let cube_set: crate::hash::FxHashSet<u32> =
-            self.cube_vars(cube).into_iter().map(|v| v.0).collect();
-        // Per-conjunct support, split into quantified / free footprint.
-        let supports: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|&p| self.support(p).into_iter().map(|v| v.0).collect())
-            .collect();
-        let sizes: Vec<usize> = parts.iter().map(|&p| self.node_count(p)).collect();
-        // How many *unplaced* conjuncts still mention each cube variable.
-        let mut mentions: FxHashMap<u32, usize> = FxHashMap::default();
-        for s in &supports {
-            for &v in s {
-                if cube_set.contains(&v) {
-                    *mentions.entry(v).or_insert(0) += 1;
-                }
-            }
-        }
-        let n = parts.len();
-        let mut placed = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut best: Option<(usize, usize, usize, usize)> = None;
-            for (i, s) in supports.iter().enumerate() {
-                if placed[i] {
-                    continue;
-                }
-                let closes = s
-                    .iter()
-                    .filter(|v| mentions.get(v).copied() == Some(1))
-                    .count();
-                // Maximise closes; minimise support then node count.
-                let key = (usize::MAX - closes, s.len(), sizes[i], i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let (_, _, _, i) = best.expect("an unplaced conjunct remains");
-            placed[i] = true;
-            for &v in &supports[i] {
-                if let Some(m) = mentions.get_mut(&v) {
-                    *m -= 1;
-                }
-            }
-            order.push(i);
-        }
-        order
-    }
-
-    /// [`BddManager::and_exists_multi`] under the cost-driven permutation
-    /// chosen by [`BddManager::schedule_conjuncts`] instead of declaration
-    /// order. Semantically identical to the unscheduled fold for every
-    /// input; only peak intermediate size differs.
-    pub fn and_exists_multi_scheduled(&mut self, parts: &[Bdd], cube: Bdd) -> Bdd {
-        let order = self.schedule_conjuncts(parts, cube);
-        let permuted: Vec<Bdd> = order.iter().map(|&i| parts[i]).collect();
-        self.and_exists_multi(&permuted, cube)
-    }
-
     /// Is `f` a positive cube (a conjunction of positive literals)?
     pub fn is_cube(&self, mut f: Bdd) -> bool {
         while !f.is_const() {
@@ -911,92 +780,6 @@ mod tests {
         let e = m.iff(l[0], l[1]);
         let ne = m.not(e);
         assert_eq!(x, ne);
-    }
-
-    #[test]
-    fn and_exists_multi_matches_monolithic_product() {
-        let (mut m, l) = setup(4);
-        // parts: (x0 ∨ x1), (x1 ⇔ x2), (¬x2 ∨ x3)
-        let p0 = m.or(l[0], l[1]);
-        let p1 = m.iff(l[1], l[2]);
-        let p2 = {
-            let n2 = m.not(l[2]);
-            m.or(n2, l[3])
-        };
-        let cube = m.cube(&[Var(1), Var(2)]);
-        let mono = {
-            let a = m.and(p0, p1);
-            let all = m.and(a, p2);
-            m.exists(all, cube)
-        };
-        let multi = m.and_exists_multi(&[p0, p1, p2], cube);
-        assert_eq!(multi, mono);
-        // Any schedule computes the same function.
-        for perm in [[p1, p0, p2], [p2, p1, p0], [p1, p2, p0], [p2, p0, p1]] {
-            assert_eq!(m.and_exists_multi(&perm, cube), mono, "schedule varies");
-        }
-    }
-
-    #[test]
-    fn schedule_conjuncts_is_a_permutation_and_scheduled_fold_agrees() {
-        let (mut m, l) = setup(6);
-        // A chain of overlapping conjuncts with distinct support footprints.
-        let p0 = m.or(l[0], l[1]);
-        let p1 = m.iff(l[1], l[2]);
-        let p2 = m.and(l[2], l[3]);
-        let p3 = {
-            let n4 = m.not(l[4]);
-            m.or(n4, l[5])
-        };
-        let parts = [p0, p1, p2, p3];
-        let cube = m.cube(&[Var(1), Var(2), Var(4)]);
-        let order = m.schedule_conjuncts(&parts, cube);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3], "must be a permutation");
-        // Determinism: same manager state, same schedule.
-        assert_eq!(order, m.schedule_conjuncts(&parts, cube));
-        // The scheduled fold computes the declaration-order function.
-        let fixed = m.and_exists_multi(&parts, cube);
-        let scheduled = m.and_exists_multi_scheduled(&parts, cube);
-        assert_eq!(scheduled, fixed);
-    }
-
-    #[test]
-    fn scheduler_closes_variables_before_opening_new_ones() {
-        let (mut m, l) = setup(4);
-        // x0 appears only in p0; x3 only in p2; p1 touches nothing quantified.
-        let p0 = m.and(l[0], l[1]);
-        let p1 = m.iff(l[1], l[2]);
-        let p2 = m.or(l[3], l[2]);
-        let cube = m.cube(&[Var(0), Var(3)]);
-        let order = m.schedule_conjuncts(&[p0, p1, p2], cube);
-        // p0 and p2 each close a quantified variable immediately; p1 closes
-        // none, so the greedy pass must place it last.
-        assert_eq!(order[2], 1, "the closure-free conjunct goes last");
-    }
-
-    #[test]
-    fn and_exists_multi_edge_cases() {
-        let (mut m, l) = setup(3);
-        let cube = m.cube(&[Var(0), Var(1), Var(2)]);
-        // Empty conjunction is TRUE.
-        assert_eq!(m.and_exists_multi(&[], cube), Bdd::TRUE);
-        // A cube variable no conjunct mentions quantifies to a no-op.
-        let p = m.and(l[0], l[1]);
-        let wide = m.cube(&[Var(2)]);
-        assert_eq!(m.and_exists_multi(&[p], wide), p);
-        // Contradictory conjuncts short-circuit to FALSE.
-        let np = m.not(l[0]);
-        assert_eq!(m.and_exists_multi(&[l[0], np, l[1]], Bdd::TRUE), Bdd::FALSE);
-    }
-
-    #[test]
-    fn cube_vars_reads_back_cube() {
-        let (mut m, _) = setup(4);
-        let c = m.cube(&[Var(3), Var(0), Var(2)]);
-        assert_eq!(m.cube_vars(c), vec![Var(0), Var(2), Var(3)]);
-        assert!(m.cube_vars(Bdd::TRUE).is_empty());
     }
 
     #[test]

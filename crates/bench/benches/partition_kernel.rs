@@ -4,14 +4,14 @@
 //! Two comparisons, both on obligations other artifacts already price:
 //!
 //! * **Symbolic:** the same `EF t[n/2]` obligation as
-//!   `BENCH_symbolic.json`, checked with the fixed-order partitioned
-//!   relation, with the cost-driven scheduled image (cluster merging +
-//!   greedy ordering), and with the memoised monolithic relation. The
-//!   product relation is never built on the partitioned/scheduled paths;
-//!   the monolithic leg is the measurable baseline they replace. The
-//!   largest ring also runs a cluster-merge-threshold sweep
-//!   (`merge_node_limit` 0/16/64/256) and records a scheduled-vs-fixed
-//!   acceptance row (≥1.3× wall or ≥20 % peak-live-node reduction).
+//!   `BENCH_symbolic.json`, checked with the default scheduled image
+//!   (cluster merging + cost-model ordering) and with the memoised
+//!   monolithic relation. The product relation is never built on the
+//!   scheduled path; the monolithic leg is the measurable baseline it
+//!   replaces. The largest ring also runs a cluster-merge-threshold sweep
+//!   (`merge_node_limit` 0/16/64/256, where 0 is the unmerged
+//!   `no_merging()` plan) and records a merged-vs-unmerged acceptance row
+//!   (≥1.3× wall or ≥20 % peak-live-node reduction).
 //! * **Explicit:** the same `t0 -> AX (t0 | t1)` and `EF t[n/2]`
 //!   obligations as `BENCH_explicit.json`, swept over 1/2/4/8 workers on
 //!   the block-partitioned CSR kernels. Both paths decide the same sets,
@@ -100,7 +100,7 @@ fn emit_summary(c: &mut Criterion) {
     let avail = cmc_core::scheduler::default_workers();
 
     // ------------------------------------------------------------------
-    // Symbolic: partitioned early quantification vs the memoised
+    // Symbolic: scheduled early quantification vs the memoised
     // monolithic relation, same obligation as BENCH_symbolic so the two
     // files are directly comparable.
     // ------------------------------------------------------------------
@@ -113,32 +113,21 @@ fn emit_summary(c: &mut Criterion) {
         let target = Target::composition(stations(n));
         let f = ef_goal(n);
 
-        let part_backend = SymbolicBackend::default().with_image_mode(ImageMode::Partitioned);
-        let sched_backend = SymbolicBackend::default().with_image_mode(ImageMode::Scheduled);
+        let sched_backend = SymbolicBackend::default();
         let mono_backend = SymbolicBackend::default().with_image_mode(ImageMode::Monolithic);
 
-        let v = part_backend.check(&target, &r, &f).unwrap();
-        let expected = v.sat_states;
-        let partitions = v.stats.partitions;
-        let threads = v.stats.threads;
-        let part_peak = v.stats.bdd.map_or(0, |b| b.peak_live_nodes);
-        // Every timed scheduled iteration is also a differential check
-        // against the partitioned leg's exact sat count.
+        // Every timed iteration is also a differential check against the
+        // scheduled leg's exact sat count.
         let sv = sched_backend.check(&target, &r, &f).unwrap();
-        assert_eq!(sv.sat_states, expected, "scheduled image diverged at {n}");
+        let expected = sv.sat_states;
+        let partitions = sv.stats.partitions;
+        let threads = sv.stats.threads;
         let sched_peak = sv.stats.bdd.map_or(0, |b| b.peak_live_nodes);
         let (clusters_before, clusters_after, replans) =
             sv.stats.schedule.as_ref().map_or((0, 0, 0), |s| {
                 (s.clusters_before, s.clusters_after, s.replans)
             });
 
-        let part_ns = mean_ns(
-            || {
-                let v = part_backend.check(&target, &r, &f).unwrap();
-                assert_eq!(v.sat_states, expected);
-            },
-            iters,
-        );
         let sched_ns = mean_ns(
             || {
                 let v = sched_backend.check(&target, &r, &f).unwrap();
@@ -158,19 +147,16 @@ fn emit_summary(c: &mut Criterion) {
             ("stations".into(), Json::int(n as u64)),
             ("partitions".into(), Json::int(partitions as u64)),
             ("threads".into(), Json::int(threads as u64)),
-            ("partitioned_ns".into(), Json::Num(part_ns)),
             ("scheduled_ns".into(), Json::Num(sched_ns)),
             ("monolithic_ns".into(), Json::Num(mono_ns)),
-            ("speedup".into(), Json::Num(mono_ns / part_ns)),
-            ("scheduled_speedup".into(), Json::Num(part_ns / sched_ns)),
-            ("partitioned_peak_live".into(), Json::int(part_peak as u64)),
+            ("speedup".into(), Json::Num(mono_ns / sched_ns)),
             ("scheduled_peak_live".into(), Json::int(sched_peak as u64)),
             ("clusters_before".into(), Json::int(clusters_before as u64)),
             ("clusters_after".into(), Json::int(clusters_after as u64)),
             ("replans".into(), Json::int(replans)),
         ]));
         // The acceptance row is the largest ring in the sweep (30
-        // stations in a full run): the partitioned image — which never
+        // stations in a full run): the scheduled image — which never
         // materialises the product relation — must beat the wall the
         // pre-partition engine recorded in BENCH_symbolic.json (its
         // `unbounded` policy rebuilt the full relation per check).
@@ -178,12 +164,12 @@ fn emit_summary(c: &mut Criterion) {
             let recorded =
                 recorded_baseline("BENCH_symbolic.json", "ring", n, &["unbounded", "wall_ns"]);
             let beats = match recorded {
-                Some(base) => Json::Bool(part_ns < base),
+                Some(base) => Json::Bool(sched_ns < base),
                 None => Json::Null,
             };
             sym_acceptance = Json::Obj(vec![
                 ("stations".into(), Json::int(n as u64)),
-                ("partitioned_ns".into(), Json::Num(part_ns)),
+                ("scheduled_ns".into(), Json::Num(sched_ns)),
                 ("monolithic_ns".into(), Json::Num(mono_ns)),
                 (
                     "recorded_symbolic_baseline_ns".into(),
@@ -191,32 +177,13 @@ fn emit_summary(c: &mut Criterion) {
                 ),
                 ("beats_recorded_baseline".into(), beats),
             ]);
-            // Scheduled-mode acceptance against the fixed-order
-            // partitioned leg, same host, same run: a ≥1.3× wall-time
-            // speedup OR a ≥20 % peak-live-node reduction counts.
-            let wall_speedup = part_ns / sched_ns;
-            let peak_drop_pct = if part_peak > 0 {
-                100.0 * (part_peak as f64 - sched_peak as f64) / part_peak as f64
-            } else {
-                0.0
-            };
-            sched_acceptance = Json::Obj(vec![
-                ("stations".into(), Json::int(n as u64)),
-                ("partitioned_ns".into(), Json::Num(part_ns)),
-                ("scheduled_ns".into(), Json::Num(sched_ns)),
-                ("wall_speedup".into(), Json::Num(wall_speedup)),
-                ("partitioned_peak_live".into(), Json::int(part_peak as u64)),
-                ("scheduled_peak_live".into(), Json::int(sched_peak as u64)),
-                ("peak_live_reduction_pct".into(), Json::Num(peak_drop_pct)),
-                (
-                    "meets_target".into(),
-                    Json::Bool(wall_speedup >= 1.3 || peak_drop_pct >= 20.0),
-                ),
-            ]);
             // Cluster-merge-threshold sweep: how hard the merge policy is
             // allowed to pre-conjoin, from "ordering only" (no_merging)
-            // through increasingly permissive node limits.
+            // through increasingly permissive node limits. The
+            // no-merging row is the unmerged control the acceptance row
+            // below compares against.
             let sweep_limits: &[usize] = if quick { &[0, 64] } else { &[0, 16, 64, 256] };
+            let mut unmerged = (0.0, 0);
             for &limit in sweep_limits {
                 let cfg = if limit == 0 {
                     ScheduleConfig::no_merging()
@@ -238,6 +205,9 @@ fn emit_summary(c: &mut Criterion) {
                     },
                     iters,
                 );
+                if limit == 0 {
+                    unmerged = (wall, peak);
+                }
                 merge_sweep.push(Json::Obj(vec![
                     ("merge_node_limit".into(), Json::int(limit as u64)),
                     ("clusters_after".into(), Json::int(after as u64)),
@@ -245,6 +215,29 @@ fn emit_summary(c: &mut Criterion) {
                     ("peak_live".into(), Json::int(peak as u64)),
                 ]));
             }
+            // Merged-plan acceptance against the unmerged sweep row, same
+            // host, same run: a ≥1.3× wall-time speedup OR a ≥20 %
+            // peak-live-node reduction counts.
+            let (unmerged_ns, unmerged_peak) = unmerged;
+            let wall_speedup = unmerged_ns / sched_ns;
+            let peak_drop_pct = if unmerged_peak > 0 {
+                100.0 * (unmerged_peak as f64 - sched_peak as f64) / unmerged_peak as f64
+            } else {
+                0.0
+            };
+            sched_acceptance = Json::Obj(vec![
+                ("stations".into(), Json::int(n as u64)),
+                ("unmerged_ns".into(), Json::Num(unmerged_ns)),
+                ("scheduled_ns".into(), Json::Num(sched_ns)),
+                ("wall_speedup".into(), Json::Num(wall_speedup)),
+                ("unmerged_peak_live".into(), Json::int(unmerged_peak as u64)),
+                ("scheduled_peak_live".into(), Json::int(sched_peak as u64)),
+                ("peak_live_reduction_pct".into(), Json::Num(peak_drop_pct)),
+                (
+                    "meets_target".into(),
+                    Json::Bool(wall_speedup >= 1.3 || peak_drop_pct >= 20.0),
+                ),
+            ]);
         }
     }
 
@@ -366,19 +359,13 @@ fn emit_summary(c: &mut Criterion) {
             "modes".into(),
             Json::Obj(vec![
                 (
-                    "partitioned".into(),
-                    Json::Str(
-                        "per-component conjunctive partition, early quantification \
-                         (and_exists per cluster); the product relation is never built"
-                            .into(),
-                    ),
-                ),
-                (
                     "scheduled".into(),
                     Json::Str(
-                        "cost-driven quantification schedule: overlap/size-triggered \
-                         cluster merging plus greedy cost-model ordering, adaptive \
-                         re-plan on 2x growth divergence (bit-identical to partitioned)"
+                        "per-component disjunctive partition, early quantification \
+                         (and_exists per cluster), the product relation never built; \
+                         cost-driven schedule: overlap/size-triggered cluster merging \
+                         plus greedy cost-model ordering, adaptive re-plan on 2x growth \
+                         divergence (bit-identical to the unmerged merge_node_limit 0 plan)"
                             .into(),
                     ),
                 ),
@@ -409,25 +396,9 @@ fn emit_summary(c: &mut Criterion) {
     });
 }
 
-/// Criterion-visible timing for the partitioned image at a mid size (the
-/// summary emitter above owns the JSON artifact).
-fn partitioned_image(c: &mut Criterion) {
-    let n = if quick_mode() { 8 } else { 16 };
-    let target = Target::composition(stations(n));
-    let r = Restriction::trivial();
-    let f = ef_goal(n);
-    let backend = SymbolicBackend::default().with_image_mode(ImageMode::Partitioned);
-    c.bench_function(&format!("partitioned_symbolic_{n}"), |b| {
-        b.iter(|| {
-            let v = backend.check(&target, &r, &f).unwrap();
-            black_box(v.sat_states)
-        })
-    });
-}
-
 criterion_group!(
     name = partition_kernel;
     config = Criterion::default().sample_size(10);
-    targets = partitioned_image, emit_summary
+    targets = emit_summary
 );
 criterion_main!(partition_kernel);

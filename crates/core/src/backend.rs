@@ -402,7 +402,7 @@ pub struct CheckStats {
     /// Full BDD-manager counters for the check — allocation, live/peak
     /// nodes, bytes, cache and GC activity (symbolic only).
     pub bdd: Option<BddStats>,
-    /// How the transition structure was partitioned: conjunctive/disjunctive
+    /// How the transition structure was partitioned: disjunctive
     /// transition parts for the symbolic engine, CSR state blocks for the
     /// explicit engine (1 when it ran serially).
     pub partitions: usize,
@@ -415,9 +415,10 @@ pub struct CheckStats {
     /// The `Auto` cost-model decision that led here ([`None`] when the
     /// check was not routed, e.g. a backend invoked directly).
     pub route: Option<RouteDecision>,
-    /// The quantification schedule an [`ImageMode::Scheduled`] symbolic
-    /// check used — cluster counts before/after merging, the processing
-    /// permutation, and re-plans triggered ([`None`] otherwise).
+    /// The quantification schedule a symbolic check used — cluster counts
+    /// before/after merging, the processing permutation, and re-plans
+    /// triggered ([`None`] for explicit checks, [`ImageMode::Monolithic`]
+    /// ones, and checks that computed no image).
     pub schedule: Option<ScheduleStats>,
 }
 
@@ -638,9 +639,8 @@ pub struct SymbolicBackend {
     pub maintenance: Option<MaintenanceConfig>,
     /// Computed-table segment capacity, in entries.
     pub cache_capacity: Option<usize>,
-    /// Image strategy: partitioned early quantification (the default),
-    /// the memoised monolithic relation, or cost-driven scheduling.
-    /// `None` keeps the model default.
+    /// Image strategy: the scheduled partitions (the default) or the
+    /// memoised monolithic relation. `None` keeps the model default.
     pub image_mode: Option<ImageMode>,
     /// Merge/cost-model knobs for [`ImageMode::Scheduled`]. `None` keeps
     /// the model defaults.
@@ -663,8 +663,8 @@ impl SymbolicBackend {
     }
 
     /// Pick the image strategy (builder style). Both modes compute the
-    /// same sets; `Monolithic` exists as the measurable baseline the
-    /// partitioned product is benchmarked against.
+    /// same sets; `Monolithic` exists as the reference relation the
+    /// scheduled partitions are tested and benchmarked against.
     pub fn with_image_mode(mut self, mode: ImageMode) -> Self {
         self.image_mode = Some(mode);
         self

@@ -264,12 +264,6 @@ pub(crate) fn compile_parts(
         }
     }
 
-    // Multi-module models check under the cost-driven quantification
-    // scheduler; with a single partition it degenerates to the plain
-    // early-quantified product. Verdict-identical to `Partitioned` (the
-    // conformance baseline) by schedule invariance.
-    c.model.set_image_mode(cmc_symbolic::ImageMode::Scheduled);
-
     Ok(CompiledModel {
         model: c.model,
         vars: c.vars,

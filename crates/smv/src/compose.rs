@@ -128,12 +128,12 @@ mod tests {
     #[test]
     fn frame_conditions_freeze_foreign_vars() {
         let mx = module("MODULE main\nVAR x : boolean;\nASSIGN next(x) := !x;");
-        let my = module("MODULE main\nVAR y : boolean;\nASSIGN next(y) := !y;");
+        let my = module("MODULE main\nVAR y : boolean;\nASSIGN next(y) := y;");
         let mut c = compile_composition(&[mx, my]).unwrap();
         // The x-component's partition must keep y fixed. The frame is
         // implicit now: y is not owned by partition 0, the stored
-        // relation never mentions y's next-state bit, and the image
-        // through partition 0 alone cannot move y.
+        // relation never mentions y's next-state bit, and with the
+        // y-module frozen no image of the composition can move y.
         let y_idx = c.model.vars().iter().position(|v| v.name == "y").unwrap();
         assert!(
             !c.model.part_owned_vars(0).contains(&y_idx),
@@ -147,7 +147,7 @@ mod tests {
             let ny = m.not(y);
             m.and(nx, ny)
         };
-        let post = c.model.post_image_part(0, start);
+        let post = c.model.post_exists(start);
         let ny = {
             let m = c.model.mgr();
             m.not(y)
@@ -156,6 +156,8 @@ mod tests {
             c.model.mgr().implies_trivially(post, ny),
             "foreign y moved during x's partition"
         );
+        let x_moved = c.model.mgr().and(post, x);
+        assert!(!x_moved.is_false(), "x's own move is lost");
     }
 
     #[test]

@@ -468,7 +468,7 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
          garbage collections: {} (reclaimed {} nodes)\n\
          cache evictions: {}\n\
          and-exists cache: {} hits / {} misses\n\
-         transition relation: {} conjunctive partition(s), early quantification\n\
+         transition relation: {} disjunctive partition(s), early quantification\n\
          BDD nodes representing transition relation: {} + {}\n",
         user_time.as_secs_f64(),
         stats.nodes_allocated,
@@ -677,7 +677,9 @@ mod tests {
         assert_eq!(out.results.len(), 2);
         assert!(out.report.contains("-- specification AF x is true"));
         assert!(out.report.contains("BDD nodes allocated:"));
-        assert!(out.report.contains("transition relation:"));
+        assert!(out
+            .report
+            .contains("transition relation: 1 disjunctive partition(s), early quantification"));
         assert!(out.report.contains("and-exists cache:"));
         // The compiled model checks under the quantification scheduler,
         // so the trailer reports the plan it used.

@@ -153,7 +153,6 @@ impl SegmentedDiskStore {
         // budget eviction.
         let mut order: Vec<ObligationKey> = Vec::new();
         let mut merged: HashMap<ObligationKey, Entry> = HashMap::new();
-        let mut skipped = 0u64;
         for (seq, path) in &segments {
             let text = match std::fs::read_to_string(path) {
                 Ok(text) => text,
@@ -161,7 +160,6 @@ impl SegmentedDiskStore {
                 Err(e) => return Err(e),
             };
             let Some(items) = parse_segment(&text, *seq) else {
-                skipped += 1;
                 store.count_segment_skip();
                 continue;
             };
@@ -175,7 +173,6 @@ impl SegmentedDiskStore {
                 }
             }
         }
-        let _ = skipped;
 
         // Apply the byte budget: serialised entry sizes, evict oldest
         // until the projected segment fits.

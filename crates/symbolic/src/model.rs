@@ -83,22 +83,20 @@ impl MaintenanceConfig {
 /// Which relational-product strategy the image operators use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ImageMode {
-    /// Per-partition early-quantified products over the local move
-    /// relations; frame conditions stay implicit and the product relation
-    /// is never built. The default.
+    /// Cost-driven quantification scheduling over the disjunctive
+    /// partitions: partitions are pre-merged into clusters (per
+    /// [`ScheduleConfig`]), images walk the clusters in a cost-model
+    /// order, frame conditions stay implicit and the product relation is
+    /// never built. Images distribute over the disjunctive union, so any
+    /// clustering and any order — including one cluster per partition,
+    /// [`ScheduleConfig::no_merging`] — computes the same set; only
+    /// per-call overhead and peak live nodes differ. The default.
     #[default]
-    Partitioned,
-    /// One materialised monolithic relation (union of all partitions with
-    /// their frames, memoised in a registry root) — the ablation baseline
-    /// and one leg of the partition-conformance oracle.
-    Monolithic,
-    /// Cost-driven quantification scheduling: partitions are pre-merged
-    /// into clusters (per [`ScheduleConfig`]) and images walk the clusters
-    /// in a cost-model order instead of declaration order. Semantically
-    /// identical to [`ImageMode::Partitioned`] — images distribute over
-    /// the disjunctive union, so any clustering and any order computes the
-    /// same set; only per-call overhead and peak live nodes differ.
     Scheduled,
+    /// One materialised monolithic relation (union of all partitions with
+    /// their frames, memoised in a registry root) — the reference relation
+    /// the conformance oracle and the benches compare against.
+    Monolithic,
 }
 
 /// Cost-model and merge-policy knobs for [`ImageMode::Scheduled`].
@@ -723,23 +721,16 @@ impl SymbolicModel {
             .collect()
     }
 
-    /// Backward image through partition `i` alone:
-    /// `∃nextᵢ. (relᵢ ∧ S[curᵢ→nextᵢ])`, renaming and quantifying **only
-    /// the owned variables**. This is the early-quantification schedule in
-    /// closed form: in `∃next.(relᵢ ∧ ⋀_{j foreign} vⱼ'=vⱼ ∧ S[cur→next])`
-    /// every frame conjunct `vⱼ'=vⱼ` is the sole constraint on `vⱼ'`, so
-    /// quantifying `vⱼ'` first collapses it to the substitution
-    /// `vⱼ' := vⱼ` in `S` — i.e. foreign variables of `S` simply stay in
-    /// the current frame and never materialise in the product.
-    pub fn pre_image_part(&mut self, i: usize, s: Bdd) -> Bdd {
-        let rel = self.mgr.root(self.trans_parts[i].rel);
-        let owned = self.trans_parts[i].owned.clone();
-        self.pre_image_owned(rel, &owned, s)
-    }
-
     /// Backward image through one local relation owning exactly the
-    /// variables at `owned` — the shared closed form behind
-    /// [`SymbolicModel::pre_image_part`] and the merged-cluster images.
+    /// variables at `owned` (a partition or a merged cluster):
+    /// `∃next_owned. (rel ∧ S[cur_owned→next_owned])`, renaming and
+    /// quantifying **only the owned variables**. This is the
+    /// early-quantification schedule in closed form: in
+    /// `∃next.(rel ∧ ⋀_{j foreign} vⱼ'=vⱼ ∧ S[cur→next])` every frame
+    /// conjunct `vⱼ'=vⱼ` is the sole constraint on `vⱼ'`, so quantifying
+    /// `vⱼ'` first collapses it to the substitution `vⱼ' := vⱼ` in `S` —
+    /// i.e. foreign variables of `S` simply stay in the current frame and
+    /// never materialise in the product.
     fn pre_image_owned(&mut self, rel: Bdd, owned: &[usize], s: Bdd) -> Bdd {
         let rename: Vec<(Var, Var)> = owned
             .iter()
@@ -751,18 +742,11 @@ impl SymbolicModel {
         self.mgr.and_exists(rel, s_next, next_cube)
     }
 
-    /// Forward image through partition `i` alone:
-    /// `(∃curᵢ. relᵢ ∧ S)[nextᵢ→curᵢ]` — again only owned variables are
-    /// quantified and renamed; foreign variables of `S` pass through in
-    /// the current frame.
-    pub fn post_image_part(&mut self, i: usize, s: Bdd) -> Bdd {
-        let rel = self.mgr.root(self.trans_parts[i].rel);
-        let owned = self.trans_parts[i].owned.clone();
-        self.post_image_owned(rel, &owned, s)
-    }
-
     /// Forward image through one local relation owning exactly the
-    /// variables at `owned` (see [`SymbolicModel::pre_image_owned`]).
+    /// variables at `owned`: `(∃cur_owned. rel ∧ S)[next_owned→cur_owned]`
+    /// — again only owned variables are quantified and renamed; foreign
+    /// variables of `S` pass through in the current frame (see
+    /// [`SymbolicModel::pre_image_owned`]).
     fn post_image_owned(&mut self, rel: Bdd, owned: &[usize], s: Bdd) -> Bdd {
         let cur_vars: Vec<Var> = owned.iter().map(|&vi| self.vars[vi].cur).collect();
         let rename: Vec<(Var, Var)> = owned
@@ -777,22 +761,14 @@ impl SymbolicModel {
     /// `EX S` — predecessors of `S` under the transition relation
     /// (including the stutter move, so `S ⇒ EX S`).
     ///
-    /// In [`ImageMode::Partitioned`] (the default) this is the union of
-    /// the per-partition early-quantified products
-    /// ([`SymbolicModel::pre_image_part`]); the monolithic relation is
+    /// In [`ImageMode::Scheduled`] (the default) this is the union of
+    /// the early-quantified products over the scheduled clusters (the
+    /// closed form in `pre_image_owned`); the monolithic relation is
     /// never built. [`ImageMode::Monolithic`] computes the same set
     /// against the memoised product relation instead.
     pub fn pre_exists(&mut self, s: Bdd) -> Bdd {
         match self.image_mode {
             ImageMode::Monolithic => self.pre_exists_monolithic(s),
-            ImageMode::Partitioned => {
-                let mut acc = s; // identity partition: S itself
-                for i in 0..self.trans_parts.len() {
-                    let img = self.pre_image_part(i, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
-            }
             ImageMode::Scheduled => {
                 let plan = self.scheduled_plan();
                 let mut acc = s; // identity partition: S itself
@@ -829,14 +805,6 @@ impl SymbolicModel {
                 let cur_cube = self.cur_cube();
                 let img_next = self.mgr.and_exists(trans, s, cur_cube);
                 self.mgr.rename(img_next, &self.next_to_cur)
-            }
-            ImageMode::Partitioned => {
-                let mut acc = s; // identity partition
-                for i in 0..self.trans_parts.len() {
-                    let img = self.post_image_part(i, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
             }
             ImageMode::Scheduled => {
                 let plan = self.scheduled_plan();
@@ -1002,27 +970,6 @@ impl SymbolicModel {
             planned_peak,
             est_growth,
         });
-    }
-
-    /// The conjunctive-cluster view of partition `i`: its local move
-    /// relation followed by one `vⱼ' = vⱼ` frame conjunct per foreign
-    /// variable. Conjoining every cluster and quantifying the full next
-    /// cube recovers `pre` through partition `i` exactly — under **any**
-    /// cluster order (see [`cmc_bdd::BddManager::and_exists_multi`]);
-    /// [`SymbolicModel::pre_image_part`] is the closed form of the
-    /// best schedule. Exposed for the partition-conformance suite.
-    pub fn conjunctive_clusters(&mut self, i: usize) -> Vec<Bdd> {
-        let rel = self.mgr.root(self.trans_parts[i].rel);
-        let owned = self.trans_parts[i].owned.clone();
-        let mut out = vec![rel];
-        for vi in 0..self.vars.len() {
-            if owned.binary_search(&vi).is_err() {
-                let cb = self.mgr.var(self.vars[vi].cur);
-                let nb = self.mgr.var(self.vars[vi].next);
-                out.push(self.mgr.iff(cb, nb));
-            }
-        }
-        out
     }
 
     /// States reachable from `init`, memoised per model like every
@@ -1468,8 +1415,9 @@ mod partition_tests {
     use super::*;
     use cmc_kripke::{Alphabet, State, System};
 
-    /// pre_exists (partitioned) and pre_exists_monolithic agree on random
-    /// seeded systems — the ablation pair is semantically identical.
+    /// pre_exists (scheduled partitions) and pre_exists_monolithic agree
+    /// on random seeded systems — the ablation pair is semantically
+    /// identical.
     #[test]
     fn partitioned_and_monolithic_images_agree() {
         use rand::rngs::StdRng;
@@ -1507,7 +1455,7 @@ mod partition_tests {
         }
     }
 
-    /// With owned-variable partitions (implicit frames), partitioned and
+    /// With owned-variable partitions (implicit frames), scheduled and
     /// monolithic images agree in both directions, and the Monolithic
     /// image mode routes through the memoised product relation.
     #[test]
@@ -1538,59 +1486,13 @@ mod partition_tests {
             m.set_image_mode(ImageMode::Monolithic);
             assert_eq!(m.pre_exists(s), pre_part, "pre images disagree");
             assert_eq!(m.post_exists(s), post_part, "post images disagree");
-            m.set_image_mode(ImageMode::Partitioned);
+            m.set_image_mode(ImageMode::Scheduled);
         }
     }
 
-    /// Any quantification schedule over the conjunctive clusters computes
-    /// the same per-partition pre-image as the closed-form
-    /// `pre_image_part`.
-    #[test]
-    fn cluster_schedules_agree_with_closed_form() {
-        let a = {
-            let mut s = System::new(Alphabet::new(["a", "b"]));
-            s.add_transition_named(&["a"], &["a", "b"]);
-            s.add_transition_named(&[], &["a"]);
-            s
-        };
-        let c = {
-            let mut s = System::new(Alphabet::new(["b", "c"]));
-            s.add_transition_named(&["b"], &["b", "c"]);
-            s
-        };
-        let mut m = SymbolicModel::from_components(&[&a, &c], &Alphabet::empty());
-        let b = m.prop("b").unwrap();
-        let cc = m.prop("c").unwrap();
-        let target = m.mgr().or(b, cc);
-        let s_next = m.to_next_frame(target);
-        let next_cube = m.next_cube();
-        for i in 0..m.num_trans_parts() {
-            let want = m.pre_image_part(i, target);
-            let mut clusters = m.conjunctive_clusters(i);
-            clusters.push(s_next);
-            // Walk a few distinct schedules (rotations and a reversal).
-            for rot in 0..clusters.len() {
-                clusters.rotate_left(1);
-                let got = m.mgr().and_exists_multi(&clusters, next_cube);
-                assert_eq!(got, want, "partition {i} schedule rotation {rot}");
-            }
-            clusters.reverse();
-            let got = m.mgr().and_exists_multi(&clusters, next_cube);
-            assert_eq!(got, want, "partition {i} reversed schedule");
-            // The cost-driven scheduler picks one of those legal
-            // permutations; it must land on the same function.
-            let order = m.mgr().schedule_conjuncts(&clusters, next_cube);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..clusters.len()).collect::<Vec<_>>());
-            let got = m.mgr().and_exists_multi_scheduled(&clusters, next_cube);
-            assert_eq!(got, want, "partition {i} scheduler-chosen permutation");
-        }
-    }
-
-    /// `ImageMode::Scheduled` merges the tiny ring stations into fewer
-    /// clusters and still computes bit-identical images in both
-    /// directions; the schedule is cached and surfaced via
+    /// The default schedule merges the tiny ring stations into fewer
+    /// clusters and still computes images bit-identical to the unmerged
+    /// plan in both directions; the schedule is cached and surfaced via
     /// `schedule_stats`.
     #[test]
     fn scheduled_images_agree_and_merge_clusters() {
@@ -1611,12 +1513,12 @@ mod partition_tests {
             g.or(t0, t3)
         }];
         for s in sets {
-            let pre_part = m.pre_exists(s);
-            let post_part = m.post_exists(s);
-            m.set_image_mode(ImageMode::Scheduled);
-            assert_eq!(m.pre_exists(s), pre_part, "scheduled pre disagrees");
-            assert_eq!(m.post_exists(s), post_part, "scheduled post disagrees");
-            m.set_image_mode(ImageMode::Partitioned);
+            m.set_schedule_config(ScheduleConfig::no_merging());
+            let pre_unmerged = m.pre_exists(s);
+            let post_unmerged = m.post_exists(s);
+            m.set_schedule_config(ScheduleConfig::default());
+            assert_eq!(m.pre_exists(s), pre_unmerged, "merged pre disagrees");
+            assert_eq!(m.post_exists(s), post_unmerged, "merged post disagrees");
         }
         let stats = m.schedule_stats().expect("schedule was built");
         assert_eq!(stats.clusters_before, 6);
@@ -1646,15 +1548,9 @@ mod partition_tests {
         }
         let refs: Vec<&System> = ring.iter().collect();
         let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
-        m.set_image_mode(ImageMode::Scheduled);
         m.set_schedule_config(ScheduleConfig::no_merging());
         let t0 = m.prop("t0").unwrap();
-        let baseline = {
-            m.set_image_mode(ImageMode::Partitioned);
-            let p = m.pre_exists(t0);
-            m.set_image_mode(ImageMode::Scheduled);
-            p
-        };
+        let baseline = m.pre_exists_monolithic(t0);
         assert_eq!(m.pre_exists(t0), baseline);
         let stats = m.schedule_stats().unwrap();
         assert_eq!(stats.clusters_after, stats.clusters_before);

@@ -12,7 +12,7 @@ use crate::validate::{validate_verdict, ValidationError};
 use cmc_core::{Backend, BackendError, ExplicitBackend, SymbolicBackend, Target};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
 use cmc_kripke::{SimulationOutcome, System};
-use cmc_symbolic::{simulates_symbolic, ImageMode};
+use cmc_symbolic::{simulates_symbolic, ImageMode, ScheduleConfig};
 use std::fmt;
 
 /// The three verdicts for one obligation, in a fixed order.
@@ -278,15 +278,15 @@ pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcom
 }
 
 /// The verdicts of the partition-conformance oracle, in a fixed order:
-/// partitioned symbolic (early quantification over the disjunctive
-/// parts), scheduled symbolic (cost-driven cluster merging and
-/// ordering), monolithic symbolic (the memoised product relation),
-/// blocked explicit (block-parallel frontier kernels), and the naïve
-/// reference.
+/// unmerged symbolic (the scheduled executor with one cluster per
+/// disjunctive part, [`ScheduleConfig::no_merging`]), scheduled symbolic
+/// (the default plan: cost-driven cluster merging and ordering),
+/// monolithic symbolic (the memoised product relation), blocked explicit
+/// (block-parallel frontier kernels), and the naïve reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuadVerdict {
-    /// Partitioned-image symbolic backend's `holds`.
-    pub partitioned: bool,
+    /// Unmerged-plan symbolic backend's `holds`.
+    pub unmerged: bool,
     /// Scheduled-image symbolic backend's `holds`.
     pub scheduled: bool,
     /// Monolithic-image symbolic backend's `holds`.
@@ -300,7 +300,7 @@ pub struct QuadVerdict {
 impl QuadVerdict {
     /// Do all evaluators agree?
     pub fn agrees(&self) -> bool {
-        self.partitioned == self.scheduled
+        self.unmerged == self.scheduled
             && self.scheduled == self.monolithic
             && self.monolithic == self.blocked
             && self.blocked == self.reference
@@ -328,8 +328,8 @@ impl fmt::Display for QuadDisagreement {
         writeln!(f, "=== PARTITION-CONFORMANCE DISAGREEMENT ===")?;
         writeln!(
             f,
-            "verdicts: partitioned={} scheduled={} monolithic={} blocked={} reference={}",
-            self.verdicts.partitioned,
+            "verdicts: unmerged={} scheduled={} monolithic={} blocked={} reference={}",
+            self.verdicts.unmerged,
             self.verdicts.scheduled,
             self.verdicts.monolithic,
             self.verdicts.blocked,
@@ -386,12 +386,11 @@ fn check_four(
     f: &Formula,
 ) -> Result<(QuadVerdict, Vec<String>), String> {
     let target = Target::composition(systems.to_vec());
-    let partitioned = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Partitioned)
+    let unmerged = SymbolicBackend::default()
+        .with_schedule(ScheduleConfig::no_merging())
         .check(&target, r, f)
         .map_err(|e| e.to_string())?;
     let scheduled = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Scheduled)
         .check(&target, r, f)
         .map_err(|e| e.to_string())?;
     let monolithic = SymbolicBackend::default()
@@ -412,7 +411,7 @@ fn check_four(
         .sat_count(f, &r.fairness)
         .map_err(|e| e.to_string())?;
     for (name, v) in [
-        ("partitioned", &partitioned),
+        ("unmerged", &unmerged),
         ("scheduled", &scheduled),
         ("monolithic", &monolithic),
         ("blocked", &blocked),
@@ -429,21 +428,21 @@ fn check_four(
         }
     }
 
-    // The scheduled leg's verdicts must be *bit-identical* to the
-    // partitioned baseline, not merely agree on `holds`.
-    if scheduled.violating != partitioned.violating {
-        notes.push("scheduled and partitioned witness sets differ".into());
+    // The merged plan's verdicts must be *bit-identical* to the unmerged
+    // plan's, not merely agree on `holds`.
+    if scheduled.violating != unmerged.violating {
+        notes.push("scheduled and unmerged witness sets differ".into());
     }
-    if scheduled.sat_states != partitioned.sat_states {
+    if scheduled.sat_states != unmerged.sat_states {
         notes.push(format!(
-            "scheduled counts {:?} satisfying states, partitioned {:?}",
-            scheduled.sat_states, partitioned.sat_states
+            "scheduled counts {:?} satisfying states, unmerged {:?}",
+            scheduled.sat_states, unmerged.sat_states
         ));
     }
 
     Ok((
         QuadVerdict {
-            partitioned: partitioned.holds,
+            unmerged: unmerged.holds,
             scheduled: scheduled.holds,
             monolithic: monolithic.holds,
             blocked: blocked.holds,
@@ -545,7 +544,7 @@ pub fn run_quad_obligation(o: &Obligation) -> QuadOutcome {
                     |e| {
                         (
                             QuadVerdict {
-                                partitioned: false,
+                                unmerged: false,
                                 scheduled: false,
                                 monolithic: false,
                                 blocked: false,

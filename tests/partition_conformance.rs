@@ -5,14 +5,15 @@
 //! Three pillars:
 //!
 //! 1. a 250-seed sweep of multi-component obligations through the
-//!    **five-way** oracle (partitioned symbolic / scheduled symbolic /
+//!    **five-way** oracle (unmerged symbolic / scheduled symbolic /
 //!    monolithic symbolic / blocked explicit / naïve reference), with sat
 //!    counts and witnesses cross-validated and partition-coarsening
 //!    shrinking on failure;
-//! 2. property tests that **any** early-quantification schedule over a
-//!    conjunctive partition computes the same pre-image as the monolithic
-//!    relation, and that block-parallel frontiers agree with the serial
-//!    worklist on transitions engineered to straddle CSR block edges;
+//! 2. property tests that the unmerged and merged quantification plans
+//!    over the disjunctive partition compute the same pre-image as the
+//!    monolithic relation, and that block-parallel frontiers agree with
+//!    the serial worklist on transitions engineered to straddle CSR block
+//!    edges;
 //! 3. scheduler determinism: verdicts, sat-state counts and certificate
 //!    steps are identical for 1/2/4/8 workers, including runs where every
 //!    worker drives its own BDD manager under `ForcedEvery(1)`
@@ -84,17 +85,15 @@ fn arb_pairs(max: u32) -> impl Strategy<Value = Vec<(u32, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any early-quantification schedule over the conjunctive clusters of
-    /// any partition agrees with the closed-form partition pre-image, and
-    /// the partitioned `pre_exists` agrees with the monolithic one — on
-    /// random three-component chains and random state sets.
+    /// The unmerged plan (one cluster per partition) and the default
+    /// merged plan compute the same `pre_exists` as the monolithic
+    /// relation — on random three-component chains and random state sets.
     #[test]
     fn quantification_schedules_match_monolithic_pre_image(
         pa in arb_pairs(8),
         pb in arb_pairs(8),
         pc in arb_pairs(8),
         set_bits in 0u32..256,
-        rot in 0usize..6,
     ) {
         let a = system_from_pairs(&["p", "q", "r"], &pa);
         let b = system_from_pairs(&["q", "r", "s"], &pb);
@@ -132,14 +131,15 @@ proptest! {
             s = m.mgr().or(s, extra);
         }
 
-        // Partitioned vs monolithic vs scheduled (merged-cluster)
-        // pre-image of the same set.
-        m.set_image_mode(ImageMode::Partitioned);
-        let part = m.pre_exists(s);
+        // Unmerged vs monolithic vs merged (default plan) pre-image of
+        // the same set.
+        m.set_schedule_config(ScheduleConfig::no_merging());
+        let unmerged = m.pre_exists(s);
         m.set_image_mode(ImageMode::Monolithic);
         let mono = m.pre_exists(s);
-        prop_assert_eq!(part, mono, "image modes disagree on pre_exists");
+        prop_assert_eq!(unmerged, mono, "unmerged plan disagrees on pre_exists");
         m.set_image_mode(ImageMode::Scheduled);
+        m.set_schedule_config(ScheduleConfig::default());
         let sched = m.pre_exists(s);
         prop_assert_eq!(sched, mono, "scheduled pre_exists diverged");
         if let Some(st) = m.schedule_stats() {
@@ -149,30 +149,6 @@ proptest! {
                 order,
                 (0..st.clusters_after).collect::<Vec<_>>(),
                 "schedule order is not a permutation"
-            );
-        }
-
-        // Every rotation of every partition's conjunctive clusters
-        // computes the closed-form per-partition pre-image — and so does
-        // the cost-model-chosen permutation.
-        m.set_image_mode(ImageMode::Partitioned);
-        let s_next = m.to_next_frame(s);
-        let next_cube = m.next_cube();
-        for i in 0..m.num_trans_parts() {
-            let closed = m.pre_image_part(i, s);
-            let mut clusters = m.conjunctive_clusters(i);
-            let turn = rot % clusters.len().max(1);
-            clusters.rotate_left(turn);
-            clusters.push(s_next);
-            let scheduled = m.mgr().and_exists_multi(&clusters, next_cube);
-            prop_assert_eq!(
-                scheduled, closed,
-                "cluster schedule (rotation {rot}) disagrees on partition {i}"
-            );
-            let greedy = m.mgr().and_exists_multi_scheduled(&clusters, next_cube);
-            prop_assert_eq!(
-                greedy, closed,
-                "greedy conjunct schedule disagrees on partition {i}"
             );
         }
     }
@@ -343,23 +319,22 @@ fn certificate_steps_identical_across_worker_counts() {
     }
 }
 
-/// The three symbolic image modes and the blocked explicit backend agree
-/// on a deterministic spot-check fleet, as full verdicts (holds,
-/// witnesses, counts) — the direct assertion without the oracle plumbing.
-/// The scheduled leg must be **bit-identical** to the partitioned one:
-/// same witness list, same exact sat count.
+/// The unmerged and merged symbolic plans, the monolithic relation and
+/// the blocked explicit backend agree on a deterministic spot-check
+/// fleet, as full verdicts (holds, witnesses, counts) — the direct
+/// assertion without the oracle plumbing. The default (merged) plan must
+/// be **bit-identical** to the unmerged one: same witness list, same
+/// exact sat count.
 #[test]
 fn image_modes_and_blocked_explicit_agree_on_fleet() {
     let cfg = GenConfig::default();
     for seed in 300..320u64 {
         let o = gen_partitioned_obligation(seed, &cfg);
         let target = Target::composition(o.systems.clone());
-        let part = SymbolicBackend::default()
-            .with_image_mode(ImageMode::Partitioned)
+        let unmerged = SymbolicBackend::default()
+            .with_schedule(ScheduleConfig::no_merging())
             .check(&target, &o.restriction, &o.formula);
-        let sched = SymbolicBackend::default()
-            .with_image_mode(ImageMode::Scheduled)
-            .check(&target, &o.restriction, &o.formula);
+        let sched = SymbolicBackend::default().check(&target, &o.restriction, &o.formula);
         let mono = SymbolicBackend::default()
             .with_image_mode(ImageMode::Monolithic)
             .check(&target, &o.restriction, &o.formula);
@@ -367,26 +342,35 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
             ExplicitBackend::default()
                 .with_workers(4)
                 .check(&target, &o.restriction, &o.formula);
-        let (part, sched, mono, blocked) = match (part, sched, mono, blocked) {
+        let (unmerged, sched, mono, blocked) = match (unmerged, sched, mono, blocked) {
             (Ok(a), Ok(s), Ok(b), Ok(c)) => (a, s, b, c),
             other => panic!("seed {seed}: a backend failed: {other:?}"),
         };
-        assert_eq!(part.holds, mono.holds, "seed {seed}: image modes split");
-        assert_eq!(part.holds, blocked.holds, "seed {seed}: explicit split");
-        assert_eq!(part.sat_states, mono.sat_states, "seed {seed}");
-        assert_eq!(part.sat_states, blocked.sat_states, "seed {seed}");
-        assert_eq!(part.violating, mono.violating, "seed {seed}");
-        // Scheduled is bit-identical to partitioned, and its schedule
-        // bookkeeping flows into CheckStats.
-        assert_eq!(sched.holds, part.holds, "seed {seed}: scheduled split");
+        assert_eq!(unmerged.holds, mono.holds, "seed {seed}: image modes split");
+        assert_eq!(unmerged.holds, blocked.holds, "seed {seed}: explicit split");
+        assert_eq!(unmerged.sat_states, mono.sat_states, "seed {seed}");
+        assert_eq!(unmerged.sat_states, blocked.sat_states, "seed {seed}");
+        assert_eq!(unmerged.violating, mono.violating, "seed {seed}");
+        // The merged plan is bit-identical to the unmerged one, and its
+        // schedule bookkeeping flows into CheckStats.
+        assert_eq!(sched.holds, unmerged.holds, "seed {seed}: scheduled split");
         assert_eq!(
-            sched.sat_states, part.sat_states,
+            sched.sat_states, unmerged.sat_states,
             "seed {seed}: scheduled count"
         );
         assert_eq!(
-            sched.violating, part.violating,
+            sched.violating, unmerged.violating,
             "seed {seed}: scheduled witnesses"
         );
+        // The default backend runs the scheduled executor, so every
+        // partitioned target reports the plan it used.
+        if sched.stats.partitions > 0 {
+            assert_eq!(
+                sched.stats.schedule.as_ref().map(|st| st.clusters_before),
+                Some(sched.stats.partitions),
+                "seed {seed}: default backend ran no schedule over its partitions"
+            );
+        }
         if let Some(st) = &sched.stats.schedule {
             assert!(
                 st.clusters_after <= st.clusters_before,
@@ -402,16 +386,16 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
         }
         // Partition bookkeeping flows into the stats: one partition per
         // component that has proper transitions.
-        assert!(part.stats.partitions <= o.systems.len(), "seed {seed}");
+        assert!(unmerged.stats.partitions <= o.systems.len(), "seed {seed}");
         assert_eq!(blocked.stats.threads, 4, "seed {seed}");
     }
 }
 
-/// `ImageMode::Scheduled` is verdict-invariant across worker counts and
+/// The scheduled executor is verdict-invariant across worker counts and
 /// schedule configurations: the oracle corpus agrees at 1/2/4/8 workers
-/// whether clusters are merged aggressively or not at all, and under the
-/// most aggressive maintenance policy (which exercises the re-plan path
-/// through rehosting).
+/// whether clusters are merged (the default plan) or not at all, and
+/// under the most aggressive maintenance policy (which exercises the
+/// re-plan path through rehosting).
 #[test]
 fn scheduled_mode_is_verdict_invariant_across_workers() {
     let cfg = GenConfig::default();
@@ -430,15 +414,14 @@ fn scheduled_mode_is_verdict_invariant_across_workers() {
         .map(|r| r.expect("oracle job panicked"))
         .collect()
     };
-    let baseline = run(1, SymbolicBackend::default());
+    let scheduled = SymbolicBackend::default();
+    let unmerged = scheduled.with_schedule(ScheduleConfig::no_merging());
+    let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1));
+    let baseline = run(1, unmerged);
     assert!(
         baseline.iter().all(|s| s.starts_with("agree:")),
         "baseline corpus must agree: {baseline:?}"
     );
-    let scheduled = SymbolicBackend::default().with_image_mode(ImageMode::Scheduled);
-    let unmerged = scheduled.with_schedule(ScheduleConfig::no_merging());
-    let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1))
-        .with_image_mode(ImageMode::Scheduled);
     for workers in [1usize, 2, 4, 8] {
         for (label, backend) in [
             ("scheduled", scheduled),
