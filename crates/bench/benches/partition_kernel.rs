@@ -1,35 +1,23 @@
 //! Partitioned vs monolithic transition relations on the token-ring
 //! family — the numbers behind `BENCH_partition.json`.
 //!
-//! Two comparisons, both on obligations other artifacts already price:
-//!
-//! * **Symbolic:** the same `EF t[n/2]` obligation as
-//!   `BENCH_symbolic.json`, checked with the default scheduled image
-//!   (cluster merging + cost-model ordering) and with the memoised
-//!   monolithic relation. The product relation is never built on the
-//!   scheduled path; the monolithic leg is the measurable baseline it
-//!   replaces. The largest ring also runs a cluster-merge-threshold sweep
-//!   (`merge_node_limit` 0/16/64/256, where 0 is the unmerged
-//!   `no_merging()` plan) and records a merged-vs-unmerged acceptance row
-//!   (≥1.3× wall or ≥20 % peak-live-node reduction).
-//! * **Explicit:** the same `t0 -> AX (t0 | t1)` and `EF t[n/2]`
-//!   obligations as `BENCH_explicit.json`, swept over 1/2/4/8 workers on
-//!   the block-partitioned CSR kernels. Both paths decide the same sets,
-//!   so every timed iteration is also a differential check.
-//!
-//! On a single-hardware-thread host the explicit worker sweep is REFUSED
-//! (multi-worker rows there time scheduling overhead, not parallel
-//! speedup): only the one-worker row is measured and the refusal —
-//! carrying the host count `available_parallelism()` reported — is
-//! recorded in the JSON. Every emitted row records the thread count that
-//! actually ran.
+//! The obligation is `BENCH_symbolic.json`'s `EF t[n/2]`, checked with
+//! the default scheduled image (cluster merging + cost-model ordering)
+//! and with the memoised monolithic relation. The product relation is
+//! never built on the scheduled path; the monolithic leg is the
+//! measurable baseline it replaces. Both legs decide the same set, so
+//! every timed iteration is also a differential check. The largest ring
+//! also runs a cluster-merge-threshold sweep (`merge_node_limit`
+//! 0/16/64/256, where 0 is the unmerged `no_merging()` plan) and records
+//! a merged-vs-unmerged acceptance row (≥1.3× wall or ≥20 % peak-live-node
+//! reduction).
 //!
 //! Quick mode (`CMC_BENCH_QUICK=1`, the CI smoke job) shrinks the sizes
 //! and runs one iteration per point so the binary and the JSON emitter
 //! stay exercised cheaply.
 
 use cmc_bench::ring;
-use cmc_core::{Backend, ExplicitBackend, SymbolicBackend, Target};
+use cmc_core::{Backend, SymbolicBackend, Target};
 use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::System;
 use cmc_smv::compile_explicit;
@@ -54,11 +42,6 @@ fn stations(n: usize) -> Vec<System> {
 /// far station.
 fn ef_goal(n: usize) -> Formula {
     parse(&format!("EF t{}", n / 2)).unwrap()
-}
-
-/// Same safety obligation as `BENCH_explicit.json`'s main series.
-fn handoff_formula() -> Formula {
-    parse("t0 -> AX (t0 | t1)").unwrap()
 }
 
 fn quick_mode() -> bool {
@@ -121,7 +104,6 @@ fn emit_summary(c: &mut Criterion) {
         let sv = sched_backend.check(&target, &r, &f).unwrap();
         let expected = sv.sat_states;
         let partitions = sv.stats.partitions;
-        let threads = sv.stats.threads;
         let sched_peak = sv.stats.bdd.map_or(0, |b| b.peak_live_nodes);
         let (clusters_before, clusters_after, replans) =
             sv.stats.schedule.as_ref().map_or((0, 0, 0), |s| {
@@ -146,7 +128,6 @@ fn emit_summary(c: &mut Criterion) {
         sym_series.push(Json::Obj(vec![
             ("stations".into(), Json::int(n as u64)),
             ("partitions".into(), Json::int(partitions as u64)),
-            ("threads".into(), Json::int(threads as u64)),
             ("scheduled_ns".into(), Json::Num(sched_ns)),
             ("monolithic_ns".into(), Json::Num(mono_ns)),
             ("speedup".into(), Json::Num(mono_ns / sched_ns)),
@@ -241,119 +222,18 @@ fn emit_summary(c: &mut Criterion) {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Explicit: block-partitioned CSR frontier passes over 1/2/4/8
-    // workers, same obligations as BENCH_explicit. Refused on a
-    // single-hardware-thread host (only the serial row is honest there).
-    // ------------------------------------------------------------------
-    let exp_stations = if quick { 12 } else { 20 };
-    let exp_iters = if quick { 1 } else { 3 };
-    let target = Target::composition(stations(exp_stations));
-    let handoff = handoff_formula();
-    let ef = ef_goal(exp_stations).clone();
-
-    let baseline = ExplicitBackend::default().check(&target, &r, &ef).unwrap();
-    let expected_ef = baseline.sat_states.unwrap();
-
-    let worker_sweep: &[usize] = if avail == 1 { &[1] } else { &[1, 2, 4, 8] };
-    let mut exp_series = Vec::new();
-    for &workers in worker_sweep {
-        let backend = ExplicitBackend::default().with_workers(workers);
-
-        let probe = backend.check(&target, &r, &ef).unwrap();
-        assert_eq!(probe.sat_states, Some(expected_ef));
-        let blocks = probe.stats.partitions;
-        let threads = probe.stats.threads;
-
-        let handoff_ns = mean_ns(
-            || {
-                let v = backend.check(&target, &r, &handoff).unwrap();
-                assert!(v.holds);
-            },
-            exp_iters,
-        );
-        let ef_ns = mean_ns(
-            || {
-                let v = backend.check(&target, &r, &ef).unwrap();
-                assert_eq!(v.sat_states, Some(expected_ef));
-            },
-            exp_iters,
-        );
-
-        exp_series.push(Json::Obj(vec![
-            ("workers".into(), Json::int(workers as u64)),
-            ("threads".into(), Json::int(threads as u64)),
-            ("blocks".into(), Json::int(blocks as u64)),
-            ("oversubscribed".into(), Json::Bool(threads > avail)),
-            ("handoff_ns".into(), Json::Num(handoff_ns)),
-            ("ef_ns".into(), Json::Num(ef_ns)),
-        ]));
-    }
-    // Acceptance for the blocked kernels: the best multi-worker handoff
-    // wall against the serial frontier wall BENCH_explicit.json recorded
-    // at the same size. Null (not a guess) when the sweep was refused or
-    // the sibling artifact is absent.
-    let recorded_explicit = recorded_baseline(
-        "BENCH_explicit.json",
-        "series",
-        exp_stations,
-        &["frontier_ns"],
-    );
-    let best_blocked = exp_series
-        .iter()
-        .filter(|row| row.get("workers").and_then(Json::as_num) != Some(1.0))
-        .filter_map(|row| row.get("handoff_ns").and_then(Json::as_num))
-        .fold(None::<f64>, |best, ns| Some(best.map_or(ns, |b| b.min(ns))));
-    let exp_acceptance = Json::Obj(vec![
-        ("stations".into(), Json::int(exp_stations as u64)),
-        (
-            "best_blocked_handoff_ns".into(),
-            best_blocked.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "recorded_explicit_baseline_ns".into(),
-            recorded_explicit.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "beats_recorded_baseline".into(),
-            match (best_blocked, recorded_explicit) {
-                (Some(blocked), Some(base)) => Json::Bool(blocked < base),
-                _ => Json::Null,
-            },
-        ),
-    ]);
-
-    let mut explicit = vec![
-        ("stations".into(), Json::int(exp_stations as u64)),
-        ("available_parallelism".into(), Json::int(avail as u64)),
-    ];
-    if avail == 1 {
-        explicit.push((
-            "refused".into(),
-            Json::Str(format!(
-                "worker sweep refused: available_parallelism() reports {avail} hardware \
-                 thread(s), so multi-worker rows would measure scheduling overhead, not \
-                 parallel speedup; only the one-worker row was recorded"
-            )),
-        ));
-    }
-    explicit.push(("series".into(), Json::Arr(exp_series)));
-    explicit.push(("acceptance".into(), exp_acceptance));
-
     let doc = Json::Obj(vec![
         ("benchmark".into(), Json::Str("partition_kernel".into())),
         ("family".into(), Json::Str("token-ring".into())),
         (
             "unit".into(),
-            Json::Str(format!(
-                "ns/iter (mean of {iters} symbolic / {exp_iters} explicit)"
-            )),
+            Json::Str(format!("ns/iter (mean of {iters})")),
         ),
         ("quick".into(), Json::Bool(quick)),
         ("available_parallelism".into(), Json::int(avail as u64)),
         (
             "obligation".into(),
-            Json::Str("EF t[n/2]  /  t0 -> AX (t0 | t1)  over the n-station ring".into()),
+            Json::Str("EF t[n/2] over the n-station ring".into()),
         ),
         (
             "modes".into(),
@@ -373,21 +253,12 @@ fn emit_summary(c: &mut Criterion) {
                     "monolithic".into(),
                     Json::Str("root-memoised full transition relation (the seed strategy)".into()),
                 ),
-                (
-                    "blocked".into(),
-                    Json::Str(
-                        "word-aligned CSR state blocks fanned over run_bounded workers, \
-                         merged by union (bit-identical to the serial kernels)"
-                            .into(),
-                    ),
-                ),
             ]),
         ),
         ("symbolic".into(), Json::Arr(sym_series)),
         ("symbolic_acceptance".into(), sym_acceptance),
         ("scheduled_acceptance".into(), sched_acceptance),
         ("merge_threshold_sweep".into(), Json::Arr(merge_sweep)),
-        ("explicit".into(), Json::Obj(explicit)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_partition.json");
     std::fs::write(path, doc.to_pretty() + "\n").expect("write BENCH_partition.json");

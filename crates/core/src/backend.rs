@@ -251,22 +251,10 @@ pub fn check_routed(
     r: &Restriction,
     f: &Formula,
 ) -> Result<Verdict, BackendError> {
-    check_routed_with_workers(choice, target, r, f, 1)
+    check_planned(choice, choice.route(target, r), target, r, f)
 }
 
-/// [`check_routed`] with an explicit worker cap for the block-parallel
-/// explicit kernels (the symbolic engine is single-threaded per check).
-pub fn check_routed_with_workers(
-    choice: BackendChoice,
-    target: &Target,
-    r: &Restriction,
-    f: &Formula,
-    workers: usize,
-) -> Result<Verdict, BackendError> {
-    check_planned(choice, choice.route(target, r), target, r, f, workers)
-}
-
-/// [`check_routed_with_workers`] on a plan the caller already made with
+/// [`check_routed`] on a plan the caller already made with
 /// `choice.route(target, r)` — for callers that need the plan before the
 /// check (a store key names the planned engine), so the cost model runs
 /// once per check.
@@ -276,7 +264,6 @@ pub fn check_planned(
     target: &Target,
     r: &Restriction,
     f: &Formula,
-    workers: usize,
 ) -> Result<Verdict, BackendError> {
     if decision.planned == BackendKind::Explicit {
         let limits = match choice {
@@ -287,8 +274,7 @@ pub fn check_planned(
             },
             _ => ExplicitLimits::default(),
         };
-        let eb = ExplicitBackend { limits, workers };
-        match eb.check(target, r, f) {
+        match ExplicitBackend::with_limits(limits).check(target, r, f) {
             Ok(mut v) => {
                 v.stats.route = Some(decision);
                 return Ok(v);
@@ -403,11 +389,9 @@ pub struct CheckStats {
     /// nodes, bytes, cache and GC activity (symbolic only).
     pub bdd: Option<BddStats>,
     /// How the transition structure was partitioned: disjunctive
-    /// transition parts for the symbolic engine, CSR state blocks for the
-    /// explicit engine (1 when it ran serially).
+    /// transition parts for the symbolic engine, 1 for the explicit
+    /// engine's single CSR index.
     pub partitions: usize,
-    /// Worker threads the check was allowed to fan out over.
-    pub threads: usize,
     /// States the reachable-only explicit kernel actually materialised
     /// (`None` for dense-universe and symbolic checks) — the cost model's
     /// "actual" against [`RouteDecision::estimated_states`].
@@ -529,37 +513,17 @@ pub trait Backend {
 /// hash-compacted kernel — arbitrary-width state vectors interned to
 /// dense ids, the CSR built on the fly from SAT(`I`) outward, bounded
 /// only by the opt-in state budget.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExplicitBackend {
     /// Width/memory budgets (dense-universe cutover + reachable state
     /// budget).
     pub limits: ExplicitLimits,
-    /// Worker threads for the block-parallel frontier passes (default 1,
-    /// i.e. the serial worklist kernels).
-    pub workers: usize,
-}
-
-impl Default for ExplicitBackend {
-    fn default() -> Self {
-        ExplicitBackend {
-            limits: ExplicitLimits::default(),
-            workers: 1,
-        }
-    }
 }
 
 impl ExplicitBackend {
-    /// Backend with the given limits, serial.
+    /// Backend with the given limits.
     pub fn with_limits(limits: ExplicitLimits) -> Self {
-        ExplicitBackend { limits, workers: 1 }
-    }
-
-    /// Fan the frontier passes out over up to `workers` threads (builder
-    /// style). Any count computes identical verdicts — the block merge is
-    /// a bitwise OR, pure set semantics.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
+        ExplicitBackend { limits }
     }
 }
 
@@ -581,8 +545,7 @@ impl Backend for ExplicitBackend {
         let refs: Vec<&System> = target.systems().iter().collect();
         if props <= self.limits.dense_bits {
             // Dense universe: index i IS the state pattern; exact counts.
-            let checker = Checker::from_components(&refs, target.extra(), self.limits.dense_bits)?
-                .with_workers(self.workers);
+            let checker = Checker::from_components(&refs, target.extra(), self.limits.dense_bits)?;
             let v = checker.check(r, f)?;
             Ok(Verdict {
                 holds: v.holds,
@@ -592,8 +555,7 @@ impl Backend for ExplicitBackend {
                     backend: BackendKind::Explicit,
                     duration: start.elapsed(),
                     bdd: None,
-                    partitions: checker.partition_blocks(),
-                    threads: checker.workers(),
+                    partitions: 1,
                     reachable_states: None,
                     route: None,
                     schedule: None,
@@ -605,8 +567,7 @@ impl Backend for ExplicitBackend {
             // whole-universe counts are not defined, so sat_states is None
             // and the materialised fragment size rides in the stats.
             let checker =
-                Checker::reachable_from_components(&refs, target.extra(), &r.init, &self.limits)?
-                    .with_workers(self.workers);
+                Checker::reachable_from_components(&refs, target.extra(), &r.init, &self.limits)?;
             let v = checker.check(r, f)?;
             Ok(Verdict {
                 holds: v.holds,
@@ -616,8 +577,7 @@ impl Backend for ExplicitBackend {
                     backend: BackendKind::Explicit,
                     duration: start.elapsed(),
                     bdd: None,
-                    partitions: checker.partition_blocks(),
-                    threads: checker.workers(),
+                    partitions: 1,
                     reachable_states: Some(checker.universe() as u64),
                     route: None,
                     schedule: None,
@@ -739,7 +699,6 @@ impl Backend for SymbolicBackend {
                 duration: start.elapsed(),
                 bdd: Some(model.mgr_ref().stats()),
                 partitions: model.num_trans_parts(),
-                threads: 1,
                 reachable_states: None,
                 route: None,
                 schedule: model.schedule_stats(),

@@ -665,7 +665,7 @@ impl Engine {
         plan: Option<RouteDecision>,
     ) -> Result<Verdict, EngineError> {
         match plan {
-            Some(plan) => check_planned(self.backend, plan, target, r, f, 1),
+            Some(plan) => check_planned(self.backend, plan, target, r, f),
             None => check_routed(self.backend, target, r, f),
         }
         .map_err(|e| EngineError::Check(e.to_string()))
@@ -1710,7 +1710,8 @@ mod tests {
     #[test]
     fn minimal_expansion_keeps_wide_unions_tractable() {
         // 30 independent 1-bit components: union alphabet of 30 props is
-        // beyond MAX_EXPLICIT_PROPS, so full-union expansion would fail.
+        // beyond the default dense width, so full-union expansion would
+        // fail.
         let comps: Vec<Component> = (0..30)
             .map(|i| {
                 let name = format!("x{i}");
@@ -1730,12 +1731,12 @@ mod tests {
 
     /// The acceptance scenario for pluggable backends: an unclassifiable
     /// property over a composition whose union alphabet exceeds
-    /// `MAX_EXPLICIT_PROPS` forces a whole-system check, which the old
+    /// `ExplicitLimits::DEFAULT_DENSE_BITS` forces a whole-system check, which the old
     /// explicit-only engine could never run (`TooLarge`). With the `Auto`
     /// policy the fallback routes to the symbolic backend and succeeds.
     #[test]
     fn auto_backend_proves_wide_composition_monolithically() {
-        let width = cmc_ctl::MAX_EXPLICIT_PROPS + 2; // 26 > 24
+        let width = cmc_ctl::ExplicitLimits::DEFAULT_DENSE_BITS + 2; // 26 > 24
         let comps: Vec<Component> = (0..width)
             .map(|i| {
                 let name = format!("x{i}");

@@ -55,17 +55,13 @@ pub mod parallel;
 pub mod property;
 pub mod report;
 pub mod rules;
-/// Bounded work-claiming scheduler (re-exported from `cmc-sched`, which
-/// also backs the explicit kernel's block-parallel frontier passes).
-pub mod scheduler {
-    pub use cmc_sched::*;
-}
+pub mod scheduler;
 
 pub use backend::{
-    check_planned, check_refines, check_routed, check_routed_with_workers,
-    estimate_reachable_states, Backend, BackendChoice, BackendError, BackendKind, CheckStats,
-    ExplicitBackend, Obligation, ObligationOutcome, RouteDecision, SymbolicBackend, Target,
-    Verdict, AUTO_BUDGET_SLACK, AUTO_CROSSOVER_STATES, AUTO_DENSE_BITS, MAX_WITNESSES,
+    check_planned, check_refines, check_routed, estimate_reachable_states, Backend, BackendChoice,
+    BackendError, BackendKind, CheckStats, ExplicitBackend, Obligation, ObligationOutcome,
+    RouteDecision, SymbolicBackend, Target, Verdict, AUTO_BUDGET_SLACK, AUTO_CROSSOVER_STATES,
+    AUTO_DENSE_BITS, MAX_WITNESSES,
 };
 pub use cmc_ctl::ExplicitLimits;
 pub use cmc_symbolic::{

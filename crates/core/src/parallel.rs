@@ -11,13 +11,11 @@
 //! still report normally, and result order is the input order regardless
 //! of worker count.
 
-use crate::backend::{check_planned, check_routed, BackendChoice, BackendKind, Target, Verdict};
+use crate::backend::{check_routed, BackendChoice, Target, Verdict};
 use crate::scheduler;
 use cmc_ctl::{Formula, Restriction};
 use cmc_kripke::System;
-use cmc_store::{CertStore, Entry, ObligationKey};
 use cmc_symbolic::SymbolicModel;
-use std::sync::Arc;
 
 /// Check `⊨ f` (all states) on each system concurrently, routing each
 /// check through the backend `choice` resolves for it. Returns
@@ -70,64 +68,6 @@ pub fn check_targets_with_workers(
     let outcomes = scheduler::run_bounded(tasks.len(), workers, |i| {
         let (_, target, f) = &tasks[i];
         check_routed(choice, target, &trivial, f).map_err(|e| e.to_string())
-    });
-    tasks
-        .iter()
-        .map(|(name, _, _)| name.clone())
-        .zip(outcomes.into_iter().map(|r| r.and_then(|inner| inner)))
-        .collect()
-}
-
-/// Outcome of one obligation in a store-aware fan-out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FanoutOutcome {
-    /// Does the obligation hold (over all states, trivial restriction)?
-    pub holds: bool,
-    /// Was the verdict served from the shared [`CertStore`] instead of
-    /// being recomputed?
-    pub store_hit: bool,
-    /// The engine the cost model *planned* for this target (store keys
-    /// are keyed by the plan, which is deterministic; a fallback at check
-    /// time does not change the obligation's identity).
-    pub backend: BackendKind,
-}
-
-/// [`check_targets_with_workers`], but exchanging verdicts through a
-/// shared [`CertStore`]: each worker keys its obligation structurally
-/// ([`ObligationKey::composed`], so duplicate obligations collide across
-/// workers and across runs) and consults the store before checking.
-///
-/// This is the fixpoint-obligation fan-out of the partitioned engine:
-/// every job that routes symbolic builds its **own** `SymbolicModel` — and
-/// with it a private `BddManager` — inside the worker, so no BDD state is
-/// shared between threads; the only cross-worker exchange is the verdict
-/// entry in the store.
-pub fn check_targets_with_store(
-    tasks: &[(String, Target, Formula)],
-    choice: BackendChoice,
-    workers: usize,
-    store: &Arc<CertStore>,
-) -> Vec<(String, Result<FanoutOutcome, String>)> {
-    let trivial = Restriction::trivial();
-    let outcomes = scheduler::run_bounded(tasks.len(), workers, |i| {
-        let (_, target, f) = &tasks[i];
-        let plan = choice.route(target, &trivial);
-        let refs: Vec<&System> = target.systems().iter().collect();
-        // The expansion alphabet is part of the obligation's identity (the
-        // same components over a wider Σ* is a different target), so it
-        // rides in the mode tag.
-        let mode = format!("fanout/{}", target.extra().names().join(","));
-        let key = ObligationKey::composed(&mode, plan.planned.name(), &refs, &trivial, f);
-        let (entry, store_hit) = store.get_or_check(key, || {
-            check_planned(choice, plan, target, &trivial, f, 1)
-                .map(|v| Entry::verdict(v.holds))
-                .map_err(|e| e.to_string())
-        })?;
-        Ok(FanoutOutcome {
-            holds: entry.verdict,
-            store_hit,
-            backend: plan.planned,
-        })
     });
     tasks
         .iter()
@@ -225,56 +165,6 @@ mod tests {
             );
             assert_eq!(got, baseline, "worker count {workers}");
         }
-    }
-
-    #[test]
-    fn store_fanout_memoizes_duplicate_obligations() {
-        let store = Arc::new(cmc_store::CertStore::new());
-        // Four tasks, but only two distinct obligations: duplicates must
-        // be served from the store while fresh ones compute.
-        let tasks: Vec<(String, Target, Formula)> = (0..4)
-            .map(|i| {
-                let v = if i % 2 == 0 { "x" } else { "y" };
-                let f = parse(&format!("{v} -> AX {v}")).unwrap();
-                (format!("t{i}"), Target::system(rising(v)), f)
-            })
-            .collect();
-        let results = check_targets_with_store(&tasks, BackendChoice::Auto, 1, &store);
-        assert_eq!(results.len(), 4);
-        let o0 = results[0].1.as_ref().unwrap();
-        assert!(o0.holds && !o0.store_hit);
-        let o2 = results[2].1.as_ref().unwrap();
-        assert!(o2.holds && o2.store_hit, "duplicate obligation recomputed");
-        assert_eq!(store.len(), 2);
-        // A second sweep over the same tasks is all hits, on any worker
-        // count, with identical outcomes.
-        for workers in [1, 2, 4] {
-            let again = check_targets_with_store(&tasks, BackendChoice::Auto, workers, &store);
-            for (name, r) in &again {
-                let o = r.as_ref().unwrap();
-                assert!(o.store_hit, "{name} missed a warm store");
-                assert!(o.holds);
-            }
-        }
-    }
-
-    #[test]
-    fn store_fanout_distinguishes_expansion_alphabets() {
-        let store = Arc::new(cmc_store::CertStore::new());
-        let sys = rising("x");
-        let f = parse("x -> AX x").unwrap();
-        let tasks = vec![
-            ("plain".to_string(), Target::system(sys.clone()), f.clone()),
-            (
-                "expanded".to_string(),
-                Target::expansion(sys, Alphabet::new(["z"])),
-                f.clone(),
-            ),
-        ];
-        let results = check_targets_with_store(&tasks, BackendChoice::Auto, 2, &store);
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
-        // Same components, same formula, different Σ* — two store entries.
-        assert_eq!(store.len(), 2);
     }
 
     /// The reference oracle: evaluate `f` in every state over `alphabet`.

@@ -1,11 +1,10 @@
-//! Bounded work-claiming scheduler for obligation fan-out and
-//! block-parallel frontier passes.
+//! Bounded work-claiming scheduler for obligation fan-out.
 //!
-//! Lives in its own crate so both ends of the dependency chain can use
-//! it: `cmc-core` re-exports it as `cmc_core::scheduler` for the proof
-//! engine's obligation fan-out, and `cmc-ctl` drives its block-parallel
-//! explicit fixpoints through the same claim loop (a `cmc-ctl` →
-//! `cmc-core` dependency would be cyclic).
+//! The proof engine fans independent component obligations out over it
+//! (`Engine::check_universal`, `Engine::prove_invariant`, [`crate::parallel`]),
+//! and `cmc-serve` runs each batch's jobs through [`run_bounded`]. The
+//! parallelism sits between obligations, as in the paper's Discussion:
+//! every single check (one labelling or BDD fixpoint) runs on one thread.
 //!
 //! The seed's `parallel.rs` spawned one OS thread per component — fine
 //! for the paper's three-process AFS case study, pathological for a

@@ -122,35 +122,15 @@ impl Verdict {
     pub const MAX_WITNESSES: usize = 16;
 }
 
-/// Default dense-universe width (2^24 ≈ 16.7M states). Kept as an alias of
-/// [`ExplicitLimits::DEFAULT_DENSE_BITS`] for callers of the dense
-/// constructors; it is **not** a ceiling on explicit checking any more —
-/// wider targets go through [`Checker::reachable_from_components`].
-pub const MAX_EXPLICIT_PROPS: usize = ExplicitLimits::DEFAULT_DENSE_BITS;
-
-/// Universes smaller than this stay on the serial frontier paths even
-/// when workers are configured: the per-round fan-out overhead would
-/// dwarf the word scans.
-const MIN_PARALLEL_UNIVERSE: usize = 1 << 12;
-
 /// An explicit-state fair-CTL checker for one (possibly composed) system.
 ///
 /// Owns its alphabet and CSR transition index, so it can be built either
 /// from a materialised [`System`] or directly from components without one.
-///
-/// With [`Checker::with_workers`] the propositional labelling and the
-/// frontier fixpoints run **block-parallel**: the universe is split into
-/// word-aligned state blocks ([`CsrIndex::blocks`]), each worker scans its
-/// blocks' slice of the CSR index through the `cmc-sched` claim loop, and
-/// per-block results merge by bitwise OR — a set-semantics merge, so the
-/// computed sets (and therefore verdicts, sat counts and witnesses) are
-/// identical for every worker count.
 #[derive(Debug)]
 pub struct Checker {
     alphabet: Alphabet,
     universe: usize,
     csr: CsrIndex,
-    workers: usize,
     space: StateSpace,
 }
 
@@ -166,10 +146,11 @@ enum StateSpace {
 }
 
 impl Checker {
-    /// Create a checker with the default [`MAX_EXPLICIT_PROPS`] limit;
-    /// fails when the state space is too large.
+    /// Create a checker with the default
+    /// [`ExplicitLimits::DEFAULT_DENSE_BITS`] limit; fails when the state
+    /// space is too large.
     pub fn new(system: &System) -> Result<Self, CheckError> {
-        Checker::with_limit(system, MAX_EXPLICIT_PROPS)
+        Checker::with_limit(system, ExplicitLimits::DEFAULT_DENSE_BITS)
     }
 
     /// Create a checker that refuses alphabets wider than `limit`
@@ -184,7 +165,6 @@ impl Checker {
             alphabet: system.alphabet().clone(),
             universe: 1usize << n,
             csr: CsrIndex::from_system(system),
-            workers: 1,
             space: StateSpace::Dense,
         })
     }
@@ -211,7 +191,6 @@ impl Checker {
             universe: 1usize << n,
             csr: CsrIndex::from_components(systems, &union),
             alphabet: union,
-            workers: 1,
             space: StateSpace::Dense,
         })
     }
@@ -323,36 +302,8 @@ impl Checker {
             universe,
             csr: CsrIndex::from_edges(universe, &edges),
             alphabet: union,
-            workers: 1,
             space: StateSpace::Reachable(interner),
         })
-    }
-
-    /// Run the labelling and frontier passes block-parallel on up to
-    /// `workers` threads (clamped to at least 1). `1` keeps the serial
-    /// worklist kernels; any count computes identical sets.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Configured worker cap for block-parallel passes.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Number of state blocks the block-parallel passes fan out over
-    /// (1 when running serially).
-    pub fn partition_blocks(&self) -> usize {
-        if self.parallel() {
-            self.csr.blocks(self.workers * 4).len()
-        } else {
-            1
-        }
-    }
-
-    fn parallel(&self) -> bool {
-        self.workers > 1 && self.universe >= MIN_PARALLEL_UNIVERSE
     }
 
     /// The alphabet the checker's states range over.
@@ -422,31 +373,9 @@ impl Checker {
             }
         }
         let mut out = StateSet::empty(self.universe);
-        if self.parallel() {
-            // Each worker labels a word-aligned block and returns just its
-            // words; stitching writes disjoint ranges, so the result is
-            // bit-identical to the serial scan.
-            let blocks = self.csr.blocks(self.workers * 4);
-            let locals = cmc_sched::run_bounded(blocks.len(), self.workers, |b| {
-                let r = &blocks[b];
-                let mut words = vec![0u64; (r.end - r.start).div_ceil(64)];
-                for i in r.clone() {
-                    if self.eval_index(f, i) {
-                        words[(i - r.start) / 64] |= 1 << (i % 64);
-                    }
-                }
-                words
-            });
-            for (r, local) in blocks.iter().zip(locals) {
-                let local = local.expect("propositional block pass panicked");
-                let first = r.start / 64;
-                out.words_mut()[first..first + local.len()].copy_from_slice(&local);
-            }
-        } else {
-            for i in 0..self.universe {
-                if self.eval_index(f, i) {
-                    out.insert_index(i);
-                }
+        for i in 0..self.universe {
+            if self.eval_index(f, i) {
+                out.insert_index(i);
             }
         }
         Ok(out)
@@ -455,31 +384,11 @@ impl Checker {
     /// `EX S`: states with an `R`-successor in `S`. Because `R` is
     /// reflexive, `S ⊆ EX S` always holds. One word-scan over the members
     /// of `S` plus their CSR predecessor lists — `O(|S| + edges into S)`.
-    /// Serial when `workers == 1`; otherwise each worker scans the
-    /// members of `S` inside its state blocks (a contiguous slice of the
-    /// CSR predecessor index) into a private set, and the private sets
-    /// merge by OR — the same set for any worker count.
     fn pre_exists(&self, s: &StateSet) -> StateSet {
         let mut out = s.clone(); // reflexive stutter successor
-        if self.parallel() {
-            let blocks = self.csr.blocks(self.workers * 4);
-            let locals = cmc_sched::run_bounded(blocks.len(), self.workers, |b| {
-                let mut local = StateSet::empty(self.universe);
-                for v in s.iter_indices_in(blocks[b].clone()) {
-                    for &u in self.csr.predecessors(v) {
-                        local.insert_index(u as usize);
-                    }
-                }
-                local
-            });
-            for local in locals {
-                out.union_with(&local.expect("pre block pass panicked"));
-            }
-        } else {
-            for v in s.iter_indices() {
-                for &u in self.csr.predecessors(v) {
-                    out.insert_index(u as usize);
-                }
+        for v in s.iter_indices() {
+            for &u in self.csr.predecessors(v) {
+                out.insert_index(u as usize);
             }
         }
         out
@@ -491,9 +400,6 @@ impl Checker {
     /// the edge list per iteration. (The implicit stutter edge adds only
     /// `S1 ∧ Z ⊆ Z`, so it never grows the frontier.)
     fn until_exists(&self, s1: &StateSet, s2: &StateSet) -> StateSet {
-        if self.parallel() {
-            return self.until_exists_blocked(s1, s2);
-        }
         let mut z = s2.clone();
         let mut frontier: Vec<u32> = s2.iter_indices().map(|i| i as u32).collect();
         while let Some(v) = frontier.pop() {
@@ -505,43 +411,6 @@ impl Checker {
             }
         }
         z
-    }
-
-    /// Level-synchronous variant of the `EU` worklist for block-parallel
-    /// runs: each round expands the whole current frontier (workers scan
-    /// disjoint state blocks of it against `Z` as of round start and
-    /// OR-merge their discoveries), then the freshly discovered states
-    /// become the next frontier. Every state still enters `Z` exactly
-    /// once, so total work stays `O(|R| + 2^n/64 · rounds)`; the computed
-    /// fixpoint is the same set as the serial worklist's for any worker
-    /// count or block decomposition.
-    fn until_exists_blocked(&self, s1: &StateSet, s2: &StateSet) -> StateSet {
-        let blocks = self.csr.blocks(self.workers * 4);
-        let mut z = s2.clone();
-        let mut frontier = s2.clone();
-        loop {
-            let locals = cmc_sched::run_bounded(blocks.len(), self.workers, |b| {
-                let mut local = StateSet::empty(self.universe);
-                for v in frontier.iter_indices_in(blocks[b].clone()) {
-                    for &u in self.csr.predecessors(v) {
-                        let ui = u as usize;
-                        if s1.contains_index(ui) && !z.contains_index(ui) {
-                            local.insert_index(ui);
-                        }
-                    }
-                }
-                local
-            });
-            let mut fresh = StateSet::empty(self.universe);
-            for local in locals {
-                fresh.union_with(&local.expect("until block pass panicked"));
-            }
-            if fresh.is_empty() {
-                return z;
-            }
-            z.union_with(&fresh);
-            frontier = fresh;
-        }
     }
 
     /// Greatest fixpoint `EG S = νZ. S ∧ EX Z` by backwards removal: a
@@ -1053,13 +922,16 @@ mod tests {
             err,
             CheckError::TooLarge {
                 props: 25,
-                limit: MAX_EXPLICIT_PROPS
+                limit: ExplicitLimits::DEFAULT_DENSE_BITS
             }
         );
         // The message names both the width and the configured limit.
         let msg = err.to_string();
         assert!(msg.contains("25"), "{msg}");
-        assert!(msg.contains(&MAX_EXPLICIT_PROPS.to_string()), "{msg}");
+        assert!(
+            msg.contains(&ExplicitLimits::DEFAULT_DENSE_BITS.to_string()),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1070,61 +942,6 @@ mod tests {
             Checker::with_limit(&m, 1).unwrap_err(),
             CheckError::TooLarge { props: 2, limit: 1 }
         );
-    }
-
-    /// A 12-bit ripple counter: 4096 states in one cycle, large enough to
-    /// cross `MIN_PARALLEL_UNIVERSE` and exercise the block kernels.
-    fn big_counter() -> System {
-        let names: Vec<String> = (0..12).map(|i| format!("b{i}")).collect();
-        let mut m = System::new(Alphabet::new(names));
-        for i in 0u128..4096 {
-            m.add_transition(State(i), State((i + 1) % 4096));
-        }
-        m
-    }
-
-    #[test]
-    fn block_parallel_passes_match_serial_for_every_worker_count() {
-        let m = big_counter();
-        let serial = Checker::new(&m).unwrap();
-        assert!(!serial.parallel());
-        assert_eq!(serial.partition_blocks(), 1);
-        let formulas = [
-            ap("b11"),
-            ap("b0").and(ap("b5")).ef(),
-            Formula::eu(ap("b11").not(), ap("b11").and(ap("b0"))),
-            ap("b3").not().eg(),
-            ap("b0").and(ap("b1")).af(),
-        ];
-        let baseline: Vec<StateSet> = formulas.iter().map(|f| serial.sat(f).unwrap()).collect();
-        for workers in [2, 4, 8] {
-            let par = Checker::new(&m).unwrap().with_workers(workers);
-            assert!(par.parallel());
-            assert!(par.partition_blocks() > 1);
-            for (f, want) in formulas.iter().zip(&baseline) {
-                let got = par.sat(f).unwrap();
-                assert_eq!(&got, want, "{workers} workers disagree on {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn fair_sat_and_verdicts_are_worker_count_invariant() {
-        let m = big_counter();
-        let fairness = [ap("b11")];
-        let goal = ap("b0").and(ap("b11")).af();
-        let serial = Checker::new(&m).unwrap();
-        let want = serial.sat_fair(&goal, &fairness).unwrap();
-        let r = Restriction::with_fairness(fairness.clone());
-        let v0 = serial.check(&r, &goal).unwrap();
-        for workers in [2, 8] {
-            let par = Checker::new(&m).unwrap().with_workers(workers);
-            assert_eq!(par.sat_fair(&goal, &fairness).unwrap(), want);
-            let v = par.check(&r, &goal).unwrap();
-            assert_eq!(v.holds, v0.holds);
-            assert_eq!(v.violating, v0.violating);
-            assert_eq!(v.sat_states, v0.sat_states);
-        }
     }
 
     /// An `n`-station token ring as hand-built components: station `i`
@@ -1163,7 +980,8 @@ mod tests {
         let refs: Vec<&System> = stations.iter().collect();
         let extra = Alphabet::empty();
         let r = Restriction::with_init(one_hot(6));
-        let dense = Checker::from_components(&refs, &extra, MAX_EXPLICIT_PROPS).unwrap();
+        let dense =
+            Checker::from_components(&refs, &extra, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
         let limits = ExplicitLimits::default();
         let reach = Checker::reachable_from_components(&refs, &extra, &r.init, &limits).unwrap();
         assert!(reach.is_reachable() && !dense.is_reachable());
@@ -1197,7 +1015,8 @@ mod tests {
         let refs: Vec<&System> = stations.iter().collect();
         let extra = Alphabet::empty();
         let init = one_hot(n);
-        let dense = Checker::from_components(&refs, &extra, MAX_EXPLICIT_PROPS).unwrap();
+        let dense =
+            Checker::from_components(&refs, &extra, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
         let reach =
             Checker::reachable_from_components(&refs, &extra, &init, &ExplicitLimits::default())
                 .unwrap();
@@ -1293,15 +1112,5 @@ mod tests {
         // The final state is a one-hot state without the token at 0.
         let al = reach.alphabet().clone();
         assert!(!last.contains_named(&al, "t0"));
-    }
-
-    #[test]
-    fn small_universes_stay_serial_even_with_workers() {
-        let m = counter();
-        let c = Checker::new(&m).unwrap().with_workers(8);
-        assert_eq!(c.workers(), 8);
-        assert!(!c.parallel(), "2^2 states must not fan out");
-        assert_eq!(c.partition_blocks(), 1);
-        assert_eq!(c.sat(&ap("b0").ef()).unwrap().len(), 4);
     }
 }

@@ -172,51 +172,6 @@ impl CsrIndex {
             .iter()
             .map(|&t| State(t as u128))
     }
-
-    /// Partition the universe into at most `count` contiguous state
-    /// blocks, each aligned to a 64-state word boundary (the last block
-    /// absorbs the tail). Because the CSR offset arrays are indexed by
-    /// state, each block owns a contiguous slice of the predecessor and
-    /// successor edge arrays — this *is* the partition of the index the
-    /// block-parallel frontier passes fan out over, and word alignment
-    /// means per-block results land in disjoint [`StateSet`] words.
-    ///
-    /// Returns at least one block (the whole universe) and never an empty
-    /// block; for tiny universes fewer than `count` blocks come back.
-    pub fn blocks(&self, count: usize) -> Vec<std::ops::Range<usize>> {
-        block_ranges(self.universe, count)
-    }
-
-    /// Number of predecessor-edge entries whose *target* lies in `block`
-    /// (the slice of the index a worker assigned that block will scan).
-    pub fn pred_edges_in(&self, block: &std::ops::Range<usize>) -> usize {
-        if self.pred_off.is_empty() {
-            return 0;
-        }
-        (self.pred_off[block.end] - self.pred_off[block.start]) as usize
-    }
-}
-
-/// Word-aligned contiguous block decomposition of `0..universe`.
-pub(crate) fn block_ranges(universe: usize, count: usize) -> Vec<std::ops::Range<usize>> {
-    let words = universe.div_ceil(64).max(1);
-    let count = count.clamp(1, words);
-    let words_per_block = words.div_ceil(count);
-    let mut out = Vec::new();
-    let mut start_word = 0usize;
-    while start_word < words {
-        let end_word = (start_word + words_per_block).min(words);
-        let start = start_word * 64;
-        let end = (end_word * 64).min(universe);
-        if start < end || (universe == 0 && out.is_empty()) {
-            out.push(start..end);
-        }
-        start_word = end_word;
-    }
-    if out.is_empty() {
-        out.push(0..universe);
-    }
-    out
 }
 
 /// Iterate all subsets of the set bits of `mask` (including `0` and
@@ -304,33 +259,6 @@ mod tests {
             }
         }
         assert_eq!(via_pred, got);
-    }
-
-    #[test]
-    fn blocks_cover_the_universe_word_aligned() {
-        for (universe, count) in [(1 << 10, 4), (1 << 10, 1), (130, 3), (64, 8), (1, 4)] {
-            let ranges = block_ranges(universe, count);
-            assert!(!ranges.is_empty());
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, universe);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "blocks must tile");
-                assert_eq!(w[0].end % 64, 0, "interior boundaries word-aligned");
-            }
-            assert!(ranges.len() <= count.max(1));
-            assert!(ranges.iter().all(|r| !r.is_empty()));
-        }
-    }
-
-    #[test]
-    fn pred_edges_partition_across_blocks() {
-        let m = toggler("x");
-        let mp = toggler("y");
-        let union = m.alphabet().union(mp.alphabet());
-        let csr = CsrIndex::from_components(&[&m, &mp], &union);
-        let blocks = csr.blocks(4);
-        let total: usize = blocks.iter().map(|b| csr.pred_edges_in(b)).sum();
-        assert_eq!(total, csr.edge_count(), "block edge slices must tile");
     }
 
     #[test]

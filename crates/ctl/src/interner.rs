@@ -2,10 +2,10 @@
 //!
 //! The reachable-only kernel never enumerates the `2^n` universe: states
 //! are discovered by BFS from the initial set, and every kernel below the
-//! construction layer (StateSet words, CSR blocks, frontier fixpoints,
-//! block-parallel OR-merge) indexes by the dense id handed out here. Ids
-//! are assigned in discovery order, so id `0..len` is exactly the
-//! reachable fragment and `len` is the checker's universe.
+//! construction layer (StateSet words, the CSR index, frontier fixpoints)
+//! indexes by the dense id handed out here. Ids are assigned in discovery
+//! order, so id `0..len` is exactly the reachable fragment and `len` is
+//! the checker's universe.
 
 use std::collections::HashMap;
 

@@ -48,7 +48,7 @@ pub mod statevec;
 pub mod witness;
 
 pub use ast::Formula;
-pub use checker::{CheckError, Checker, Verdict, MAX_EXPLICIT_PROPS};
+pub use checker::{CheckError, Checker, Verdict};
 pub use csr::CsrIndex;
 pub use interner::StateInterner;
 pub use limits::ExplicitLimits;

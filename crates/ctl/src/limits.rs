@@ -27,9 +27,8 @@ pub struct ExplicitLimits {
 }
 
 impl ExplicitLimits {
-    /// Dense-universe width used when nothing is configured; equals the
-    /// pre-PR-9 `MAX_EXPLICIT_PROPS` so small targets behave (and count)
-    /// exactly as before.
+    /// Dense-universe width used when nothing is configured (2^24 ≈ 16.7M
+    /// states), and the width `Checker::new` refuses past.
     pub const DEFAULT_DENSE_BITS: usize = 24;
 
     /// Default state budget for reachable construction: 2^21 states keeps

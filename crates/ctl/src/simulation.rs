@@ -16,7 +16,7 @@ use std::fmt;
 
 /// Widest combined `|Σ_C| + |Σ_A|` the explicit simulation checker
 /// accepts (the pair universe is `2^(|Σ_C|+|Σ_A|)` bits).
-pub const MAX_SIM_PAIR_PROPS: usize = crate::checker::MAX_EXPLICIT_PROPS;
+pub const MAX_SIM_PAIR_PROPS: usize = crate::limits::ExplicitLimits::DEFAULT_DENSE_BITS;
 
 /// Errors from the explicit simulation checker.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -144,44 +144,6 @@ impl StateSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Mutable backing words (64 states per word), for block-parallel
-    /// passes that stitch per-block results into disjoint word ranges.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Word-scan iterator over member indices restricted to
-    /// `range` (which must be word-aligned at its start; the frontier
-    /// blocks from [`crate::csr::CsrIndex::blocks`] always are).
-    pub(crate) fn iter_indices_in(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = usize> + '_ {
-        debug_assert_eq!(range.start % 64, 0);
-        let first_word = range.start / 64;
-        let last_word = range.end.div_ceil(64).min(self.words.len());
-        let end = range.end;
-        self.words[first_word..last_word]
-            .iter()
-            .enumerate()
-            .flat_map(move |(wi, &w)| {
-                let base = (first_word + wi) * 64;
-                let mut bits = w;
-                std::iter::from_fn(move || loop {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let idx = base + b;
-                    if idx < end {
-                        return Some(idx);
-                    }
-                    bits = 0;
-                })
-            })
-    }
-
     /// Iterate the member states in increasing index order.
     pub fn iter(&self) -> impl Iterator<Item = State> + '_ {
         self.iter_indices().map(|i| State(i as u128))

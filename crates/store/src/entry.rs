@@ -60,7 +60,8 @@ pub struct StoredCertificate {
     /// Overall verdict.
     pub valid: bool,
     /// Abstraction substitutions the deduction leaned on (empty for
-    /// certificates that never substituted — the format-v1 shape).
+    /// certificates that never substituted; the codec then omits the
+    /// field).
     pub abstractions: Vec<StoredSubstitution>,
 }
 

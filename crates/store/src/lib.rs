@@ -20,15 +20,15 @@
 //! * [`CertStore`] — a bounded, thread-safe, LRU-evicting map from keys to
 //!   verdicts and proof certificates ([`Entry`], [`StoredCertificate`]),
 //!   with hit/miss/eviction counters ([`StoreStats`]).
-//! * [`DiskStore`] — an optional on-disk layer writing hand-rolled,
-//!   checksummed JSON ([`json::Json`]): loads are hash-verified, and
-//!   stale or tampered entries are ignored, never trusted.
-//! * [`SegmentedDiskStore`] — the multi-session grown-up of `DiskStore`:
-//!   an append-only directory of atomically-written segments with
-//!   concurrent lock-free readers, a single-writer [`Compactor`] thread,
-//!   and an on-disk byte budget whose evictions are surfaced through
-//!   [`StoreStats`]. This is the tier the `cmc-serve` daemon shares
-//!   across all client sessions.
+//! * [`SegmentedDiskStore`] — the on-disk tier: an append-only directory
+//!   of atomically-written segments of hand-rolled, checksummed JSON
+//!   ([`json::Json`]). Loads are hash-verified, so stale or tampered
+//!   entries are ignored, never trusted. Readers are concurrent and
+//!   lock-free, a single-writer [`Compactor`] thread merges segments, and
+//!   an on-disk byte budget's evictions are surfaced through
+//!   [`StoreStats`]. [`SegmentedDiskStore::save_snapshot`] and
+//!   [`SegmentedDiskStore::load_into`] ship a store between sessions; the
+//!   `cmc-serve` daemon shares the same tier across all client sessions.
 //!
 //! ## Example
 //!
@@ -56,7 +56,7 @@
 //! assert_eq!(store.stats().hits, 1);
 //! ```
 
-pub mod disk;
+mod codec;
 pub mod entry;
 pub mod hash;
 pub mod json;
@@ -65,7 +65,6 @@ pub mod segment;
 pub mod stats;
 pub mod store;
 
-pub use disk::DiskStore;
 pub use entry::{Entry, StoredCertificate, StoredStep, StoredSubstitution};
 pub use hash::StableHasher;
 pub use key::ObligationKey;

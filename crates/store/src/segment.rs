@@ -3,12 +3,11 @@
 //! across many concurrent sessions.
 //!
 //! Layout: a directory of `seg-NNNNNNNN.json` files, each a self-
-//! contained document with a header and a list of checksummed entries
-//! (the same entry format as [`crate::DiskStore`]). Writers only ever
-//! *add* segments, and every segment is written to a temporary sibling
-//! and renamed into place — a crash mid-write can leave a stray temp
-//! file (ignored on load) but never a torn, checksum-failing segment
-//! under a live name.
+//! contained document with a header (`format`, `version`, `seq`) and a
+//! list of checksummed entries. Writers only ever *add* segments, and
+//! every segment is written to a temporary sibling and renamed into
+//! place — a crash mid-write can leave a stray temp file (ignored on
+//! load) but never a torn, checksum-failing segment under a live name.
 //!
 //! Readers are concurrent and lock-free: loading lists the directory,
 //! reads segments in ascending sequence order (later segments win on key
@@ -25,7 +24,7 @@
 //! evictions, resulting disk bytes) lands in the attached store's
 //! [`crate::StoreStats`].
 
-use crate::disk::{entry_from_json, entry_to_json, write_atomic};
+use crate::codec::{entry_from_json, entry_to_json, write_atomic};
 use crate::entry::Entry;
 use crate::json::Json;
 use crate::key::ObligationKey;
@@ -403,6 +402,8 @@ fn next_sequence(dir: &Path) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{StoredCertificate, StoredStep, StoredSubstitution};
+    use cmc_kripke::{Alphabet, System};
     use std::io::Write as _;
 
     fn key(n: u128) -> ObligationKey {
@@ -414,6 +415,212 @@ mod tests {
         p.push(format!("cmc-segstore-{}-{name}", std::process::id()));
         std::fs::remove_dir_all(&p).ok();
         p
+    }
+
+    fn sample_store() -> CertStore {
+        let store = CertStore::new();
+        store.insert(ObligationKey(42), Entry::verdict(true));
+        store.insert(
+            ObligationKey(7),
+            Entry::with_certificate(
+                false,
+                StoredCertificate {
+                    goal: "ring(3) ⊨ AG ¬(t0 ∧ t1)".to_string(),
+                    steps: vec![
+                        StoredStep {
+                            description: "component station0 ⊨ inv".to_string(),
+                            ok: true,
+                            compositional: true,
+                            backend: Some("explicit".to_string()),
+                        },
+                        StoredStep {
+                            description: "monolithic fallback".to_string(),
+                            ok: false,
+                            compositional: false,
+                            backend: None,
+                        },
+                    ],
+                    valid: false,
+                    abstractions: vec![],
+                },
+            ),
+        );
+        store
+    }
+
+    fn toggler(name: &str) -> System {
+        let mut m = System::new(Alphabet::new([name]));
+        m.add_transition_named(&[], &[name]);
+        m.add_transition_named(&[name], &[]);
+        m
+    }
+
+    fn substituted_store() -> CertStore {
+        let mut concrete = System::new(Alphabet::new(["x", "scratch"]));
+        concrete.add_transition_named(&[], &["scratch"]);
+        concrete.add_transition_named(&["scratch"], &["x"]);
+        let abstraction = {
+            let mut m = System::new(Alphabet::new(["x"]));
+            m.add_transition_named(&[], &["x"]);
+            m
+        };
+        let store = CertStore::new();
+        store.insert(
+            ObligationKey(9),
+            Entry::with_certificate(
+                true,
+                StoredCertificate {
+                    goal: "system ⊨ AG x via abstraction".to_string(),
+                    steps: vec![StoredStep {
+                        description: "server ⊑ idealised server".to_string(),
+                        ok: true,
+                        compositional: true,
+                        backend: Some("explicit".to_string()),
+                    }],
+                    valid: true,
+                    abstractions: vec![StoredSubstitution {
+                        component: "server".to_string(),
+                        abstraction_key: ObligationKey::system(&abstraction).to_hex(),
+                        concrete,
+                        abstraction,
+                        rest: vec![toggler("y")],
+                        init: "!x".to_string(),
+                        fairness: vec!["x | !x".to_string()],
+                        formula: "AG (x -> AX x)".to_string(),
+                    }],
+                },
+            ),
+        );
+        store
+    }
+
+    /// Snapshot `store` into a fresh directory, load it back, snapshot
+    /// the reload into a second fresh directory, and return both segments'
+    /// bytes and the reloaded store.
+    fn snapshot_twice(name: &str, store: &CertStore) -> (Vec<u8>, Vec<u8>, CertStore) {
+        let (first, second) = (tmp_dir(&format!("{name}-1")), tmp_dir(&format!("{name}-2")));
+        let disk = SegmentedDiskStore::open(&first).unwrap();
+        let seq = disk.save_snapshot(store).unwrap();
+        let bytes1 = std::fs::read(disk.segment_path(seq)).unwrap();
+        let reloaded = CertStore::new();
+        assert_eq!(disk.load_into(&reloaded).unwrap(), store.len());
+        let again = SegmentedDiskStore::open(&second).unwrap();
+        let seq = again.save_snapshot(&reloaded).unwrap();
+        let bytes2 = std::fs::read(again.segment_path(seq)).unwrap();
+        std::fs::remove_dir_all(&first).ok();
+        std::fs::remove_dir_all(&second).ok();
+        (bytes1, bytes2, reloaded)
+    }
+
+    /// Rewrite segment `seq` of `disk` through `edit`, asserting it changed.
+    fn rewrite_segment(disk: &SegmentedDiskStore, seq: u64, edit: impl Fn(&str) -> String) {
+        let path = disk.segment_path(seq);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let edited = edit(&text);
+        assert_ne!(text, edited, "test setup: nothing replaced");
+        std::fs::write(&path, edited).unwrap();
+    }
+
+    #[test]
+    fn save_load_round_trip_is_bit_identical() {
+        let store = sample_store();
+        let (bytes1, bytes2, reloaded) = snapshot_twice("bit-identical", &store);
+        assert_eq!(reloaded.snapshot(), store.snapshot());
+        assert_eq!(reloaded.stats().disk_loads, 2);
+        assert_eq!(reloaded.stats().disk_rejects, 0);
+        assert_eq!(bytes1, bytes2, "save → load → save must be bit-identical");
+    }
+
+    #[test]
+    fn substituted_certificate_round_trips() {
+        let store = substituted_store();
+        let (bytes1, bytes2, reloaded) = snapshot_twice("substituted", &store);
+        assert_eq!(reloaded.snapshot(), store.snapshot());
+        assert_eq!(bytes1, bytes2, "save → load → save must be bit-identical");
+    }
+
+    #[test]
+    fn substitution_free_certificates_omit_the_abstractions_field() {
+        let (bytes, _, _) = snapshot_twice("no-abstractions", &sample_store());
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(
+            !text.contains("abstractions"),
+            "the field must only appear when non-empty"
+        );
+    }
+
+    #[test]
+    fn tampered_verdict_is_rejected() {
+        let dir = tmp_dir("tamper");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let seq = disk.save_snapshot(&sample_store()).unwrap();
+        // Flip the stored verdict of the certificate-free entry.
+        rewrite_segment(&disk, seq, |text| {
+            text.replacen("\"verdict\": true", "\"verdict\": false", 1)
+        });
+
+        let store = CertStore::new();
+        let accepted = disk.load_into(&store).unwrap();
+        assert_eq!(accepted, 1, "only the untouched entry survives");
+        assert_eq!(store.stats().disk_rejects, 1);
+        assert_eq!(store.stats().segments_skipped, 0);
+        assert!(store.lookup(&ObligationKey(42)).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tampered_abstraction_is_rejected() {
+        let dir = tmp_dir("tamper-abs");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let seq = disk.save_snapshot(&substituted_store()).unwrap();
+        // Rewrite the recorded abstract transition 0 -> 1 ("0>1") to point
+        // somewhere else: the checksum must catch the swap.
+        rewrite_segment(&disk, seq, |text| text.replacen("\"0>1\"", "\"1>0\"", 1));
+
+        let store = CertStore::new();
+        assert_eq!(disk.load_into(&store).unwrap(), 0);
+        assert_eq!(store.stats().disk_rejects, 1);
+        assert_eq!(store.stats().segments_skipped, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn foreign_or_mismatched_segment_headers_are_skipped() {
+        let dir = tmp_dir("headers");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let good = disk.append(&[(key(1), Entry::verdict(true))]).unwrap();
+        let foreign = disk.append(&[(key(2), Entry::verdict(true))]).unwrap();
+        let future = disk.append(&[(key(3), Entry::verdict(true))]).unwrap();
+        let misnumbered = disk.append(&[(key(4), Entry::verdict(true))]).unwrap();
+        rewrite_segment(&disk, foreign, |text| {
+            text.replacen(&format!("\"{FORMAT}\""), "\"cmc-store\"", 1)
+        });
+        rewrite_segment(&disk, future, |text| {
+            text.replacen(&format!("\"version\": {VERSION}"), "\"version\": 99", 1)
+        });
+        // A segment whose header names another sequence number than its
+        // file name (e.g. copied in from another directory).
+        rewrite_segment(&disk, misnumbered, |text| {
+            text.replacen(&format!("\"seq\": {misnumbered}"), "\"seq\": 0", 1)
+        });
+
+        let store = CertStore::new();
+        assert_eq!(
+            disk.load_into(&store).unwrap(),
+            1,
+            "only segment {good} loads"
+        );
+        assert!(store.lookup(&key(1)).is_some());
+        for k in 2..=4 {
+            assert!(store.lookup(&key(k)).is_none(), "key {k} must be skipped");
+        }
+        let stats = store.stats();
+        assert_eq!(stats.segments_skipped, 3, "each bad header is counted");
+        assert_eq!(
+            stats.disk_rejects, 0,
+            "no entry of a skipped segment is read"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -363,7 +363,7 @@ pub fn gen_wide_obligation(seed: u64, props: usize, cfg: &GenConfig) -> Obligati
 /// with component `i+1`), so the symbolic engine gets a genuinely
 /// disjunctive multi-partition relation and the explicit engine gets
 /// real frame padding. This is the disagreement-seeking corpus for the
-/// partitioned/monolithic/blocked/reference quad oracle.
+/// unmerged/scheduled/monolithic/explicit/reference five-way oracle.
 pub fn gen_partitioned_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
     use rand::SeedableRng;
     // Decorrelate from the plain obligation stream.

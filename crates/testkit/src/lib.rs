@@ -76,7 +76,7 @@ pub fn partition_corpus_seeds() -> Vec<u64> {
 /// Result of a partition-conformance fuzzing run.
 #[derive(Debug)]
 pub struct PartitionFuzzReport {
-    /// Obligations whose four verdicts agreed (witnesses replayed).
+    /// Obligations whose five verdicts agreed (witnesses replayed).
     pub agreed: usize,
     /// Obligations skipped (backend limits).
     pub skipped: usize,

@@ -1,10 +1,10 @@
 //! The three-way differential oracle.
 //!
 //! Every obligation runs through the explicit backend, the symbolic
-//! backend, and the independent [`RefEvaluator`](crate::RefEvaluator)
-//! written straight from the paper's restriction semantics. A 2-vs-1
-//! split is a bug in *somebody*; the oracle shrinks the obligation to a
-//! minimal disagreeing pair and reports it with a replayable seed.
+//! backend, and the independent [`RefEvaluator`] written straight from
+//! the paper's restriction semantics. A 2-vs-1 split is a bug in
+//! *somebody*; the oracle shrinks the obligation to a minimal disagreeing
+//! pair and reports it with a replayable seed.
 
 use crate::gen::{Obligation, SimPair};
 use crate::reference::{naive_simulates, RefEvaluator};
@@ -281,8 +281,8 @@ pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcom
 /// unmerged symbolic (the scheduled executor with one cluster per
 /// disjunctive part, [`ScheduleConfig::no_merging`]), scheduled symbolic
 /// (the default plan: cost-driven cluster merging and ordering),
-/// monolithic symbolic (the memoised product relation), blocked explicit
-/// (block-parallel frontier kernels), and the naïve reference.
+/// monolithic symbolic (the memoised product relation), explicit (the
+/// serial frontier kernel), and the naïve reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuadVerdict {
     /// Unmerged-plan symbolic backend's `holds`.
@@ -291,8 +291,8 @@ pub struct QuadVerdict {
     pub scheduled: bool,
     /// Monolithic-image symbolic backend's `holds`.
     pub monolithic: bool,
-    /// Block-parallel explicit backend's `holds`.
-    pub blocked: bool,
+    /// Explicit backend's `holds`.
+    pub explicit: bool,
     /// The reference evaluator's `holds`.
     pub reference: bool,
 }
@@ -302,8 +302,8 @@ impl QuadVerdict {
     pub fn agrees(&self) -> bool {
         self.unmerged == self.scheduled
             && self.scheduled == self.monolithic
-            && self.monolithic == self.blocked
-            && self.blocked == self.reference
+            && self.monolithic == self.explicit
+            && self.explicit == self.reference
     }
 }
 
@@ -328,11 +328,11 @@ impl fmt::Display for QuadDisagreement {
         writeln!(f, "=== PARTITION-CONFORMANCE DISAGREEMENT ===")?;
         writeln!(
             f,
-            "verdicts: unmerged={} scheduled={} monolithic={} blocked={} reference={}",
+            "verdicts: unmerged={} scheduled={} monolithic={} explicit={} reference={}",
             self.verdicts.unmerged,
             self.verdicts.scheduled,
             self.verdicts.monolithic,
-            self.verdicts.blocked,
+            self.verdicts.explicit,
             self.verdicts.reference
         )?;
         writeln!(f, "formula:  {}", self.shrunk.formula)?;
@@ -366,19 +366,13 @@ impl fmt::Display for QuadDisagreement {
 /// Outcome of running one obligation through the five-way oracle.
 #[derive(Debug)]
 pub enum QuadOutcome {
-    /// All four evaluators agree (counts and witnesses cross-validated).
+    /// All five evaluators agree (counts and witnesses cross-validated).
     Agree(QuadVerdict),
     /// Somebody is wrong; here is the shrunk evidence.
     Disagree(Box<QuadDisagreement>),
     /// The obligation could not be run (e.g. backend limit) — skipped.
     Skipped(String),
 }
-
-/// Worker cap for the blocked-explicit leg of the quad oracle. The
-/// blocked kernels only engage above the parallel-universe threshold;
-/// below it this is exercised-but-serial, which is exactly the production
-/// routing.
-const QUAD_EXPLICIT_WORKERS: usize = 4;
 
 fn check_four(
     systems: &[System],
@@ -397,8 +391,7 @@ fn check_four(
         .with_image_mode(ImageMode::Monolithic)
         .check(&target, r, f)
         .map_err(|e| e.to_string())?;
-    let blocked = ExplicitBackend::default()
-        .with_workers(QUAD_EXPLICIT_WORKERS)
+    let explicit = ExplicitBackend::default()
         .check(&target, r, f)
         .map_err(|e: BackendError| e.to_string())?;
 
@@ -414,7 +407,7 @@ fn check_four(
         ("unmerged", &unmerged),
         ("scheduled", &scheduled),
         ("monolithic", &monolithic),
-        ("blocked", &blocked),
+        ("explicit", &explicit),
     ] {
         if let Some(n) = v.sat_states {
             if n != ref_count {
@@ -445,7 +438,7 @@ fn check_four(
             unmerged: unmerged.holds,
             scheduled: scheduled.holds,
             monolithic: monolithic.holds,
-            blocked: blocked.holds,
+            explicit: explicit.holds,
             reference: ref_holds,
         },
         notes,
@@ -547,7 +540,7 @@ pub fn run_quad_obligation(o: &Obligation) -> QuadOutcome {
                                 unmerged: false,
                                 scheduled: false,
                                 monolithic: false,
-                                blocked: false,
+                                explicit: false,
                                 reference: false,
                             },
                             vec![format!("shrunk obligation failed to re-run: {e}")],

@@ -14,7 +14,7 @@
 use compositional_mc::core::{Component, Engine};
 use compositional_mc::ctl::{parse, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
-use compositional_mc::store::{CertStore, DiskStore};
+use compositional_mc::store::{CertStore, SegmentedDiskStore};
 use std::sync::Arc;
 
 /// A one-proposition component that can only switch `name` on: `p → AX p`
@@ -73,16 +73,20 @@ fn main() {
     println!("{}\n", after);
 
     println!("== 4. shipping the proofs: save, reload, verify in a 'new process' ==");
-    let path = std::env::temp_dir().join(format!(
-        "cmc-cached-composition-{}.json",
-        std::process::id()
-    ));
-    DiskStore::new(&path).save(&store).unwrap();
+    let dir = std::env::temp_dir().join(format!("cmc-cached-composition-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    SegmentedDiskStore::open(&dir)
+        .unwrap()
+        .save_snapshot(&store)
+        .unwrap();
     let revived = Arc::new(CertStore::new());
-    let loaded = DiskStore::new(&path).load_into(&revived).unwrap();
-    println!("reloaded {loaded} entries from {}", path.display());
+    let loaded = SegmentedDiskStore::open(&dir)
+        .unwrap()
+        .load_into(&revived)
+        .unwrap();
+    println!("reloaded {loaded} entries from {}", dir.display());
     let cert = engine(&["x", "z"], &revived).prove(&r, &f).unwrap();
     assert!(cert.valid);
     println!("{}", revived.stats());
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

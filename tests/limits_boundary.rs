@@ -10,9 +10,7 @@
 use compositional_mc::core::{
     Backend, BackendChoice, BackendError, ExplicitBackend, Target, AUTO_DENSE_BITS,
 };
-use compositional_mc::ctl::{
-    CheckError, Checker, ExplicitLimits, Formula, Restriction, MAX_EXPLICIT_PROPS,
-};
+use compositional_mc::ctl::{CheckError, Checker, ExplicitLimits, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
 use compositional_mc::smv::{
     compile_explicit, compile_explicit_with, parse_module, run_source_with_backend,
@@ -25,20 +23,19 @@ fn wide_system(n: usize) -> System {
 
 #[test]
 fn dense_checker_accepts_exactly_max_explicit_props() {
-    assert_eq!(MAX_EXPLICIT_PROPS, ExplicitLimits::DEFAULT_DENSE_BITS);
-    let at = wide_system(MAX_EXPLICIT_PROPS);
+    let max = ExplicitLimits::DEFAULT_DENSE_BITS;
+    let at = wide_system(max);
     assert!(
         Checker::new(&at).is_ok(),
-        "width == MAX_EXPLICIT_PROPS must be accepted"
+        "width == DEFAULT_DENSE_BITS must be accepted"
     );
-    assert!(Checker::with_limit(&at, MAX_EXPLICIT_PROPS).is_ok());
+    assert!(Checker::with_limit(&at, max).is_ok());
 
-    let past = wide_system(MAX_EXPLICIT_PROPS + 1);
+    let past = wide_system(max + 1);
     let err = Checker::new(&past).unwrap_err();
     assert!(matches!(
         err,
-        CheckError::TooLarge { props, limit }
-            if props == MAX_EXPLICIT_PROPS + 1 && limit == MAX_EXPLICIT_PROPS
+        CheckError::TooLarge { props, limit } if props == max + 1 && limit == max
     ));
 }
 

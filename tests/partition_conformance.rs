@@ -1,19 +1,16 @@
 //! Partition-conformance suite — the test layer locking in the
-//! partitioned transition representation and the block-parallel explicit
-//! kernels.
+//! partitioned transition representation.
 //!
 //! Three pillars:
 //!
 //! 1. a 250-seed sweep of multi-component obligations through the
 //!    **five-way** oracle (unmerged symbolic / scheduled symbolic /
-//!    monolithic symbolic / blocked explicit / naïve reference), with sat
-//!    counts and witnesses cross-validated and partition-coarsening
-//!    shrinking on failure;
+//!    monolithic symbolic / explicit / naïve reference), with sat counts
+//!    and witnesses cross-validated and partition-coarsening shrinking on
+//!    failure;
 //! 2. property tests that the unmerged and merged quantification plans
 //!    over the disjunctive partition compute the same pre-image as the
-//!    monolithic relation, and that block-parallel frontiers agree with
-//!    the serial worklist on transitions engineered to straddle CSR block
-//!    edges;
+//!    monolithic relation;
 //! 3. scheduler determinism: verdicts, sat-state counts and certificate
 //!    steps are identical for 1/2/4/8 workers, including runs where every
 //!    worker drives its own BDD manager under `ForcedEvery(1)`
@@ -27,7 +24,7 @@ use compositional_mc::core::parallel::check_targets_with_workers;
 use compositional_mc::core::{
     Backend, BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
 };
-use compositional_mc::ctl::{Checker, Formula, Restriction};
+use compositional_mc::ctl::{Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
 use compositional_mc::symbolic::{ImageMode, MaintenanceConfig, ScheduleConfig, SymbolicModel};
 use proptest::prelude::*;
@@ -150,47 +147,6 @@ proptest! {
                 (0..st.clusters_after).collect::<Vec<_>>(),
                 "schedule order is not a permutation"
             );
-        }
-    }
-
-    /// Block-parallel frontier passes agree with the serial worklist on a
-    /// 12-proposition universe whose transitions are engineered to cross
-    /// CSR block boundaries (neighbouring states in different 64-state
-    /// words and different scheduler blocks), for every worker count.
-    #[test]
-    fn block_boundary_frontiers_match_serial(
-        pairs in proptest::collection::vec((0u32..4096, 0u32..4096), 1..24),
-        hops in proptest::collection::vec(0u32..4095, 1..12),
-    ) {
-        let names: Vec<String> = (0..12).map(|i| format!("b{i}")).collect();
-        let mut m = System::new(Alphabet::new(names));
-        for &(s, t) in &pairs {
-            m.add_transition(State(s as u128), State(t as u128));
-        }
-        // Boundary stress: edges that step across word boundaries (edge
-        // endpoints in adjacent words, hence often adjacent blocks).
-        for &h in &hops {
-            let s = (h | 63).min(4094); // last state of its word
-            m.add_transition(State(s as u128), State(s as u128 + 1));
-            m.add_transition(State(s as u128 + 1), State(s as u128));
-        }
-        let f1 = Formula::ap("b0").and(Formula::ap("b6")).ef();
-        let f2 = Formula::eu(
-            Formula::ap("b11").not(),
-            Formula::ap("b11").and(Formula::ap("b1")),
-        );
-        let f3 = Formula::ap("b3").not().eg();
-        let serial = Checker::new(&m).unwrap();
-        for f in [&f1, &f2, &f3] {
-            let want = serial.sat(f).unwrap();
-            for workers in [2usize, 4, 8] {
-                let par = Checker::new(&m).unwrap().with_workers(workers);
-                prop_assert_eq!(
-                    &par.sat(f).unwrap(),
-                    &want,
-                    "{workers} workers disagree on {f}"
-                );
-            }
         }
     }
 }
@@ -320,8 +276,7 @@ fn certificate_steps_identical_across_worker_counts() {
 }
 
 /// The unmerged and merged symbolic plans, the monolithic relation and
-/// the blocked explicit backend agree on a deterministic spot-check
-/// fleet, as full verdicts (holds, witnesses, counts) — the direct
+/// the explicit backend agree on a deterministic spot-check fleet, as full verdicts (holds, witnesses, counts) — the direct
 /// assertion without the oracle plumbing. The default (merged) plan must
 /// be **bit-identical** to the unmerged one: same witness list, same
 /// exact sat count.
@@ -338,18 +293,18 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
         let mono = SymbolicBackend::default()
             .with_image_mode(ImageMode::Monolithic)
             .check(&target, &o.restriction, &o.formula);
-        let blocked =
-            ExplicitBackend::default()
-                .with_workers(4)
-                .check(&target, &o.restriction, &o.formula);
-        let (unmerged, sched, mono, blocked) = match (unmerged, sched, mono, blocked) {
+        let explicit = ExplicitBackend::default().check(&target, &o.restriction, &o.formula);
+        let (unmerged, sched, mono, explicit) = match (unmerged, sched, mono, explicit) {
             (Ok(a), Ok(s), Ok(b), Ok(c)) => (a, s, b, c),
             other => panic!("seed {seed}: a backend failed: {other:?}"),
         };
         assert_eq!(unmerged.holds, mono.holds, "seed {seed}: image modes split");
-        assert_eq!(unmerged.holds, blocked.holds, "seed {seed}: explicit split");
+        assert_eq!(
+            unmerged.holds, explicit.holds,
+            "seed {seed}: explicit split"
+        );
         assert_eq!(unmerged.sat_states, mono.sat_states, "seed {seed}");
-        assert_eq!(unmerged.sat_states, blocked.sat_states, "seed {seed}");
+        assert_eq!(unmerged.sat_states, explicit.sat_states, "seed {seed}");
         assert_eq!(unmerged.violating, mono.violating, "seed {seed}");
         // The merged plan is bit-identical to the unmerged one, and its
         // schedule bookkeeping flows into CheckStats.
@@ -385,9 +340,10 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
             );
         }
         // Partition bookkeeping flows into the stats: one partition per
-        // component that has proper transitions.
+        // component that has proper transitions, and one CSR index for
+        // the explicit engine.
         assert!(unmerged.stats.partitions <= o.systems.len(), "seed {seed}");
-        assert_eq!(blocked.stats.threads, 4, "seed {seed}");
+        assert_eq!(explicit.stats.partitions, 1, "seed {seed}");
     }
 }
 

@@ -9,7 +9,7 @@ use compositional_mc::core::{BackendChoice, Component, Engine};
 use compositional_mc::ctl::{parse, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
 use compositional_mc::smv::{run_source, run_source_with_store};
-use compositional_mc::store::{CertStore, DiskStore};
+use compositional_mc::store::{CertStore, SegmentedDiskStore};
 use std::sync::Arc;
 
 /// A one-proposition component that can only switch `name` on.
@@ -154,13 +154,20 @@ fn session_survives_a_disk_round_trip() {
         .prove(&r, &f)
         .unwrap();
 
-    let path = std::env::temp_dir().join(format!("cmc-store-session-{}.json", std::process::id()));
-    let disk = DiskStore::new(&path);
-    disk.save(&store).unwrap();
+    let dir = std::env::temp_dir().join(format!("cmc-store-session-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    SegmentedDiskStore::open(&dir)
+        .unwrap()
+        .save_snapshot(&store)
+        .unwrap();
 
-    // A fresh process would start from an empty store and load the file.
+    // A fresh process would start from an empty store and load the
+    // segment directory.
     let revived = Arc::new(CertStore::new());
-    let loaded = disk.load_into(&revived).unwrap();
+    let loaded = SegmentedDiskStore::open(&dir)
+        .unwrap()
+        .load_into(&revived)
+        .unwrap();
     assert!(loaded >= 1);
     assert_eq!(revived.stats().disk_rejects, 0);
 
@@ -171,7 +178,7 @@ fn session_survives_a_disk_round_trip() {
     assert_eq!(cold, warm, "certificate changed across the disk round trip");
     assert!(revived.stats().hits >= 1);
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
