@@ -152,16 +152,6 @@ impl ComputedTable {
     pub(crate) fn and_exists_misses(&self) -> u64 {
         self.and_exists_misses
     }
-
-    /// Fold another table's counters into this one (rehosting carries the
-    /// session-cumulative numbers into the replacement manager).
-    pub(crate) fn absorb_counters(&mut self, other: &ComputedTable) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.and_exists_hits += other.and_exists_hits;
-        self.and_exists_misses += other.and_exists_misses;
-    }
 }
 
 #[cfg(test)]
@@ -225,10 +215,5 @@ mod tests {
         // The generic counters see every lookup.
         assert_eq!(t.hits(), 1);
         assert_eq!(t.misses(), 2);
-
-        let mut sink = ComputedTable::new(16);
-        sink.absorb_counters(&t);
-        assert_eq!(sink.and_exists_hits(), 1);
-        assert_eq!(sink.and_exists_misses(), 1);
     }
 }

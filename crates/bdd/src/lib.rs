@@ -20,9 +20,9 @@
 //!   variable frames,
 //! * a memory kernel: mark-and-sweep garbage collection with compaction
 //!   over an explicit root registry ([`BddManager::protect`] /
-//!   [`BddManager::gc`]), a bounded generational computed table
-//!   ([`cache`]), and offline reorder-based rehosting
-//!   ([`BddManager::rebuild_rooted_with_order`]),
+//!   [`BddManager::gc`]) and a bounded generational computed table
+//!   ([`cache`]); variables keep their declaration order for the
+//!   manager's whole life,
 //! * model counting and witness extraction ([`sat`] module),
 //! * resource statistics mirroring the `resources used:` trailer that SMV
 //!   prints in the paper's Figures 7, 10, 15 and 17 ([`stats`] module),
@@ -51,7 +51,6 @@ pub mod hash;
 pub mod manager;
 pub mod node;
 pub mod ops;
-pub mod reorder;
 pub mod roots;
 pub mod sat;
 pub mod stats;

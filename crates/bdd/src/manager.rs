@@ -41,7 +41,7 @@ pub struct BddManager {
     nodes: Vec<Node>,
     unique: FxHashMap<Node, u32>,
     cache: ComputedTable,
-    pub(crate) roots: Roots,
+    roots: Roots,
     num_vars: u32,
     cache_enabled: bool,
     /// Monotone count of nodes ever created (SMV's "BDD nodes allocated").
@@ -223,12 +223,6 @@ impl BddManager {
     /// Number of live root slots (leak canary for tests).
     pub fn protected_count(&self) -> usize {
         self.roots.live()
-    }
-
-    /// Every diagram currently held by a live root slot — the working set
-    /// that reorder heuristics should optimise for.
-    pub fn protected_roots(&self) -> Vec<Bdd> {
-        self.roots.iter_ids().map(Bdd).collect()
     }
 
     // ------------------------------------------------------------------
@@ -708,23 +702,6 @@ impl BddManager {
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
-
-    /// Carry session-cumulative counters and configuration from the manager
-    /// this one replaces (see `rebuild_rooted_with_order`).
-    pub(crate) fn inherit_session(&mut self, old: &BddManager) {
-        // The rebuild itself allocated `total_allocated - 2` nodes in this
-        // manager; the session total also includes everything the old
-        // manager ever made.
-        self.total_allocated += old.total_allocated - 2;
-        self.peak_live = self.peak_live.max(old.peak_live);
-        self.gc_runs = old.gc_runs;
-        self.gc_reclaimed = old.gc_reclaimed;
-        self.cache.absorb_counters(&old.cache);
-        self.cache
-            .set_segment_capacity(old.cache.segment_capacity());
-        self.cache_enabled = old.cache_enabled;
-        self.gc_threshold = old.gc_threshold.max(2 * self.nodes.len());
-    }
 }
 
 #[cfg(test)]
@@ -1181,6 +1158,36 @@ mod tests {
         assert!(
             s.cache_evictions > 0,
             "a 64-entry cache must rotate under this load"
+        );
+    }
+
+    /// The comparator `⋀ (aᵢ ⇔ bᵢ)` over `k` pairs is linear in `k` under
+    /// the interleaved order `a₀ b₀ a₁ b₁ …` and exponential under the
+    /// separated order `a₀ … a_{k-1} b₀ … b_{k-1}`.
+    #[test]
+    fn interleaved_order_is_linear_separated_is_exponential() {
+        let comparator = |k: usize, separated: bool| {
+            let mut m = BddManager::new();
+            let vars = m.new_vars(2 * k);
+            let mut acc = Bdd::TRUE;
+            for i in 0..k {
+                let (a, b) = if separated {
+                    (vars[i], vars[k + i])
+                } else {
+                    (vars[2 * i], vars[2 * i + 1])
+                };
+                let (la, lb) = (m.var(a), m.var(b));
+                let eq = m.iff(la, lb);
+                acc = m.and(acc, eq);
+            }
+            m.node_count(acc)
+        };
+        let lin = comparator(5, false);
+        let exp = comparator(5, true);
+        assert!(lin <= 3 * 5 + 2, "interleaved should be linear, got {lin}");
+        assert!(
+            exp > 2 * lin,
+            "separated should blow up, got {exp} vs {lin}"
         );
     }
 }

@@ -3,8 +3,8 @@
 //! The manager's mark-and-sweep collector ([`crate::BddManager::gc`]) can
 //! only keep what it can see: every diagram that must survive a collection
 //! has to be registered here. Clients hold a [`RootId`] — a stable slot
-//! handle that stays valid across collections and rehosting rebuilds even
-//! though the underlying node id it stores is remapped by both.
+//! handle that stays valid across collections even though the underlying
+//! node id it stores is remapped by each one.
 //!
 //! The protocol mirrors CUDD's `Cudd_Ref`/`Cudd_Deref` discipline, except
 //! that slots are explicit handles rather than per-node reference counts:
@@ -15,7 +15,7 @@ use crate::node::Bdd;
 
 /// A stable handle into the root registry.
 ///
-/// The handle survives garbage collection and rehosting; the [`Bdd`] read
+/// The handle survives garbage collection; the [`Bdd`] read
 /// back through [`crate::BddManager::root`] reflects any id remapping that
 /// happened since it was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,9 +25,9 @@ pub struct RootId(pub(crate) u32);
 #[derive(Debug, Default)]
 pub(crate) struct Roots {
     /// `Some(node id)` for live roots, `None` for vacated slots.
-    pub(crate) slots: Vec<Option<u32>>,
+    slots: Vec<Option<u32>>,
     /// Indices of vacated slots, reused before the slab grows.
-    pub(crate) free: Vec<u32>,
+    free: Vec<u32>,
 }
 
 impl Roots {

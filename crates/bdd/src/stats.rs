@@ -15,7 +15,7 @@ use std::time::Duration;
 pub struct BddStats {
     /// Total decision nodes ever allocated (including the two terminals),
     /// matching SMV's monotone "BDD nodes allocated". Survives garbage
-    /// collection and rehosting.
+    /// collection.
     pub nodes_allocated: usize,
     /// Nodes currently resident in the arena (terminals included).
     pub live_nodes: usize,

@@ -8,8 +8,8 @@
 
 use cmc_bdd::{Bdd, BddManager};
 use cmc_bench::counter_system;
-use cmc_core::parallel::check_holds_everywhere_parallel;
-use cmc_core::BackendChoice;
+use cmc_core::parallel::check_targets_with_workers;
+use cmc_core::{scheduler, BackendChoice, Target};
 use cmc_ctl::{parse, Checker, Formula};
 use cmc_kripke::{Alphabet, System};
 use cmc_symbolic::SymbolicModel;
@@ -107,14 +107,18 @@ fn trans_partitioning(c: &mut Criterion) {
 fn parallel_components(c: &mut Criterion) {
     let n_components = 12usize;
     let systems: Vec<System> = (0..n_components).map(|_| counter_system(12)).collect();
-    let names: Vec<String> = (0..n_components).map(|i| format!("c{i}")).collect();
     let f = parse("AF (b0 & b1 & b2 & b3)").unwrap();
+    let tasks: Vec<(String, Target, Formula)> = systems
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("c{i}"), Target::system(s.clone()), f.clone()))
+        .collect();
+    let workers = scheduler::default_workers();
     let mut group = c.benchmark_group("component_verification");
     group.sample_size(10);
     group.bench_function("parallel", |b| {
         b.iter(|| {
-            let results =
-                check_holds_everywhere_parallel(&names, &systems, &f, BackendChoice::Explicit);
+            let results = check_targets_with_workers(&tasks, BackendChoice::Explicit, workers);
             black_box(results.len())
         })
     });
@@ -167,7 +171,7 @@ fn engine_comparison(c: &mut Criterion) {
 fn _keep(_a: Alphabet) {}
 
 /// Variable-order sensitivity: the pairwise comparator under the
-/// interleaved (linear), separated (exponential), and sifted orders.
+/// interleaved (linear) and separated (exponential) orders.
 fn variable_ordering(c: &mut Criterion) {
     fn comparator(k: usize, separated: bool) -> (BddManager, Bdd) {
         let mut m = BddManager::new();
@@ -197,14 +201,6 @@ fn variable_ordering(c: &mut Criterion) {
             b.iter(|| {
                 let (m, f) = comparator(k, true);
                 black_box(m.node_count(f))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("separated_then_sifted", k), &k, |b, &k| {
-            b.iter(|| {
-                let (mut m, f) = comparator(k, true);
-                let order = m.sift_order(&[f], 4);
-                let (new, roots) = m.rebuild_with_order(&[f], &order);
-                black_box(new.node_count(roots[0]))
             })
         });
     }

@@ -1,96 +1,27 @@
-//! Old-vs-new explicit-state kernel on the token-ring family, plus
+//! The explicit-state frontier kernel on the token-ring family, plus
 //! bounded-scheduler scaling — the numbers behind `BENCH_explicit.json`.
 //!
-//! "Old" replicates the seed explicit path *inside this bench*: fold the
-//! components into the materialised interleaving product (`BTreeMap`
-//! explosion and all) and run edge-list-rescanning fixpoints over it.
-//! "New" is the shipped frontier kernel: `Checker::from_components` builds
-//! CSR adjacency straight from the components and runs worklist fixpoints.
-//! Both decide the same obligations, so every timed iteration is also a
-//! differential check.
+//! `Checker::from_components` builds CSR adjacency straight from the
+//! components and runs worklist fixpoints. The `EF` rows compare every
+//! timed iteration's satisfying count with the first run's, so each is
+//! also a check. The pre-frontier kernel's baseline (materialised product,
+//! edge-rescanning fixpoints) is no longer re-measured: the committed
+//! `BENCH_explicit.json` and the README's table keep its last run.
 //!
 //! Quick mode (`CMC_BENCH_QUICK=1`, used by the CI smoke job) shrinks the
 //! size sweep and runs one iteration per point so the binary and the JSON
-//! emitter stay exercised without CI paying for the legacy baseline.
+//! emitter stay exercised cheaply.
 
 use cmc_bench::ring;
 use cmc_core::parallel::check_targets_with_workers;
 use cmc_core::{Backend, BackendChoice, ExplicitBackend, Target};
-use cmc_ctl::{parse, Formula, Restriction, StateSet};
+use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::System;
 use cmc_smv::compile_explicit;
 use cmc_store::json::Json;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The seed explicit path, replicated for baseline timings: materialise
-/// the product, then label with per-iteration full edge scans.
-mod legacy {
-    use super::*;
-
-    /// Naive `EX S`: one pass over the *entire* proper-transition list.
-    fn pre_exists(product: &System, universe: usize, s: &StateSet) -> StateSet {
-        let mut out = s.clone();
-        let _ = universe;
-        for (u, v) in product.proper_transitions() {
-            if s.contains(v) {
-                out.insert(u);
-            }
-        }
-        out
-    }
-
-    /// Seed-style `E[S1 U S2]`: loop until fixed, rescanning every edge
-    /// per round.
-    fn until_exists(product: &System, universe: usize, s1: &StateSet, s2: &StateSet) -> StateSet {
-        let mut z = s2.clone();
-        loop {
-            let mut step = pre_exists(product, universe, &z);
-            step.intersect_with(s1);
-            step.union_with(s2);
-            if step == z {
-                return z;
-            }
-            z = step;
-        }
-    }
-
-    /// States satisfying a propositional formula, by full enumeration.
-    fn sat_prop(product: &System, universe: usize, f: &Formula) -> StateSet {
-        let al = product.alphabet();
-        let mut out = StateSet::empty(universe);
-        for i in 0..universe {
-            let s = cmc_kripke::State(i as u128);
-            if f.eval_in_state(al, s) {
-                out.insert(s);
-            }
-        }
-        out
-    }
-
-    /// `⊨ t0 -> AX (t0 | t1)` the seed way (materialise + naive EX).
-    pub fn check_handoff(target: &Target) -> bool {
-        let product = target.materialize();
-        let universe = 1usize << product.alphabet().len();
-        let g = sat_prop(&product, universe, &parse("t0 | t1").unwrap());
-        let ax_g = pre_exists(&product, universe, &g.complement()).complement();
-        let not_t0 = sat_prop(&product, universe, &parse("t0").unwrap()).complement();
-        let mut sat = not_t0;
-        sat.union_with(&ax_g);
-        sat.len() == universe
-    }
-
-    /// Number of states satisfying `EF goal`, the seed way (materialise +
-    /// edge-rescanning EU).
-    pub fn sat_count_ef(target: &Target, goal: &Formula) -> usize {
-        let product = target.materialize();
-        let universe = 1usize << product.alphabet().len();
-        let sat_goal = sat_prop(&product, universe, goal);
-        let full = StateSet::full(universe);
-        until_exists(&product, universe, &full, &sat_goal).len()
-    }
-}
 
 /// The `n` station systems (2-proposition alphabets `{tᵢ, tᵢ₊₁}`).
 fn stations(n: usize) -> Vec<System> {
@@ -128,30 +59,16 @@ fn mean_ns(mut f: impl FnMut(), iters: u32) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// One wall-time sample, no warm-up — for the legacy baseline at sizes
-/// where even a single materialisation is expensive.
-fn once_ns(mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64
-}
-
 fn emit_summary(c: &mut Criterion) {
     let quick = quick_mode();
     let sizes: &[usize] = if quick { &[4, 8] } else { &[4, 8, 12, 16, 20] };
-    // The legacy product at 20 stations holds 2^20 states and ~10M
-    // BTreeMap edges; one sample is all the baseline needs. Quick mode
-    // skips the big legacy points entirely.
-    let legacy_max = if quick { 8 } else { 20 };
-    let legacy_ef_max = if quick { 8 } else { 12 };
     let iters = if quick { 1 } else { 3 };
     let r = Restriction::trivial();
     let f = handoff_formula();
 
     let mut series = Vec::new();
     for &n in sizes {
-        let systems = stations(n);
-        let target = Target::composition(systems.clone());
+        let target = Target::composition(stations(n));
 
         let frontier_ns = mean_ns(
             || {
@@ -160,27 +77,11 @@ fn emit_summary(c: &mut Criterion) {
             },
             iters,
         );
-        let legacy_ns = if n <= legacy_max {
-            let ns = if n >= 16 {
-                once_ns(|| assert!(legacy::check_handoff(&target)))
-            } else {
-                mean_ns(|| assert!(legacy::check_handoff(&target)), iters)
-            };
-            Json::Num(ns)
-        } else {
-            Json::Str("skipped (legacy materialisation too large)".into())
-        };
-        let speedup = match &legacy_ns {
-            Json::Num(l) => Json::Num(l / frontier_ns),
-            _ => Json::Null,
-        };
 
         // The fixpoint-heavy obligation: EF (token at the far station).
         // It does NOT hold everywhere (token-free states stutter forever),
-        // so the two engines are compared on the exact satisfying count —
-        // every timed iteration is a differential check.
-        let goal = ef_goal(n);
-        let ef = goal.clone().ef();
+        // so every timed iteration re-checks the exact satisfying count.
+        let ef = ef_goal(n).ef();
         let expected = ExplicitBackend::default()
             .check(&target, &r, &ef)
             .unwrap()
@@ -193,21 +94,10 @@ fn emit_summary(c: &mut Criterion) {
             },
             iters,
         );
-        let legacy_ef_ns = if n <= legacy_ef_max {
-            Json::Num(mean_ns(
-                || assert_eq!(legacy::sat_count_ef(&target, &goal) as u128, expected),
-                iters,
-            ))
-        } else {
-            Json::Str("skipped (legacy materialisation too large)".into())
-        };
 
         series.push(Json::Obj(vec![
             ("stations".into(), Json::int(n as u64)),
-            ("legacy_ns".into(), legacy_ns),
             ("frontier_ns".into(), Json::Num(frontier_ns)),
-            ("speedup".into(), speedup),
-            ("legacy_ef_ns".into(), legacy_ef_ns),
             ("frontier_ef_ns".into(), Json::Num(frontier_ef_ns)),
         ]));
     }

@@ -7,10 +7,9 @@
 //! * **unbounded** — maintenance disabled, computed table large enough to
 //!   never rotate: the grow-forever baseline the kernel replaces;
 //! * **bounded** — automatic GC at an arena threshold sized from the
-//!   unbounded run's peak, plus a bounded cache, no reordering (so node
-//!   counts stay comparable);
-//! * **forced** — GC at every 4th safe point with periodic sift-based
-//!   rehosting: the stress schedule the conformance suite pins.
+//!   unbounded run's peak, plus a bounded cache;
+//! * **forced** — GC at every 4th safe point: the stress schedule the
+//!   conformance suite pins.
 //!
 //! The acceptance row is the 30-station ring: with the bounded policy the
 //! check's peak live nodes and bytes must land strictly below the
@@ -85,8 +84,7 @@ fn unbounded_backend() -> SymbolicBackend {
     SymbolicBackend::with_maintenance(MaintenanceConfig::disabled()).cache_capacity(1 << 22)
 }
 
-/// Automatic GC, bounded cache, no reordering — reorder-free so peak
-/// node counts are directly comparable with the unbounded baseline.
+/// Automatic GC and a bounded cache.
 fn bounded_backend(unbounded_peak: usize) -> SymbolicBackend {
     SymbolicBackend::with_maintenance(MaintenanceConfig {
         gc_threshold: bounded_threshold(unbounded_peak),
@@ -104,8 +102,7 @@ fn unbounded_peak(target: &Target, r: &Restriction, f: &Formula) -> usize {
         .peak_live_nodes
 }
 
-/// The conformance stress schedule: collect at every 4th safe point,
-/// rehost (sift + rebuild) at every 3rd collection.
+/// The conformance stress schedule: collect at every 4th safe point.
 fn forced_backend() -> SymbolicBackend {
     SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(4))
         .cache_capacity(BOUNDED_CACHE)
@@ -322,15 +319,12 @@ fn emit_summary(c: &mut Criterion) {
                 (
                     "bounded".into(),
                     Json::Str(format!(
-                        "auto GC at a quarter of the unbounded peak, cache {BOUNDED_CACHE}, \
-                         no reorder"
+                        "auto GC at a quarter of the unbounded peak, cache {BOUNDED_CACHE}"
                     )),
                 ),
                 (
                     "forced".into(),
-                    Json::Str(format!(
-                        "GC every 4th safe point, rehost every 3rd GC, cache {BOUNDED_CACHE}"
-                    )),
+                    Json::Str(format!("GC every 4th safe point, cache {BOUNDED_CACHE}")),
                 ),
             ]),
         ),

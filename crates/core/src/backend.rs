@@ -591,7 +591,7 @@ impl Backend for ExplicitBackend {
 /// component, never materialising the product.
 ///
 /// The memory kernel is configurable per backend instance: a maintenance
-/// policy (GC/rehost triggers) and a computed-table bound. `None` leaves
+/// policy (GC triggers) and a computed-table bound. `None` leaves
 /// the engine defaults in place.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymbolicBackend {
@@ -1101,8 +1101,8 @@ mod tests {
         assert!(bdd.live_nodes > 0 && bdd.peak_live_nodes >= bdd.live_nodes);
     }
 
-    /// A GC-bounded backend (tight cache, low collection threshold, no
-    /// reordering) reaches the same verdicts as the unbounded default,
+    /// A GC-bounded backend (tight cache, low collection threshold)
+    /// reaches the same verdicts as the unbounded default,
     /// actually collects, and never holds more live nodes than the
     /// unbounded run's peak.
     #[test]
@@ -1111,11 +1111,10 @@ mod tests {
         let systems: Vec<System> = (0..12).map(|i| riser(&format!("p{i}"))).collect();
         let target = Target::composition(systems);
         let r = Restriction::trivial();
-        // GC-only policy: the rehost threshold is unreachable, so the
-        // variable order (and therefore every node count) is directly
-        // comparable against the unbounded baseline. (The threshold sits
-        // this low because implicit-frame partitions keep a 12-riser
-        // model to a few hundred nodes total.)
+        // GC never changes the variable order, so every node count is
+        // directly comparable against the unbounded baseline. (The
+        // threshold sits this low because implicit-frame partitions keep
+        // a 12-riser model to a few hundred nodes total.)
         let bounded = SymbolicBackend::with_maintenance(MaintenanceConfig {
             gc_threshold: 64,
             ..MaintenanceConfig::default()
@@ -1137,9 +1136,8 @@ mod tests {
         }
     }
 
-    /// The adversarial forced schedule (collect at every safe point,
-    /// rehost every third collection) must keep every verdict and sat
-    /// count identical to the default engine.
+    /// The adversarial forced schedule (collect at every safe point) must
+    /// keep every verdict and sat count identical to the default engine.
     #[test]
     fn forced_maintenance_backend_agrees() {
         use cmc_symbolic::MaintenanceConfig;

@@ -14,45 +14,7 @@
 use crate::backend::{check_routed, BackendChoice, Target, Verdict};
 use crate::scheduler;
 use cmc_ctl::{Formula, Restriction};
-use cmc_kripke::System;
 use cmc_symbolic::SymbolicModel;
-
-/// Check `⊨ f` (all states) on each system concurrently, routing each
-/// check through the backend `choice` resolves for it. Returns
-/// `(name, verdict-or-error)` in input order.
-pub fn check_holds_everywhere_parallel(
-    names: &[String],
-    systems: &[System],
-    f: &Formula,
-    choice: BackendChoice,
-) -> Vec<(String, Result<bool, String>)> {
-    check_holds_everywhere_with_workers(names, systems, f, choice, scheduler::default_workers())
-}
-
-/// [`check_holds_everywhere_parallel`] with an explicit worker cap
-/// (benchmarks sweep this; `1` gives the sequential baseline through the
-/// identical code path).
-pub fn check_holds_everywhere_with_workers(
-    names: &[String],
-    systems: &[System],
-    f: &Formula,
-    choice: BackendChoice,
-    workers: usize,
-) -> Vec<(String, Result<bool, String>)> {
-    assert_eq!(names.len(), systems.len());
-    let trivial = Restriction::trivial();
-    let outcomes = scheduler::run_bounded(systems.len(), workers, |i| {
-        let target = Target::system(systems[i].clone());
-        check_routed(choice, &target, &trivial, f)
-            .map(|v| v.holds)
-            .map_err(|e| e.to_string())
-    });
-    names
-        .iter()
-        .cloned()
-        .zip(outcomes.into_iter().map(|r| r.and_then(|inner| inner)))
-        .collect()
-}
 
 /// Run heterogeneous check tasks concurrently on at most `workers`
 /// threads: each task is a labelled `⊨ f` (all states) check of one
@@ -93,7 +55,7 @@ pub fn propositional_validity(f: &Formula) -> bool {
 mod tests {
     use super::*;
     use cmc_ctl::parse;
-    use cmc_kripke::Alphabet;
+    use cmc_kripke::{Alphabet, System};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -103,15 +65,34 @@ mod tests {
         m
     }
 
+    /// One task `c{i}` per system, all checking `f`.
+    fn tasks(systems: impl IntoIterator<Item = System>, f: &str) -> Vec<(String, Target, Formula)> {
+        let f = parse(f).unwrap();
+        systems
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| (format!("c{i}"), Target::system(s), f.clone()))
+            .collect()
+    }
+
+    /// `(name, holds-or-error)` per task, in task order.
+    fn holds(
+        tasks: &[(String, Target, Formula)],
+        workers: usize,
+    ) -> Vec<(String, Result<bool, String>)> {
+        check_targets_with_workers(tasks, BackendChoice::Auto, workers)
+            .into_iter()
+            .map(|(name, r)| (name, r.map(|v| v.holds)))
+            .collect()
+    }
+
     #[test]
     fn parallel_checks_match_sequential() {
-        let systems: Vec<System> = (0..8).map(|i| rising(&format!("v{i}"))).collect();
-        let names: Vec<String> = (0..8).map(|i| format!("c{i}")).collect();
         // v0 ⇒ AX v0 — true for c0 (it owns v0 and never clears it) and
         // errors for others (unknown proposition), proving per-component
         // isolation of errors.
-        let f = parse("v0 -> AX v0").unwrap();
-        let results = check_holds_everywhere_parallel(&names, &systems, &f, BackendChoice::Auto);
+        let tasks = tasks((0..8).map(|i| rising(&format!("v{i}"))), "v0 -> AX v0");
+        let results = holds(&tasks, scheduler::default_workers());
         assert_eq!(results.len(), 8);
         assert_eq!(results[0].1, Ok(true));
         for (_, r) in &results[1..] {
@@ -121,10 +102,8 @@ mod tests {
 
     #[test]
     fn parallel_order_is_stable() {
-        let systems: Vec<System> = (0..4).map(|_| rising("x")).collect();
-        let names: Vec<String> = (0..4).map(|i| format!("c{i}")).collect();
-        let f = parse("x -> AX x").unwrap();
-        let results = check_holds_everywhere_parallel(&names, &systems, &f, BackendChoice::Auto);
+        let tasks = tasks((0..4).map(|_| rising("x")), "x -> AX x");
+        let results = holds(&tasks, scheduler::default_workers());
         let got: Vec<&str> = results.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(got, vec!["c0", "c1", "c2", "c3"]);
         assert!(results.iter().all(|(_, r)| *r == Ok(true)));
@@ -150,20 +129,10 @@ mod tests {
     /// count yields byte-identical results in input order.
     #[test]
     fn results_identical_across_worker_counts() {
-        let systems: Vec<System> = (0..10).map(|i| rising(&format!("w{i}"))).collect();
-        let names: Vec<String> = (0..10).map(|i| format!("c{i}")).collect();
-        let f = parse("w3 -> AX w3").unwrap();
-        let baseline =
-            check_holds_everywhere_with_workers(&names, &systems, &f, BackendChoice::Auto, 1);
+        let tasks = tasks((0..10).map(|i| rising(&format!("w{i}"))), "w3 -> AX w3");
+        let baseline = holds(&tasks, 1);
         for workers in [2, 4, 8] {
-            let got = check_holds_everywhere_with_workers(
-                &names,
-                &systems,
-                &f,
-                BackendChoice::Auto,
-                workers,
-            );
-            assert_eq!(got, baseline, "worker count {workers}");
+            assert_eq!(holds(&tasks, workers), baseline, "worker count {workers}");
         }
     }
 

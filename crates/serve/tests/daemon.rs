@@ -190,12 +190,37 @@ fn malformed_request_line_is_answered_and_the_session_survives() {
         other => panic!("expected malformed error, got {other:?}"),
     }
 
+    // Hostile nesting, far below the request cap: a line of `[` is
+    // malformed JSON, and a job whose SPEC nests 100 000 parentheses or
+    // whose DEFINE refers to itself is a job error. None may overflow a
+    // stack or spin a worker forever.
+    match client.raw_roundtrip(&"[".repeat(100_000)).unwrap() {
+        Response::Error { code, id, .. } => {
+            assert_eq!(code, ErrorCode::Malformed);
+            assert_eq!(id, None);
+        }
+        other => panic!("expected malformed error, got {other:?}"),
+    }
+    let deep_spec = format!(
+        "MODULE main\nVAR x : boolean;\nSPEC {}x{}\n",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let cyclic_define = "MODULE main\nVAR x : boolean;\nDEFINE d := d;\nSPEC d\n".to_string();
+    let reports = client.check_sources(&[deep_spec, cyclic_define]).unwrap();
+    let err = reports[0]
+        .as_ref()
+        .expect_err("a 100 000-deep SPEC is refused");
+    assert!(err.contains("deeper than"), "{err}");
+    let err = reports[1].as_ref().expect_err("a cyclic DEFINE is refused");
+    assert!(err.contains("in terms of itself"), "{err}");
+
     // The framing is intact, so the same connection still works.
     client.ping().expect("session survives malformed lines");
     let reports = client.check_sources(&[ring_source(4)]).unwrap();
     assert!(reports[0].is_ok());
 
-    assert!(server.stats().protocol_errors >= 3);
+    assert!(server.stats().protocol_errors >= 4);
     server.shutdown();
 }
 

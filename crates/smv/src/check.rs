@@ -8,6 +8,7 @@
 //! variable).
 
 use crate::ast::{Expr, Module, Type};
+use crate::parse::MAX_EXPR_DEPTH;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -87,6 +88,74 @@ impl<'m> Symbols<'m> {
     /// The module this table was built from.
     pub fn module(&self) -> &'m Module {
         self.module
+    }
+
+    /// Height of `DEFINE name` with every reference expanded, one level
+    /// per reference plus its body, `above` levels below a root. `heights`
+    /// memoises finished defines and marks the ones being expanded with
+    /// `None`, so a cycle fails on its first repeat. Every later pass
+    /// expands a reference by recursing into its body, so `d := d` would
+    /// never return and a long `dᵢ := dᵢ₋₁` chain would overflow the stack:
+    /// both are refused here, as is any define taller than
+    /// [`MAX_EXPR_DEPTH`].
+    fn define_height(
+        &self,
+        name: &'m str,
+        above: usize,
+        heights: &mut BTreeMap<&'m str, Option<usize>>,
+    ) -> Result<usize, SemError> {
+        match heights.get(name) {
+            Some(Some(h)) => return Ok(*h),
+            Some(None) => {
+                return Err(SemError(format!(
+                    "DEFINE {name:?} is defined in terms of itself"
+                )))
+            }
+            None => {}
+        }
+        heights.insert(name, None);
+        let h = 1 + self.expanded_height(self.defines[name], above + 1, heights)?;
+        if h > MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        heights.insert(name, Some(h));
+        Ok(h)
+    }
+
+    /// Height of `e`, `above` levels below a root, with `DEFINE`
+    /// references expanded as in [`Symbols::define_height`].
+    fn expanded_height(
+        &self,
+        e: &'m Expr,
+        above: usize,
+        heights: &mut BTreeMap<&'m str, Option<usize>>,
+    ) -> Result<usize, SemError> {
+        use Expr::*;
+        if above >= MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        let children: Vec<&'m Expr> = match e {
+            Ident(name) if self.defines.contains_key(name) => {
+                return self.define_height(name, above, heights)
+            }
+            Ident(_) | Num(_) => return Ok(1),
+            Next(a) | Not(a) | Ex(a) | Ax(a) | Ef(a) | Af(a) | Eg(a) | Ag(a) => vec![a],
+            And(a, b)
+            | Or(a, b)
+            | Implies(a, b)
+            | Iff(a, b)
+            | Eq(a, b)
+            | Neq(a, b)
+            | Eu(a, b)
+            | Au(a, b) => vec![a, b],
+            Case(arms) => arms.iter().flat_map(|(c, v)| [c, v]).collect(),
+            Set(items) => items.iter().collect(),
+        };
+        let mut height = 0;
+        for c in children {
+            height = height.max(self.expanded_height(c, above + 1, heights)?);
+        }
+        Ok(height + 1)
     }
 
     fn kind_of_var(&self, ty: &Type) -> ExprKind {
@@ -266,9 +335,19 @@ fn join_kinds(a: ExprKind, b: ExprKind) -> Option<ExprKind> {
     }
 }
 
+fn too_deep() -> SemError {
+    SemError(format!(
+        "DEFINEs expand deeper than {MAX_EXPR_DEPTH} levels"
+    ))
+}
+
 /// Run all semantic checks over a module.
 pub fn check_module(module: &Module) -> Result<(), SemError> {
     let syms = Symbols::new(module)?;
+    let mut heights = BTreeMap::new();
+    for (name, _) in &module.defines {
+        syms.define_height(name, 0, &mut heights)?;
+    }
 
     // Assignments: target must be declared; at most one init/next each;
     // the right-hand side must fit the target's type.
@@ -422,6 +501,33 @@ mod tests {
     fn define_shadowing_rejected() {
         let e = check("MODULE main\nVAR x : boolean;\nDEFINE x := 1;").unwrap_err();
         assert!(e.0.contains("shadows"));
+    }
+
+    /// A cyclic define is refused instead of expanding forever, and a
+    /// define chain is accepted at [`MAX_EXPR_DEPTH`] levels and refused
+    /// one level past it, and far past it, where unbounded recursion
+    /// would overflow the stack.
+    #[test]
+    fn cyclic_and_deep_defines_rejected() {
+        for defines in ["d := d;", "a := b; b := !a;"] {
+            let e = check(&format!(
+                "MODULE main\nVAR x : boolean;\nDEFINE {defines}\nSPEC x"
+            ))
+            .unwrap_err();
+            assert!(e.0.contains("in terms of itself"), "{e}");
+        }
+        let chain = |levels: usize| {
+            let mut src = String::from("MODULE main\nVAR x : boolean;\nDEFINE d1 := x;\n");
+            for i in 2..levels {
+                src.push_str(&format!("d{i} := d{};\n", i - 1));
+            }
+            src + &format!("SPEC d{}", levels - 1)
+        };
+        check(&chain(MAX_EXPR_DEPTH)).unwrap();
+        for levels in [MAX_EXPR_DEPTH + 1, 100_000] {
+            let e = check(&chain(levels)).unwrap_err();
+            assert!(e.0.contains("deeper than"), "{e}");
+        }
     }
 
     #[test]

@@ -21,6 +21,17 @@ impl fmt::Display for SmvParseError {
 
 impl std::error::Error for SmvParseError {}
 
+/// Deepest expression the parser accepts. An identifier is one level,
+/// and every operator or parenthesis pair around it adds one; a chain
+/// `a & b & c` is three. Parsing and every later pass (checking,
+/// compilation, CTL conversion, display) recurse once per level, so
+/// deeper input — `((((…`, `!!!!…` or a long `&` chain — is a parse error
+/// instead of a stack overflow. At this bound even a debug build checks
+/// the deepest accepted expressions inside a 2 MiB thread stack, the
+/// default for spawned threads; the deepest expression in this
+/// repository's sources has fewer than 20 levels.
+pub const MAX_EXPR_DEPTH: usize = 100;
+
 /// Parse a complete SMV program (a single `MODULE main`).
 pub fn parse_module(src: &str) -> Result<Module, SmvParseError> {
     let tokens = lex(src).map_err(|e| SmvParseError {
@@ -30,13 +41,20 @@ pub fn parse_module(src: &str) -> Result<Module, SmvParseError> {
     let mut p = P {
         toks: tokens,
         pos: 0,
+        depth: 0,
     };
     p.module()
 }
 
+/// An expression with its height: the node count of its longest
+/// root-to-leaf path.
+type Tree = (Expr, usize);
+
 struct P {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Expression recursions currently on the stack.
+    depth: usize,
 }
 
 impl P {
@@ -277,67 +295,104 @@ impl P {
 
     /// SPEC expression: full CTL (temporal operators allowed).
     fn spec_expr(&mut self) -> Result<Expr, SmvParseError> {
-        self.iff(false, true)
+        Ok(self.iff(false, true)?.0)
     }
 
     /// Plain expression; `allow_next` permits `next(..)` (TRANS sections).
     fn expr(&mut self, allow_next: bool) -> Result<Expr, SmvParseError> {
-        self.iff(allow_next, false)
+        Ok(self.iff(allow_next, false)?.0)
     }
 
-    fn iff(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
-        let mut e = self.implies(nx, tmp)?;
+    /// The height of a node over children at most `child` levels tall,
+    /// refused past [`MAX_EXPR_DEPTH`].
+    fn grow(&self, child: usize) -> Result<usize, SmvParseError> {
+        if child >= MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(child + 1)
+    }
+
+    /// Run `f` one recursion level deeper, refused past
+    /// [`MAX_EXPR_DEPTH`] levels.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SmvParseError>,
+    ) -> Result<T, SmvParseError> {
+        self.depth = self.grow(self.depth)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn iff(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        let (mut e, mut h) = self.implies(nx, tmp)?;
         while self.eat(&Token::Iff) {
-            let r = self.implies(nx, tmp)?;
+            let (r, hr) = self.implies(nx, tmp)?;
+            h = self.grow(h.max(hr))?;
             e = Expr::Iff(Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn implies(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
-        let e = self.or(nx, tmp)?;
+    fn implies(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        let (e, h) = self.or(nx, tmp)?;
         if self.eat(&Token::Implies) {
-            let r = self.implies(nx, tmp)?; // right associative
-            Ok(Expr::Implies(Box::new(e), Box::new(r)))
+            // Right associative.
+            let (r, hr) = self.nested(|p| p.implies(nx, tmp))?;
+            Ok((
+                Expr::Implies(Box::new(e), Box::new(r)),
+                self.grow(h.max(hr))?,
+            ))
         } else {
-            Ok(e)
+            Ok((e, h))
         }
     }
 
-    fn or(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
-        let mut e = self.and(nx, tmp)?;
+    fn or(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        let (mut e, mut h) = self.and(nx, tmp)?;
         while self.eat(&Token::Or) {
-            let r = self.and(nx, tmp)?;
+            let (r, hr) = self.and(nx, tmp)?;
+            h = self.grow(h.max(hr))?;
             e = Expr::Or(Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn and(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
-        let mut e = self.equality(nx, tmp)?;
+    fn and(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        let (mut e, mut h) = self.equality(nx, tmp)?;
         while self.eat(&Token::And) {
-            let r = self.equality(nx, tmp)?;
+            let (r, hr) = self.equality(nx, tmp)?;
+            h = self.grow(h.max(hr))?;
             e = Expr::And(Box::new(e), Box::new(r));
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn equality(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
-        let e = self.unary(nx, tmp)?;
-        if self.eat(&Token::Eq) {
-            let r = self.unary(nx, tmp)?;
-            Ok(Expr::Eq(Box::new(e), Box::new(r)))
+    fn equality(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        let (e, h) = self.unary(nx, tmp)?;
+        let make: fn(Box<Expr>, Box<Expr>) -> Expr = if self.eat(&Token::Eq) {
+            Expr::Eq
         } else if self.eat(&Token::Neq) {
-            let r = self.unary(nx, tmp)?;
-            Ok(Expr::Neq(Box::new(e), Box::new(r)))
+            Expr::Neq
         } else {
-            Ok(e)
-        }
+            return Ok((e, h));
+        };
+        let (r, hr) = self.unary(nx, tmp)?;
+        Ok((make(Box::new(e), Box::new(r)), self.grow(h.max(hr))?))
     }
 
-    fn unary(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
+    /// Every recursive descent except `->`'s right operand passes through
+    /// here, so this one guard bounds the parser's stack.
+    fn unary(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
+        self.nested(|p| p.unary_body(nx, tmp))
+    }
+
+    fn unary_body(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
         if self.eat(&Token::Not) {
-            return Ok(Expr::Not(Box::new(self.unary(nx, tmp)?)));
+            let (e, h) = self.unary(nx, tmp)?;
+            return Ok((Expr::Not(Box::new(e)), self.grow(h)?));
         }
         if tmp {
             // Temporal unary operators are identifiers at the lexer level.
@@ -356,74 +411,77 @@ impl P {
                     // Temporal unary operators take an equality-level
                     // operand so that `AX r = null` means `AX (r = null)`,
                     // matching the paper's Figure 6 specs.
-                    return Ok(make(Box::new(self.equality(nx, tmp)?)));
+                    let (e, h) = self.equality(nx, tmp)?;
+                    return Ok((make(Box::new(e)), self.grow(h)?));
                 }
                 if (id == "E" || id == "A")
                     && self.toks.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LBracket)
                 {
                     self.bump(); // E / A
                     self.bump(); // [
-                    let f = self.iff(nx, tmp)?;
+                    let (f, hf) = self.iff(nx, tmp)?;
                     match self.bump() {
                         Token::Ident(u) if u == "U" => {}
                         other => return Err(self.err(format!("expected U, found {other}"))),
                     }
-                    let g = self.iff(nx, tmp)?;
+                    let (g, hg) = self.iff(nx, tmp)?;
                     self.expect(Token::RBracket)?;
-                    return Ok(if id == "E" {
-                        Expr::Eu(Box::new(f), Box::new(g))
-                    } else {
-                        Expr::Au(Box::new(f), Box::new(g))
-                    });
+                    let make = if id == "E" { Expr::Eu } else { Expr::Au };
+                    return Ok((make(Box::new(f), Box::new(g)), self.grow(hf.max(hg))?));
                 }
             }
         }
         self.primary(nx, tmp)
     }
 
-    fn primary(&mut self, nx: bool, tmp: bool) -> Result<Expr, SmvParseError> {
+    fn primary(&mut self, nx: bool, tmp: bool) -> Result<Tree, SmvParseError> {
         match self.bump() {
             Token::LParen => {
                 let e = self.iff(nx, tmp)?;
                 self.expect(Token::RParen)?;
                 Ok(e)
             }
-            Token::Number(n) => Ok(Expr::Num(n)),
-            Token::Ident(id) => Ok(Expr::Ident(id)),
+            Token::Number(n) => Ok((Expr::Num(n), 1)),
+            Token::Ident(id) => Ok((Expr::Ident(id), 1)),
             Token::Next => {
                 if !nx {
                     return Err(self.err("next(..) is only allowed in TRANS constraints"));
                 }
                 self.expect(Token::LParen)?;
-                let e = self.iff(nx, tmp)?;
+                let (e, h) = self.iff(nx, tmp)?;
                 self.expect(Token::RParen)?;
-                Ok(Expr::Next(Box::new(e)))
+                Ok((Expr::Next(Box::new(e)), self.grow(h)?))
             }
             Token::Case => {
                 let mut arms = Vec::new();
+                let mut h = 0;
                 while !self.eat(&Token::Esac) {
-                    let cond = self.iff(nx, tmp)?;
+                    let (cond, hc) = self.iff(nx, tmp)?;
                     self.expect(Token::Colon)?;
-                    let val = self.iff(nx, tmp)?;
+                    let (val, hv) = self.iff(nx, tmp)?;
                     self.expect(Token::Semi)?;
+                    h = h.max(hc).max(hv);
                     arms.push((cond, val));
                 }
                 if arms.is_empty() {
                     return Err(self.err("empty case expression"));
                 }
-                Ok(Expr::Case(arms))
+                Ok((Expr::Case(arms), self.grow(h)?))
             }
             Token::LBrace => {
                 let mut items = Vec::new();
+                let mut h = 0;
                 loop {
-                    items.push(self.iff(nx, tmp)?);
+                    let (item, hi) = self.iff(nx, tmp)?;
+                    h = h.max(hi);
+                    items.push(item);
                     if self.eat(&Token::Comma) {
                         continue;
                     }
                     self.expect(Token::RBrace)?;
                     break;
                 }
-                Ok(Expr::Set(items))
+                Ok((Expr::Set(items), self.grow(h)?))
             }
             other => Err(SmvParseError {
                 line: self.toks[self.pos.saturating_sub(1)].line,
@@ -454,6 +512,59 @@ FAIRNESS !x | s = c
 SPEC AG (x -> AX x)
 SPEC E [x U s = c]
 ";
+
+    /// One `SPEC` over `x` at exactly `levels` levels of nesting, in
+    /// each shape the parser recurses or chains on.
+    fn deep_specs(levels: usize) -> Vec<String> {
+        let wrap = |open: &str, close: &str| {
+            format!("{}x{}", open.repeat(levels - 1), close.repeat(levels - 1))
+        };
+        let chain = |op: &str| vec!["x"; levels].join(op);
+        [
+            wrap("(", ")"),
+            wrap("!", ""),
+            wrap("AX ", ""),
+            chain(" & "),
+            chain(" | "),
+            chain(" -> "),
+            chain(" <-> "),
+        ]
+        .into_iter()
+        .map(|e| format!("MODULE main\nVAR x : boolean;\nSPEC {e}\n"))
+        .collect()
+    }
+
+    /// Every shape parses at [`MAX_EXPR_DEPTH`] levels and is refused one
+    /// level past it, and far past it, where unbounded recursion would
+    /// overflow the stack.
+    #[test]
+    fn expression_depth_is_bounded() {
+        for src in deep_specs(MAX_EXPR_DEPTH) {
+            assert!(parse_module(&src).is_ok(), "{}", &src[..60]);
+        }
+        for levels in [MAX_EXPR_DEPTH + 1, 100_000] {
+            for src in deep_specs(levels) {
+                let err = parse_module(&src).unwrap_err();
+                assert!(err.message.contains("deeper than"), "{err}");
+            }
+        }
+    }
+
+    /// The bound is safe: every shape at [`MAX_EXPR_DEPTH`] checks end to
+    /// end inside a 2 MiB thread stack, the default for spawned threads.
+    #[test]
+    fn expressions_at_the_bound_check_on_a_default_thread_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for src in deep_specs(MAX_EXPR_DEPTH) {
+                    crate::run_source(&src).unwrap();
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 
     #[test]
     fn parses_full_module() {

@@ -100,7 +100,7 @@ impl SymbolicModel {
     /// (`pre` distributes over union, so accumulating `S1 ∧ EX frontier`
     /// reaches the same fixpoint as re-imaging the whole set). Every
     /// operand lives in the root registry, so the maintenance run between
-    /// iterations can collect or rehost freely.
+    /// iterations can collect freely.
     pub fn until_exists(&mut self, s1: Bdd, s2: Bdd) -> Bdd {
         let rs1 = self.mgr().protect(s1);
         let total = self.mgr().protect(s2);
@@ -204,8 +204,7 @@ impl SymbolicModel {
     /// no GC has intervened — so a raw-id memo is exact. The key includes
     /// `care`, so a set restricted by [`SymbolicModel::check`] is never
     /// served to a full-space `sat_under` (`care` = TRUE). The memo is
-    /// cleared on every epoch bump (GC or rehost), so it can never serve a
-    /// stale id.
+    /// cleared on every GC, so it can never serve a stale id.
     pub fn fair_states(&mut self, care: Bdd, fair_sets: &[Bdd]) -> Bdd {
         let key: Vec<u32> = std::iter::once(care)
             .chain(fair_sets.iter().copied())
@@ -648,8 +647,8 @@ mod tests {
     }
 
     /// The adversarial maintenance schedule — collect at *every* safe
-    /// point, rehost every third collection — must not change a single
-    /// verdict, and must actually run collections.
+    /// point — must not change a single verdict, and must actually run
+    /// collections.
     #[test]
     fn forced_maintenance_preserves_verdicts() {
         use crate::model::MaintenanceConfig;

@@ -19,8 +19,9 @@
 //!
 //! Long-running checks stay memory-bounded: every long-lived BDD is held
 //! in the manager's root registry, fixpoints are frontier-seeded and run
-//! garbage collection (and, when profitable, reorder-based rehosting) at
-//! iteration boundaries, governed by a [`MaintenanceConfig`].
+//! garbage collection at iteration boundaries, governed by a
+//! [`MaintenanceConfig`]. The variable order is fixed when the model is
+//! built: current and next copies interleave, in declaration order.
 //!
 //! ## Example
 //!

@@ -18,7 +18,7 @@ pub struct StateVar {
     pub next: Var,
 }
 
-/// When the model runs BDD maintenance (GC, and rehosting reorders).
+/// When the model runs BDD maintenance, i.e. garbage collection.
 ///
 /// Maintenance only ever happens at fixpoint iteration boundaries — the
 /// model's *safe points*, where every live diagram is registered in the
@@ -26,13 +26,12 @@ pub struct StateVar {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceMode {
     /// Collect when the manager says it's due (arena crossed the adaptive
-    /// threshold); rehost if the post-GC live set is still large.
+    /// threshold).
     Auto,
     /// Never collect (the seed behaviour: an append-only arena).
     Disabled,
-    /// Collect at every `k`-th safe point regardless of arena size, with a
-    /// rehosting reorder every third forced collection — for tests that
-    /// must prove maintenance preserves verdicts.
+    /// Collect at every `k`-th safe point regardless of arena size — for
+    /// tests that must prove maintenance preserves verdicts.
     ForcedEvery(u32),
 }
 
@@ -43,10 +42,6 @@ pub struct MaintenanceConfig {
     pub mode: MaintenanceMode,
     /// Arena size (nodes) that makes an [`MaintenanceMode::Auto`] GC due.
     pub gc_threshold: usize,
-    /// Post-GC live size that additionally triggers a sift + rehost.
-    pub rehost_threshold: usize,
-    /// Sifting passes per rehost (each pass is a full block sweep).
-    pub sift_passes: usize,
 }
 
 impl Default for MaintenanceConfig {
@@ -54,14 +49,12 @@ impl Default for MaintenanceConfig {
         MaintenanceConfig {
             mode: MaintenanceMode::Auto,
             gc_threshold: BddManager::DEFAULT_GC_THRESHOLD,
-            rehost_threshold: 1 << 18,
-            sift_passes: 1,
         }
     }
 }
 
 impl MaintenanceConfig {
-    /// The seed behaviour: never collect, never rehost.
+    /// The seed behaviour: never collect.
     pub fn disabled() -> Self {
         MaintenanceConfig {
             mode: MaintenanceMode::Disabled,
@@ -69,9 +62,8 @@ impl MaintenanceConfig {
         }
     }
 
-    /// Collect at every `k`-th safe point (rehost every third collection),
-    /// however small the arena — the adversarial schedule for conformance
-    /// tests.
+    /// Collect at every `k`-th safe point, however small the arena — the
+    /// adversarial schedule for conformance tests.
     pub fn forced_every(k: u32) -> Self {
         MaintenanceConfig {
             mode: MaintenanceMode::ForcedEvery(k),
@@ -185,7 +177,7 @@ struct SchedCluster {
     /// Ascending union of the members' owned-variable indices.
     owned: Vec<usize>,
     /// Merged local move relation (partial frames materialised), held in
-    /// the root registry so GC and rehosting keep it alive.
+    /// the root registry so GC keeps it alive.
     rel: RootId,
 }
 
@@ -212,8 +204,8 @@ struct QuantSchedule {
 /// mirroring the paper's standing assumption that `R` is reflexive.
 ///
 /// Every long-lived BDD (partitions, props, cubes, init, fairness) is held
-/// as a [`RootId`] into the manager's registry, so garbage collection and
-/// rehosting at the model's safe points can never invalidate them.
+/// as a [`RootId`] into the manager's registry, so garbage collection at
+/// the model's safe points can never invalidate them.
 pub struct SymbolicModel {
     mgr: BddManager,
     vars: Vec<StateVar>,
@@ -248,15 +240,12 @@ pub struct SymbolicModel {
     maintenance: MaintenanceConfig,
     /// Safe points visited (drives [`MaintenanceMode::ForcedEvery`]).
     maint_ticks: u64,
-    /// Bumped on every GC/rehost; anything keyed on node ids (the
-    /// `fair_states` memo) is only valid within one epoch.
-    epoch: u64,
     /// Memoised `fair_states` results: (care and fair-set node ids,
-    /// result). Cleared on every epoch bump, so stored ids are never stale.
+    /// result). Cleared on every GC, so stored ids are never stale.
     fair_memo: Vec<(Vec<u32>, Bdd)>,
-    /// Memoised `(I, Reach(I))` as two registry roots, so GC and rehost
-    /// keep both; compared against a fresh `I` by node identity and
-    /// dropped when a partition is added.
+    /// Memoised `(I, Reach(I))` as two registry roots, so GC keeps both;
+    /// compared against a fresh `I` by node identity and dropped when a
+    /// partition is added.
     reach_memo: Option<(RootId, RootId)>,
 }
 
@@ -304,7 +293,6 @@ impl SymbolicModel {
             next_to_cur,
             maintenance: MaintenanceConfig::default(),
             maint_ticks: 0,
-            epoch: 0,
             fair_memo: Vec::new(),
             reach_memo: None,
         }
@@ -502,49 +490,18 @@ impl SymbolicModel {
         &self.maintenance
     }
 
-    /// Epoch counter: bumped by every GC and rehost. Any value derived
-    /// from raw node ids is only comparable within one epoch.
+    /// Epoch counter: the manager's GC count, since collection is the only
+    /// event that remaps node ids. Any value derived from raw node ids is
+    /// only comparable within one epoch.
     pub fn maintenance_epoch(&self) -> u64 {
-        self.epoch
+        self.mgr.stats().gc_runs
     }
 
     /// Collect now, regardless of policy. All [`RootId`]-held state
     /// survives; unregistered handles are invalidated.
     pub fn gc_now(&mut self) -> GcStats {
-        let stats = self.mgr.gc();
         self.fair_memo.clear();
-        self.epoch += 1;
-        stats
-    }
-
-    /// Sift (pair-grouped, so current/next interleaving is preserved) and
-    /// rebuild the manager under the improved order, transplanting the
-    /// root registry. All [`RootId`]s stay valid; `StateVar` identities
-    /// and the frame-rename maps are updated to the new positions.
-    pub fn rehost_now(&mut self) {
-        if self.vars.is_empty() {
-            return;
-        }
-        let roots = self.mgr.protected_roots();
-        // Block width 2 moves each (curᵢ, nextᵢ) pair as a unit, keeping
-        // every cur↔next rename map order-preserving.
-        let order = self
-            .mgr
-            .sift_order_grouped(&roots, 2, self.maintenance.sift_passes);
-        self.mgr = self.mgr.rebuild_rooted_with_order(&order);
-        // Old variable order[i] now sits at position i.
-        let mut pos = vec![0u32; order.len()];
-        for (i, v) in order.iter().enumerate() {
-            pos[v.index()] = i as u32;
-        }
-        for sv in &mut self.vars {
-            sv.cur = Var(pos[sv.cur.index()]);
-            sv.next = Var(pos[sv.next.index()]);
-        }
-        self.cur_to_next = self.vars.iter().map(|v| (v.cur, v.next)).collect();
-        self.next_to_cur = self.vars.iter().map(|v| (v.next, v.cur)).collect();
-        self.fair_memo.clear();
-        self.epoch += 1;
+        self.mgr.gc()
     }
 
     /// One safe point: run whatever maintenance the policy calls for.
@@ -555,10 +512,7 @@ impl SymbolicModel {
             MaintenanceMode::Disabled => {}
             MaintenanceMode::Auto => {
                 if self.mgr.gc_due() {
-                    let gc = self.gc_now();
-                    if gc.live_nodes >= self.maintenance.rehost_threshold {
-                        self.rehost_now();
-                    }
+                    self.gc_now();
                 }
             }
             MaintenanceMode::ForcedEvery(k) => {
@@ -568,9 +522,6 @@ impl SymbolicModel {
                 self.maint_ticks += 1;
                 if self.maint_ticks.is_multiple_of(u64::from(k)) {
                     self.gc_now();
-                    if (self.maint_ticks / u64::from(k)).is_multiple_of(3) {
-                        self.rehost_now();
-                    }
                 }
             }
         }
@@ -579,10 +530,8 @@ impl SymbolicModel {
 
     /// The adaptive feedback loop of [`ImageMode::Scheduled`]: when
     /// measured node growth since planning diverges ≥2× from the
-    /// schedule's estimate, re-score and re-merge — after a sift + rehost
-    /// when the live set is large enough to be worth reordering, so the
-    /// fresh plan sees post-sift node counts and co-located cluster
-    /// variables. Verdict-invariant by construction (any plan computes the
+    /// schedule's estimate, re-score and re-merge against the current node
+    /// counts. Verdict-invariant by construction (any plan computes the
     /// same images), so this can fire at any safe point.
     fn maybe_replan(&mut self) {
         if self.image_mode != ImageMode::Scheduled {
@@ -597,15 +546,12 @@ impl SymbolicModel {
         if grown < sched.est_growth.saturating_mul(2) {
             return;
         }
-        if self.mgr.stats().live_nodes >= self.maintenance.rehost_threshold {
-            self.rehost_now();
-        }
         self.build_schedule();
         self.sched_replans += 1;
     }
 
     /// Look up a memoised `fair_states` result (valid: the memo is cleared
-    /// on every epoch bump, so stored ids are never stale).
+    /// on every GC, so stored ids are never stale).
     pub(crate) fn fair_memo_get(&self, key: &[u32]) -> Option<Bdd> {
         self.fair_memo
             .iter()
@@ -615,7 +561,7 @@ impl SymbolicModel {
 
     /// Store a `fair_states` result computed entirely within `epoch`.
     pub(crate) fn fair_memo_put(&mut self, key: Vec<u32>, value: Bdd, epoch: u64) {
-        if self.epoch == epoch {
+        if self.maintenance_epoch() == epoch {
             self.fair_memo.push((key, value));
         }
     }
@@ -1306,20 +1252,6 @@ mod tests {
         assert!(sys.equivalent(&back));
         assert!(sm.prop("x").is_some());
         assert!(sm.mgr_ref().is_cube(sm.cur_cube()));
-    }
-
-    #[test]
-    fn rehost_now_preserves_model_semantics() {
-        let sys = toggle_system();
-        let mut sm = SymbolicModel::from_explicit(&sys);
-        sm.rehost_now();
-        let back = sm.to_explicit();
-        assert!(sys.equivalent(&back), "rehosting changed the relation");
-        // Frames still rename cleanly after the variable permutation.
-        let x = sm.prop("x").unwrap();
-        let xn = sm.to_next_frame(x);
-        let x2 = sm.to_cur_frame(xn);
-        assert_eq!(x, x2);
     }
 
     #[test]

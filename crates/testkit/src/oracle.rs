@@ -247,8 +247,7 @@ pub fn run_obligation(o: &Obligation) -> OracleOutcome {
 
 /// [`run_obligation`] with a specific symbolic-backend configuration
 /// (maintenance policy, cache bound) — the lever the memory-kernel
-/// conformance suite uses to prove GC/rehost schedules are
-/// verdict-invariant.
+/// conformance suite uses to prove GC schedules are verdict-invariant.
 pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcome {
     match check_three(&o.systems, &o.restriction, &o.formula, sym) {
         Err(e) => OracleOutcome::Skipped(e),

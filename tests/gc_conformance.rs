@@ -1,13 +1,13 @@
 //! Conformance of the symbolic engine's memory kernel: garbage
-//! collection, reorder-based rehosting, and the bounded computed table
-//! must be *invisible* to verdicts.
+//! collection and the bounded computed table must be *invisible* to
+//! verdicts.
 //!
 //! * the three-way oracle (explicit vs symbolic vs reference) re-runs the
 //!   same seeds with maintenance disabled and forced at every `k`-th safe
 //!   point — every outcome must match class-for-class and verdict-for-
 //!   verdict,
 //! * proptests drive random systems/formulas through a model with
-//!   `gc_now`/`rehost_now` injected mid-run and pin the sat-state counts
+//!   `gc_now` injected mid-run and pin the sat-state counts
 //!   to the untouched engine,
 //! * a bounded computed table (with evictions observed) must leave sat
 //!   sets untouched.
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 /// The three-way oracle over a fresh seed range, once per maintenance
 /// schedule: disabled, and forced at every 1st/2nd/5th safe point. For
 /// each seed all four runs must land in the same outcome class with the
-/// same triple verdict — GC and rehost schedules are semantics-free.
+/// same triple verdict — GC schedules are semantics-free.
 #[test]
 fn oracle_verdicts_invariant_under_forced_maintenance() {
     let cfg = GenConfig::default();
@@ -114,7 +114,7 @@ fn sat_states(model: &mut SymbolicModel, f: &Formula, fairness: &[Formula]) -> f
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Forced GC + rehost at every safe point gives the same sat-state
+    /// Forced GC at every safe point gives the same sat-state
     /// count as the untouched engine, on arbitrary systems and formulas.
     #[test]
     fn forced_maintenance_preserves_sat_counts(
@@ -148,11 +148,10 @@ proptest! {
         prop_assert_eq!(want, got, "fair maintenance changed sat set of {}", f);
     }
 
-    /// Explicit `gc_now` + `rehost_now` *between* queries: results
-    /// computed after the kernel has collected and changed variable order
-    /// must match results computed before.
+    /// Explicit `gc_now` *between* queries: results computed after the
+    /// kernel has collected must match results computed before.
     #[test]
-    fn explicit_gc_and_rehost_between_queries(
+    fn explicit_gc_between_queries(
         m in arb_system(&["p", "q", "r"]),
         f in arb_formula(&["p", "q", "r"]),
     ) {
@@ -161,9 +160,6 @@ proptest! {
         model.gc_now();
         let after_gc = sat_states(&mut model, &f, &[]);
         prop_assert_eq!(before, after_gc, "gc_now changed sat set of {}", f);
-        model.rehost_now();
-        let after_rehost = sat_states(&mut model, &f, &[]);
-        prop_assert_eq!(before, after_rehost, "rehost_now changed sat set of {}", f);
     }
 }
 

@@ -196,7 +196,7 @@ fn fanout_verdicts_identical_across_worker_counts() {
 }
 
 /// Per-worker BDD managers under the most aggressive maintenance policy
-/// (`ForcedEvery(1)`: GC + rehost at every safe point) still produce
+/// (`ForcedEvery(1)`: GC at every safe point) still produce
 /// verdicts identical to the default policy, for every worker count —
 /// each scheduler job builds its own `SymbolicModel`, so managers are
 /// never shared across threads.
@@ -351,7 +351,7 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
 /// schedule configurations: the oracle corpus agrees at 1/2/4/8 workers
 /// whether clusters are merged (the default plan) or not at all, and
 /// under the most aggressive maintenance policy (which exercises the
-/// re-plan path through rehosting).
+/// re-plan path at every safe point).
 #[test]
 fn scheduled_mode_is_verdict_invariant_across_workers() {
     let cfg = GenConfig::default();

@@ -2,7 +2,7 @@
 //! restriction must be exact: on the daemon's ring and AFS families and
 //! the paper's four AFS component sources, each spec's violating set and
 //! witness equal `I ∧ ¬sat(f)` from a full-space evaluation of the same
-//! model, and GC/rehost schedules leave the restricted verdicts alone.
+//! model, and GC schedules leave the restricted verdicts alone.
 
 use cmc_serve::workload::{afs_source, ring_source};
 use compositional_mc::afs::{afs1, afs2};
@@ -79,9 +79,9 @@ fn afs_family_matches_full_space() {
     }
 }
 
-/// Verdicts and violating counts under a GC (and every third time a
-/// rehost) at every safe point — the reach fixpoint's included — equal
-/// those of a model that never collects.
+/// Verdicts and violating counts under a GC at every safe point — the
+/// reach fixpoint's included — equal those of a model that never
+/// collects.
 #[test]
 fn ring_verdicts_invariant_under_forced_maintenance() {
     let src = ring_source(12);
