@@ -1,14 +1,11 @@
-//! Resource statistics in the format of SMV's `resources used:` trailer.
+//! Resource counters behind SMV's `resources used:` trailer.
 //!
 //! The paper's Figures 7, 10, 15 and 17 report, for each component checked:
 //! user/system time, `BDD nodes allocated`, `Bytes allocated`, and
 //! `BDD nodes representing transition relation: X + Y`. This module carries
-//! the same measurements so the benchmark harness can print directly
-//! comparable rows, extended with the memory-kernel counters (live/peak
-//! nodes, GC activity, cache evictions) the garbage collector introduces.
-
-use std::fmt;
-use std::time::Duration;
+//! the manager-side measurements, extended with the memory-kernel counters
+//! (live/peak nodes, GC activity, cache evictions) the garbage collector
+//! introduces; the SMV driver prints the trailer from them.
 
 /// Point-in-time resource counters for a [`crate::BddManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,51 +64,6 @@ impl BddStats {
     }
 }
 
-/// A full "resources used" report for one verification run, shaped like the
-/// output blocks in the paper's figures.
-#[derive(Debug, Clone)]
-pub struct ResourceReport {
-    /// Wall-clock time of the run.
-    pub user_time: Duration,
-    /// Manager counters at the end of the run.
-    pub stats: BddStats,
-    /// Nodes in the transition-relation BDD(s), shared count.
-    pub trans_nodes: usize,
-    /// Nodes in the auxiliary cubes/initial-state BDDs kept alongside the
-    /// transition relation (SMV prints these after the `+`).
-    pub aux_nodes: usize,
-}
-
-impl fmt::Display for ResourceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "resources used:")?;
-        writeln!(f, "user time: {:.7} s", self.user_time.as_secs_f64())?;
-        writeln!(f, "BDD nodes allocated: {}", self.stats.nodes_allocated)?;
-        writeln!(f, "Bytes allocated: {}", self.stats.bytes_allocated)?;
-        writeln!(
-            f,
-            "BDD nodes live: {} (peak {})",
-            self.stats.live_nodes, self.stats.peak_live_nodes
-        )?;
-        writeln!(
-            f,
-            "garbage collections: {} (reclaimed {} nodes)",
-            self.stats.gc_runs, self.stats.gc_reclaimed
-        )?;
-        writeln!(f, "cache evictions: {}", self.stats.cache_evictions)?;
-        writeln!(
-            f,
-            "and-exists cache: {} hits / {} misses",
-            self.stats.and_exists_hits, self.stats.and_exists_misses
-        )?;
-        write!(
-            f,
-            "BDD nodes representing transition relation: {} + {}",
-            self.trans_nodes, self.aux_nodes
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,31 +96,5 @@ mod tests {
         s.cache_hits = 3;
         s.cache_misses = 1;
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_format_matches_smv_shape() {
-        let r = ResourceReport {
-            user_time: Duration::from_millis(33),
-            stats: BddStats {
-                nodes_allocated: 403,
-                live_nodes: 280,
-                peak_live_nodes: 390,
-                bytes_allocated: 1_245_134,
-                gc_runs: 2,
-                gc_reclaimed: 123,
-                variables: 7,
-                ..zeroed()
-            },
-            trans_nodes: 43,
-            aux_nodes: 7,
-        };
-        let text = r.to_string();
-        assert!(text.contains("BDD nodes allocated: 403"));
-        assert!(text.contains("Bytes allocated: 1245134"));
-        assert!(text.contains("BDD nodes live: 280 (peak 390)"));
-        assert!(text.contains("garbage collections: 2 (reclaimed 123 nodes)"));
-        assert!(text.contains("and-exists cache: 0 hits / 0 misses"));
-        assert!(text.contains("transition relation: 43 + 7"));
     }
 }

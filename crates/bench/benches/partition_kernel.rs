@@ -7,8 +7,8 @@
 //! never built on the scheduled path; the monolithic leg is the
 //! measurable baseline it replaces. Both legs decide the same set, so
 //! every timed iteration is also a differential check. The largest ring
-//! also runs a cluster-merge-threshold sweep (`merge_node_limit`
-//! 0/16/64/256, where 0 is the unmerged `no_merging()` plan) and records
+//! also times the merged plan (the default) against the unmerged control
+//! plan (`SymbolicBackend::unmerged`, one cluster per station) and records
 //! a merged-vs-unmerged acceptance row (≥1.3× wall or ≥20 % peak-live-node
 //! reduction).
 //!
@@ -22,7 +22,7 @@ use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::System;
 use cmc_smv::compile_explicit;
 use cmc_store::json::Json;
-use cmc_symbolic::{ImageMode, ScheduleConfig};
+use cmc_symbolic::ImageMode;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -105,10 +105,11 @@ fn emit_summary(c: &mut Criterion) {
         let expected = sv.sat_states;
         let partitions = sv.stats.partitions;
         let sched_peak = sv.stats.bdd.map_or(0, |b| b.peak_live_nodes);
-        let (clusters_before, clusters_after, replans) =
-            sv.stats.schedule.as_ref().map_or((0, 0, 0), |s| {
-                (s.clusters_before, s.clusters_after, s.replans)
-            });
+        let (clusters_before, clusters_after) = sv
+            .stats
+            .schedule
+            .as_ref()
+            .map_or((0, 0), |s| (s.clusters_before, s.clusters_after));
 
         let sched_ns = mean_ns(
             || {
@@ -134,7 +135,6 @@ fn emit_summary(c: &mut Criterion) {
             ("scheduled_peak_live".into(), Json::int(sched_peak as u64)),
             ("clusters_before".into(), Json::int(clusters_before as u64)),
             ("clusters_after".into(), Json::int(clusters_after as u64)),
-            ("replans".into(), Json::int(replans)),
         ]));
         // The acceptance row is the largest ring in the sweep (30
         // stations in a full run): the scheduled image — which never
@@ -158,25 +158,17 @@ fn emit_summary(c: &mut Criterion) {
                 ),
                 ("beats_recorded_baseline".into(), beats),
             ]);
-            // Cluster-merge-threshold sweep: how hard the merge policy is
-            // allowed to pre-conjoin, from "ordering only" (no_merging)
-            // through increasingly permissive node limits. The
-            // no-merging row is the unmerged control the acceptance row
-            // below compares against.
-            let sweep_limits: &[usize] = if quick { &[0, 64] } else { &[0, 16, 64, 256] };
+            // The merge sweep: the merged plan against the unmerged
+            // control plan, which keeps one cluster per station and so
+            // measures what ordering alone buys. The unmerged row is the
+            // control the acceptance row below compares against.
             let mut unmerged = (0.0, 0);
-            for &limit in sweep_limits {
-                let cfg = if limit == 0 {
-                    ScheduleConfig::no_merging()
-                } else {
-                    ScheduleConfig {
-                        merge_node_limit: limit,
-                        ..ScheduleConfig::default()
-                    }
-                };
-                let backend = sched_backend.with_schedule(cfg);
+            for (plan, backend) in [
+                ("unmerged", sched_backend.unmerged()),
+                ("merged", sched_backend),
+            ] {
                 let v = backend.check(&target, &r, &f).unwrap();
-                assert_eq!(v.sat_states, expected, "merge sweep diverged at {limit}");
+                assert_eq!(v.sat_states, expected, "{plan} plan diverged");
                 let peak = v.stats.bdd.map_or(0, |b| b.peak_live_nodes);
                 let after = v.stats.schedule.as_ref().map_or(0, |s| s.clusters_after);
                 let wall = mean_ns(
@@ -186,11 +178,11 @@ fn emit_summary(c: &mut Criterion) {
                     },
                     iters,
                 );
-                if limit == 0 {
+                if backend.unmerged {
                     unmerged = (wall, peak);
                 }
                 merge_sweep.push(Json::Obj(vec![
-                    ("merge_node_limit".into(), Json::int(limit as u64)),
+                    ("plan".into(), Json::Str(plan.into())),
                     ("clusters_after".into(), Json::int(after as u64)),
                     ("wall_ns".into(), Json::Num(wall)),
                     ("peak_live".into(), Json::int(peak as u64)),
@@ -244,8 +236,8 @@ fn emit_summary(c: &mut Criterion) {
                         "per-component disjunctive partition, early quantification \
                          (and_exists per cluster), the product relation never built; \
                          cost-driven schedule: overlap/size-triggered cluster merging \
-                         plus greedy cost-model ordering, adaptive re-plan on 2x growth \
-                         divergence (bit-identical to the unmerged merge_node_limit 0 plan)"
+                         plus greedy cost-model ordering, planned once per model \
+                         (bit-identical to the unmerged plan)"
                             .into(),
                     ),
                 ),
@@ -258,7 +250,7 @@ fn emit_summary(c: &mut Criterion) {
         ("symbolic".into(), Json::Arr(sym_series)),
         ("symbolic_acceptance".into(), sym_acceptance),
         ("scheduled_acceptance".into(), sched_acceptance),
-        ("merge_threshold_sweep".into(), Json::Arr(merge_sweep)),
+        ("merge_sweep".into(), Json::Arr(merge_sweep)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_partition.json");
     std::fs::write(path, doc.to_pretty() + "\n").expect("write BENCH_partition.json");

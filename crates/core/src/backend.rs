@@ -33,8 +33,7 @@ use cmc_ctl::{
 };
 use cmc_kripke::{Alphabet, SimulationOutcome, State, System};
 use cmc_symbolic::{
-    simulates_symbolic, ImageMode, MaintenanceConfig, ScheduleConfig, ScheduleStats, SymbolicError,
-    SymbolicModel,
+    simulates_symbolic, ImageMode, MaintenanceConfig, ScheduleStats, SymbolicError, SymbolicModel,
 };
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -399,10 +398,10 @@ pub struct CheckStats {
     /// The `Auto` cost-model decision that led here ([`None`] when the
     /// check was not routed, e.g. a backend invoked directly).
     pub route: Option<RouteDecision>,
-    /// The quantification schedule a symbolic check used — cluster counts
-    /// before/after merging, the processing permutation, and re-plans
-    /// triggered ([`None`] for explicit checks, [`ImageMode::Monolithic`]
-    /// ones, and checks that computed no image).
+    /// The quantification plan a symbolic check used — cluster counts
+    /// before/after merging, each cluster's members and the processing
+    /// permutation, built once per model ([`None`] for explicit checks,
+    /// [`ImageMode::Monolithic`] ones, and checks that computed no image).
     pub schedule: Option<ScheduleStats>,
 }
 
@@ -602,9 +601,9 @@ pub struct SymbolicBackend {
     /// Image strategy: the scheduled partitions (the default) or the
     /// memoised monolithic relation. `None` keeps the model default.
     pub image_mode: Option<ImageMode>,
-    /// Merge/cost-model knobs for [`ImageMode::Scheduled`]. `None` keeps
-    /// the model defaults.
-    pub schedule: Option<ScheduleConfig>,
+    /// Keep one [`ImageMode::Scheduled`] cluster per partition instead of
+    /// merging them — the conformance oracle's unmerged control plan.
+    pub unmerged: bool,
 }
 
 impl SymbolicBackend {
@@ -630,10 +629,11 @@ impl SymbolicBackend {
         self
     }
 
-    /// Override the scheduler's merge/cost-model knobs (builder style).
-    /// Only [`ImageMode::Scheduled`] reads them.
-    pub fn with_schedule(mut self, cfg: ScheduleConfig) -> Self {
-        self.schedule = Some(cfg);
+    /// Run the unmerged control plan, one cluster per partition (builder
+    /// style). It computes the same images as the default merged plan;
+    /// only [`ImageMode::Scheduled`] reads it.
+    pub fn unmerged(mut self) -> Self {
+        self.unmerged = true;
         self
     }
 }
@@ -665,8 +665,8 @@ impl Backend for SymbolicBackend {
         if let Some(mode) = self.image_mode {
             model.set_image_mode(mode);
         }
-        if let Some(cfg) = self.schedule {
-            model.set_schedule_config(cfg);
+        if self.unmerged {
+            model.set_merging(false);
         }
         // One full-space evaluation answers both questions: the exact
         // satisfying count (which the testkit oracle compares against the

@@ -64,9 +64,7 @@ pub use backend::{
     AUTO_DENSE_BITS, MAX_WITNESSES,
 };
 pub use cmc_ctl::ExplicitLimits;
-pub use cmc_symbolic::{
-    ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleConfig, ScheduleStats,
-};
+pub use cmc_symbolic::{ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleStats};
 pub use engine::{Certificate, Component, Engine, EngineError, Step, Substitution};
 pub use property::{classify, ClassRule, Classified, PropertyClass};
 pub use report::VerificationReport;

@@ -52,7 +52,7 @@ pub use checker::{CheckError, Checker, Verdict};
 pub use csr::CsrIndex;
 pub use interner::StateInterner;
 pub use limits::ExplicitLimits;
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_FORMULA_DEPTH};
 pub use restriction::Restriction;
 pub use rewrite::{formula_size, simplify};
 pub use simulation::{simulates_explicit, SimError, MAX_SIM_PAIR_PROPS};

@@ -20,9 +20,23 @@
 //! folds `lhs = rhs` and `lhs != rhs` into atomic propositions named
 //! `lhs=rhs` (negated for `!=`), matching how `cmc-smv` boolean-encodes
 //! enumerated variables.
+//!
+//! Input nested deeper than [`MAX_FORMULA_DEPTH`] is a [`ParseError`],
+//! never a stack overflow.
 
 use crate::ast::Formula;
 use std::fmt;
+
+/// Deepest formula [`parse`] accepts. An atom is one level, and every
+/// operator or parenthesis pair around it adds one; a chain `a & b & c`
+/// is three. Parsing and every later pass over a formula (display,
+/// rewriting, checking, dropping) recurse once per level, so deeper
+/// input — `((((…`, `!!!!…`, `EX EX …` or a long `&` chain — is refused
+/// instead of overflowing the stack. At this bound even a debug build
+/// handles the deepest accepted formulas inside a 2 MiB thread stack, the
+/// default for spawned threads. `cmc-smv` bounds its expressions by the
+/// same constant, so every SMV expression it accepts re-parses here.
+pub const MAX_FORMULA_DEPTH: usize = 100;
 
 /// A parse error with byte offset and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +57,13 @@ impl std::error::Error for ParseError {}
 
 /// Parse a CTL formula from SMV-style text.
 pub fn parse(input: &str) -> Result<Formula, ParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
-    let f = p.iff()?;
+    let (f, _) = p.iff()?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(p.err("trailing input"));
@@ -61,9 +79,15 @@ impl std::str::FromStr for Formula {
     }
 }
 
+/// A formula with its height: the node count of its longest
+/// root-to-leaf path.
+type Tree = (Formula, usize);
+
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Formula recursions currently on the stack.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,54 +136,87 @@ impl<'a> Parser<'a> {
         false
     }
 
-    fn iff(&mut self) -> Result<Formula, ParseError> {
-        let mut f = self.implies()?;
+    /// The height of a node over children at most `child` levels tall,
+    /// refused past [`MAX_FORMULA_DEPTH`].
+    fn grow(&self, child: usize) -> Result<usize, ParseError> {
+        if child >= MAX_FORMULA_DEPTH {
+            return Err(self.err(format!(
+                "formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            )));
+        }
+        Ok(child + 1)
+    }
+
+    /// Run `f` one recursion level deeper, refused past
+    /// [`MAX_FORMULA_DEPTH`] levels.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth = self.grow(self.depth)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn iff(&mut self) -> Result<Tree, ParseError> {
+        let (mut f, mut h) = self.implies()?;
         while self.eat("<->") {
-            let g = self.implies()?;
+            let (g, hg) = self.implies()?;
+            h = self.grow(h.max(hg))?;
             f = f.iff(g);
         }
-        Ok(f)
+        Ok((f, h))
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
-        let f = self.or()?;
+    fn implies(&mut self) -> Result<Tree, ParseError> {
+        let (f, h) = self.or()?;
         if self.eat("->") {
-            let g = self.implies()?; // right associative
-            Ok(f.implies(g))
+            let (g, hg) = self.nested(Self::implies)?; // right associative
+            Ok((f.implies(g), self.grow(h.max(hg))?))
         } else {
-            Ok(f)
+            Ok((f, h))
         }
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut f = self.and()?;
+    fn or(&mut self) -> Result<Tree, ParseError> {
+        let (mut f, mut h) = self.and()?;
         loop {
             self.skip_ws();
             // `|` but not `|something-weird`; single char is fine.
             if self.rest().starts_with('|') {
                 self.pos += 1;
-                let g = self.and()?;
+                let (g, hg) = self.and()?;
+                h = self.grow(h.max(hg))?;
                 f = f.or(g);
             } else {
                 break;
             }
         }
-        Ok(f)
+        Ok((f, h))
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut f = self.unary()?;
+    fn and(&mut self) -> Result<Tree, ParseError> {
+        let (mut f, mut h) = self.unary()?;
         while self.eat("&") {
-            let g = self.unary()?;
+            let (g, hg) = self.unary()?;
+            h = self.grow(h.max(hg))?;
             f = f.and(g);
         }
-        Ok(f)
+        Ok((f, h))
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
+    /// Every recursive descent except `->`'s right operand passes through
+    /// here, so this one guard bounds the parser's stack.
+    fn unary(&mut self) -> Result<Tree, ParseError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Tree, ParseError> {
         self.skip_ws();
         if self.eat("!") {
-            return Ok(self.unary()?.not());
+            let (f, h) = self.unary()?;
+            return Ok((f.not(), self.grow(h)?));
         }
         for (kw, make) in [
             ("EX", Formula::ex as fn(Formula) -> Formula),
@@ -170,7 +227,8 @@ impl<'a> Parser<'a> {
             ("AG", Formula::ag),
         ] {
             if self.eat_keyword(kw) {
-                return Ok(make(self.unary()?));
+                let (f, h) = self.unary()?;
+                return Ok((make(f), self.grow(h)?));
             }
         }
         // E [ f U g ] / A [ f U g ]
@@ -179,37 +237,38 @@ impl<'a> Parser<'a> {
             if self.eat_keyword(kw) {
                 self.skip_ws();
                 if self.eat("[") {
-                    let f = self.iff()?;
+                    let (f, hf) = self.iff()?;
                     if !self.eat_keyword("U") {
                         return Err(self.err("expected `U` in until formula"));
                     }
-                    let g = self.iff()?;
+                    let (g, hg) = self.iff()?;
                     if !self.eat("]") {
                         return Err(self.err("expected `]` closing until formula"));
                     }
-                    return Ok(if existential { f.eu(g) } else { f.au(g) });
+                    let h = self.grow(hf.max(hg))?;
+                    return Ok((if existential { f.eu(g) } else { f.au(g) }, h));
                 }
                 self.pos = save; // bare E/A: treat as identifier
             }
         }
         if self.eat("(") {
-            let f = self.iff()?;
+            let tree = self.iff()?;
             if !self.eat(")") {
                 return Err(self.err("expected `)`"));
             }
-            return Ok(f);
+            return Ok(tree);
         }
         if self.eat_keyword("TRUE") {
-            return Ok(Formula::True);
+            return Ok((Formula::True, 1));
         }
         if self.eat_keyword("FALSE") {
-            return Ok(Formula::False);
+            return Ok((Formula::False, 1));
         }
         self.atom()
     }
 
     /// `ident` or `ident (=|!=) ident` equality atom.
-    fn atom(&mut self) -> Result<Formula, ParseError> {
+    fn atom(&mut self) -> Result<Tree, ParseError> {
         let lhs = self.ident()?;
         self.skip_ws();
         let negated = if self.rest().starts_with("!=") {
@@ -219,11 +278,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             false
         } else {
-            return Ok(Formula::ap(lhs));
+            return Ok((Formula::ap(lhs), 1));
         };
         let rhs = self.ident()?;
         let ap = Formula::ap(format!("{lhs}={rhs}"));
-        Ok(if negated { ap.not() } else { ap })
+        Ok(if negated { (ap.not(), 2) } else { (ap, 1) })
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -357,6 +416,48 @@ mod tests {
         ] {
             roundtrip(spec);
         }
+    }
+
+    /// A formula over `x` at exactly `levels` levels of nesting, in each
+    /// shape the parser recurses or chains on.
+    fn deep_formulas(levels: usize) -> Vec<String> {
+        let wrap = |open: &str, close: &str| {
+            format!("{}x{}", open.repeat(levels - 1), close.repeat(levels - 1))
+        };
+        let chain = |op: &str| vec!["x"; levels].join(op);
+        vec![
+            wrap("(", ")"),
+            wrap("!", ""),
+            wrap("EX ", ""),
+            chain(" & "),
+            chain(" | "),
+            chain(" -> "),
+            chain(" <-> "),
+        ]
+    }
+
+    /// On a 2 MiB thread stack, the default for spawned threads, every
+    /// shape parses, prints and re-parses at [`MAX_FORMULA_DEPTH`] levels,
+    /// and is a typed error one level past it and far past it, where
+    /// unbounded recursion would overflow the stack.
+    #[test]
+    fn formula_depth_is_bounded_on_a_default_thread_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for text in deep_formulas(MAX_FORMULA_DEPTH) {
+                    roundtrip(&text);
+                }
+                for levels in [MAX_FORMULA_DEPTH + 1, 100_000] {
+                    for text in deep_formulas(levels) {
+                        let err = parse(&text).unwrap_err();
+                        assert!(err.message.contains("deeper than"), "{err}");
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -496,9 +496,8 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
     }
     if let Some(sched) = compiled.model.schedule_stats() {
         report.push_str(&format!(
-            "quantification schedule: {} cluster(s) merged from {} partition(s), \
-             {} re-plan(s)\n",
-            sched.clusters_after, sched.clusters_before, sched.replans
+            "quantification schedule: {} cluster(s) merged from {} partition(s)\n",
+            sched.clusters_after, sched.clusters_before
         ));
     }
     report
@@ -683,7 +682,9 @@ mod tests {
         assert!(out.report.contains("and-exists cache:"));
         // The compiled model checks under the quantification scheduler,
         // so the trailer reports the plan it used.
-        assert!(out.report.contains("quantification schedule:"));
+        assert!(out
+            .report
+            .contains("\nquantification schedule: 1 cluster(s) merged from 1 partition(s)\n"));
     }
 
     #[test]
@@ -922,6 +923,46 @@ mod tests {
         assert!(out
             .report
             .contains("property checked over 3 propositions instead of 4"));
+    }
+
+    /// `-refine` re-parses each `INIT` from its rendering as a CTL
+    /// formula, so the deepest `INIT` the SMV parser accepts, in every
+    /// shape it recurses or chains on, must run through it — here on a
+    /// 2 MiB thread stack, the default for spawned threads.
+    #[test]
+    fn refine_carries_the_deepest_init() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let levels = crate::parse::MAX_EXPR_DEPTH;
+                let wrap = |open: &str, close: &str| {
+                    format!("{}ack{}", open.repeat(levels - 1), close.repeat(levels - 1))
+                };
+                let chain = |op: &str| vec!["ack"; levels].join(op);
+                for init in [
+                    wrap("(", ")"),
+                    wrap("!", ""),
+                    chain(" & "),
+                    chain(" | "),
+                    chain(" -> "),
+                    chain(" <-> "),
+                ] {
+                    let property = format!(
+                        "MODULE main\nVAR req : boolean; ack : boolean; done : boolean;\n\
+                         INIT {init}\nSPEC AG (done -> ack)"
+                    );
+                    let out = run_refine(
+                        REFINE_CONCRETE,
+                        REFINE_ABSTRACT,
+                        &[REFINE_CONTEXT],
+                        &property,
+                    );
+                    assert!(out.is_ok(), "{}: {:?}", &init[..40], out.err());
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

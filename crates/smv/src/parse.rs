@@ -21,16 +21,18 @@ impl fmt::Display for SmvParseError {
 
 impl std::error::Error for SmvParseError {}
 
-/// Deepest expression the parser accepts. An identifier is one level,
-/// and every operator or parenthesis pair around it adds one; a chain
-/// `a & b & c` is three. Parsing and every later pass (checking,
+/// Deepest expression the parser accepts: [`cmc_ctl::MAX_FORMULA_DEPTH`],
+/// so the rendering of every accepted expression re-parses as a CTL
+/// formula (the `-refine` path carries `INIT`s that way). An identifier is
+/// one level, and every operator or parenthesis pair around it adds one;
+/// a chain `a & b & c` is three. Parsing and every later pass (checking,
 /// compilation, CTL conversion, display) recurse once per level, so
 /// deeper input — `((((…`, `!!!!…` or a long `&` chain — is a parse error
 /// instead of a stack overflow. At this bound even a debug build checks
 /// the deepest accepted expressions inside a 2 MiB thread stack, the
 /// default for spawned threads; the deepest expression in this
 /// repository's sources has fewer than 20 levels.
-pub const MAX_EXPR_DEPTH: usize = 100;
+pub const MAX_EXPR_DEPTH: usize = cmc_ctl::MAX_FORMULA_DEPTH;
 
 /// Parse a complete SMV program (a single `MODULE main`).
 pub fn parse_module(src: &str) -> Result<Module, SmvParseError> {

@@ -6,11 +6,9 @@
 
 use crate::model::SymbolicModel;
 use crate::witness::NamedState;
-use cmc_bdd::stats::ResourceReport;
 use cmc_bdd::{Bdd, RootId};
 use cmc_ctl::{Formula, Restriction};
 use std::fmt;
-use std::time::Instant;
 
 /// Errors from the symbolic checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -492,33 +490,6 @@ impl SymbolicModel {
     pub fn holds_everywhere(&mut self, f: &Formula) -> Result<bool, SymbolicError> {
         Ok(self.sat(f)?.is_true())
     }
-
-    /// Check a list of specs and produce an SMV-style report (the shape of
-    /// the paper's Figures 7, 10, 15, 17).
-    pub fn check_report(
-        &mut self,
-        r: &Restriction,
-        specs: &[(&str, Formula)],
-    ) -> Result<(Vec<(String, bool)>, ResourceReport), SymbolicError> {
-        let start = Instant::now();
-        let mut results = Vec::new();
-        for (name, f) in specs {
-            let v = self.check(r, f)?;
-            results.push((name.to_string(), v.holds));
-        }
-        let user_time = start.elapsed();
-        let parts = self.trans_parts();
-        let trans_nodes = self.mgr_ref().node_count_many(&parts);
-        let init = self.init();
-        let aux_nodes = self.mgr_ref().node_count(init) + self.num_state_vars();
-        let report = ResourceReport {
-            user_time,
-            stats: self.mgr_ref().stats(),
-            trans_nodes,
-            aux_nodes,
-        };
-        Ok((results, report))
-    }
 }
 
 /// Decode a partial satisfying assignment into current-variable values.
@@ -556,6 +527,11 @@ mod tests {
     fn ef_holds_everywhere_on_cycle() {
         let mut m = counter();
         assert!(m.holds_everywhere(&parse("EF (b0 & b1)").unwrap()).unwrap());
+        // `check` agrees, and the counter steps from 01 to 10.
+        for spec in ["EF (b0 & b1)", "b0 & !b1 -> EX (!b0 & b1)"] {
+            let v = m.check(&Restriction::trivial(), &parse(spec).unwrap());
+            assert!(v.unwrap().holds, "{spec}");
+        }
     }
 
     #[test]
@@ -596,23 +572,6 @@ mod tests {
             m.sat(&parse("nonexistent").unwrap()),
             Err(SymbolicError::UnknownProposition("nonexistent".into()))
         );
-    }
-
-    #[test]
-    fn check_report_shape() {
-        let mut m = counter();
-        let specs = [
-            ("cycle", parse("EF (b0 & b1)").unwrap()),
-            ("step", parse("b0 & !b1 -> EX (!b0 & b1)").unwrap()),
-        ];
-        let spec_refs: Vec<(&str, Formula)> = specs.iter().map(|(n, f)| (*n, f.clone())).collect();
-        let (results, report) = m.check_report(&Restriction::trivial(), &spec_refs).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|(_, ok)| *ok), "{results:?}");
-        assert!(report.stats.nodes_allocated > 2);
-        assert!(report.trans_nodes > 0);
-        let text = report.to_string();
-        assert!(text.contains("BDD nodes allocated"));
     }
 
     /// Cross-validation: symbolic and explicit checkers agree on every

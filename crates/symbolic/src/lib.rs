@@ -49,8 +49,7 @@ pub mod witness;
 
 pub use checker::{SymbolicError, SymbolicVerdict};
 pub use model::{
-    ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleConfig, ScheduleStats, StateVar,
-    SymbolicModel,
+    ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleStats, StateVar, SymbolicModel,
 };
 pub use simulation::simulates_symbolic;
 pub use witness::{NamedState, Trace};

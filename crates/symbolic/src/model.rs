@@ -26,10 +26,9 @@ pub struct StateVar {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceMode {
     /// Collect when the manager says it's due (arena crossed the adaptive
-    /// threshold).
+    /// threshold). With a threshold no arena reaches
+    /// ([`MaintenanceConfig::disabled`]) it never collects.
     Auto,
-    /// Never collect (the seed behaviour: an append-only arena).
-    Disabled,
     /// Collect at every `k`-th safe point regardless of arena size — for
     /// tests that must prove maintenance preserves verdicts.
     ForcedEvery(u32),
@@ -54,11 +53,12 @@ impl Default for MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// The seed behaviour: never collect.
+    /// The seed behaviour: never collect (an append-only arena), as
+    /// [`MaintenanceMode::Auto`] with a threshold no arena reaches.
     pub fn disabled() -> Self {
         MaintenanceConfig {
-            mode: MaintenanceMode::Disabled,
-            ..Self::default()
+            mode: MaintenanceMode::Auto,
+            gc_threshold: usize::MAX,
         }
     }
 
@@ -76,13 +76,13 @@ impl MaintenanceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ImageMode {
     /// Cost-driven quantification scheduling over the disjunctive
-    /// partitions: partitions are pre-merged into clusters (per
-    /// [`ScheduleConfig`]), images walk the clusters in a cost-model
-    /// order, frame conditions stay implicit and the product relation is
-    /// never built. Images distribute over the disjunctive union, so any
+    /// partitions: partitions are pre-merged into clusters by a fixed
+    /// merge policy, images walk the clusters in a cost-model order,
+    /// frame conditions stay implicit and the product relation is never
+    /// built. Images distribute over the disjunctive union, so any
     /// clustering and any order — including one cluster per partition,
-    /// [`ScheduleConfig::no_merging`] — computes the same set; only
-    /// per-call overhead and peak live nodes differ. The default.
+    /// [`SymbolicModel::set_merging`]`(false)` — computes the same set;
+    /// only per-call overhead and peak live nodes differ. The default.
     #[default]
     Scheduled,
     /// One materialised monolithic relation (union of all partitions with
@@ -91,43 +91,18 @@ pub enum ImageMode {
     Monolithic,
 }
 
-/// Cost-model and merge-policy knobs for [`ImageMode::Scheduled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleConfig {
-    /// Partitions whose local relation is at most this many nodes are
-    /// merge candidates regardless of overlap — tiny stutter-step parts
-    /// stop paying a full relational-product call each. `0` disables
-    /// size-triggered merging.
-    pub merge_node_limit: usize,
-    /// Merge a pair when their owned-variable sets overlap by at least
-    /// this percentage of the smaller set. `> 100` disables
-    /// overlap-triggered merging.
-    pub merge_overlap_pct: u32,
-    /// Never grow a merged cluster beyond this many owned variables
-    /// (bounds the materialised partial frames).
-    pub max_cluster_vars: usize,
-}
+/// Partitions whose local relation is at most this many nodes merge
+/// regardless of overlap, so tiny stutter-step parts stop paying a full
+/// relational-product call each.
+const MERGE_NODE_LIMIT: usize = 64;
 
-impl Default for ScheduleConfig {
-    fn default() -> Self {
-        ScheduleConfig {
-            merge_node_limit: 64,
-            merge_overlap_pct: 50,
-            max_cluster_vars: 8,
-        }
-    }
-}
+/// Merge a pair when their owned-variable sets overlap by at least this
+/// percentage of the smaller set.
+const MERGE_OVERLAP_PCT: usize = 50;
 
-impl ScheduleConfig {
-    /// Keep one cluster per partition (ordering still applies).
-    pub fn no_merging() -> Self {
-        ScheduleConfig {
-            merge_node_limit: 0,
-            merge_overlap_pct: 101,
-            ..Self::default()
-        }
-    }
-}
+/// Never grow a merged cluster beyond this many owned variables (bounds
+/// the materialised partial frames).
+const MAX_CLUSTER_VARS: usize = 8;
 
 /// The schedule an [`ImageMode::Scheduled`] run actually used — surfaced
 /// through `CheckStats` and the SMV `-r` trailer.
@@ -142,7 +117,9 @@ pub struct ScheduleStats {
     /// For each cluster, the indices of the declared partitions it
     /// absorbed (singleton for unmerged partitions).
     pub members: Vec<Vec<usize>>,
-    /// Re-plans triggered by the adaptive feedback loop.
+    /// Always 0: a model plans once per partition set, and every input of
+    /// the plan is fixed under the model's fixed variable order. Kept so
+    /// readers of the field keep their shape.
     pub replans: u64,
 }
 
@@ -182,17 +159,11 @@ struct SchedCluster {
 }
 
 /// A cached quantification schedule: the merge plan plus the cost-model
-/// processing order, and the growth estimate the adaptive re-plan trigger
-/// compares against.
+/// processing order.
 struct QuantSchedule {
     clusters: Vec<SchedCluster>,
     /// Cluster processing order (permutation of `0..clusters.len()`).
     order: Vec<usize>,
-    /// `peak_live_nodes` when the plan was made.
-    planned_peak: usize,
-    /// Predicted extra live nodes the schedule should cost; measured
-    /// growth ≥ 2× this re-triggers planning at the next safe point.
-    est_growth: usize,
 }
 
 /// A symbolic finite-state system: initial states, a transition relation in
@@ -222,13 +193,12 @@ pub struct SymbolicModel {
     full_trans_memo: Option<RootId>,
     /// Image strategy for `pre_exists`/`post_exists`.
     image_mode: ImageMode,
-    /// Merge/cost-model knobs for [`ImageMode::Scheduled`].
-    sched_config: ScheduleConfig,
+    /// Whether [`ImageMode::Scheduled`] merges partitions into clusters
+    /// (the default) or keeps one cluster per partition.
+    merging: bool,
     /// Cached quantification schedule (built on first scheduled image;
-    /// invalidated when a partition is added or the config changes).
+    /// invalidated when a partition is added or merging is switched).
     schedule: Option<QuantSchedule>,
-    /// Re-plans triggered by the adaptive feedback loop.
-    sched_replans: u64,
     /// Initial-state predicate over current variables.
     init: RootId,
     /// Fairness constraints over current variables.
@@ -282,9 +252,8 @@ impl SymbolicModel {
             trans_parts: Vec::new(),
             full_trans_memo: None,
             image_mode: ImageMode::default(),
-            sched_config: ScheduleConfig::default(),
+            merging: true,
             schedule: None,
-            sched_replans: 0,
             init,
             fairness: Vec::new(),
             cur_cube,
@@ -404,21 +373,14 @@ impl SymbolicModel {
         self.image_mode = mode;
     }
 
-    /// The active image strategy.
-    pub fn image_mode(&self) -> ImageMode {
-        self.image_mode
-    }
-
-    /// Install merge/cost-model knobs for [`ImageMode::Scheduled`]
-    /// (invalidates any cached schedule so the next image re-plans).
-    pub fn set_schedule_config(&mut self, cfg: ScheduleConfig) {
-        self.sched_config = cfg;
+    /// Merge partitions into clusters under [`ImageMode::Scheduled`] (the
+    /// default), or keep one cluster per partition — the unmerged control
+    /// plan the conformance oracle compares against. Both plans compute
+    /// the same images. Switching drops any cached schedule, so the next
+    /// image plans afresh.
+    pub fn set_merging(&mut self, merging: bool) {
+        self.merging = merging;
         self.drop_schedule();
-    }
-
-    /// The active schedule configuration.
-    pub fn schedule_config(&self) -> &ScheduleConfig {
-        &self.sched_config
     }
 
     /// The schedule the last [`ImageMode::Scheduled`] image used, or `None`
@@ -429,7 +391,7 @@ impl SymbolicModel {
             clusters_after: s.clusters.len(),
             order: s.order.clone(),
             members: s.clusters.iter().map(|c| c.members.clone()).collect(),
-            replans: self.sched_replans,
+            replans: 0,
         })
     }
 
@@ -504,12 +466,12 @@ impl SymbolicModel {
         self.mgr.gc()
     }
 
-    /// One safe point: run whatever maintenance the policy calls for.
-    /// Called by every fixpoint loop between iterations, when the live set
-    /// is exactly the registered roots.
+    /// One safe point: collect garbage if the policy calls for it. Called
+    /// by every fixpoint loop between iterations, when the live set is
+    /// exactly the registered roots. The quantification schedule survives
+    /// untouched: its cluster relations are registry roots.
     pub fn maybe_maintain(&mut self) {
         match self.maintenance.mode {
-            MaintenanceMode::Disabled => {}
             MaintenanceMode::Auto => {
                 if self.mgr.gc_due() {
                     self.gc_now();
@@ -525,29 +487,6 @@ impl SymbolicModel {
                 }
             }
         }
-        self.maybe_replan();
-    }
-
-    /// The adaptive feedback loop of [`ImageMode::Scheduled`]: when
-    /// measured node growth since planning diverges ≥2× from the
-    /// schedule's estimate, re-score and re-merge against the current node
-    /// counts. Verdict-invariant by construction (any plan computes the
-    /// same images), so this can fire at any safe point.
-    fn maybe_replan(&mut self) {
-        if self.image_mode != ImageMode::Scheduled {
-            return;
-        }
-        let Some(sched) = &self.schedule else { return };
-        let grown = self
-            .mgr
-            .stats()
-            .peak_live_nodes
-            .saturating_sub(sched.planned_peak);
-        if grown < sched.est_growth.saturating_mul(2) {
-            return;
-        }
-        self.build_schedule();
-        self.sched_replans += 1;
     }
 
     /// Look up a memoised `fair_states` result (valid: the memo is cleared
@@ -788,14 +727,14 @@ impl SymbolicModel {
     /// Compute and cache the quantification schedule: greedy cluster
     /// merging followed by cost-model ordering.
     ///
-    /// **Merging** repeatedly picks the admissible pair with the largest
+    /// **Merging** (skipped when [`SymbolicModel::set_merging`] turned it
+    /// off) repeatedly picks the admissible pair with the largest
     /// owned-set overlap (ties: smallest combined relation) and merges it.
     /// A pair is admissible when the merged owned set stays within
-    /// [`ScheduleConfig::max_cluster_vars`] and either both relations are
-    /// at most [`ScheduleConfig::merge_node_limit`] nodes or the owned
-    /// overlap reaches [`ScheduleConfig::merge_overlap_pct`] of the
-    /// smaller set (see [`SchedCluster`] for why the merged relation is an
-    /// exact disjunctive combination).
+    /// [`MAX_CLUSTER_VARS`] and either both relations are at most
+    /// [`MERGE_NODE_LIMIT`] nodes or the owned overlap reaches
+    /// [`MERGE_OVERLAP_PCT`] of the smaller set (see [`SchedCluster`] for
+    /// why the merged relation is an exact disjunctive combination).
     ///
     /// **Ordering** sorts clusters by ascending cost
     /// `|support| · |owned| + nodes` — the static cost model over
@@ -805,9 +744,13 @@ impl SymbolicModel {
     /// variable is quantified while the accumulated union (and the
     /// computed table's working set) is still small; expensive clusters
     /// run last against a warm cache.
+    ///
+    /// Every input — the partition relations, their node counts and
+    /// supports, the owned sets and the variable order — is fixed once the
+    /// partitions are, so the plan is built once and kept until a
+    /// partition is added or merging is switched.
     fn build_schedule(&mut self) {
         self.drop_schedule();
-        let cfg = self.sched_config;
         // Working clusters: (members, owned, rel as a plain handle —
         // safe: no maintenance runs during planning).
         let mut work: Vec<(Vec<usize>, Vec<usize>, Bdd)> = (0..self.trans_parts.len())
@@ -820,22 +763,18 @@ impl SymbolicModel {
             })
             .collect();
         let mut sizes: Vec<usize> = work.iter().map(|c| self.mgr.node_count(c.2)).collect();
-        loop {
+        while self.merging {
             let mut best: Option<(usize, usize, usize, usize)> = None; // (i, j, overlap, nodes)
             for i in 0..work.len() {
                 for j in i + 1..work.len() {
                     let (oi, oj) = (&work[i].1, &work[j].1);
                     let overlap = oi.iter().filter(|v| oj.binary_search(v).is_ok()).count();
-                    let union_len = oi.len() + oj.len() - overlap;
-                    if union_len > cfg.max_cluster_vars {
+                    if oi.len() + oj.len() - overlap > MAX_CLUSTER_VARS {
                         continue;
                     }
-                    let tiny = cfg.merge_node_limit > 0
-                        && sizes[i] <= cfg.merge_node_limit
-                        && sizes[j] <= cfg.merge_node_limit;
-                    let overlapping = overlap > 0
-                        && (overlap * 100) as u64
-                            >= u64::from(cfg.merge_overlap_pct) * oi.len().min(oj.len()) as u64;
+                    let tiny = sizes[i] <= MERGE_NODE_LIMIT && sizes[j] <= MERGE_NODE_LIMIT;
+                    let overlapping =
+                        overlap > 0 && overlap * 100 >= MERGE_OVERLAP_PCT * oi.len().min(oj.len());
                     if !(tiny || overlapping) {
                         continue;
                     }
@@ -896,12 +835,6 @@ impl SymbolicModel {
             .collect();
         keyed.sort_unstable();
         let order: Vec<usize> = keyed.into_iter().map(|(_, _, c)| c).collect();
-        // Growth estimate for the adaptive re-plan trigger: images build
-        // intermediate products a small multiple of the cluster relations'
-        // size; divergence past 2× of this at a safe point re-plans.
-        let total_nodes: usize = sizes.iter().sum();
-        let est_growth = (total_nodes * 8).max(1 << 10);
-        let planned_peak = self.mgr.stats().peak_live_nodes;
         let clusters = work
             .into_iter()
             .map(|(members, owned, rel)| SchedCluster {
@@ -910,12 +843,7 @@ impl SymbolicModel {
                 rel: self.mgr.protect(rel),
             })
             .collect();
-        self.schedule = Some(QuantSchedule {
-            clusters,
-            order,
-            planned_peak,
-            est_growth,
-        });
+        self.schedule = Some(QuantSchedule { clusters, order });
     }
 
     /// States reachable from `init`, memoised per model like every
@@ -986,16 +914,6 @@ impl SymbolicModel {
     /// Cube of all next-state variables.
     pub fn next_cube(&self) -> Bdd {
         self.mgr.root(self.next_cube)
-    }
-
-    /// Rename a predicate over current variables to next variables.
-    pub fn to_next_frame(&mut self, f: Bdd) -> Bdd {
-        self.mgr.rename(f, &self.cur_to_next)
-    }
-
-    /// Rename a predicate over next variables to current variables.
-    pub fn to_cur_frame(&mut self, f: Bdd) -> Bdd {
-        self.mgr.rename(f, &self.next_to_cur)
     }
 
     /// Build a symbolic model from an explicit system: one boolean variable
@@ -1347,6 +1265,22 @@ mod partition_tests {
     use super::*;
     use cmc_kripke::{Alphabet, State, System};
 
+    /// The `n`-station token ring as one partition per station: station
+    /// `i` owns `{tᵢ, tᵢ₊₁}` and passes the token from `tᵢ` to `tᵢ₊₁`.
+    fn ring_model(n: usize) -> SymbolicModel {
+        let ring: Vec<System> = (0..n)
+            .map(|i| {
+                let this = format!("t{i}");
+                let next = format!("t{}", (i + 1) % n);
+                let mut sys = System::new(Alphabet::new([this.clone(), next.clone()]));
+                sys.add_transition_named(&[&this], &[&next]);
+                sys
+            })
+            .collect();
+        let refs: Vec<&System> = ring.iter().collect();
+        SymbolicModel::from_components(&refs, &Alphabet::empty())
+    }
+
     /// pre_exists (scheduled partitions) and pre_exists_monolithic agree
     /// on random seeded systems — the ablation pair is semantically
     /// identical.
@@ -1392,16 +1326,7 @@ mod partition_tests {
     /// image mode routes through the memoised product relation.
     #[test]
     fn owned_partition_images_agree_with_monolithic() {
-        let mut ring = Vec::new();
-        for i in 0..4 {
-            let this = format!("t{i}");
-            let next = format!("t{}", (i + 1) % 4);
-            let mut sys = System::new(Alphabet::new([this.clone(), next.clone()]));
-            sys.add_transition_named(&[&this], &[&next]);
-            ring.push(sys);
-        }
-        let refs: Vec<&System> = ring.iter().collect();
-        let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
+        let mut m = ring_model(4);
         assert_eq!(m.num_trans_parts(), 4);
         for i in 0..4 {
             assert_eq!(m.part_owned_vars(i).len(), 2, "each station owns 2 vars");
@@ -1425,19 +1350,13 @@ mod partition_tests {
     /// The default schedule merges the tiny ring stations into fewer
     /// clusters and still computes images bit-identical to the unmerged
     /// plan in both directions; the schedule is cached and surfaced via
-    /// `schedule_stats`.
+    /// `schedule_stats`. A model plans once: on the 30- and 40-station
+    /// rings, neither the safe points of an `EF` fixpoint (under the
+    /// default policy, and collecting at every one of them) nor a later
+    /// collection changes the plan the first image built.
     #[test]
     fn scheduled_images_agree_and_merge_clusters() {
-        let mut ring = Vec::new();
-        for i in 0..6 {
-            let this = format!("t{i}");
-            let next = format!("t{}", (i + 1) % 6);
-            let mut sys = System::new(Alphabet::new([this.clone(), next.clone()]));
-            sys.add_transition_named(&[&this], &[&next]);
-            ring.push(sys);
-        }
-        let refs: Vec<&System> = ring.iter().collect();
-        let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
+        let mut m = ring_model(6);
         let t0 = m.prop("t0").unwrap();
         let t3 = m.prop("t3").unwrap();
         let sets = [t0, t3, {
@@ -1445,10 +1364,10 @@ mod partition_tests {
             g.or(t0, t3)
         }];
         for s in sets {
-            m.set_schedule_config(ScheduleConfig::no_merging());
+            m.set_merging(false);
             let pre_unmerged = m.pre_exists(s);
             let post_unmerged = m.post_exists(s);
-            m.set_schedule_config(ScheduleConfig::default());
+            m.set_merging(true);
             assert_eq!(m.pre_exists(s), pre_unmerged, "merged pre disagrees");
             assert_eq!(m.post_exists(s), post_unmerged, "merged post disagrees");
         }
@@ -1464,30 +1383,45 @@ mod partition_tests {
         order.sort_unstable();
         assert_eq!(order, (0..stats.clusters_after).collect::<Vec<_>>());
         assert_eq!(stats.replans, 0);
+
+        for n in [30, 40] {
+            let mut m = ring_model(n);
+            let goal = format!("t{}", n / 2);
+            let target = m.prop(&goal).unwrap();
+            m.pre_exists(target);
+            let first = m.schedule_stats().expect("the first image plans");
+            assert!(first.clusters_after < n, "{n} stations: nothing merged");
+            let ef = cmc_ctl::parse(&format!("EF {goal}")).unwrap();
+            let mut plans = Vec::new();
+            m.sat(&ef).unwrap();
+            plans.push(m.schedule_stats().unwrap());
+            m.set_maintenance(MaintenanceConfig::forced_every(1));
+            m.sat(&ef).unwrap();
+            assert!(m.mgr_ref().stats().gc_runs > 0, "{n} stations: no GC ran");
+            plans.push(m.schedule_stats().unwrap());
+            m.gc_now();
+            plans.push(m.schedule_stats().unwrap());
+            for stats in plans {
+                assert_eq!(stats.members, first.members, "{n} stations: re-merged");
+                assert_eq!(stats.order, first.order, "{n} stations: re-ordered");
+                assert_eq!(stats.replans, 0, "{n} stations: re-planned");
+            }
+        }
     }
 
-    /// Disabling merging keeps one cluster per partition, and installing a
-    /// new config or partition invalidates the cached plan.
+    /// Disabling merging keeps one cluster per partition, and switching
+    /// merging or adding a partition invalidates the cached plan.
     #[test]
     fn schedule_config_controls_merging_and_invalidation() {
-        let mut ring = Vec::new();
-        for i in 0..4 {
-            let this = format!("t{i}");
-            let next = format!("t{}", (i + 1) % 4);
-            let mut sys = System::new(Alphabet::new([this.clone(), next.clone()]));
-            sys.add_transition_named(&[&this], &[&next]);
-            ring.push(sys);
-        }
-        let refs: Vec<&System> = ring.iter().collect();
-        let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
-        m.set_schedule_config(ScheduleConfig::no_merging());
+        let mut m = ring_model(4);
+        m.set_merging(false);
         let t0 = m.prop("t0").unwrap();
         let baseline = m.pre_exists_monolithic(t0);
         assert_eq!(m.pre_exists(t0), baseline);
         let stats = m.schedule_stats().unwrap();
         assert_eq!(stats.clusters_after, stats.clusters_before);
-        // New config → plan dropped until the next image.
-        m.set_schedule_config(ScheduleConfig::default());
+        // Merging switched back on → plan dropped until the next image.
+        m.set_merging(true);
         assert!(m.schedule_stats().is_none());
         assert_eq!(m.pre_exists(t0), baseline);
         assert!(m.schedule_stats().unwrap().clusters_after < 4);

@@ -12,7 +12,7 @@ use crate::validate::{validate_verdict, ValidationError};
 use cmc_core::{Backend, BackendError, ExplicitBackend, SymbolicBackend, Target};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
 use cmc_kripke::{SimulationOutcome, System};
-use cmc_symbolic::{simulates_symbolic, ImageMode, ScheduleConfig};
+use cmc_symbolic::{simulates_symbolic, ImageMode};
 use std::fmt;
 
 /// The three verdicts for one obligation, in a fixed order.
@@ -278,7 +278,7 @@ pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcom
 
 /// The verdicts of the partition-conformance oracle, in a fixed order:
 /// unmerged symbolic (the scheduled executor with one cluster per
-/// disjunctive part, [`ScheduleConfig::no_merging`]), scheduled symbolic
+/// disjunctive part, [`SymbolicBackend::unmerged`]), scheduled symbolic
 /// (the default plan: cost-driven cluster merging and ordering),
 /// monolithic symbolic (the memoised product relation), explicit (the
 /// serial frontier kernel), and the naïve reference.
@@ -380,7 +380,7 @@ fn check_four(
 ) -> Result<(QuadVerdict, Vec<String>), String> {
     let target = Target::composition(systems.to_vec());
     let unmerged = SymbolicBackend::default()
-        .with_schedule(ScheduleConfig::no_merging())
+        .unmerged()
         .check(&target, r, f)
         .map_err(|e| e.to_string())?;
     let scheduled = SymbolicBackend::default()

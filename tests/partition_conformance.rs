@@ -8,9 +8,11 @@
 //!    monolithic symbolic / explicit / naïve reference), with sat counts
 //!    and witnesses cross-validated and partition-coarsening shrinking on
 //!    failure;
-//! 2. property tests that the unmerged and merged quantification plans
-//!    over the disjunctive partition compute the same pre-image as the
-//!    monolithic relation;
+//! 2. property tests that the two quantification plans over the
+//!    disjunctive partition — the unmerged control plan
+//!    (`set_merging(false)`) and the default merged plan, built once per
+//!    model under fixed merge thresholds — compute the same pre-image as
+//!    the monolithic relation;
 //! 3. scheduler determinism: verdicts, sat-state counts and certificate
 //!    steps are identical for 1/2/4/8 workers, including runs where every
 //!    worker drives its own BDD manager under `ForcedEvery(1)`
@@ -26,7 +28,7 @@ use compositional_mc::core::{
 };
 use compositional_mc::ctl::{Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
-use compositional_mc::symbolic::{ImageMode, MaintenanceConfig, ScheduleConfig, SymbolicModel};
+use compositional_mc::symbolic::{ImageMode, MaintenanceConfig, SymbolicModel};
 use proptest::prelude::*;
 
 /// The tentpole acceptance gate: ≥ 250 deterministic multi-component
@@ -130,13 +132,13 @@ proptest! {
 
         // Unmerged vs monolithic vs merged (default plan) pre-image of
         // the same set.
-        m.set_schedule_config(ScheduleConfig::no_merging());
+        m.set_merging(false);
         let unmerged = m.pre_exists(s);
         m.set_image_mode(ImageMode::Monolithic);
         let mono = m.pre_exists(s);
         prop_assert_eq!(unmerged, mono, "unmerged plan disagrees on pre_exists");
         m.set_image_mode(ImageMode::Scheduled);
-        m.set_schedule_config(ScheduleConfig::default());
+        m.set_merging(true);
         let sched = m.pre_exists(s);
         prop_assert_eq!(sched, mono, "scheduled pre_exists diverged");
         if let Some(st) = m.schedule_stats() {
@@ -286,9 +288,10 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
     for seed in 300..320u64 {
         let o = gen_partitioned_obligation(seed, &cfg);
         let target = Target::composition(o.systems.clone());
-        let unmerged = SymbolicBackend::default()
-            .with_schedule(ScheduleConfig::no_merging())
-            .check(&target, &o.restriction, &o.formula);
+        let unmerged =
+            SymbolicBackend::default()
+                .unmerged()
+                .check(&target, &o.restriction, &o.formula);
         let sched = SymbolicBackend::default().check(&target, &o.restriction, &o.formula);
         let mono = SymbolicBackend::default()
             .with_image_mode(ImageMode::Monolithic)
@@ -348,10 +351,10 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
 }
 
 /// The scheduled executor is verdict-invariant across worker counts and
-/// schedule configurations: the oracle corpus agrees at 1/2/4/8 workers
-/// whether clusters are merged (the default plan) or not at all, and
-/// under the most aggressive maintenance policy (which exercises the
-/// re-plan path at every safe point).
+/// plans: the oracle corpus agrees at 1/2/4/8 workers whether clusters
+/// are merged (the default plan) or not at all, and under the most
+/// aggressive maintenance policy (a collection at every safe point, which
+/// the plan's registry-rooted clusters survive unchanged).
 #[test]
 fn scheduled_mode_is_verdict_invariant_across_workers() {
     let cfg = GenConfig::default();
@@ -371,7 +374,7 @@ fn scheduled_mode_is_verdict_invariant_across_workers() {
         .collect()
     };
     let scheduled = SymbolicBackend::default();
-    let unmerged = scheduled.with_schedule(ScheduleConfig::no_merging());
+    let unmerged = scheduled.unmerged();
     let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1));
     let baseline = run(1, unmerged);
     assert!(
