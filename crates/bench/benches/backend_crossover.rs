@@ -28,7 +28,7 @@
 
 use cmc_bench::ring;
 use cmc_core::{
-    estimate_reachable_states, Backend, BackendChoice, ExplicitBackend, SymbolicBackend, Target,
+    estimate_reachable_states, BackendChoice, ExplicitBackend, SymbolicBackend, Target,
     AUTO_CROSSOVER_STATES, AUTO_DENSE_BITS,
 };
 use cmc_ctl::{parse, ExplicitLimits, Formula, Restriction};

@@ -14,7 +14,7 @@
 
 use cmc_bench::ring;
 use cmc_core::parallel::check_targets_with_workers;
-use cmc_core::{Backend, BackendChoice, ExplicitBackend, Target};
+use cmc_core::{BackendChoice, ExplicitBackend, Target};
 use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::System;
 use cmc_smv::compile_explicit;

@@ -17,7 +17,7 @@
 //! stay exercised cheaply.
 
 use cmc_bench::ring;
-use cmc_core::{Backend, SymbolicBackend, Target};
+use cmc_core::{SymbolicBackend, Target};
 use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::System;
 use cmc_smv::compile_explicit;

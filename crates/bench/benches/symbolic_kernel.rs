@@ -23,7 +23,7 @@
 
 use cmc_bdd::BddStats;
 use cmc_bench::ring;
-use cmc_core::{Backend, SymbolicBackend, Target};
+use cmc_core::{SymbolicBackend, Target};
 use cmc_ctl::{parse, Formula, Restriction};
 use cmc_kripke::{Alphabet, System};
 use cmc_smv::compile_explicit;

@@ -1,12 +1,13 @@
-//! Pluggable checker backends.
+//! The explicit and symbolic checker backends.
 //!
 //! The paper keeps its deduction layer engine-agnostic — the case study
 //! discharges obligations with SMV while the compositional rules never
-//! care *how* a `⊨_r` query is answered. This module is that seam: a
-//! [`Backend`] trait with one [`Verdict`] shape, implemented by the
-//! explicit-state checker (`cmc_ctl::Checker`) and the symbolic BDD
-//! checker (`cmc_symbolic`), plus a [`BackendChoice`] selector whose
-//! `Auto` policy is a measured **cost model**: it estimates the reachable
+//! care *how* a `⊨_r` query is answered. This module is that seam: two
+//! backends, [`ExplicitBackend`] over the explicit-state checker
+//! (`cmc_ctl::Checker`) and [`SymbolicBackend`] over the symbolic BDD
+//! checker (`cmc_symbolic`), whose `check` methods return one [`Verdict`]
+//! shape, plus a [`BackendChoice`] selector whose `Auto` policy is a
+//! measured **cost model**: it estimates the reachable
 //! state count from component sizes, alphabet overlap and the pinned
 //! initial condition ([`estimate_reachable_states`]), routes
 //! explicit-vs-symbolic on that estimate against the bench-calibrated
@@ -122,14 +123,24 @@ impl BackendChoice {
         }
     }
 
-    /// Stable identity string for deduction-level store keys (the
-    /// *policy*, as opposed to the resolved [`BackendKind::name`] used for
-    /// per-obligation keys).
+    /// Stable identity string for deduction-level store keys and the
+    /// daemon's wire protocol (the *policy*, as opposed to the resolved
+    /// [`BackendKind::name`] used for per-obligation keys).
     pub fn tag(self) -> &'static str {
         match self {
             BackendChoice::Explicit => "explicit",
             BackendChoice::Symbolic => "symbolic",
             BackendChoice::Auto => "auto",
+        }
+    }
+
+    /// Inverse of [`BackendChoice::tag`].
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        match tag {
+            "explicit" => Some(BackendChoice::Explicit),
+            "symbolic" => Some(BackendChoice::Symbolic),
+            "auto" => Some(BackendChoice::Auto),
+            _ => None,
         }
     }
 }
@@ -496,16 +507,6 @@ impl From<SymbolicError> for BackendError {
     }
 }
 
-/// A checking engine behind a uniform interface.
-pub trait Backend {
-    /// Which engine this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Decide `target ⊨_r f`.
-    fn check(&self, target: &Target, r: &Restriction, f: &Formula)
-        -> Result<Verdict, BackendError>;
-}
-
 /// The explicit-state backend. Up to [`ExplicitLimits::dense_bits`]
 /// propositions it builds the dense frontier kernel over `2^Σ*` (exact
 /// whole-universe sat counts); wider targets run the **reachable-only**
@@ -524,14 +525,9 @@ impl ExplicitBackend {
     pub fn with_limits(limits: ExplicitLimits) -> Self {
         ExplicitBackend { limits }
     }
-}
 
-impl Backend for ExplicitBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Explicit
-    }
-
-    fn check(
+    /// Decide `target ⊨_r f`.
+    pub fn check(
         &self,
         target: &Target,
         r: &Restriction,
@@ -586,6 +582,10 @@ impl Backend for ExplicitBackend {
     }
 }
 
+/// Widths up to this many propositions admit an exact `f64` satisfying
+/// count (integers are exact below `2^53`).
+const EXACT_COUNT_PROPS: usize = 52;
+
 /// The symbolic backend: one disjunctive transition partition per
 /// component, never materialising the product.
 ///
@@ -636,18 +636,9 @@ impl SymbolicBackend {
         self.unmerged = true;
         self
     }
-}
 
-/// Widths up to this many propositions admit an exact `f64` satisfying
-/// count (integers are exact below `2^53`).
-const EXACT_COUNT_PROPS: usize = 52;
-
-impl Backend for SymbolicBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Symbolic
-    }
-
-    fn check(
+    /// Decide `target ⊨_r f`.
+    pub fn check(
         &self,
         target: &Target,
         r: &Restriction,
@@ -707,14 +698,6 @@ impl Backend for SymbolicBackend {
     }
 }
 
-/// The backend implementing `kind`, with default configuration.
-pub fn backend_for(kind: BackendKind) -> Box<dyn Backend + Send + Sync> {
-    match kind {
-        BackendKind::Explicit => Box::new(ExplicitBackend::default()),
-        BackendKind::Symbolic => Box::new(SymbolicBackend::default()),
-    }
-}
-
 /// Decide `concrete ⊑ abstraction` under the backend policy.
 ///
 /// The simulation fixpoint has its own routing width — the *pair*
@@ -750,119 +733,6 @@ pub fn check_refines(
             }
         },
         BackendKind::Symbolic => Ok((simulates_symbolic(concrete, abstraction), kind)),
-    }
-}
-
-/// One dischargeable proof obligation — the vocabulary the engine's
-/// refinement layer deals in. `Check` is the classic `⊨_r` query both
-/// [`Backend`]s answer; `Refines` and `Substituted` are the two new kinds
-/// introduced by the abstraction-substitution rule.
-#[derive(Debug, Clone)]
-pub enum Obligation {
-    /// `target ⊨_r f`.
-    Check {
-        /// The (lazily composed) system under check.
-        target: Target,
-        /// The restriction `r = (I, F)`.
-        r: Restriction,
-        /// The property.
-        f: Formula,
-    },
-    /// `concrete ⊑ abstraction` — a simulation premise.
-    Refines {
-        /// The concrete component.
-        concrete: System,
-        /// Its candidate abstraction.
-        abstraction: System,
-    },
-    /// Prove `concrete ∘ rest ⊨_r f` by `concrete ⊑ abstraction` plus
-    /// `abstraction ∘ rest ⊨_r f` (side conditions are the *caller's*
-    /// duty — `cmc_core::rules::substitution_side_conditions` — this is
-    /// the mechanical discharge only).
-    Substituted {
-        /// The component being abstracted.
-        concrete: System,
-        /// The abstraction substituted for it.
-        abstraction: System,
-        /// The unchanged context components.
-        rest: Vec<System>,
-        /// The restriction.
-        r: Restriction,
-        /// The property.
-        f: Formula,
-    },
-}
-
-/// The outcome of discharging an [`Obligation`].
-#[derive(Debug, Clone)]
-pub enum ObligationOutcome {
-    /// Outcome of a `Check` obligation.
-    Verdict(Verdict),
-    /// Outcome of a `Refines` obligation, with the engine that ran it.
-    Simulation(SimulationOutcome, BackendKind),
-    /// Outcome of a `Substituted` obligation: the simulation premise, and
-    /// the abstract-side property verdict — [`None`] when the simulation
-    /// already failed (the property is then never posed).
-    Substitution {
-        /// `concrete ⊑ abstraction`, with the engine that decided it.
-        simulation: (SimulationOutcome, BackendKind),
-        /// `abstraction ∘ rest ⊨_r f`, if the simulation held.
-        verdict: Option<Verdict>,
-    },
-}
-
-impl ObligationOutcome {
-    /// Did the obligation discharge positively?
-    pub fn holds(&self) -> bool {
-        match self {
-            ObligationOutcome::Verdict(v) => v.holds,
-            ObligationOutcome::Simulation(out, _) => out.holds(),
-            ObligationOutcome::Substitution {
-                simulation,
-                verdict,
-            } => simulation.0.holds() && verdict.as_ref().is_some_and(|v| v.holds),
-        }
-    }
-}
-
-impl Obligation {
-    /// Discharge this obligation under `choice`. Purely mechanical: no
-    /// soundness side conditions are enforced here.
-    pub fn discharge(&self, choice: BackendChoice) -> Result<ObligationOutcome, BackendError> {
-        match self {
-            Obligation::Check { target, r, f } => {
-                let verdict = check_routed(choice, target, r, f)?;
-                Ok(ObligationOutcome::Verdict(verdict))
-            }
-            Obligation::Refines {
-                concrete,
-                abstraction,
-            } => {
-                let (out, kind) = check_refines(choice, concrete, abstraction)?;
-                Ok(ObligationOutcome::Simulation(out, kind))
-            }
-            Obligation::Substituted {
-                concrete,
-                abstraction,
-                rest,
-                r,
-                f,
-            } => {
-                let simulation = check_refines(choice, concrete, abstraction)?;
-                let verdict = if simulation.0.holds() {
-                    let mut systems = vec![abstraction.clone()];
-                    systems.extend(rest.iter().cloned());
-                    let target = Target::composition(systems);
-                    Some(check_routed(choice, &target, r, f)?)
-                } else {
-                    None
-                };
-                Ok(ObligationOutcome::Substitution {
-                    simulation,
-                    verdict,
-                })
-            }
-        }
     }
 }
 
@@ -910,6 +780,18 @@ mod tests {
             assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(BackendKind::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn choice_tags_round_trip() {
+        for choice in [
+            BackendChoice::Explicit,
+            BackendChoice::Symbolic,
+            BackendChoice::Auto,
+        ] {
+            assert_eq!(BackendChoice::from_tag(choice.tag()), Some(choice));
+        }
+        assert_eq!(BackendChoice::from_tag("bogus"), None);
     }
 
     #[test]
@@ -1192,69 +1074,6 @@ mod tests {
         assert_eq!(kind, BackendKind::Symbolic);
         let err = check_refines(BackendChoice::Explicit, &wide, &wide).unwrap_err();
         assert!(matches!(err, BackendError::TooLarge { .. }));
-    }
-
-    #[test]
-    fn substituted_obligation_discharges_both_halves() {
-        // Concrete toggler over {x, scratch}; abstraction = its projection
-        // onto {x}; context riser over {y}. The substituted check must
-        // verify the simulation and then pose the property on A ∘ rest.
-        let mut c = System::new(Alphabet::new(["x", "scratch"]));
-        c.add_transition_named(&[], &["scratch"]);
-        c.add_transition_named(&["scratch"], &["scratch", "x"]);
-        c.add_transition_named(&["scratch", "x"], &["x"]);
-        c.add_transition_named(&["x"], &[]);
-        let a = c.project(&Alphabet::new(["x"]));
-        let ob = Obligation::Substituted {
-            concrete: c,
-            abstraction: a,
-            rest: vec![riser("y")],
-            r: Restriction::trivial(),
-            f: parse("AG (y -> AX y)").unwrap(),
-        };
-        let out = ob.discharge(BackendChoice::Auto).unwrap();
-        assert!(out.holds());
-        match out {
-            ObligationOutcome::Substitution {
-                simulation,
-                verdict,
-            } => {
-                assert!(simulation.0.holds());
-                assert!(verdict.unwrap().holds);
-            }
-            other => panic!("expected a substitution outcome, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn failed_simulation_short_circuits_the_property() {
-        // A riser does not simulate back down, so the abstract property is
-        // never posed.
-        let mut c = System::new(Alphabet::new(["x"]));
-        c.add_transition_named(&[], &["x"]);
-        c.add_transition_named(&["x"], &[]);
-        let mut a = System::new(Alphabet::new(["x"]));
-        a.add_transition_named(&[], &["x"]);
-        let ob = Obligation::Substituted {
-            concrete: c,
-            abstraction: a,
-            rest: vec![],
-            r: Restriction::trivial(),
-            f: parse("AG x").unwrap(),
-        };
-        match ob.discharge(BackendChoice::Auto).unwrap() {
-            ObligationOutcome::Substitution {
-                simulation,
-                verdict,
-            } => {
-                assert!(!simulation.0.holds());
-                assert!(
-                    verdict.is_none(),
-                    "property must not run after a failed premise"
-                );
-            }
-            other => panic!("expected a substitution outcome, got {other:?}"),
-        }
     }
 
     #[test]

@@ -58,10 +58,9 @@ pub mod rules;
 pub mod scheduler;
 
 pub use backend::{
-    check_planned, check_refines, check_routed, estimate_reachable_states, Backend, BackendChoice,
-    BackendError, BackendKind, CheckStats, ExplicitBackend, Obligation, ObligationOutcome,
-    RouteDecision, SymbolicBackend, Target, Verdict, AUTO_BUDGET_SLACK, AUTO_CROSSOVER_STATES,
-    AUTO_DENSE_BITS, MAX_WITNESSES,
+    check_planned, check_refines, check_routed, estimate_reachable_states, BackendChoice,
+    BackendError, BackendKind, CheckStats, ExplicitBackend, RouteDecision, SymbolicBackend, Target,
+    Verdict, AUTO_BUDGET_SLACK, AUTO_CROSSOVER_STATES, AUTO_DENSE_BITS, MAX_WITNESSES,
 };
 pub use cmc_ctl::ExplicitLimits;
 pub use cmc_symbolic::{ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleStats};

@@ -4,10 +4,11 @@
 //! both miss the store and both pay for the check — the second result is
 //! thrown away when its `insert` lands on an already-memoized key. The
 //! [`SingleFlight`] map closes that window: before a job runs, the
-//! session claims every store obligation key the job will check; a
-//! concurrent job sharing *any* of those keys blocks until the first
-//! flight lands, then runs against the now-warm store and answers from
-//! it. Keys are claimed all-or-nothing under one lock (no ordering, no
+//! session claims every store obligation key the job will check (the
+//! keys [`cmc_smv::spec_keys`] computes, which the driver then looks
+//! up); a concurrent job sharing *any* of those keys blocks until the
+//! first flight lands, then runs against the now-warm store and answers
+//! from it. Keys are claimed all-or-nothing under one lock (no ordering, no
 //! hold-and-wait), so two jobs with overlapping key sets cannot
 //! deadlock.
 

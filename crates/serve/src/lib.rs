@@ -17,7 +17,9 @@
 //!   ride on `cmc-store`'s JSON layer);
 //! * [`server`] — the accept/session/dispatch loops: per-connection
 //!   sessions, batches fanned across `cmc_core::scheduler::run_bounded`
-//!   worker sessions, one shared [`cmc_store::CertStore`] backed by the
+//!   worker sessions, each job parsed and keyed once
+//!   ([`cmc_smv::spec_keys`]) and run through [`cmc_smv::run_module`]
+//!   against one shared [`cmc_store::CertStore`] backed by the
 //!   segmented disk tier ([`cmc_store::SegmentedDiskStore`]) with a
 //!   single background [`cmc_store::Compactor`];
 //! * [`flight`] — the single-flight pending map: identical in-flight

@@ -207,7 +207,7 @@ impl Request {
                     .map(|job| {
                         Json::Obj(vec![
                             ("source".into(), Json::Str(job.source.clone())),
-                            ("backend".into(), Json::Str(backend_str(job.backend).into())),
+                            ("backend".into(), Json::Str(job.backend.tag().into())),
                         ])
                     })
                     .collect();
@@ -246,9 +246,8 @@ impl Request {
                         .ok_or((id, "job without \"source\"".to_string()))?;
                     let backend = match item.get("backend").and_then(Json::as_str) {
                         None => BackendChoice::Auto,
-                        Some(s) => {
-                            backend_from_str(s).ok_or((id, format!("unknown backend {s:?}")))?
-                        }
+                        Some(s) => BackendChoice::from_tag(s)
+                            .ok_or((id, format!("unknown backend {s:?}")))?,
                     };
                     jobs.push(Job {
                         source: source.to_string(),
@@ -491,25 +490,6 @@ fn num_field(obj: &Json, field: &str) -> Result<u64, String> {
         .and_then(Json::as_num)
         .map(|n| n as u64)
         .ok_or_else(|| format!("missing numeric field {field:?}"))
-}
-
-/// Wire spelling of a backend choice.
-pub fn backend_str(choice: BackendChoice) -> &'static str {
-    match choice {
-        BackendChoice::Auto => "auto",
-        BackendChoice::Explicit => "explicit",
-        BackendChoice::Symbolic => "symbolic",
-    }
-}
-
-/// Parse the wire spelling of a backend choice.
-pub fn backend_from_str(s: &str) -> Option<BackendChoice> {
-    Some(match s {
-        "auto" => BackendChoice::Auto,
-        "explicit" => BackendChoice::Explicit,
-        "symbolic" => BackendChoice::Symbolic,
-        _ => return None,
-    })
 }
 
 fn store_to_json(stats: &StoreStats) -> Json {

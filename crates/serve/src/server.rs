@@ -6,8 +6,8 @@
 //! out across `cmc_core::scheduler::run_bounded` — the same bounded
 //! work-claiming pool the engine uses for obligation fan-out — so a
 //! 16-job batch on a 4-core box runs 4 worker sessions, not 16 threads.
-//! Every worker session verifies through
-//! [`cmc_smv::run_source_with_store_and_backend`] against **one shared
+//! Every worker session parses and keys its job once and verifies the
+//! parsed module through [`cmc_smv::run_module`] against **one shared
 //! [`CertStore`]**, so obligations memoized by any client warm every
 //! other client; each fresh symbolic check still gets its own GC'd BDD
 //! session (managers are per-check, the store is the shared tier).
@@ -27,8 +27,8 @@ use crate::protocol::{
     DEFAULT_MAX_REQUEST_BYTES,
 };
 use cmc_core::scheduler::run_bounded;
-use cmc_smv::{parse_module, run_source_with_store_and_backend};
-use cmc_store::{CertStore, Compactor, ObligationKey, SegmentedDiskStore};
+use cmc_smv::{parse_module, run_module, spec_keys};
+use cmc_store::{CertStore, Compactor, SegmentedDiskStore};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -380,32 +380,21 @@ fn session(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// The store obligation keys a job will check: one per `SPEC` of its
-/// source. A source that does not parse claims nothing — the driver will
-/// report the parse error without touching the store.
-fn job_keys(source: &str) -> Vec<ObligationKey> {
-    match parse_module(source) {
-        Ok(module) => module
-            .specs
-            .iter()
-            .map(|(text, _)| ObligationKey::source_spec(source, text))
-            .collect(),
-        Err(_) => Vec::new(),
-    }
-}
-
 /// Dispatch a batch across the bounded worker pool. Job order is
 /// preserved; a panicking or erroring job degrades to `Err` for its slot
-/// only. Each job flies single-file per obligation key: a job whose
-/// specs are already being checked — by another session or another slot
-/// of this batch — waits for that flight to land, then answers from the
-/// warm store instead of re-running the checker.
+/// only. Each job is parsed and keyed once ([`spec_keys`]), then flies
+/// single-file per obligation key: a job whose specs are already being
+/// checked — by another session or another slot of this batch — waits
+/// for that flight to land, then answers from the warm store instead of
+/// re-running the checker. A source that does not parse claims nothing.
 fn run_batch(shared: &Shared, jobs: &[crate::protocol::Job]) -> Vec<Result<JobReport, String>> {
     let workers = shared.cfg.workers.clamp(1, jobs.len().max(1));
     run_bounded(jobs.len(), workers, |i| {
         let job = &jobs[i];
-        let _flight = shared.flights.acquire(job_keys(&job.source));
-        run_source_with_store_and_backend(&job.source, &shared.store, job.backend)
+        let module = parse_module(&job.source).map_err(|e| e.to_string())?;
+        let keys = spec_keys(&job.source, &module);
+        let _flight = shared.flights.acquire(keys.clone());
+        run_module(&module, job.backend, Some((&shared.store, &keys)))
             .map(|outcome| JobReport {
                 specs: outcome.results,
                 cache_hits: outcome.cache_hits as u64,

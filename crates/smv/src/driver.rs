@@ -1,5 +1,10 @@
 //! The check driver: parse → check → compile → verify all `SPEC`s and print
 //! an SMV-style report, as in Figures 7, 10, 15 and 17 of the paper.
+//!
+//! Every entry point but [`run_refine`] runs one spec loop over a parsed
+//! module, on either engine, with or without a certificate store: a spec
+//! is answered from the store when its key is there, and checked
+//! otherwise on a model compiled at the first miss.
 
 use crate::ast::Module;
 use crate::compile::{compile, CompiledModel};
@@ -10,7 +15,7 @@ use cmc_core::{BackendChoice, AUTO_DENSE_BITS};
 use cmc_ctl::Restriction;
 use cmc_store::{CertStore, Entry, ObligationKey};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Any error from the driver pipeline.
 #[derive(Debug, Clone)]
@@ -58,29 +63,11 @@ impl RunOutcome {
 
 /// Verify every `SPEC` of an SMV program and render the SMV-style report.
 pub fn run_source(src: &str) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let compiled = compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    run_compiled(compiled)
+    check_specs(&parse(src)?, false, None)
 }
 
-/// Verify a pre-compiled model (used by programmatic model builders).
-pub fn run_compiled(mut compiled: CompiledModel) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    for (text, f) in compiled.specs.clone() {
-        let (holds, spec_lines) = check_one_spec(&mut compiled, &text, &f)?;
-        lines.extend(spec_lines);
-        results.push((text.clone(), holds));
-    }
-    let report = render_report(&compiled, lines, start.elapsed());
-    let cache_misses = results.len();
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits: 0,
-        cache_misses,
-    })
+fn parse(src: &str) -> Result<Module, DriverError> {
+    parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))
 }
 
 /// Resolve `choice` for a parsed module: whether the explicit engine runs
@@ -129,137 +116,136 @@ pub fn run_source_with_backend(
     src: &str,
     choice: BackendChoice,
 ) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let (explicit, engine) = resolve_backend(&module, choice);
-    let mut out = if explicit {
-        run_module_explicit(&module)?
-    } else {
-        let compiled = compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-        run_compiled(compiled)?
-    };
+    run_module(&parse(src)?, choice, None)
+}
+
+/// The certificate-store key of each `SPEC` of `module`, parsed from
+/// `src`, in spec order — the one place the driver and the daemon key a
+/// spec.
+///
+/// Keys are `(normalised source, spec)` pairs with no backend tag: both
+/// engines are sound over the same semantics (the testkit oracle enforces
+/// it), so a verdict computed by either engine answers both —
+/// deliberately unlike engine-level obligation keys, which stay
+/// backend-tagged because their certificates differ.
+pub fn spec_keys(src: &str, module: &Module) -> Vec<ObligationKey> {
+    module
+        .specs
+        .iter()
+        .map(|(text, _)| ObligationKey::source_spec(src, text))
+        .collect()
+}
+
+/// Verify every `SPEC`, consulting `store` first **and** routing the
+/// fresh checks through the engine selected by `choice` (as
+/// [`run_source_with_backend`]). A spec whose `(normalised source, spec)`
+/// pair was verified before — in this process or loaded from disk — is
+/// answered from its stored verdict without running the checker, and
+/// fresh verdicts are memoized. Cached *failing* specs report the verdict
+/// only (the counterexample trace is not stored), and the report marks
+/// them `(verdict from certificate store)`; the `resources used:` trailer
+/// gains the store block. When every spec hits, no model is compiled.
+pub fn run_source_with_store_and_backend(
+    src: &str,
+    store: &CertStore,
+    choice: BackendChoice,
+) -> Result<RunOutcome, DriverError> {
+    let module = parse(src)?;
+    run_module(&module, choice, Some((store, &spec_keys(src, &module))))
+}
+
+/// Verify every `SPEC` of a parsed module through the engine selected by
+/// `choice`, consulting `store` — a store with the key of each spec, as
+/// [`spec_keys`] computes them — when one is given. This is the daemon's
+/// entry point: each `cmc-serve` job is parsed and keyed once, claims its
+/// single-flight with those keys, and runs here against the one shared
+/// store. [`run_source_with_backend`] and
+/// [`run_source_with_store_and_backend`] are this function on a freshly
+/// parsed source.
+///
+/// # Panics
+///
+/// If `store` carries a different number of keys than `module` has specs.
+pub fn run_module(
+    module: &Module,
+    choice: BackendChoice,
+    store: Option<(&CertStore, &[ObligationKey])>,
+) -> Result<RunOutcome, DriverError> {
+    let (explicit, engine) = resolve_backend(module, choice);
+    let mut out = check_specs(module, explicit, store)?;
     out.report.push_str(&engine);
     Ok(out)
 }
 
-/// Verify every `SPEC` of a parsed module with the explicit-state engine.
-fn run_module_explicit(module: &Module) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    let explicit = compile_explicit(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    for (i, (text, _)) in explicit.specs.iter().enumerate() {
-        let (holds, spec_lines) = check_one_spec_explicit(&explicit, i, text)?;
-        lines.extend(spec_lines);
-        results.push((text.clone(), holds));
-    }
-    let report = render_explicit_report(&explicit, lines, start.elapsed());
-    let cache_misses = results.len();
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits: 0,
-        cache_misses,
-    })
-}
-
-/// Verify every `SPEC`, consulting `store` first: a spec whose
-/// `(normalised source, spec)` pair was verified before — in this process
-/// or loaded from disk — is answered from its stored verdict without
-/// running the checker. Fresh verdicts are memoized. Cached *failing*
-/// specs report the verdict only (the counterexample trace is not stored),
-/// and the report marks them `(verdict from certificate store)`; the
-/// `resources used:` trailer gains a hit-rate line.
-pub fn run_source_with_store(src: &str, store: &CertStore) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    run_module_symbolic_with_store(src, &module, store)
-}
-
-/// Symbolic store-backed run over a parsed module (shared by
-/// [`run_source_with_store`] and [`run_source_with_store_and_backend`]).
-fn run_module_symbolic_with_store(
-    src: &str,
+/// The one spec loop: answer each `SPEC` of `module` from `store` when it
+/// holds the spec's key, and check it otherwise on the explicit or the
+/// symbolic engine, memoizing the fresh verdict. Each spec is looked up
+/// once. The model is compiled at the first miss, so a run whose every
+/// spec hits builds no model; a module without specs still compiles, so
+/// its semantic errors surface. `user time:` spans compilation and checks
+/// on both engines, as SMV's does.
+fn check_specs(
     module: &Module,
-    store: &CertStore,
+    explicit: bool,
+    store: Option<(&CertStore, &[ObligationKey])>,
 ) -> Result<RunOutcome, DriverError> {
-    let warm_start = Instant::now();
-    if let Some(out) = fully_warm_outcome(src, module, store, warm_start) {
-        return Ok(out);
+    if let Some((_, keys)) = store {
+        assert_eq!(keys.len(), module.specs.len(), "one store key per spec");
     }
-    let mut compiled = compile(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
     let start = Instant::now();
-    let mut results = Vec::new();
+    let mut compiled = None;
+    let mut results = Vec::with_capacity(module.specs.len());
     let mut lines = Vec::new();
     let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    for (text, f) in compiled.specs.clone() {
-        let key = ObligationKey::source_spec(src, &text);
-        match store.lookup(&key) {
+    for (i, (text, _)) in module.specs.iter().enumerate() {
+        let holds = match store.and_then(|(store, keys)| store.lookup(&keys[i])) {
             Some(entry) => {
                 cache_hits += 1;
                 lines.push(format!(
                     "-- specification {text} is {} (verdict from certificate store)",
-                    if entry.verdict { "true" } else { "false" }
+                    entry.verdict
                 ));
-                results.push((text.clone(), entry.verdict));
+                entry.verdict
             }
             None => {
-                cache_misses += 1;
-                let (holds, spec_lines) = check_one_spec(&mut compiled, &text, &f)?;
-                store.insert(key, Entry::verdict(holds));
+                let model = match &mut compiled {
+                    Some(model) => model,
+                    None => compiled.insert(Compiled::new(module, explicit)?),
+                };
+                let (holds, spec_lines) = model.check(i)?;
+                if let Some((store, keys)) = store {
+                    store.insert(keys[i], Entry::verdict(holds));
+                }
                 lines.extend(spec_lines);
-                results.push((text.clone(), holds));
+                holds
             }
-        }
+        };
+        results.push((text.clone(), holds));
     }
-    let mut report = render_report(&compiled, lines, start.elapsed());
-    report.push_str(&store_trailer(store, cache_hits, cache_misses));
+    if module.specs.is_empty() {
+        compiled = Some(Compiled::new(module, explicit)?);
+    }
+    let user_time = start.elapsed();
+    let mut report = lines.join("\n");
+    report.push_str(&format!(
+        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n",
+        user_time.as_secs_f64()
+    ));
+    match &compiled {
+        Some(model) => report.push_str(&model.resources()),
+        None => report.push_str(
+            "model construction skipped: every spec answered from the certificate store\n",
+        ),
+    }
+    let cache_misses = results.len() - cache_hits;
+    if let Some((store, _)) = store {
+        report.push_str(&store_trailer(store, cache_hits, cache_misses));
+    }
     Ok(RunOutcome {
         results,
         report,
         cache_hits,
         cache_misses,
-    })
-}
-
-/// Fully-warm fast path: when **every** spec of the module is already
-/// memoized, answer without compiling a model at all — a warm run costs
-/// hash lookups, not state-space construction. Spec texts come straight
-/// from the parsed module (both compilers carry them verbatim), so the
-/// keys match what a cold run stored. Returns `None` — falling back to
-/// the compiling path — on the first miss, or when the module has no
-/// specs (so semantic errors still surface).
-fn fully_warm_outcome(
-    src: &str,
-    module: &Module,
-    store: &CertStore,
-    start: Instant,
-) -> Option<RunOutcome> {
-    if module.specs.is_empty() {
-        return None;
-    }
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    for (text, _) in &module.specs {
-        let entry = store.lookup(&ObligationKey::source_spec(src, text))?;
-        lines.push(format!(
-            "-- specification {text} is {} (verdict from certificate store)",
-            if entry.verdict { "true" } else { "false" }
-        ));
-        results.push((text.clone(), entry.verdict));
-    }
-    let cache_hits = results.len();
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         model construction skipped: every spec answered from the certificate store\n",
-        start.elapsed().as_secs_f64(),
-    ));
-    report.push_str(&store_trailer(store, cache_hits, 0));
-    Some(RunOutcome {
-        results,
-        report,
-        cache_hits,
-        cache_misses: 0,
     })
 }
 
@@ -290,93 +276,59 @@ fn store_trailer(store: &CertStore, cache_hits: usize, cache_misses: usize) -> S
     )
 }
 
-/// Verify every `SPEC`, consulting `store` first (as
-/// [`run_source_with_store`]) **and** routing the fresh checks through
-/// the engine selected by `choice` (as [`run_source_with_backend`]).
-/// This is the daemon's entry point: all `cmc-serve` worker sessions
-/// funnel through here against one shared store.
-///
-/// Store keys are `(normalised source, spec)` pairs with no backend tag:
-/// both engines are sound over the same semantics (the testkit oracle
-/// enforces it), so a verdict computed by either engine answers both —
-/// deliberately unlike engine-level obligation keys, which stay
-/// backend-tagged because their certificates differ.
-pub fn run_source_with_store_and_backend(
-    src: &str,
-    store: &CertStore,
-    choice: BackendChoice,
-) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let (explicit, engine) = resolve_backend(&module, choice);
-    let mut out = if explicit {
-        run_module_explicit_with_store(src, &module, store)?
-    } else {
-        run_module_symbolic_with_store(src, &module, store)?
-    };
-    out.report.push_str(&engine);
-    Ok(out)
+/// A module compiled for one engine: the spec loop's dispatch over the
+/// two compiled forms.
+enum Compiled {
+    Symbolic(CompiledModel),
+    Explicit(ExplicitCompiled),
 }
 
-/// Explicit-state store-backed run over a parsed module.
-fn run_module_explicit_with_store(
-    src: &str,
-    module: &Module,
-    store: &CertStore,
-) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    if let Some(out) = fully_warm_outcome(src, module, store, start) {
-        return Ok(out);
+impl Compiled {
+    fn new(module: &Module, explicit: bool) -> Result<Self, DriverError> {
+        let compiled = if explicit {
+            compile_explicit(module).map(Compiled::Explicit)
+        } else {
+            compile(module).map(Compiled::Symbolic)
+        };
+        compiled.map_err(|e| DriverError::Semantic(e.to_string()))
     }
-    let explicit = compile_explicit(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    for (i, (text, _)) in explicit.specs.iter().enumerate() {
-        let key = ObligationKey::source_spec(src, text);
-        match store.lookup(&key) {
-            Some(entry) => {
-                cache_hits += 1;
-                lines.push(format!(
-                    "-- specification {text} is {} (verdict from certificate store)",
-                    if entry.verdict { "true" } else { "false" }
-                ));
-                results.push((text.clone(), entry.verdict));
-            }
-            None => {
-                cache_misses += 1;
-                let (holds, spec_lines) = check_one_spec_explicit(&explicit, i, text)?;
-                store.insert(key, Entry::verdict(holds));
-                lines.extend(spec_lines);
-                results.push((text.clone(), holds));
-            }
+
+    /// Check spec `i`: its verdict and its report lines, with the
+    /// counterexample of a failing spec.
+    fn check(&mut self, i: usize) -> Result<(bool, Vec<String>), DriverError> {
+        match self {
+            Compiled::Symbolic(compiled) => check_symbolic(compiled, i),
+            Compiled::Explicit(explicit) => check_explicit(explicit, i),
         }
     }
-    let mut report = render_explicit_report(&explicit, lines, start.elapsed());
-    report.push_str(&store_trailer(store, cache_hits, cache_misses));
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits,
-        cache_misses,
-    })
+
+    /// This engine's lines of the `resources used:` trailer, after the
+    /// `user time:` line.
+    fn resources(&self) -> String {
+        match self {
+            Compiled::Symbolic(compiled) => symbolic_resources(compiled),
+            Compiled::Explicit(explicit) => format!(
+                "explicit states enumerated over {} propositions; {} proper transitions\n",
+                explicit.system.alphabet().len(),
+                explicit.system.proper_transition_count(),
+            ),
+        }
+    }
 }
 
-/// Check spec `i` on the explicit engine, returning its verdict and its
-/// report lines (including the first violating initial state for
-/// failures).
-fn check_one_spec_explicit(
+/// Check spec `i` on the explicit engine; a failure shows its first
+/// violating initial state.
+fn check_explicit(
     explicit: &ExplicitCompiled,
     i: usize,
-    text: &str,
 ) -> Result<(bool, Vec<String>), DriverError> {
     let violating = explicit
         .violating_init(i)
         .map_err(|e| DriverError::Check(e.to_string()))?;
     let holds = violating.is_empty();
     let mut lines = vec![format!(
-        "-- specification {text} is {}",
-        if holds { "true" } else { "false" }
+        "-- specification {} is {holds}",
+        explicit.specs[i].0
     )];
     if let Some(s) = violating.first() {
         lines.push("-- as demonstrated by the initial state".into());
@@ -387,39 +339,18 @@ fn check_one_spec_explicit(
     Ok((holds, lines))
 }
 
-/// Assemble explicit spec lines plus their `resources used:` trailer.
-fn render_explicit_report(
-    explicit: &ExplicitCompiled,
-    lines: Vec<String>,
-    user_time: Duration,
-) -> String {
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         explicit states enumerated over {} propositions; {} proper transitions\n",
-        user_time.as_secs_f64(),
-        explicit.system.alphabet().len(),
-        explicit.system.proper_transition_count(),
-    ));
-    report
-}
-
-/// Check one spec, returning its verdict and its report lines (including
-/// the counterexample trace for failures).
-fn check_one_spec(
+/// Check spec `i` on the symbolic engine; a failure shows its
+/// counterexample trace.
+fn check_symbolic(
     compiled: &mut CompiledModel,
-    text: &str,
-    f: &cmc_ctl::Formula,
+    i: usize,
 ) -> Result<(bool, Vec<String>), DriverError> {
-    let mut lines = Vec::new();
+    let (text, f) = &compiled.specs[i];
     let verdict = compiled
         .model
         .check(&Restriction::trivial(), f)
         .map_err(|e| DriverError::Check(e.to_string()))?;
-    lines.push(format!(
-        "-- specification {text} is {}",
-        if verdict.holds { "true" } else { "false" }
-    ));
+    let mut lines = vec![format!("-- specification {text} is {}", verdict.holds)];
     if !verdict.holds {
         lines.push("-- as demonstrated by the following execution sequence".into());
         // For a failed AG over a propositional body, show the full
@@ -454,23 +385,21 @@ fn check_one_spec(
     Ok((verdict.holds, lines))
 }
 
-/// Assemble spec lines plus the SMV-style `resources used:` trailer.
-fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Duration) -> String {
+/// The symbolic engine's resource lines: the paper's BDD counters, the
+/// memory kernel, the transition relation and its quantification plan.
+fn symbolic_resources(compiled: &CompiledModel) -> String {
     let stats = compiled.model.mgr_ref().stats();
     let parts = compiled.model.trans_parts();
     let trans_nodes = compiled.model.mgr_ref().node_count_many(&parts);
     let aux = compiled.model.num_state_vars();
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         BDD nodes allocated: {}\nBytes allocated: {}\n\
+    let mut lines = format!(
+        "BDD nodes allocated: {}\nBytes allocated: {}\n\
          BDD nodes live: {} (peak {})\n\
          garbage collections: {} (reclaimed {} nodes)\n\
          cache evictions: {}\n\
          and-exists cache: {} hits / {} misses\n\
          transition relation: {} disjunctive partition(s), early quantification\n\
          BDD nodes representing transition relation: {} + {}\n",
-        user_time.as_secs_f64(),
         stats.nodes_allocated,
         stats.bytes_allocated,
         stats.live_nodes,
@@ -483,24 +412,24 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
         parts.len(),
         trans_nodes,
         aux
-    ));
+    );
     // The set every check of this run was restricted to: the symbolic
     // counterpart of the explicit engine's reachable-state count.
     if let Some(reach) = compiled.model.reachable_memo() {
         let bits = compiled.model.num_state_vars();
         let count = compiled.model.mgr_ref().sat_count(reach, 2 * bits) / 2f64.powi(bits as i32);
-        report.push_str(&format!(
+        lines.push_str(&format!(
             "reachable states: {count:.0} (2^{:.2}) of 2^{bits}\n",
             count.log2()
         ));
     }
     if let Some(sched) = compiled.model.schedule_stats() {
-        report.push_str(&format!(
+        lines.push_str(&format!(
             "quantification schedule: {} cluster(s) merged from {} partition(s)\n",
             sched.clusters_after, sched.clusters_before
         ));
     }
-    report
+    lines
 }
 
 /// Verify every `SPEC` with **both** engines — the symbolic (BDD) checker
@@ -508,14 +437,11 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
 /// they ever disagree. Slower, but the strongest possible answer; intended
 /// for certification runs and for models small enough to enumerate
 /// (explicit compilation is budgeted by valid-state count; see
-/// [`cmc_ctl::ExplicitLimits`]).
+/// [`cmc_ctl::ExplicitLimits`]). The report is the symbolic one.
 pub fn run_source_validated(src: &str) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let compiled =
-        crate::compile::compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let explicit = crate::explicit::compile_explicit(&module)
-        .map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let outcome = run_compiled(compiled)?;
+    let module = parse(src)?;
+    let outcome = check_specs(&module, false, None)?;
+    let explicit = compile_explicit(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
     for (i, (text, symbolic_verdict)) in outcome.results.iter().enumerate() {
         let explicit_verdict = explicit
             .check_spec(i)
@@ -665,6 +591,12 @@ pub fn run_refine(
 mod tests {
     use super::*;
 
+    /// A 2-bit enumeration with three specs, of which `AF s = c` fails
+    /// (the model may stutter at `a` forever).
+    const ENUM3: &str = "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
+                         next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
+                         SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c";
+
     #[test]
     fn report_for_passing_model() {
         let out = run_source(
@@ -713,12 +645,7 @@ mod tests {
 
     #[test]
     fn validated_mode_agrees_on_case_studies() {
-        let out = run_source_validated(
-            "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
-             next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
-             SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c",
-        )
-        .unwrap();
+        let out = run_source_validated(ENUM3).unwrap();
         assert_eq!(out.results.len(), 3);
         // AF s=c fails (stuttering at a); both engines must agree on that.
         assert!(!out.all_true());
@@ -729,11 +656,11 @@ mod tests {
         let src = "MODULE main\nVAR x : boolean;\nASSIGN init(x) := 0; next(x) := 1;\n\
                    SPEC AF x\nSPEC AG (x -> AX x)\nSPEC AG !x";
         let store = CertStore::new();
-        let cold = run_source_with_store(src, &store).unwrap();
+        let cold = run_source_with_store_and_backend(src, &store, BackendChoice::Symbolic).unwrap();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 3));
         assert!(cold.report.contains("0 of 3 specs answered from store"));
 
-        let warm = run_source_with_store(src, &store).unwrap();
+        let warm = run_source_with_store_and_backend(src, &store, BackendChoice::Symbolic).unwrap();
         assert_eq!((warm.cache_hits, warm.cache_misses), (3, 0));
         assert_eq!(warm.results, cold.results);
         assert!(warm.report.contains("3 of 3 specs answered from store"));
@@ -750,7 +677,7 @@ mod tests {
     fn store_backed_report_surfaces_store_telemetry() {
         let src = "MODULE main\nVAR x : boolean;\nASSIGN next(x) := 1;\nSPEC AF x";
         let store = CertStore::new();
-        let out = run_source_with_store(src, &store).unwrap();
+        let out = run_source_with_store_and_backend(src, &store, BackendChoice::Symbolic).unwrap();
         assert!(out.report.contains("store entries resident: 1"));
         assert!(out.report.contains("lru evictions: 0"));
         assert!(out.report.contains("store disk tier:"));
@@ -761,9 +688,7 @@ mod tests {
 
     #[test]
     fn store_and_backend_runs_share_one_store_across_engines() {
-        let src = "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
-                   next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
-                   SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c";
+        let src = ENUM3;
         let store = CertStore::new();
         let cold = run_source_with_store_and_backend(src, &store, BackendChoice::Explicit).unwrap();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 3));
@@ -801,25 +726,64 @@ mod tests {
         let src1 = "MODULE main\nVAR x : boolean;\nASSIGN next(x) := 1; -- rise\nSPEC AF x";
         // Same program modulo comments/whitespace: the spec hits.
         let src2 = "MODULE main\n  VAR x : boolean;\nASSIGN next(x) := 1;\nSPEC AF x";
-        run_source_with_store(src1, &store).unwrap();
-        let again = run_source_with_store(src2, &store).unwrap();
+        run_source_with_store_and_backend(src1, &store, BackendChoice::Symbolic).unwrap();
+        let again =
+            run_source_with_store_and_backend(src2, &store, BackendChoice::Symbolic).unwrap();
         assert_eq!((again.cache_hits, again.cache_misses), (1, 0));
         // A different spec over the same program misses.
         let src3 = "MODULE main\nVAR x : boolean;\nASSIGN next(x) := 1;\nSPEC AG x";
-        let other = run_source_with_store(src3, &store).unwrap();
+        let other =
+            run_source_with_store_and_backend(src3, &store, BackendChoice::Symbolic).unwrap();
         assert_eq!((other.cache_hits, other.cache_misses), (0, 1));
+    }
+
+    /// Each spec is looked up once per run, on both engines: a cold run
+    /// records one miss per spec, a rerun one hit per spec, and a run
+    /// with only the middle spec stored hits it alone, reporting the
+    /// specs in order with only that one marked as a stored verdict.
+    #[test]
+    fn each_spec_is_looked_up_once_per_run() {
+        let plain = run_source(ENUM3).unwrap();
+        let module = parse_module(ENUM3).unwrap();
+        let keys = spec_keys(ENUM3, &module);
+        for choice in [BackendChoice::Explicit, BackendChoice::Symbolic] {
+            let store = CertStore::new();
+            run_source_with_store_and_backend(ENUM3, &store, choice).unwrap();
+            let stats = store.stats();
+            assert_eq!((stats.hits, stats.misses), (0, 3), "{choice:?} cold");
+            run_source_with_store_and_backend(ENUM3, &store, choice).unwrap();
+            assert_eq!(store.stats().hits, 3, "{choice:?} rerun");
+
+            let partial = CertStore::new();
+            partial.insert(keys[1], Entry::verdict(plain.results[1].1));
+            let out = run_source_with_store_and_backend(ENUM3, &partial, choice).unwrap();
+            let stats = partial.stats();
+            assert_eq!((stats.hits, stats.misses), (1, 2), "{choice:?} partial");
+            assert_eq!(out.results, plain.results);
+            let verdicts: Vec<&str> = out
+                .report
+                .lines()
+                .filter(|l| l.starts_with("-- specification "))
+                .collect();
+            assert_eq!(verdicts.len(), 3, "{}", out.report);
+            for (line, (text, _)) in verdicts.iter().zip(&plain.results) {
+                assert!(line.starts_with(&format!("-- specification {text} is ")));
+            }
+            let stored: Vec<bool> = verdicts
+                .iter()
+                .map(|l| l.ends_with("(verdict from certificate store)"))
+                .collect();
+            assert_eq!(stored, [false, true, false], "{}", out.report);
+        }
     }
 
     #[test]
     fn backend_choices_agree_on_small_models() {
         use cmc_serve::workload::{afs_source, ring_source};
-        let enum3 = "MODULE main\nVAR s : {a, b, c};\nASSIGN init(s) := a;\n\
-                     next(s) := case s = a : {a, b}; s = b : c; 1 : s; esac;\n\
-                     SPEC EF s = c\nSPEC AG (s = c -> AX s = c)\nSPEC AF s = c";
         // (source, encoded bits, does Auto pick explicit?): the 2-bit
         // enum and the 7-bit 3-client AFS sit at or under AUTO_DENSE_BITS;
         // the daemon's 10-16-station rings and 4-6-client AFS do not.
-        let mut cases = vec![(enum3.to_string(), 2, true), (afs_source(3), 7, true)];
+        let mut cases = vec![(ENUM3.to_string(), 2, true), (afs_source(3), 7, true)];
         cases.extend((10..=16).map(|n| (ring_source(n), n, false)));
         cases.extend((4..=6).map(|c| (afs_source(c), 1 + 2 * c, false)));
         for (src, bits, auto_explicit) in &cases {

@@ -16,7 +16,12 @@
 //! * an independent compiler to the explicit-state engine
 //!   ([`compile_explicit`]) used for cross-validation,
 //! * an SMV-style check driver ([`run_source`]) whose output mirrors the
-//!   paper's Figures 7, 10, 15 and 17.
+//!   paper's Figures 7, 10, 15 and 17: one spec loop for both engines
+//!   ([`run_source_with_backend`]), with or without a certificate store
+//!   ([`run_source_with_store_and_backend`]), and for a module already
+//!   parsed and keyed ([`run_module`], [`spec_keys`]), as the
+//!   `cmc-serve` daemon runs its jobs. The `cmc-smv` binary is its
+//!   command line (`-e`, `-s`, `-v`, `-refine`).
 //!
 //! ## Example
 //!
@@ -49,8 +54,8 @@ pub use cmc_ctl::ExplicitLimits;
 pub use compile::{compile, CompiledModel, CompiledVar};
 pub use compose::{compile_composition, compile_expansion, union_variables};
 pub use driver::{
-    run_refine, run_source, run_source_validated, run_source_with_backend, run_source_with_store,
-    run_source_with_store_and_backend, DriverError, RunOutcome,
+    run_module, run_refine, run_source, run_source_validated, run_source_with_backend,
+    run_source_with_store_and_backend, spec_keys, DriverError, RunOutcome,
 };
 pub use explicit::{compile_explicit, compile_explicit_with, ExplicitCompiled};
 pub use parse::{parse_module, SmvParseError};

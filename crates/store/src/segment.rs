@@ -107,7 +107,9 @@ impl SegmentedDiskStore {
     /// A truncated/garbled segment or one with a foreign header is
     /// skipped with a counted warning ([`crate::StoreStats::segments_skipped`]);
     /// individual entries failing their checksum count `disk_rejects`.
-    /// Returns the number of entries accepted.
+    /// Returns the number of entries installed, which a full store can
+    /// make smaller than the number read: a new key arriving at capacity
+    /// is dropped, while a resident one is still overridden.
     pub fn load_into(&self, store: &CertStore) -> io::Result<usize> {
         let mut accepted = 0usize;
         for (seq, path) in self.list_segments()? {
@@ -125,8 +127,7 @@ impl SegmentedDiskStore {
             for item in items {
                 match entry_from_json(&item) {
                     Some((key, entry)) => {
-                        store.install_from_disk(key, entry);
-                        accepted += 1;
+                        accepted += usize::from(store.install_from_disk(key, entry));
                     }
                     None => store.count_disk_reject(),
                 }
@@ -648,6 +649,36 @@ mod tests {
         let store = CertStore::new();
         disk.load_into(&store).unwrap();
         assert!(store.lookup(&key(9)).unwrap().verdict);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// At capacity, a later segment still overrides a resident key in
+    /// place, a new key is dropped, and `load_into` counts only the
+    /// entries it installed.
+    #[test]
+    fn full_store_reload_overrides_resident_keys_and_counts_installs() {
+        let dir = tmp_dir("full-reload");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        disk.append(&[
+            (key(1), Entry::verdict(true)),
+            (key(2), Entry::verdict(true)),
+        ])
+        .unwrap();
+        disk.append(&[
+            (key(1), Entry::verdict(false)),
+            (key(3), Entry::verdict(true)),
+        ])
+        .unwrap();
+        let store = CertStore::with_capacity(2);
+        let installed = disk.load_into(&store).unwrap();
+        assert!(
+            !store.lookup(&key(1)).unwrap().verdict,
+            "later segment lost"
+        );
+        assert!(store.lookup(&key(3)).is_none());
+        assert_eq!(store.len(), 2);
+        assert_eq!(installed as u64, store.stats().disk_loads);
+        assert_eq!(installed, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

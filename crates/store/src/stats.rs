@@ -16,7 +16,8 @@ pub struct StoreStats {
     pub insertions: u64,
     /// Entries discarded to respect the capacity bound.
     pub evictions: u64,
-    /// Entries accepted from the on-disk layer.
+    /// Entries installed from the on-disk layer (a new key arriving at
+    /// capacity is dropped and not counted).
     pub disk_loads: u64,
     /// On-disk entries rejected (stale format, checksum mismatch, parse
     /// error) — rejected entries are ignored, never trusted.

@@ -150,11 +150,14 @@ impl CertStore {
     }
 
     /// Install an entry loaded from disk (bypasses miss counting; counts a
-    /// disk load instead).
-    pub(crate) fn install_from_disk(&self, key: ObligationKey, entry: Entry) {
+    /// disk load instead) and report whether it was installed. A resident
+    /// key is overwritten in place, so a later segment overrides an
+    /// earlier one even in a full store; a new key is dropped once the
+    /// store is full, because disk entries never evict live results.
+    pub(crate) fn install_from_disk(&self, key: ObligationKey, entry: Entry) -> bool {
         let mut inner = self.inner.write();
-        if inner.map.len() >= self.capacity {
-            return; // never evict live results for disk entries
+        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
+            return false;
         }
         inner.clock += 1;
         let clock = inner.clock;
@@ -166,6 +169,7 @@ impl CertStore {
             },
         );
         inner.stats.disk_loads += 1;
+        true
     }
 
     /// Count a rejected on-disk entry.

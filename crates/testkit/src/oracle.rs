@@ -9,7 +9,7 @@
 use crate::gen::{Obligation, SimPair};
 use crate::reference::{naive_simulates, RefEvaluator};
 use crate::validate::{validate_verdict, ValidationError};
-use cmc_core::{Backend, BackendError, ExplicitBackend, SymbolicBackend, Target};
+use cmc_core::{BackendError, ExplicitBackend, SymbolicBackend, Target};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
 use cmc_kripke::{SimulationOutcome, System};
 use cmc_symbolic::{simulates_symbolic, ImageMode};

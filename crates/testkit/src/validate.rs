@@ -24,7 +24,7 @@
 //!   obligation re-evaluates to the certified verdict.
 
 use crate::reference::{RefEvaluator, REFERENCE_MAX_PROPS};
-use cmc_core::{check_refines, Backend, BackendChoice, Certificate, Target, Verdict};
+use cmc_core::{check_refines, BackendChoice, Certificate, Target, Verdict};
 use cmc_ctl::{parse, Formula, Restriction, WitnessPath};
 use cmc_kripke::{State, System};
 use cmc_store::{CertStore, ObligationKey, StoredCertificate, StoredSubstitution};

@@ -8,7 +8,7 @@
 //! `Auto` routing.
 
 use compositional_mc::core::{
-    Backend, BackendChoice, BackendError, ExplicitBackend, Target, AUTO_DENSE_BITS,
+    BackendChoice, BackendError, ExplicitBackend, Target, AUTO_DENSE_BITS,
 };
 use compositional_mc::ctl::{CheckError, Checker, ExplicitLimits, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, System};

@@ -24,7 +24,7 @@ use cmc_testkit::{
 };
 use compositional_mc::core::parallel::check_targets_with_workers;
 use compositional_mc::core::{
-    Backend, BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
+    BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
 };
 use compositional_mc::ctl::{Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};

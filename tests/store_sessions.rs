@@ -8,7 +8,7 @@
 use compositional_mc::core::{BackendChoice, Component, Engine};
 use compositional_mc::ctl::{parse, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
-use compositional_mc::smv::{run_source, run_source_with_store};
+use compositional_mc::smv::{run_source, run_source_with_store_and_backend};
 use compositional_mc::store::{CertStore, SegmentedDiskStore};
 use std::sync::Arc;
 
@@ -191,8 +191,8 @@ fn smv_sessions_agree_with_plain_runs() {
     let plain = run_source(src).unwrap();
 
     let store = CertStore::new();
-    let cold = run_source_with_store(src, &store).unwrap();
-    let warm = run_source_with_store(src, &store).unwrap();
+    let cold = run_source_with_store_and_backend(src, &store, BackendChoice::Symbolic).unwrap();
+    let warm = run_source_with_store_and_backend(src, &store, BackendChoice::Symbolic).unwrap();
 
     assert_eq!(plain.results, cold.results);
     assert_eq!(cold.results, warm.results);

@@ -9,7 +9,7 @@
 //! case is the PR's acceptance scenario.
 
 use compositional_mc::core::{
-    check_routed, Backend, BackendChoice, BackendKind, ExplicitBackend, SymbolicBackend, Target,
+    check_routed, BackendChoice, BackendKind, ExplicitBackend, SymbolicBackend, Target,
 };
 use compositional_mc::ctl::{parse, ExplicitLimits, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
