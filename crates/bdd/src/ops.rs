@@ -6,47 +6,59 @@ use crate::node::Bdd;
 impl BddManager {
     /// Conjunction of a slice of diagrams (TRUE for the empty slice).
     ///
-    /// Conjoins in increasing node-count order, which in practice keeps the
-    /// intermediate results smallest (cheap heuristic version of clustering).
+    /// Conjoins adjacent operands pairwise, level by level: a balanced
+    /// tree over the slice in the order given. A left fold re-walks the
+    /// whole accumulated diagram for every operand, so `k` constraints on
+    /// neighbouring variables cost `O(k·|result|)`; the tree touches each
+    /// node about `log k` times. Returns FALSE, without conjoining the
+    /// rest, as soon as an operand or a partial conjunction is FALSE.
     pub fn and_many(&mut self, fs: &[Bdd]) -> Bdd {
-        let mut ordered: Vec<Bdd> = fs.to_vec();
-        ordered.sort_by_key(|&f| self.node_count(f));
-        let mut acc = Bdd::TRUE;
-        for f in ordered {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
+        self.reduce_balanced(fs, Bdd::TRUE, Bdd::FALSE, Self::and)
     }
 
-    /// Disjunction of a slice of diagrams (FALSE for the empty slice).
+    /// Disjunction of a slice of diagrams (FALSE for the empty slice), as
+    /// the same balanced tree as [`and_many`](Self::and_many); returns
+    /// TRUE as soon as an operand or a partial disjunction is TRUE.
     pub fn or_many(&mut self, fs: &[Bdd]) -> Bdd {
-        let mut ordered: Vec<Bdd> = fs.to_vec();
-        ordered.sort_by_key(|&f| self.node_count(f));
-        let mut acc = Bdd::FALSE;
-        for f in ordered {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                break;
-            }
+        self.reduce_balanced(fs, Bdd::FALSE, Bdd::TRUE, Self::or)
+    }
+
+    /// Balanced pairwise reduction of `fs` under the associative and
+    /// commutative `op`, whose identity is `unit` and whose absorbing
+    /// element is `zero`.
+    fn reduce_balanced(
+        &mut self,
+        fs: &[Bdd],
+        unit: Bdd,
+        zero: Bdd,
+        op: fn(&mut Self, Bdd, Bdd) -> Bdd,
+    ) -> Bdd {
+        if fs.contains(&zero) {
+            return zero;
         }
-        acc
+        let mut level = fs.to_vec();
+        while level.len() > 1 {
+            let pairs = level.len() / 2;
+            for i in 0..pairs {
+                let f = op(self, level[2 * i], level[2 * i + 1]);
+                if f == zero {
+                    return zero;
+                }
+                level[i] = f;
+            }
+            if level.len() % 2 == 1 {
+                level[pairs] = level[level.len() - 1];
+            }
+            level.truncate(level.len().div_ceil(2));
+        }
+        level.pop().unwrap_or(unit)
     }
 
     /// `⋀ᵢ (fᵢ ⇔ gᵢ)` — equality of two variable frames; used for the
     /// identity/stutter part of interleaved transition relations.
     pub fn pairwise_iff(&mut self, pairs: &[(Bdd, Bdd)]) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        for &(f, g) in pairs {
-            let eq = self.iff(f, g);
-            acc = self.and(acc, eq);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
+        let eqs: Vec<Bdd> = pairs.iter().map(|&(f, g)| self.iff(f, g)).collect();
+        self.and_many(&eqs)
     }
 
     /// Semantic equivalence test.
@@ -92,11 +104,20 @@ mod tests {
     #[test]
     fn early_exit_on_contradiction() {
         let mut m = BddManager::new();
-        let v = m.new_var();
-        let x = m.var(v);
-        let nx = m.nvar(v);
+        let vs = m.new_vars(4);
+        let x = m.var(vs[0]);
+        let nx = m.nvar(vs[0]);
+        let (a, b, c) = (m.var(vs[1]), m.var(vs[2]), m.var(vs[3]));
+        let before = m.stats().nodes_allocated;
+        // The first pair (or a constant operand) decides the result, so
+        // the other operands are never combined: no node is allocated.
         assert_eq!(m.and_many(&[x, nx, Bdd::TRUE]), Bdd::FALSE);
+        assert_eq!(m.and_many(&[x, nx, a, b, c]), Bdd::FALSE);
+        assert_eq!(m.and_many(&[a, b, c, Bdd::FALSE]), Bdd::FALSE);
         assert_eq!(m.or_many(&[x, nx]), Bdd::TRUE);
+        assert_eq!(m.or_many(&[x, nx, a, b, c]), Bdd::TRUE);
+        assert_eq!(m.or_many(&[a, b, c, Bdd::TRUE]), Bdd::TRUE);
+        assert_eq!(m.stats().nodes_allocated, before);
     }
 
     #[test]

@@ -170,6 +170,22 @@ proptest! {
         prop_assert_eq!(direct, composed);
     }
 
+    /// The balanced `and_many`/`or_many` build the same handle as a left
+    /// fold of `and`/`or` over the same operands, for 0 to 17 of them.
+    #[test]
+    fn nary_ops_match_left_folds(es in proptest::collection::vec(arb_expr(), 0..18)) {
+        let mut m = BddManager::new();
+        let vars = m.new_vars(NVARS);
+        let fs: Vec<Bdd> = es.iter().map(|e| build(&mut m, &vars, e)).collect();
+        let (mut conj, mut disj) = (Bdd::TRUE, Bdd::FALSE);
+        for &f in &fs {
+            conj = m.and(conj, f);
+            disj = m.or(disj, f);
+        }
+        prop_assert_eq!(m.and_many(&fs), conj);
+        prop_assert_eq!(m.or_many(&fs), disj);
+    }
+
     /// Double negation and de Morgan hold as handle equalities.
     #[test]
     fn algebraic_laws(a in arb_expr(), b in arb_expr()) {

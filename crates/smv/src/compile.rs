@@ -166,8 +166,13 @@ pub(crate) fn compile_parts(
     };
     c.register_value_props()?;
 
+    // Every relation below is one `and_many` over its constraints in
+    // source order: a balanced conjunction, where a left fold would
+    // re-walk the accumulated relation once per constraint.
     let valid_cur = c.validity(Frame::Current);
-    let mut init = valid_cur;
+    let mut init = vec![valid_cur];
+    let to_next: Vec<(cmc_bdd::Var, cmc_bdd::Var)> =
+        c.model.vars().iter().map(|v| (v.cur, v.next)).collect();
 
     // Bit offset of each source variable in the flat StateVar layout.
     let bit_offsets: Vec<usize> = {
@@ -186,14 +191,12 @@ pub(crate) fn compile_parts(
         c.syms = Symbols::new(module)?;
 
         // This module's synchronous step over its own variables.
-        let mut part = Bdd::TRUE;
+        let mut part = Vec::new();
         for (var, rhs) in module.next_assigns.clone() {
-            let constraint = c.next_constraint(&var, &rhs)?;
-            part = c.model.mgr().and(part, constraint);
+            part.push(c.next_constraint(&var, &rhs)?);
         }
         for t in module.trans_constraints.clone() {
-            let constraint = c.eval(&t, Frame::Current)?.to_bool()?;
-            part = c.model.mgr().and(part, constraint);
+            part.push(c.eval(&t, Frame::Current)?.to_bool()?);
         }
 
         // Variables this module declares; everything else keeps an
@@ -217,34 +220,27 @@ pub(crate) fn compile_parts(
         // Domain validity: current frame over every variable (foreign
         // reads are frame-free), next frame over owned variables only.
         let valid_next_own = c.validity_for(Frame::NextState, &own_vars);
-        part = c.model.mgr().and(part, valid_cur);
-        part = c.model.mgr().and(part, valid_next_own);
+        part.extend([valid_cur, valid_next_own]);
 
         // INVAR: constrain both frames of this part and the initial states.
-        let mut invar_cur = Bdd::TRUE;
-        for inv in module.invar_constraints.clone() {
-            let constraint = c.eval(&inv, Frame::Current)?.to_bool()?;
-            invar_cur = c.model.mgr().and(invar_cur, constraint);
+        let mut invars = Vec::new();
+        for e in module.invar_constraints.clone() {
+            let inv = c.eval(&e, Frame::Current)?.to_bool()?;
+            let inv_next = c.model.mgr().rename(inv, &to_next);
+            part.extend([inv, inv_next]);
+            invars.push(inv);
         }
-        if !invar_cur.is_true() {
-            let rename_map: Vec<(cmc_bdd::Var, cmc_bdd::Var)> =
-                c.model.vars().iter().map(|v| (v.cur, v.next)).collect();
-            let invar_next = c.model.mgr().rename(invar_cur, &rename_map);
-            part = c.model.mgr().and(part, invar_cur);
-            part = c.model.mgr().and(part, invar_next);
-        }
+        let part = c.model.mgr().and_many(&part);
         c.model.add_trans_part_owned(part, owned_bits);
 
         // Initial states.
         for (var, rhs) in module.init_assigns.clone() {
-            let constraint = c.init_constraint(&var, &rhs)?;
-            init = c.model.mgr().and(init, constraint);
+            init.push(c.init_constraint(&var, &rhs)?);
         }
         for e in module.init_constraints.clone() {
-            let constraint = c.eval(&e, Frame::Current)?.to_bool()?;
-            init = c.model.mgr().and(init, constraint);
+            init.push(c.eval(&e, Frame::Current)?.to_bool()?);
         }
-        init = c.model.mgr().and(init, invar_cur);
+        init.extend(invars);
 
         // Fairness.
         for e in module.fairness.clone() {
@@ -252,6 +248,7 @@ pub(crate) fn compile_parts(
             c.model.add_fairness(constraint);
         }
     }
+    let init = c.model.mgr().and_many(&init);
     c.model.set_init(init);
 
     // Translate specs (per module, so DEFINEs resolve in the right scope).
@@ -274,27 +271,23 @@ pub(crate) fn compile_parts(
 impl<'m> Compiler<'m> {
     /// BDD of "variable (in `frame`) encodes value index `idx`".
     fn var_equals_index(&mut self, vi: usize, idx: usize, frame: Frame) -> Bdd {
-        let width = self.vars[vi].ty.bits();
-        let mut acc = Bdd::TRUE;
-        for j in 0..width {
-            let bit_name = self.vars[vi].bit_names[j].clone();
+        let mut lits = Vec::new();
+        for (j, bit_name) in self.vars[vi].bit_names.iter().enumerate() {
             let sv = self
                 .model
-                .state_var(&bit_name)
-                .expect("bit variable registered")
-                .clone();
+                .state_var(bit_name)
+                .expect("bit variable registered");
             let var = match frame {
                 Frame::Current => sv.cur,
                 Frame::NextState => sv.next,
             };
-            let lit = if idx >> j & 1 == 1 {
+            lits.push(if idx >> j & 1 == 1 {
                 self.model.mgr().var(var)
             } else {
                 self.model.mgr().nvar(var)
-            };
-            acc = self.model.mgr().and(acc, lit);
+            });
         }
-        acc
+        self.model.mgr().and_many(&lits)
     }
 
     /// Symbolic value of a source variable in a frame.
@@ -361,21 +354,19 @@ impl<'m> Compiler<'m> {
     /// next-state bits (their frames stay implicit; foreign next-validity
     /// follows from current-frame validity through the frame condition).
     fn validity_for(&mut self, frame: Frame, vis: &[usize]) -> Bdd {
-        let mut acc = Bdd::TRUE;
+        let mut valid = Vec::new();
         for &vi in vis {
             let k = self.vars[vi].ty.cardinality();
             let width = self.vars[vi].ty.bits();
             if k == 1usize << width {
                 continue; // every pattern valid
             }
-            let mut valid = Bdd::FALSE;
-            for idx in 0..k {
-                let eq = self.var_equals_index(vi, idx, frame);
-                valid = self.model.mgr().or(valid, eq);
-            }
-            acc = self.model.mgr().and(acc, valid);
+            let values: Vec<Bdd> = (0..k)
+                .map(|idx| self.var_equals_index(vi, idx, frame))
+                .collect();
+            valid.push(self.model.mgr().or_many(&values));
         }
-        acc
+        self.model.mgr().and_many(&valid)
     }
 
     /// Evaluate an expression to a symbolic value.
@@ -763,6 +754,25 @@ mod tests {
         assert_eq!(decoded[1], ("s".to_string(), "c".to_string()));
         let junk = c.decode_state(&[false, true, true]);
         assert!(junk[1].1.contains("invalid"));
+    }
+
+    /// Conjoining a ring's `next` constraints as a balanced tree keeps the
+    /// canonical relation and makes compile allocation grow about 2.2x
+    /// per doubling of stations; a left fold grew it 4x.
+    #[test]
+    fn ring_compile_allocation_is_near_linear() {
+        use cmc_serve::workload::ring_source;
+        let [(rel24, alloc24), (rel48, alloc48)] = [24, 48].map(|n| {
+            let c = compiled(&ring_source(n));
+            let mgr = c.model.mgr_ref();
+            let rel = mgr.node_count_many(&c.model.trans_parts());
+            (rel, mgr.stats().nodes_allocated)
+        });
+        assert_eq!((rel24, rel48), (273, 561));
+        assert!(
+            alloc48 < 3 * alloc24,
+            "{alloc24} -> {alloc48} nodes allocated"
+        );
     }
 
     #[test]

@@ -75,24 +75,14 @@ impl Frames {
 fn proper_relation(mgr: &mut BddManager, system: &System, cur: &[Var], nxt: &[Var]) -> Bdd {
     let mut parts = Vec::new();
     for (s, t) in system.proper_transitions() {
-        let mut cube = mgr.tru();
-        for (i, &v) in cur.iter().enumerate() {
-            let lit = if s.contains(i) {
-                mgr.var(v)
-            } else {
-                mgr.nvar(v)
-            };
-            cube = mgr.and(cube, lit);
-        }
-        for (i, &v) in nxt.iter().enumerate() {
-            let lit = if t.contains(i) {
-                mgr.var(v)
-            } else {
-                mgr.nvar(v)
-            };
-            cube = mgr.and(cube, lit);
-        }
-        parts.push(cube);
+        let lits: Vec<Bdd> = cur
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, s.contains(i)))
+            .chain(nxt.iter().enumerate().map(|(i, &v)| (v, t.contains(i))))
+            .map(|(v, on)| if on { mgr.var(v) } else { mgr.nvar(v) })
+            .collect();
+        parts.push(mgr.and_many(&lits));
     }
     mgr.or_many(&parts)
 }

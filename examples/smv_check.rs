@@ -8,6 +8,10 @@
 //! cargo run --example smv_check -- path/to/model.smv
 //! cargo run --example smv_check            # checks a built-in demo model
 //! ```
+//!
+//! Exit status 0 when every spec holds, 1 when some spec fails, and 2
+//! when the file cannot be read or the model does not parse or
+//! type-check, as `cmc-smv` does.
 
 use compositional_mc::smv::run_source;
 use std::process::ExitCode;
@@ -40,7 +44,7 @@ fn main() -> ExitCode {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         },
         None => {
@@ -59,7 +63,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("{e}");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

@@ -128,10 +128,22 @@ fn resource_numbers_same_shape_as_paper() {
             .and_then(|v| v.trim().parse().ok())
             .expect("report carries node count")
     };
-    let s1 = grab(&afs1::verify_server().report);
-    let c1 = grab(&afs1::verify_client().report);
-    let s2 = grab(&afs2::verify_server().report);
-    let c2 = grab(&afs2::verify_client().report);
+    let reports = [
+        afs1::verify_server().report,
+        afs1::verify_client().report,
+        afs2::verify_server().report,
+        afs2::verify_client().report,
+    ];
+    // The canonical relations of EXPERIMENTS E5/E6 and E8-E10 (the paper's
+    // Figures 7, 10, 15 and 17 read 43 + 7, 34 + 7, 1145 + 6 and 120 + 6).
+    for (report, relation) in reports
+        .iter()
+        .zip(["48 + 6", "41 + 5", "89 + 10", "123 + 8"])
+    {
+        let line = format!("\nBDD nodes representing transition relation: {relation}\n");
+        assert!(report.contains(&line), "expected {relation}:\n{report}");
+    }
+    let [s1, c1, s2, c2] = reports.map(|r| grab(&r));
     // All in the hundreds, like the paper's figures.
     for n in [s1, c1, s2, c2] {
         assert!(n > 50 && n < 10_000, "node count {n} out of expected band");

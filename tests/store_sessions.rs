@@ -5,11 +5,15 @@
 //! composition), and must survive a disk round trip without being trusted
 //! blindly.
 
+use cmc_serve::workload::{afs_source, ring_source};
+use compositional_mc::afs::afs1;
 use compositional_mc::core::{BackendChoice, Component, Engine};
 use compositional_mc::ctl::{parse, Restriction};
 use compositional_mc::kripke::{Alphabet, System};
-use compositional_mc::smv::{run_source, run_source_with_store_and_backend};
-use compositional_mc::store::{CertStore, SegmentedDiskStore};
+use compositional_mc::smv::{
+    parse_module, run_source, run_source_with_store_and_backend, spec_keys,
+};
+use compositional_mc::store::{CertStore, ObligationKey, SegmentedDiskStore};
 use std::sync::Arc;
 
 /// A one-proposition component that can only switch `name` on.
@@ -246,4 +250,54 @@ fn backend_identity_doubles_entries_with_zero_cross_hits() {
     // And the whole session's certificates replay through the validator.
     let replayed = cmc_testkit::replay_store(&store).unwrap();
     assert_eq!(replayed, store.len());
+}
+
+/// Golden digests of `spec_keys`, the key every stored SMV verdict and
+/// every committed disk segment is filed under. The repo benchmark's
+/// `serve-hot` preload derives the same keys with its own
+/// `ObligationKey::source_spec` loop, so a change to key derivation would
+/// turn its preloaded hits into misses and orphan segments on disk.
+#[test]
+fn spec_keys_are_golden() {
+    let cases: [(String, &[&str]); 3] = [
+        (
+            ring_source(4),
+            &[
+                "1a5798db96c341d087811fefc094cf4f",
+                "38d849f64e0c3d14a2b13bcaac58017b",
+                "5864caf586942ea8182e262a79dd2df3",
+                "f2cafefc0fbc5da8b2d6b419861061b3",
+                "1d07bc875318c0c59c334daa173249f0",
+                "f18db9f69e42b4e372016d3ab050d590",
+                "630630bf3c30435b63270b0ad5dac572",
+            ],
+        ),
+        (
+            afs_source(1),
+            &[
+                "f78b1d3aae43b484d991ea448bf16995",
+                "35ba420125c60209087727cc46ecf716",
+                "aa76a3af5b3c238dadd1888a55e6a62e",
+                "16c742b1c70c66986bf8c3e1b0c43311",
+            ],
+        ),
+        (
+            afs1::SERVER_SOURCE.to_string(),
+            &[
+                "e061464f1ca00f8f5c3e897ea0dbf51c",
+                "bae6293a145e042522708fa2bf38572e",
+                "9b9bd17adfc5c284d721d82690cc6593",
+                "04cb236422d8fe07f3d2207b357e76ac",
+                "a412432b405b8c9a5a838bbef7f79863",
+            ],
+        ),
+    ];
+    for (src, golden) in cases {
+        let module = parse_module(&src).unwrap();
+        let hex: Vec<String> = spec_keys(&src, &module)
+            .into_iter()
+            .map(ObligationKey::to_hex)
+            .collect();
+        assert_eq!(hex, golden, "keys of\n{src}");
+    }
 }
