@@ -23,8 +23,7 @@
 //! [`scaled_server`] widens the gap: a server tracking `extra`
 //! independent private cache-line bits grows the concrete composition by
 //! `2^extra` states, while the idealised side is *unchanged* — one
-//! five-proposition abstraction closes every member of the family. The
-//! `refinement_substitution` bench measures the separation.
+//! five-proposition abstraction closes every member of the family.
 
 use cmc_core::engine::{Certificate, Component, Engine, Substitution};
 use cmc_ctl::Restriction;

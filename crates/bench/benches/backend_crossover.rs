@@ -25,6 +25,9 @@
 //! Quick mode (`CMC_BENCH_QUICK=1`, the CI width-smoke job) shrinks the
 //! sweep to a handful of widths spanning both sides of the old 24-prop
 //! cliff so the JSON shape and the Auto audit still exercise end to end.
+//!
+//! Run with `cargo bench -p cmc-bench --bench backend_crossover`; it
+//! overwrites the committed `BENCH_backend.json`.
 
 use cmc_bench::ring;
 use cmc_core::{
@@ -32,11 +35,7 @@ use cmc_core::{
     AUTO_CROSSOVER_STATES, AUTO_DENSE_BITS,
 };
 use cmc_ctl::{parse, ExplicitLimits, Formula, Restriction};
-use cmc_kripke::System;
-use cmc_smv::compile_explicit;
 use cmc_store::json::Json;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -54,17 +53,6 @@ fn sizes() -> Vec<usize> {
     } else {
         (4..=34).step_by(2).collect()
     }
-}
-
-/// The `n` station systems (2-proposition alphabets `{tᵢ, tᵢ₊₁}`).
-fn stations(n: usize) -> Vec<System> {
-    (0..n)
-        .map(|i| {
-            compile_explicit(&ring::station_module(i, n))
-                .unwrap()
-                .system
-        })
-        .collect()
 }
 
 /// The free family's obligation: a token at station 0 is either kept or
@@ -127,7 +115,7 @@ where
 /// One `{props, …}` summary row for `family` at width `n`. `dead` marks a
 /// leg that already timed out at a smaller width this run.
 fn summary_row(family: &str, n: usize, r: &Restriction, f: &Formula, dead: &mut [bool; 2]) -> Json {
-    let systems = stations(n);
+    let systems = ring::stations(n);
     let target = Target::composition(systems.clone());
     let estimate = estimate_reachable_states(&target, r);
     let auto_choice = BackendChoice::Auto.route(&target, r).planned;
@@ -195,38 +183,8 @@ fn summary_row(family: &str, n: usize, r: &Restriction, f: &Formula, dead: &mut 
     ])
 }
 
-/// Criterion timings on the pinned family, where both engines answer at
-/// every width — including past the old 24-proposition cliff.
-fn explicit_vs_symbolic(c: &mut Criterion) {
-    let f = liveness_formula();
-    let mut group = c.benchmark_group("backend_crossover");
-    group.sample_size(10);
-    let widths: &[usize] = if quick() { &[8, 26] } else { &[8, 16, 26, 34] };
-    for &n in widths {
-        let systems = stations(n);
-        let r = Restriction::with_init(ring::token_at_zero(n));
-        group.bench_with_input(BenchmarkId::new("explicit-pinned", n), &n, |b, _| {
-            b.iter(|| {
-                let target = Target::composition(systems.clone());
-                let v = auto_explicit().check(&target, &r, &f).unwrap();
-                assert!(v.holds);
-                black_box(v.stats.reachable_states)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("symbolic-pinned", n), &n, |b, _| {
-            b.iter(|| {
-                let target = Target::composition(systems.clone());
-                let v = SymbolicBackend::default().check(&target, &r, &f).unwrap();
-                assert!(v.holds);
-                black_box(v.stats.bdd.map(|b| b.nodes_allocated))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Emit `BENCH_backend.json`: the full two-family sweep.
-fn emit_summary(c: &mut Criterion) {
+fn main() {
     let mut series = Vec::new();
     for family in ["pinned", "free"] {
         // Per-family leg health: once a leg times out, larger widths of
@@ -257,14 +215,4 @@ fn emit_summary(c: &mut Criterion) {
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backend.json");
     std::fs::write(path, doc.to_pretty() + "\n").expect("write BENCH_backend.json");
-    c.bench_function("backend_crossover_summary_emitted", |b| {
-        b.iter(|| black_box(&doc))
-    });
 }
-
-criterion_group!(
-    name = backend_crossover;
-    config = Criterion::default().sample_size(10);
-    targets = explicit_vs_symbolic, emit_summary
-);
-criterion_main!(backend_crossover);

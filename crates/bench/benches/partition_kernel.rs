@@ -12,31 +12,22 @@
 //! a merged-vs-unmerged acceptance row (≥1.3× wall or ≥20 % peak-live-node
 //! reduction).
 //!
-//! Quick mode (`CMC_BENCH_QUICK=1`, the CI smoke job) shrinks the sizes
-//! and runs one iteration per point so the binary and the JSON emitter
-//! stay exercised cheaply.
+//! `BENCH_symbolic.json` is a fixed record: the memory-kernel sweep that
+//! wrote it last ran at commit `1b55cc2`. Its 30-station unbounded wall
+//! is the pre-partition baseline the acceptance row compares against.
+//!
+//! Quick mode (`CMC_BENCH_QUICK=1`, the CI partition-smoke job) shrinks
+//! the sizes and runs one iteration per point so the binary and the JSON
+//! emitter stay exercised cheaply.
+//!
+//! Run with `cargo bench -p cmc-bench --bench partition_kernel`; it
+//! overwrites the committed `BENCH_partition.json`.
 
 use cmc_bench::ring;
-use cmc_core::{SymbolicBackend, Target};
+use cmc_core::{ImageMode, SymbolicBackend, Target};
 use cmc_ctl::{parse, Formula, Restriction};
-use cmc_kripke::System;
-use cmc_smv::compile_explicit;
 use cmc_store::json::Json;
-use cmc_symbolic::ImageMode;
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 use std::time::Instant;
-
-/// The `n` station systems (2-proposition alphabets `{tᵢ, tᵢ₊₁}`).
-fn stations(n: usize) -> Vec<System> {
-    (0..n)
-        .map(|i| {
-            compile_explicit(&ring::station_module(i, n))
-                .unwrap()
-                .system
-        })
-        .collect()
-}
 
 /// Same least fixpoint as `BENCH_symbolic.json`: the token reaches the
 /// far station.
@@ -76,7 +67,7 @@ fn mean_ns(mut f: impl FnMut(), iters: u32) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-fn emit_summary(c: &mut Criterion) {
+fn main() {
     let quick = quick_mode();
     let iters = if quick { 1 } else { 10 };
     let r = Restriction::trivial();
@@ -93,7 +84,7 @@ fn emit_summary(c: &mut Criterion) {
     let mut sched_acceptance = Json::Null;
     let mut merge_sweep = Vec::new();
     for &n in sym_sizes {
-        let target = Target::composition(stations(n));
+        let target = Target::composition(ring::stations(n));
         let f = ef_goal(n);
 
         let sched_backend = SymbolicBackend::default();
@@ -254,14 +245,4 @@ fn emit_summary(c: &mut Criterion) {
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_partition.json");
     std::fs::write(path, doc.to_pretty() + "\n").expect("write BENCH_partition.json");
-    c.bench_function("partition_kernel_summary_emitted", |b| {
-        b.iter(|| black_box(&doc))
-    });
 }
-
-criterion_group!(
-    name = partition_kernel;
-    config = Criterion::default().sample_size(10);
-    targets = emit_summary
-);
-criterion_main!(partition_kernel);

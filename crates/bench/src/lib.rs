@@ -1,76 +1,8 @@
 #![warn(missing_docs)]
 
-//! Shared workload generators for the benchmark harness.
-
-use cmc_kripke::{Alphabet, State, System};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// The two toggling systems of the paper's Figure 1.
-pub fn figure1_components() -> (System, System) {
-    let mut m = System::new(Alphabet::new(["x"]));
-    m.add_transition_named(&[], &["x"]);
-    m.add_transition_named(&["x"], &[]);
-    let mut mp = System::new(Alphabet::new(["y"]));
-    mp.add_transition_named(&[], &["y"]);
-    mp.add_transition_named(&["y"], &[]);
-    (m, mp)
-}
-
-/// The Figure-2 system needing strong fairness: a 6-cycle of `p`-states
-/// with the helpful `q`-transition enabled only at `p₆`.
-pub fn figure2_system() -> System {
-    let mut m = System::new(Alphabet::new(["a", "b", "c"]));
-    let cycle: [&[&str]; 6] = [&[], &["a"], &["b"], &["a", "b"], &["c"], &["a", "c"]];
-    for w in 0..6 {
-        m.add_transition_named(cycle[w], cycle[(w + 1) % 6]);
-    }
-    m.add_transition_named(&["a", "c"], &["b", "c"]);
-    m
-}
-
-/// An `n`-bit ripple counter as an explicit system (2^n states, one proper
-/// transition per state). A standard stress model for both engines.
-pub fn counter_system(bits: usize) -> System {
-    assert!(bits <= 16);
-    let names: Vec<String> = (0..bits).map(|i| format!("b{i}")).collect();
-    let mut m = System::new(Alphabet::new(names));
-    let max = 1u128 << bits;
-    for v in 0..max {
-        m.add_transition(State(v), State((v + 1) % max));
-    }
-    m
-}
-
-/// A random sparse system over `n` propositions with `edges` proper
-/// transitions (deterministic seed for reproducibility).
-pub fn random_system(n: usize, edges: usize, seed: u64) -> System {
-    let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
-    let mut m = System::new(Alphabet::new(names));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let max = 1u128 << n;
-    for _ in 0..edges {
-        let s = rng.gen_range(0..max);
-        let t = rng.gen_range(0..max);
-        m.add_transition(State(s), State(t));
-    }
-    m
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generators_shape() {
-        let (a, b) = figure1_components();
-        assert_eq!(a.compose(&b).transition_count(), 12);
-        assert_eq!(figure2_system().proper_transition_count(), 7);
-        let c = counter_system(4);
-        assert_eq!(c.proper_transition_count(), 16);
-        let r = random_system(4, 10, 7);
-        assert!(r.proper_transition_count() <= 10);
-    }
-}
+//! The token-ring workload that the repository benchmark (`cmcbench`)
+//! replays, and that the two calibration sweeps in `benches/` time:
+//! `backend_crossover` (the `Auto` crossover constants) and
+//! `partition_kernel` (the cluster-merge constants).
 
 pub mod ring;

@@ -1,10 +1,13 @@
-//! Token-ring workload for the scaling benchmarks: `n` stations passing a
-//! token, verified compositionally (per-station Rule 4 + pairwise
-//! exclusion invariant) versus monolithically (explicit product system).
+//! Token-ring workload: `n` stations passing a token, verified
+//! compositionally (per-station Rule 4 + pairwise exclusion invariant)
+//! versus monolithically (explicit product system). `cmcbench` replays
+//! the compositional proof; the calibration sweeps time checks on
+//! [`stations`].
 
 use cmc_core::engine::{Component, Engine};
 use cmc_core::rules::rule4;
 use cmc_ctl::{parse, Formula, Restriction};
+use cmc_kripke::System;
 use cmc_smv::{compile_explicit, parse_module, Module};
 
 /// The SMV module of station `i` in an `n`-ring.
@@ -16,6 +19,17 @@ pub fn station_module(i: usize, n: usize) -> Module {
          next(t{j}) := case t{i} : 1; 1 : t{j}; esac;\n"
     ))
     .expect("station module parses")
+}
+
+/// The `n` station systems (2-proposition alphabets `{tᵢ, tᵢ₊₁}`).
+pub fn stations(n: usize) -> Vec<System> {
+    (0..n)
+        .map(|i| {
+            compile_explicit(&station_module(i, n))
+                .expect("station module compiles")
+                .system
+        })
+        .collect()
 }
 
 /// The proof engine over all `n` stations (explicit components).
@@ -104,6 +118,7 @@ pub fn verify_ring_monolithically(n: usize, engine: &Engine) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmc_core::{MaintenanceConfig, SymbolicBackend, Target};
 
     #[test]
     fn ring_verifies_both_ways() {
@@ -122,5 +137,53 @@ mod tests {
         let e1 = exactly_one(2);
         // Sanity: exactly_one(2) = (t0 ∧ ¬t1) ∨ (¬t0 ∧ t1).
         assert_eq!(e1.to_string(), "t0 & !t1 | !t0 & t1");
+    }
+
+    /// A bounded GC policy bounds memory without changing the answer. The
+    /// least fixpoint `EF t[n/2]` runs once with maintenance off and a
+    /// computed table too large to rotate, and once with automatic GC at
+    /// a quarter of that run's peak and a small table: the bounded run
+    /// must collect, and stay strictly below the unbounded run in peak
+    /// live nodes and in bytes allocated.
+    #[test]
+    fn bounded_gc_policy_bounds_memory() {
+        let r = Restriction::trivial();
+        for n in [8, 12] {
+            let target = Target::composition(stations(n));
+            let f = parse(&format!("EF t{}", n / 2)).unwrap();
+            let unbounded = SymbolicBackend::with_maintenance(MaintenanceConfig::disabled())
+                .cache_capacity(1 << 22)
+                .check(&target, &r, &f)
+                .unwrap();
+            let u = unbounded
+                .stats
+                .bdd
+                .expect("symbolic checks report BDD stats");
+            let bounded = SymbolicBackend::with_maintenance(MaintenanceConfig {
+                gc_threshold: u.peak_live_nodes / 4,
+                ..MaintenanceConfig::default()
+            })
+            .cache_capacity(1 << 15)
+            .check(&target, &r, &f)
+            .unwrap();
+            let b = bounded.stats.bdd.expect("symbolic checks report BDD stats");
+            assert_eq!(bounded.sat_states, unbounded.sat_states, "{n} stations");
+            assert!(
+                b.gc_runs > 0,
+                "{n} stations: the bounded policy never collected"
+            );
+            assert!(
+                b.peak_live_nodes < u.peak_live_nodes,
+                "{n} stations: bounded peak {} not below unbounded {}",
+                b.peak_live_nodes,
+                u.peak_live_nodes
+            );
+            assert!(
+                b.bytes_allocated < u.bytes_allocated,
+                "{n} stations: bounded footprint {}B not below unbounded {}B",
+                b.bytes_allocated,
+                u.bytes_allocated
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! A blocking client for the daemon's line protocol, used by the
-//! `cmc-client` binary, the conformance tests and the `serve_throughput`
-//! bench.
+//! `cmc-client` binary, the conformance tests and the repository
+//! benchmark's daemon workloads.
 
 use crate::protocol::{
     Job, JobReport, Request, Response, ServerStatsSnapshot, DEFAULT_MAX_REQUEST_BYTES,

@@ -26,9 +26,9 @@
 //!   obligations are checked once, concurrent duplicates wait and
 //!   answer from the warm store;
 //! * [`client`] — a blocking client used by the `cmc-client` binary,
-//!   the conformance tests and the `serve_throughput` bench;
+//!   the conformance tests and the repository benchmark;
 //! * [`workload`] — the token-ring and AFS SMV families the tests and
-//!   benches hammer the daemon with.
+//!   the repository benchmark hammer the daemon with.
 //!
 //! ## Example
 //!

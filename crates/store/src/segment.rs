@@ -112,27 +112,9 @@ impl SegmentedDiskStore {
     /// is dropped, while a resident one is still overridden.
     pub fn load_into(&self, store: &CertStore) -> io::Result<usize> {
         let mut accepted = 0usize;
-        for (seq, path) in self.list_segments()? {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                // Unlinked by a racing compactor after we listed the
-                // directory: its contents live on in the merged segment.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let Some(items) = parse_segment(&text, seq) else {
-                store.count_segment_skip();
-                continue;
-            };
-            for item in items {
-                match entry_from_json(&item) {
-                    Some((key, entry)) => {
-                        accepted += usize::from(store.install_from_disk(key, entry));
-                    }
-                    None => store.count_disk_reject(),
-                }
-            }
-        }
+        read_segments(&self.list_segments()?, store, |key, entry| {
+            accepted += usize::from(store.install_from_disk(key, entry));
+        })?;
         store.note_disk_bytes(self.disk_bytes()?);
         Ok(accepted)
     }
@@ -153,26 +135,11 @@ impl SegmentedDiskStore {
         // budget eviction.
         let mut order: Vec<ObligationKey> = Vec::new();
         let mut merged: HashMap<ObligationKey, Entry> = HashMap::new();
-        for (seq, path) in &segments {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let Some(items) = parse_segment(&text, *seq) else {
-                store.count_segment_skip();
-                continue;
-            };
-            for item in items {
-                if let Some((key, entry)) = entry_from_json(&item) {
-                    if merged.insert(key, entry).is_none() {
-                        order.push(key);
-                    }
-                } else {
-                    store.count_disk_reject();
-                }
+        read_segments(&segments, store, |key, entry| {
+            if merged.insert(key, entry).is_none() {
+                order.push(key);
             }
-        }
+        })?;
 
         // Apply the byte budget: serialised entry sizes, evict oldest
         // until the projected segment fits.
@@ -366,8 +333,41 @@ fn segment_doc(seq: u64, items: Vec<Json>) -> Json {
     ])
 }
 
-/// Parse a segment document, checking header and sequence; `None` means
-/// the segment is damaged or foreign and must be skipped.
+/// Read `segments` in the order given, handing every entry that passes
+/// its checksum to `each` as it is decoded. The damage policy shared by
+/// loading and compaction: a segment unlinked after listing (by a racing
+/// compactor, so its contents live on in the merged segment) is passed
+/// over; a torn, garbled or foreign segment counts
+/// [`crate::StoreStats::segments_skipped`]; an entry failing its checksum
+/// counts [`crate::StoreStats::disk_rejects`].
+fn read_segments(
+    segments: &[(u64, PathBuf)],
+    store: &CertStore,
+    mut each: impl FnMut(ObligationKey, Entry),
+) -> io::Result<()> {
+    for (seq, path) in segments {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        let Some(items) = parse_segment(&text, *seq) else {
+            store.count_segment_skip();
+            continue;
+        };
+        for item in items {
+            match entry_from_json(&item) {
+                Some((key, entry)) => each(key, entry),
+                None => store.count_disk_reject(),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Parse a segment document, checking header and sequence, and take its
+/// entry list out of the document; `None` means the segment is damaged
+/// or foreign and must be skipped.
 fn parse_segment(text: &str, seq: u64) -> Option<Vec<Json>> {
     let doc = Json::parse(text).ok()?;
     let header_ok = doc.get("format").and_then(Json::as_str) == Some(FORMAT)
@@ -376,7 +376,13 @@ fn parse_segment(text: &str, seq: u64) -> Option<Vec<Json>> {
     if !header_ok {
         return None;
     }
-    Some(doc.get("entries")?.as_arr()?.to_vec())
+    let Json::Obj(fields) = doc else {
+        return None;
+    };
+    match fields.into_iter().find(|(name, _)| name == "entries")?.1 {
+        Json::Arr(items) => Some(items),
+        _ => None,
+    }
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
@@ -520,6 +526,15 @@ mod tests {
         let edited = edit(&text);
         assert_ne!(text, edited, "test setup: nothing replaced");
         std::fs::write(&path, edited).unwrap();
+    }
+
+    /// Cut segment `seq` of `disk` in half, as a crashed non-atomic writer
+    /// would leave it.
+    fn tear_segment(disk: &SegmentedDiskStore, seq: u64) {
+        let path = disk.segment_path(seq);
+        let bytes = std::fs::read(&path).unwrap();
+        let mut file = std::fs::File::create(&path).unwrap();
+        file.write_all(&bytes[..bytes.len() / 2]).unwrap();
     }
 
     #[test]
@@ -686,15 +701,9 @@ mod tests {
     fn truncated_segment_is_skipped_with_counted_warning() {
         let dir = tmp_dir("truncated");
         let disk = SegmentedDiskStore::open(&dir).unwrap();
-        let s0 = disk.append(&[(key(1), Entry::verdict(true))]).unwrap();
+        disk.append(&[(key(1), Entry::verdict(true))]).unwrap();
         let s1 = disk.append(&[(key(2), Entry::verdict(true))]).unwrap();
-
-        // Tear segment 1 in half, as a crashed non-atomic writer would.
-        let path = disk.segment_path(s1);
-        let bytes = std::fs::read(&path).unwrap();
-        let mut file = std::fs::File::create(&path).unwrap();
-        file.write_all(&bytes[..bytes.len() / 2]).unwrap();
-        drop(file);
+        tear_segment(&disk, s1);
 
         let store = CertStore::new();
         let accepted = disk.load_into(&store).unwrap();
@@ -704,7 +713,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.segments_skipped, 1, "skip is counted, not fatal");
         assert_eq!(stats.disk_rejects, 0);
-        let _ = s0;
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -744,6 +752,39 @@ mod tests {
         assert!(reloaded.lookup(&key(1)).unwrap().verdict);
         assert!(reloaded.lookup(&key(2)).unwrap().verdict);
         assert_eq!(store.stats().compactions, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Compaction reads under loading's damage policy: a torn segment and
+    /// a tampered entry count the same in both, and only intact entries
+    /// reach the merged segment.
+    #[test]
+    fn compaction_counts_damage_as_loading_does() {
+        let dir = tmp_dir("compact-damage");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let tampered = disk.save_snapshot(&sample_store()).unwrap();
+        rewrite_segment(&disk, tampered, |text| {
+            text.replacen("\"verdict\": true", "\"verdict\": false", 1)
+        });
+        let torn = disk.append(&[(key(2), Entry::verdict(true))]).unwrap();
+        tear_segment(&disk, torn);
+
+        let loaded = CertStore::new();
+        assert_eq!(disk.load_into(&loaded).unwrap(), 1);
+        let compacted = CertStore::new();
+        let report = disk.compact(&compacted, None).unwrap();
+        assert_eq!(report.segments_merged, 2);
+        assert_eq!(report.entries_kept, 1);
+        for stats in [loaded.stats(), compacted.stats()] {
+            assert_eq!(stats.segments_skipped, 1, "the torn segment");
+            assert_eq!(stats.disk_rejects, 1, "the tampered entry");
+        }
+
+        let reloaded = CertStore::new();
+        assert_eq!(disk.load_into(&reloaded).unwrap(), 1);
+        assert!(reloaded.lookup(&ObligationKey(7)).is_some());
+        assert_eq!(reloaded.stats().segments_skipped, 0);
+        assert_eq!(reloaded.stats().disk_rejects, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

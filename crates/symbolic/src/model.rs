@@ -671,8 +671,8 @@ impl SymbolicModel {
     /// (the union of all partitions with frames materialised as one BDD,
     /// memoised across calls) instead of per-partition relational
     /// products. Semantically identical to [`SymbolicModel::pre_exists`];
-    /// exists as the partitioning ablation and the monolithic leg of the
-    /// conformance oracle.
+    /// exists as the monolithic leg of the conformance oracle and of the
+    /// `partition_kernel` calibration.
     pub fn pre_exists_monolithic(&mut self, s: Bdd) -> Bdd {
         let trans = self.full_trans_rooted();
         let s_next = self.mgr.rename(s, &self.cur_to_next);
@@ -919,33 +919,9 @@ impl SymbolicModel {
     /// Build a symbolic model from an explicit system: one boolean variable
     /// per atomic proposition, one transition partition containing the
     /// union of the explicit proper transitions (stutter stays implicit).
+    /// The one-component case of [`SymbolicModel::from_components`].
     pub fn from_explicit(system: &System) -> SymbolicModel {
-        let names: Vec<String> = system.alphabet().names().to_vec();
-        let mut m = SymbolicModel::new(names);
-        let mut part = Bdd::FALSE;
-        for (s, t) in system.proper_transitions() {
-            let mut pair = Bdd::TRUE;
-            for (i, sv) in m.vars.iter().enumerate() {
-                let (cur, next) = (sv.cur, sv.next);
-                let cl = if s.contains(i) {
-                    m.mgr.var(cur)
-                } else {
-                    m.mgr.nvar(cur)
-                };
-                let nl = if t.contains(i) {
-                    m.mgr.var(next)
-                } else {
-                    m.mgr.nvar(next)
-                };
-                let both = m.mgr.and(cl, nl);
-                pair = m.mgr.and(pair, both);
-            }
-            part = m.mgr.or(part, pair);
-        }
-        if !part.is_false() {
-            m.add_trans_part(part);
-        }
-        m
+        SymbolicModel::from_components(&[system], &cmc_kripke::Alphabet::empty())
     }
 
     /// Build the symbolic model of the interleaving composition
@@ -1282,7 +1258,7 @@ mod partition_tests {
     }
 
     /// pre_exists (scheduled partitions) and pre_exists_monolithic agree
-    /// on random seeded systems — the ablation pair is semantically
+    /// on random seeded systems — the two images are semantically
     /// identical.
     #[test]
     fn partitioned_and_monolithic_images_agree() {

@@ -5,6 +5,13 @@
 //! the paper's restriction semantics. A 2-vs-1 split is a bug in
 //! *somebody*; the oracle shrinks the obligation to a minimal disagreeing
 //! pair and reports it with a replayable seed.
+//!
+//! The three-way oracle stays beside the five-way one
+//! ([`run_quad_obligation`]) because its symbolic leg takes a
+//! [`SymbolicBackend`] chosen by the caller (GC schedule, cache bound):
+//! `tests/gc_conformance.rs` and `partition_conformance`'s
+//! forced-maintenance test need that, while the five-way oracle fixes its
+//! five legs.
 
 use crate::gen::{Obligation, SimPair};
 use crate::reference::{naive_simulates, RefEvaluator};

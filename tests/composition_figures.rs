@@ -1,8 +1,10 @@
 //! Integration tests for the paper's worked figures:
-//! Figure 1 (composition example), Figure 3 (boolean encoding of an
-//! integer-valued system), and the state-transition graphs of Figure 4.
+//! Figure 1 (composition example), Figure 2 (progress under strong
+//! fairness), Figure 3 (boolean encoding of an integer-valued system),
+//! and the state-transition graphs of Figure 4.
 
-use compositional_mc::ctl::{parse, Checker, Restriction};
+use compositional_mc::core::rules::rule5;
+use compositional_mc::ctl::{parse, Checker, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
 use compositional_mc::smv::{compile, compile_explicit, parse_module};
 
@@ -64,6 +66,37 @@ fn figure1_rules_transfer() {
     assert!(checker
         .holds_everywhere(&parse("y -> EX !y").unwrap())
         .unwrap());
+}
+
+/// E2 — Figure 2: six `p`-states in a cycle over `{a, b, c}`, with the
+/// helpful move to `q` enabled only at `p₆`. Rule 5 applies with helpful
+/// disjunct `p₆`, and every obligation and conclusion of its guarantee
+/// holds on the system.
+#[test]
+fn figure2_rule5_guarantee_holds() {
+    let mut m = System::new(Alphabet::new(["a", "b", "c"]));
+    let cycle: [&[&str]; 6] = [&[], &["a"], &["b"], &["a", "b"], &["c"], &["a", "c"]];
+    for w in 0..6 {
+        m.add_transition_named(cycle[w], cycle[(w + 1) % 6]);
+    }
+    m.add_transition_named(&["a", "c"], &["b", "c"]);
+    let ps: Vec<Formula> = [
+        "!a & !b & !c",
+        "a & !b & !c",
+        "!a & b & !c",
+        "a & b & !c",
+        "!a & !b & c",
+        "a & !b & c",
+    ]
+    .iter()
+    .map(|t| parse(t).unwrap())
+    .collect();
+    let q = parse("!a & b & c").unwrap();
+    let g = rule5(&m, &ps, 5, &q).unwrap();
+    let checker = Checker::new(&m).unwrap();
+    for (f, r) in g.lhs.iter().chain(&g.rhs) {
+        assert!(checker.check(r, f).unwrap().holds, "{f} under {r}");
+    }
 }
 
 /// E3 — Figure 3: a variable `x : 0..3` is modelled with two booleans
