@@ -1,6 +1,6 @@
 //! The BDD manager: arena, unique table, computed cache, and core algorithms.
 
-use crate::cache::{CacheKey, ComputedTable, Op, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{ComputedTable, Op, DEFAULT_CACHE_CAPACITY};
 use crate::hash::FxHashMap;
 use crate::node::{Bdd, Node, Var, TERMINAL_VAR};
 use crate::roots::{RootId, Roots};
@@ -43,7 +43,6 @@ pub struct BddManager {
     cache: ComputedTable,
     roots: Roots,
     num_vars: u32,
-    cache_enabled: bool,
     /// Monotone count of nodes ever created (SMV's "BDD nodes allocated").
     total_allocated: usize,
     /// High-water mark of the live arena.
@@ -84,36 +83,11 @@ impl BddManager {
             cache: ComputedTable::new(DEFAULT_CACHE_CAPACITY),
             roots: Roots::default(),
             num_vars: 0,
-            cache_enabled: true,
             total_allocated: 2,
             peak_live: 2,
             gc_runs: 0,
             gc_reclaimed: 0,
             gc_threshold: Self::DEFAULT_GC_THRESHOLD,
-        }
-    }
-
-    /// Create a manager with the computed-table cache disabled — only
-    /// tests use it; recursive operations degrade from linear in the
-    /// (product of) diagram sizes to exponential without memoisation.
-    pub fn new_without_cache() -> Self {
-        let mut m = BddManager::new();
-        m.cache_enabled = false;
-        m
-    }
-
-    fn cache_get(&mut self, key: &CacheKey) -> Option<u32> {
-        // The disabled path returns before any key hashing or counter
-        // bumps: `new_without_cache` managers report zero lookups.
-        if !self.cache_enabled {
-            return None;
-        }
-        self.cache.get(key)
-    }
-
-    fn cache_put(&mut self, key: CacheKey, value: u32) {
-        if self.cache_enabled {
-            self.cache.put(key, value);
         }
     }
 
@@ -352,7 +326,7 @@ impl BddManager {
             return f;
         }
         let key = (Op::Ite, f.0, g.0, h.0);
-        if let Some(r) = self.cache_get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Bdd(r);
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
@@ -362,7 +336,7 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(top, lo.0, hi.0);
-        self.cache_put(key, r.0);
+        self.cache.put(key, r.0);
         r
     }
 
@@ -446,7 +420,7 @@ impl BddManager {
             "quantifier argument must be a positive cube"
         );
         let key = (Op::Exists, f.0, cube.0, 0);
-        if let Some(r) = self.cache_get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Bdd(r);
         }
         let fv = self.level(f);
@@ -472,7 +446,7 @@ impl BddManager {
                 self.mk(n.var, lo.0, hi.0)
             }
         };
-        self.cache_put(key, r.0);
+        self.cache.put(key, r.0);
         r
     }
 
@@ -482,13 +456,13 @@ impl BddManager {
             return f;
         }
         let key = (Op::Forall, f.0, cube.0, 0);
-        if let Some(r) = self.cache_get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Bdd(r);
         }
         let nf = self.not(f);
         let ex = self.exists(nf, cube);
         let r = self.not(ex);
-        self.cache_put(key, r.0);
+        self.cache.put(key, r.0);
         r
     }
 
@@ -510,7 +484,7 @@ impl BddManager {
         // Normalise operand order for the cache (∧ commutes).
         let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
         let key = (Op::AndExists, f.0, g.0, cube.0);
-        if let Some(r) = self.cache_get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return Bdd(r);
         }
         let top = self.level(f).min(self.level(g));
@@ -535,7 +509,7 @@ impl BddManager {
             let hi = self.and_exists(f1, g1, c);
             self.mk(top, lo.0, hi.0)
         };
-        self.cache_put(key, r.0);
+        self.cache.put(key, r.0);
         r
     }
 
@@ -1070,34 +1044,6 @@ mod tests {
         assert!(!m.eval(acc, |_| false));
         m.unprotect(r);
         assert_eq!(m.protected_count(), 0);
-    }
-
-    /// The disabled-cache path still reduces to canonical results, without
-    /// paying hashing or bumping any lookup counter.
-    #[test]
-    fn disabled_cache_reports_zero_lookups() {
-        let mut m = BddManager::new_without_cache();
-        let vs = m.new_vars(6);
-        let mut acc = Bdd::TRUE;
-        for w in vs.windows(2) {
-            let a = m.var(w[0]);
-            let b = m.var(w[1]);
-            let e = m.iff(a, b);
-            acc = m.and(acc, e);
-        }
-        let ex = {
-            let cube = m.cube(&[vs[0]]);
-            m.exists(acc, cube)
-        };
-        // ∃v₀. ⋀ (vᵢ ⇔ vᵢ₊₁) still constrains v₁..v₅.
-        assert!(!ex.is_const());
-        // Without the cache, f ∨ ¬f still reduces to the constant.
-        let nacc = m.not(acc);
-        assert!(m.or(acc, nacc).is_true());
-        let s = m.stats();
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.cache_misses, 0);
-        assert_eq!(s.cache_evictions, 0);
     }
 
     /// Collection remaps the computed table instead of flushing it:

@@ -130,9 +130,10 @@ mod tests {
 
     #[test]
     fn formulas_shape() {
+        // Three ¬(a∧b) conjuncts, one per pair of stations.
         assert_eq!(
-            cmc_ctl::rewrite::formula_size(&at_most_one(3)),
-            3 * 4 + 2 // three ¬(a∧b) conjuncts + two ∧ nodes
+            at_most_one(3).to_string(),
+            "!(t0 & t1) & !(t0 & t2) & !(t1 & t2)"
         );
         let e1 = exactly_one(2);
         // Sanity: exactly_one(2) = (t0 ∧ ¬t1) ∨ (¬t0 ∧ t1).

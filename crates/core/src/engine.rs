@@ -20,7 +20,6 @@ use crate::backend::{
     check_planned, check_refines, check_routed, BackendChoice, BackendKind, RouteDecision, Target,
     Verdict,
 };
-use crate::parallel::propositional_validity;
 use crate::property::{classify, PropertyClass};
 use crate::rules::{
     circular_refines, invariant_obligations, substitution_side_conditions, Guarantee,
@@ -31,6 +30,7 @@ use cmc_kripke::{Alphabet, System};
 use cmc_store::{
     CertStore, Entry, ObligationKey, StoredCertificate, StoredStep, StoredSubstitution,
 };
+use cmc_symbolic::SymbolicModel;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -1326,10 +1326,25 @@ impl Engine {
     }
 }
 
+/// Decide propositional validity of `f` (the `I ⇒ Inv` obligation of the
+/// invariant rule): `f` is valid iff its BDD over the propositions it
+/// mentions is the constant TRUE. Cost follows the diagram's size, not
+/// the `2^|props|` states a truth table would enumerate.
+fn propositional_validity(f: &Formula) -> bool {
+    debug_assert!(f.is_propositional());
+    let mut vocab = SymbolicModel::new(f.atomic_props());
+    vocab
+        .prop_to_bdd(f)
+        .expect("every proposition of f is a variable of its own vocabulary")
+        .is_true()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cmc_ctl::parse;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two components over {x} and {y}: x only rises; y only rises.
     fn rising_pair() -> Engine {
@@ -1531,10 +1546,10 @@ mod tests {
     fn validity_scales_past_truth_tables() {
         let n = 64;
         let valid = token_at_zero(n).implies(at_most_one(n));
-        assert!(crate::parallel::propositional_validity(&valid));
+        assert!(propositional_validity(&valid));
         // The all-clear state satisfies at-most-one but not t0.
         let invalid = at_most_one(n).implies(token_at_zero(n));
-        assert!(!crate::parallel::propositional_validity(&invalid));
+        assert!(!propositional_validity(&invalid));
     }
 
     /// An initial condition outside the invariant fails exactly the
@@ -2106,5 +2121,82 @@ mod tests {
         cert.valid = true;
         cert.steps[1].ok = false;
         assert!(!cert.is_consistent());
+    }
+
+    /// The reference oracle: evaluate `f` in every state over `alphabet`.
+    fn truth_table_validity(alphabet: &Alphabet, f: &Formula) -> bool {
+        cmc_kripke::state::all_states(alphabet).all(|s| f.eval_in_state(alphabet, s))
+    }
+
+    /// A random propositional formula over `props` of depth at most
+    /// `depth`, drawing every connective and both constants.
+    fn random_formula(rng: &mut StdRng, props: &[&str], depth: u32) -> Formula {
+        if depth == 0 || rng.gen_bool(0.2) {
+            return match rng.gen_range(0..props.len() + 2) {
+                0 => Formula::True,
+                1 => Formula::False,
+                k => Formula::ap(props[k - 2]),
+            };
+        }
+        let a = random_formula(rng, props, depth - 1);
+        if rng.gen_bool(0.2) {
+            return a.not();
+        }
+        let b = random_formula(rng, props, depth - 1);
+        match rng.gen_range(0..4) {
+            0 => a.and(b),
+            1 => a.or(b),
+            2 => a.implies(b),
+            _ => a.iff(b),
+        }
+    }
+
+    #[test]
+    fn propositional_validity_decides_tautologies() {
+        assert!(propositional_validity(&parse("a | !a").unwrap()));
+        assert!(propositional_validity(&parse("a & b -> a").unwrap()));
+        assert!(!propositional_validity(&parse("a -> b").unwrap()));
+        // Constant formulas mention no proposition at all.
+        assert!(propositional_validity(&Formula::True));
+        assert!(!propositional_validity(&Formula::False));
+        assert!(propositional_validity(
+            &Formula::False.implies(Formula::False)
+        ));
+    }
+
+    /// The BDD verdict equals the truth table on a generated family over
+    /// up to six propositions: random formulas (mostly non-tautologies)
+    /// and tautologies built from them (`g <-> g`, `g & h -> g`).
+    #[test]
+    fn propositional_validity_matches_truth_table() {
+        let all = ["a", "b", "c", "d", "e", "f"];
+        let alphabet = Alphabet::new(all);
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        let (mut valid, mut invalid) = (0, 0);
+        for width in 1..=all.len() {
+            for _ in 0..200 {
+                let g = random_formula(&mut rng, &all[..width], 5);
+                let h = random_formula(&mut rng, &all[..width], 3);
+                for f in [
+                    g.clone(),
+                    g.clone().or(h.clone()),
+                    g.clone().iff(g.clone()),
+                    g.clone().and(h).implies(g),
+                ] {
+                    let expected = truth_table_validity(&alphabet, &f);
+                    assert_eq!(propositional_validity(&f), expected, "{f}");
+                    if expected {
+                        valid += 1;
+                    } else {
+                        invalid += 1;
+                    }
+                }
+            }
+        }
+        // Both verdicts are exercised in bulk.
+        assert!(
+            valid > 1000 && invalid > 1000,
+            "{valid} valid, {invalid} invalid"
+        );
     }
 }

@@ -12,7 +12,7 @@
 //!   invariant rule used throughout the case study.
 //! * **The proof engine** ([`engine`]) — expands components over the
 //!   composed alphabet (Lemma 5), model-checks component obligations (in
-//!   parallel, [`parallel`]), transfers them by class, discharges
+//!   parallel, [`scheduler`]), transfers them by class, discharges
 //!   guarantees, and emits auditable [`engine::Certificate`]s.
 //! * **Executable lemmas** ([`lemmas`]) — decision procedures for Lemmas
 //!   5–11 of §3.2 on concrete systems (Lemmas 1–4 live in
@@ -51,7 +51,6 @@
 pub mod backend;
 pub mod engine;
 pub mod lemmas;
-pub mod parallel;
 pub mod property;
 pub mod report;
 pub mod rules;

@@ -1,19 +1,19 @@
 //! Bounded work-claiming scheduler for obligation fan-out.
 //!
 //! The proof engine fans independent component obligations out over it
-//! (`Engine::check_universal`, `Engine::prove_invariant`, [`crate::parallel`]),
-//! and `cmc-serve` runs each batch's jobs through [`run_bounded`]. The
-//! parallelism sits between obligations, as in the paper's Discussion:
-//! every single check (one labelling or BDD fixpoint) runs on one thread.
+//! (`Engine::check_universal`, `Engine::prove_invariant`), and `cmc-serve`
+//! runs each batch's jobs through [`run_bounded`]. The parallelism sits
+//! between obligations, as in the paper's Discussion: every single check
+//! (one labelling or BDD fixpoint) runs on one thread.
 //!
-//! The seed's `parallel.rs` spawned one OS thread per component — fine
-//! for the paper's three-process AFS case study, pathological for a
-//! 30-component proof on a 4-core box (oversubscription, stack pressure,
-//! unbounded spawn cost). This module replaces that with a *bounded*
-//! scheduler: at most `min(available_parallelism, tasks)` worker threads
-//! share one atomic claim counter over the task list, so every core stays
-//! busy, no task waits behind an idle sibling, and adding components adds
-//! queue entries, not threads.
+//! One OS thread per component would be fine for the paper's
+//! three-process AFS case study and pathological for a 30-component proof
+//! on a 4-core box (oversubscription, stack pressure, unbounded spawn
+//! cost). This module is a *bounded* scheduler instead: at most
+//! `min(available_parallelism, tasks)` worker threads share one atomic
+//! claim counter over the task list, so every core stays busy, no task
+//! waits behind an idle sibling, and adding components adds queue
+//! entries, not threads.
 //!
 //! Determinism: results are written to the slot matching each task's
 //! index, so the output order equals the input order *regardless of the

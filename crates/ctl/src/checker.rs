@@ -146,34 +146,24 @@ enum StateSpace {
 }
 
 impl Checker {
-    /// Create a checker with the default
+    /// Create a dense checker over one system with the default
     /// [`ExplicitLimits::DEFAULT_DENSE_BITS`] limit; fails when the state
     /// space is too large.
     pub fn new(system: &System) -> Result<Self, CheckError> {
-        Checker::with_limit(system, ExplicitLimits::DEFAULT_DENSE_BITS)
-    }
-
-    /// Create a checker that refuses alphabets wider than `limit`
-    /// propositions (the state space is `2^|Σ|`, so the limit bounds
-    /// memory at `2^limit` bits per state set).
-    pub fn with_limit(system: &System, limit: usize) -> Result<Self, CheckError> {
-        let n = system.alphabet().len();
-        if n > limit {
-            return Err(CheckError::TooLarge { props: n, limit });
-        }
-        Ok(Checker {
-            alphabet: system.alphabet().clone(),
-            universe: 1usize << n,
-            csr: CsrIndex::from_system(system),
-            space: StateSpace::Dense,
-        })
+        Checker::from_components(
+            &[system],
+            &Alphabet::empty(),
+            ExplicitLimits::DEFAULT_DENSE_BITS,
+        )
     }
 
     /// Build the kernel for the composition `M₁ ∘ … ∘ Mₙ ∘ (extra, I)`
     /// straight from the components: each component's transitions are
     /// frame-padded directly into the CSR index, skipping the exponential
     /// `System::compose` fold entirely. The union alphabet is accumulated
-    /// in first-seen order, matching `Target::union_alphabet`.
+    /// in first-seen order, matching `Target::union_alphabet`. Refuses a
+    /// union wider than `limit` propositions (the state space is `2^|Σ|`,
+    /// so the limit bounds memory at `2^limit` bits per state set).
     pub fn from_components(
         systems: &[&System],
         extra: &Alphabet,
@@ -937,9 +927,10 @@ mod tests {
     #[test]
     fn limit_is_configurable() {
         let m = counter(); // 2 propositions
-        assert!(Checker::with_limit(&m, 2).is_ok());
+        let none = Alphabet::empty();
+        assert!(Checker::from_components(&[&m], &none, 2).is_ok());
         assert_eq!(
-            Checker::with_limit(&m, 1).unwrap_err(),
+            Checker::from_components(&[&m], &none, 1).unwrap_err(),
             CheckError::TooLarge { props: 2, limit: 1 }
         );
     }
@@ -1106,7 +1097,10 @@ mod tests {
         assert!(!v.holds);
         assert_eq!(v.violating.len(), 1);
         let from = reach.sat(&ap("t0")).unwrap();
-        let w = reach.counterexample_ag(&from, &ap("t0")).unwrap().unwrap();
+        let w = reach
+            .witness_eu(&from, &Formula::True, &ap("t0").not())
+            .unwrap()
+            .unwrap();
         assert!(!w.stem.is_empty());
         let last = *w.stem.last().unwrap();
         // The final state is a one-hot state without the token at 0.

@@ -3,11 +3,10 @@
 //! The frontier kernel in [`crate::checker`] needs constant-time access to
 //! the predecessors (for `pre`-style fixpoints) and successors (for
 //! witness extraction) of a state. This module builds both directions once
-//! — either from a materialised [`System`] or *directly from component
-//! systems*, enumerating each component's transitions padded over the
-//! frame propositions it does not own (§3.1's composition), so the
-//! exponential interleaving product is never constructed as a `System` at
-//! all.
+//! *directly from component systems* (one, for a materialised system),
+//! enumerating each component's transitions padded over the frame
+//! propositions it does not own (§3.1's composition), so the exponential
+//! interleaving product is never constructed as a `System` at all.
 //!
 //! Layout: the standard CSR pair `(offsets, edges)` per direction, with
 //! `u32` entries (the explicit-state limit caps indices far below `2^32`).
@@ -34,17 +33,6 @@ pub struct CsrIndex {
 }
 
 impl CsrIndex {
-    /// Index the proper transitions of one system over its own alphabet.
-    pub fn from_system(system: &System) -> Self {
-        let universe = 1usize << system.alphabet().len();
-        let edges = || {
-            system
-                .proper_transitions()
-                .map(|(s, t)| (s.0 as u32, t.0 as u32))
-        };
-        Self::build(universe, system.proper_transition_count(), edges)
-    }
-
     /// Build from an explicit edge list over an arbitrary dense-id space.
     ///
     /// This is the entry point for the reachable-only kernel: the on-the-fly
@@ -58,9 +46,9 @@ impl CsrIndex {
     /// Index the interleaving composition `M₁ ∘ … ∘ Mₙ ∘ (extra, I)`
     /// directly from its components: each component transition is embedded
     /// into the union alphabet and replicated over every valuation of the
-    /// propositions the component does not own. Equivalent to
-    /// `from_system` of the materialised product, without ever building
-    /// the product's `BTreeMap`s.
+    /// propositions the component does not own. Indexes the same edges
+    /// as the materialised product, without ever building the product's
+    /// `BTreeMap`s.
     pub fn from_components(systems: &[&System], union: &Alphabet) -> Self {
         let n = union.len();
         let universe = 1usize << n;
@@ -69,18 +57,21 @@ impl CsrIndex {
         let mut padded: Vec<(u128, Vec<(u32, u32)>)> = Vec::with_capacity(systems.len());
         let mut total = 0usize;
         for sys in systems {
-            let own = sys.alphabet();
-            let mut owned_mask = 0u128;
-            for name in own.names() {
-                owned_mask |= 1u128
-                    << union
-                        .position(name)
-                        .expect("component alphabet outside the union");
-            }
+            // Union position of each component bit, resolved once.
+            let positions = sys.alphabet().embedding(union);
+            let owned_mask = positions.iter().fold(0u128, |m, &p| m | 1u128 << p);
             let frame = full_mask & !owned_mask;
+            let embed = |s: State| {
+                let (mut bits, mut out) = (s.0, 0u32);
+                while bits != 0 {
+                    out |= 1 << positions[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                }
+                out
+            };
             let base: Vec<(u32, u32)> = sys
                 .proper_transitions()
-                .map(|(s, t)| (s.embed(own, union).0 as u32, t.embed(own, union).0 as u32))
+                .map(|(s, t)| (embed(s), embed(t)))
                 .collect();
             total += base.len() << frame.count_ones();
             padded.push((frame, base));
@@ -205,12 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn from_system_indexes_both_directions() {
+    fn one_system_indexes_both_directions() {
         let mut m = System::new(Alphabet::new(["a", "b"]));
         m.add_transition_named(&[], &["a"]);
         m.add_transition_named(&["a"], &["a", "b"]);
         m.add_transition_named(&["b"], &["a", "b"]);
-        let csr = CsrIndex::from_system(&m);
+        let csr = CsrIndex::from_components(&[&m], m.alphabet());
         assert_eq!(csr.universe(), 4);
         assert_eq!(csr.edge_count(), 3);
         assert_eq!(csr.successors(0b00), &[0b01]);
@@ -221,7 +212,7 @@ mod tests {
     #[test]
     fn empty_relation_stays_lazy() {
         let m = System::new(Alphabet::new(["a", "b", "c"]));
-        let csr = CsrIndex::from_system(&m);
+        let csr = CsrIndex::from_components(&[&m], m.alphabet());
         assert_eq!(csr.edge_count(), 0);
         for v in 0..8 {
             assert!(csr.predecessors(v).is_empty());

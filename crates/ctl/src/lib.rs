@@ -41,7 +41,6 @@ pub mod interner;
 pub mod limits;
 pub mod parser;
 pub mod restriction;
-pub mod rewrite;
 pub mod simulation;
 pub mod stateset;
 pub mod statevec;
@@ -54,7 +53,6 @@ pub use interner::StateInterner;
 pub use limits::ExplicitLimits;
 pub use parser::{parse, ParseError, MAX_FORMULA_DEPTH};
 pub use restriction::Restriction;
-pub use rewrite::{formula_size, simplify};
 pub use simulation::{simulates_explicit, SimError, MAX_SIM_PAIR_PROPS};
 pub use stateset::StateSet;
 pub use statevec::StateVec;

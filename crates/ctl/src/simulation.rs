@@ -95,8 +95,8 @@ pub fn simulates_explicit(
     let nc = 1usize << nc_bits;
     let na = 1usize << na_bits;
     let obs = SharedObs::new(concrete.alphabet(), abstraction.alphabet());
-    let csr = CsrIndex::from_system(concrete);
-    let acsr = CsrIndex::from_system(abstraction);
+    let csr = CsrIndex::from_components(&[concrete], concrete.alphabet());
+    let acsr = CsrIndex::from_components(&[abstraction], abstraction.alphabet());
 
     // Pair index: p = s * na + a. H₀ = label agreement; bucket the
     // abstract states by observation so initialisation is O(nc + na + |H₀|).

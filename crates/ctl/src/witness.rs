@@ -4,12 +4,12 @@
 //! execution. This module extracts
 //!
 //! * witness paths for `EF`/`EU` (a finite path reaching the target),
-//! * witness lassos for `EG` (a path into a cycle that stays in the set),
-//! * counterexamples for `AG` (an `EF ¬p` witness) and `AF` (an `EG ¬p`
-//!   lasso),
+//! * witness lassos for `EG`, plain or fair (a path into a cycle that
+//!   stays in the set),
 //!
-//! mirroring what SMV prints under "as demonstrated by the following
-//! execution sequence".
+//! so a counterexample to `AG p` is an `E[true U ¬p]` witness and one to
+//! `AF p` an `EG ¬p` lasso, mirroring what SMV prints under "as
+//! demonstrated by the following execution sequence".
 
 use crate::ast::Formula;
 use crate::checker::{CheckError, Checker};
@@ -144,43 +144,6 @@ impl Checker {
         path
     }
 
-    /// A shortest path from some state of `from` to some state of `to`
-    /// (both may include stutter steps). `None` if unreachable (or the
-    /// space is too wide to render states).
-    pub fn find_path(&self, from: &StateSet, to: &StateSet) -> Option<WitnessPath> {
-        // BFS over proper successors (stutter never helps a shortest path
-        // except the trivial one).
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<usize> = Default::default();
-        for i in from.iter_indices() {
-            if to.contains_index(i) {
-                return Some(WitnessPath {
-                    stem: self.states_of_indices(&[i])?,
-                    cycle: vec![],
-                });
-            }
-            parent.insert(i, i);
-            queue.push_back(i);
-        }
-        while let Some(s) = queue.pop_front() {
-            for &t in self.csr().successors(s) {
-                let t = t as usize;
-                if parent.contains_key(&t) {
-                    continue;
-                }
-                parent.insert(t, s);
-                if to.contains_index(t) {
-                    return Some(WitnessPath {
-                        stem: self.states_of_indices(&Self::unwind(&parent, t))?,
-                        cycle: vec![],
-                    });
-                }
-                queue.push_back(t);
-            }
-        }
-        None
-    }
-
     /// Witness for `s₀ ⊨ E[f U g]`: a finite `f`-path from a state in
     /// `from` to a `g`-state.
     pub fn witness_eu(
@@ -191,50 +154,13 @@ impl Checker {
     ) -> Result<Option<WitnessPath>, CheckError> {
         let sat_f = self.sat(f)?;
         let sat_g = self.sat(g)?;
-        // Restrict the search to f-states (targets may leave f).
-        let mut sources = from.clone();
-        sources.intersect_with(&sat_f);
-        // Direct hit?
-        let mut direct = from.clone();
-        direct.intersect_with(&sat_g);
-        if let Some(i) = direct.iter_indices().next() {
-            return Ok(Some(WitnessPath {
-                stem: match self.states_of_indices(&[i]) {
-                    Some(stem) => stem,
-                    None => return Ok(None),
-                },
+        Ok(self
+            .shortest_path(from.iter_indices(), &sat_f, &sat_g)
+            .and_then(|path| self.states_of_indices(&path))
+            .map(|stem| WitnessPath {
+                stem,
                 cycle: vec![],
-            }));
-        }
-        // BFS through f-states only.
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<usize> = Default::default();
-        for i in sources.iter_indices() {
-            parent.insert(i, i);
-            queue.push_back(i);
-        }
-        while let Some(s) = queue.pop_front() {
-            for &t in self.csr().successors(s) {
-                let t = t as usize;
-                if parent.contains_key(&t) {
-                    continue;
-                }
-                if sat_g.contains_index(t) {
-                    parent.insert(t, s);
-                    return Ok(self
-                        .states_of_indices(&Self::unwind(&parent, t))
-                        .map(|stem| WitnessPath {
-                            stem,
-                            cycle: vec![],
-                        }));
-                }
-                if sat_f.contains_index(t) {
-                    parent.insert(t, s);
-                    queue.push_back(t);
-                }
-            }
-        }
-        Ok(None)
+            }))
     }
 
     /// Witness for `EG f` from `from`: a lasso whose every state satisfies
@@ -345,62 +271,52 @@ impl Checker {
             }
             visited.insert((cur, phase), order.len() - 1);
             let segment = self
-                .path_within(&w, cur, &targets[phase])
+                .shortest_path([cur], &w, &targets[phase])
                 .expect("fair-EG fixpoint guarantees every constraint is reachable in W");
             order.extend_from_slice(&segment[1..]);
-            cur = *segment.last().expect("path_within returns non-empty");
+            cur = *segment.last().expect("shortest_path returns non-empty");
             phase = (phase + 1) % cons.len();
         }
     }
 
-    /// A shortest index path from `from` to some state of `targets` moving
-    /// only through states of `within` (stutter-free BFS; `from` itself
-    /// counts if already a target). `None` if unreachable.
-    fn path_within(
+    /// A shortest index path from some state of `sources` to a state of
+    /// `targets`, every state before the last in `through` (stutter-free
+    /// BFS; the first source that is already a target is a one-state
+    /// path). `None` if unreachable.
+    fn shortest_path(
         &self,
-        within: &StateSet,
-        from: usize,
+        sources: impl IntoIterator<Item = usize>,
+        through: &StateSet,
         targets: &StateSet,
     ) -> Option<Vec<usize>> {
-        if targets.contains_index(from) {
-            return Some(vec![from]);
-        }
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: std::collections::VecDeque<usize> = Default::default();
-        parent.insert(from, from);
-        queue.push_back(from);
+        for i in sources {
+            if targets.contains_index(i) {
+                return Some(vec![i]);
+            }
+            if through.contains_index(i) {
+                parent.insert(i, i);
+                queue.push_back(i);
+            }
+        }
         while let Some(s) = queue.pop_front() {
             for &t in self.csr().successors(s) {
                 let t = t as usize;
-                if parent.contains_key(&t) || !within.contains_index(t) {
+                if parent.contains_key(&t) {
                     continue;
                 }
-                parent.insert(t, s);
                 if targets.contains_index(t) {
+                    parent.insert(t, s);
                     return Some(Self::unwind(&parent, t));
                 }
-                queue.push_back(t);
+                if through.contains_index(t) {
+                    parent.insert(t, s);
+                    queue.push_back(t);
+                }
             }
         }
         None
-    }
-
-    /// Counterexample for `AG p` from `from`: a path to a `¬p` state.
-    pub fn counterexample_ag(
-        &self,
-        from: &StateSet,
-        p: &Formula,
-    ) -> Result<Option<WitnessPath>, CheckError> {
-        self.witness_eu(from, &Formula::True, &p.clone().not())
-    }
-
-    /// Counterexample for `AF p` from `from`: a lasso avoiding `p` forever.
-    pub fn counterexample_af(
-        &self,
-        from: &StateSet,
-        p: &Formula,
-    ) -> Result<Option<WitnessPath>, CheckError> {
-        self.witness_eg(from, &p.clone().not())
     }
 }
 
@@ -428,8 +344,8 @@ mod tests {
         let m = counter();
         let c = Checker::new(&m).unwrap();
         let from = set_of(&c, "!b0 & !b1");
-        let to = set_of(&c, "b0 & b1");
-        let w = c.find_path(&from, &to).unwrap();
+        let to = parse("b0 & b1").unwrap();
+        let w = c.witness_eu(&from, &Formula::True, &to).unwrap().unwrap();
         assert_eq!(w.stem.len(), 4); // 00 01 10 11
         assert!(w.cycle.is_empty());
         assert!(w.is_valid(&m));
@@ -440,7 +356,10 @@ mod tests {
         let m = counter();
         let c = Checker::new(&m).unwrap();
         let s = set_of(&c, "b0");
-        let w = c.find_path(&s, &s).unwrap();
+        let w = c
+            .witness_eu(&s, &Formula::True, &parse("b0").unwrap())
+            .unwrap()
+            .unwrap();
         assert_eq!(w.len(), 1);
     }
 
@@ -451,8 +370,8 @@ mod tests {
         m.add_transition_named(&[], &["x"]);
         let c = Checker::new(&m).unwrap();
         let from = set_of(&c, "x");
-        let to = set_of(&c, "!x");
-        assert!(c.find_path(&from, &to).is_none());
+        let to = parse("!x").unwrap();
+        assert!(c.witness_eu(&from, &Formula::True, &to).unwrap().is_none());
     }
 
     #[test]
@@ -497,13 +416,15 @@ mod tests {
         }
     }
 
+    /// A counterexample to `AG p` is an `E[true U ¬p]` witness.
     #[test]
     fn ag_counterexample_reaches_violation() {
         let m = counter();
         let c = Checker::new(&m).unwrap();
         let from = set_of(&c, "!b0 & !b1");
+        let p = parse("!b1").unwrap();
         let w = c
-            .counterexample_ag(&from, &parse("!b1").unwrap())
+            .witness_eu(&from, &Formula::True, &p.not())
             .unwrap()
             .unwrap();
         let last = *w.stem.last().unwrap();
@@ -511,16 +432,15 @@ mod tests {
         assert!(w.is_valid(&m));
     }
 
+    /// A counterexample to `AF p` is an `EG ¬p` lasso.
     #[test]
     fn af_counterexample_is_avoiding_lasso() {
         let m = counter();
         let c = Checker::new(&m).unwrap();
         let from = set_of(&c, "!b0 & !b1");
         // AF (b0 & b1) fails by stuttering; the lasso must avoid 11.
-        let w = c
-            .counterexample_af(&from, &parse("b0 & b1").unwrap())
-            .unwrap()
-            .unwrap();
+        let p = parse("b0 & b1").unwrap();
+        let w = c.witness_eg(&from, &p.not()).unwrap().unwrap();
         assert!(w.is_valid(&m));
         let al = m.alphabet();
         for s in w.stem.iter().chain(&w.cycle) {
@@ -583,8 +503,8 @@ mod tests {
         let m = counter();
         let c = Checker::new(&m).unwrap();
         let from = set_of(&c, "!b0 & !b1");
-        let to = set_of(&c, "b1");
-        let w = c.find_path(&from, &to).unwrap();
+        let to = parse("b1").unwrap();
+        let w = c.witness_eu(&from, &Formula::True, &to).unwrap().unwrap();
         let text = w.display(&m).to_string();
         assert!(text.contains("state 1: {}"));
         assert!(text.contains("{b1}"));

@@ -1,8 +1,7 @@
 //! Property-based tests for the CTL layer: print/parse round-trips,
-//! existential-normal-form preservation, simplification soundness under
-//! random fairness, and quantifier dualities.
+//! existential-normal-form preservation and quantifier dualities.
 
-use cmc_ctl::{parse, rewrite, Checker, Formula, Restriction};
+use cmc_ctl::{parse, Checker, Formula, Restriction};
 use cmc_kripke::{Alphabet, State, System};
 use proptest::prelude::*;
 
@@ -76,29 +75,6 @@ proptest! {
         let orig = checker.sat(&f).unwrap();
         let enf = checker.sat(&f.to_existential_normal_form()).unwrap();
         prop_assert_eq!(orig, enf, "ENF changed semantics of {}", f);
-    }
-
-    /// `simplify` preserves the satisfaction set — including under a
-    /// random fairness constraint (the rules are fairness-sound).
-    #[test]
-    fn simplify_sound_under_fairness(
-        m in arb_system(),
-        f in arb_formula(),
-        fair in arb_prop(),
-    ) {
-        let checker = Checker::new(&m).unwrap();
-        let simplified = rewrite::simplify(&f);
-        let fairness = [fair];
-        let orig = checker.sat_fair(&f, &fairness).unwrap();
-        let simp = checker.sat_fair(&simplified, &fairness).unwrap();
-        prop_assert_eq!(orig, simp, "simplify changed {} into {}", f, simplified);
-    }
-
-    /// Simplification never grows the formula.
-    #[test]
-    fn simplify_never_grows(f in arb_formula()) {
-        let simplified = rewrite::simplify(&f);
-        prop_assert!(rewrite::formula_size(&simplified) <= rewrite::formula_size(&f));
     }
 
     /// Quantifier dualities hold semantically on random systems.

@@ -306,7 +306,7 @@ impl ExplicitCompiled {
         }
         let bits = self.system.alphabet().len();
         let checker = if bits <= self.limits.dense_bits {
-            Checker::with_limit(&self.system, self.limits.dense_bits)?
+            Checker::from_components(&[&self.system], &Alphabet::empty(), self.limits.dense_bits)?
         } else {
             Checker::reachable_from_system(&self.system, &self.init_states, &self.limits)?
         };

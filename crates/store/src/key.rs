@@ -26,39 +26,6 @@ const SEED_LO: u64 = 0x6520_6B65_7920_3031; // "e key 01"
 pub struct ObligationKey(pub u128);
 
 impl ObligationKey {
-    /// Key for "`f` holds in **every** state of `system`" — the obligation
-    /// shape discharged for each component by Rule 2 and the invariant rule.
-    /// `backend` names the engine that produced (or would produce) the
-    /// verdict — explicit and symbolic runs of the same obligation must not
-    /// alias in the store.
-    pub fn holds_everywhere(system: &System, f: &Formula, backend: &str) -> Self {
-        let mut enc = Vec::with_capacity(256);
-        push_tag(&mut enc, "HE");
-        push_backend(&mut enc, backend);
-        push_system(&mut enc, system);
-        push_str(&mut enc, &f.to_string());
-        ObligationKey::from_encoding(&enc)
-    }
-
-    /// Key for "`system ⊨_r f`" — a restricted check with initial condition
-    /// and fairness constraints, discharged by `backend`.
-    pub fn restricted(system: &System, r: &Restriction, f: &Formula, backend: &str) -> Self {
-        let mut enc = Vec::with_capacity(256);
-        push_tag(&mut enc, "RC");
-        push_backend(&mut enc, backend);
-        push_system(&mut enc, system);
-        push_str(&mut enc, &r.init.to_string());
-        // Fairness is a set: sort the rendered constraints.
-        let mut fair: Vec<String> = r.fairness.iter().map(|g| g.to_string()).collect();
-        fair.sort();
-        for g in &fair {
-            push_str(&mut enc, g);
-        }
-        push_tag(&mut enc, "/F");
-        push_str(&mut enc, &f.to_string());
-        ObligationKey::from_encoding(&enc)
-    }
-
     /// Key for "the composition of `systems` ⊨_r f" under a caller-chosen
     /// proof `mode` tag (different deduction procedures over the same
     /// obligation must not share certificates) and `backend` identity
@@ -282,9 +249,10 @@ mod tests {
         let a = toggle(&["p", "q"], &[], &["p"]);
         let b = toggle(&["q", "p"], &[], &["p"]);
         let f = parse("p -> AX p").unwrap();
+        let r = Restriction::trivial();
         assert_eq!(
-            ObligationKey::holds_everywhere(&a, &f, "explicit"),
-            ObligationKey::holds_everywhere(&b, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&a], &r, &f),
+            ObligationKey::composed("prove", "explicit", &[&b], &r, &f)
         );
     }
 
@@ -293,9 +261,10 @@ mod tests {
         let a = toggle(&["p", "q"], &[], &["p"]);
         let c = toggle(&["p", "q"], &[], &["q"]);
         let f = parse("p -> AX p").unwrap();
+        let r = Restriction::trivial();
         assert_ne!(
-            ObligationKey::holds_everywhere(&a, &f, "explicit"),
-            ObligationKey::holds_everywhere(&c, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&a], &r, &f),
+            ObligationKey::composed("prove", "explicit", &[&c], &r, &f)
         );
     }
 
@@ -304,9 +273,10 @@ mod tests {
         let a = toggle(&["p"], &[], &["p"]);
         let f = parse("AG p").unwrap();
         let g = parse("EF p").unwrap();
+        let r = Restriction::trivial();
         assert_ne!(
-            ObligationKey::holds_everywhere(&a, &f, "explicit"),
-            ObligationKey::holds_everywhere(&a, &g, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&a], &r, &f),
+            ObligationKey::composed("prove", "explicit", &[&a], &r, &g)
         );
     }
 
@@ -323,13 +293,13 @@ mod tests {
             [parse("p").unwrap(), parse("q").unwrap()],
         );
         assert_eq!(
-            ObligationKey::restricted(&a, &r1, &f, "explicit"),
-            ObligationKey::restricted(&a, &r2, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&a], &r1, &f),
+            ObligationKey::composed("prove", "explicit", &[&a], &r2, &f)
         );
         let r3 = Restriction::new(parse("q").unwrap(), [parse("p").unwrap()]);
         assert_ne!(
-            ObligationKey::restricted(&a, &r1, &f, "explicit"),
-            ObligationKey::restricted(&a, &r3, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&a], &r1, &f),
+            ObligationKey::composed("prove", "explicit", &[&a], &r3, &f)
         );
     }
 
@@ -337,9 +307,11 @@ mod tests {
     fn kinds_are_domain_separated() {
         let a = toggle(&["p"], &[], &["p"]);
         let f = parse("AG p").unwrap();
-        let he = ObligationKey::holds_everywhere(&a, &f, "explicit");
-        let rc = ObligationKey::restricted(&a, &Restriction::trivial(), &f, "explicit");
-        assert_ne!(he, rc);
+        let r = Restriction::trivial();
+        // Every kind hashes under its own tag.
+        let composed = ObligationKey::composed("prove", "explicit", &[&a], &r, &f);
+        let substituted = ObligationKey::substituted("explicit", &a, &a, &[], &r, &f);
+        assert_ne!(composed, substituted);
     }
 
     #[test]
@@ -374,14 +346,6 @@ mod tests {
         let a = toggle(&["p"], &[], &["p"]);
         let f = parse("AG p").unwrap();
         let r = Restriction::trivial();
-        assert_ne!(
-            ObligationKey::holds_everywhere(&a, &f, "explicit"),
-            ObligationKey::holds_everywhere(&a, &f, "symbolic")
-        );
-        assert_ne!(
-            ObligationKey::restricted(&a, &r, &f, "explicit"),
-            ObligationKey::restricted(&a, &r, &f, "symbolic")
-        );
         assert_ne!(
             ObligationKey::composed("prove", "explicit", &[&a], &r, &f),
             ObligationKey::composed("prove", "symbolic", &[&a], &r, &f)
@@ -440,7 +404,7 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let a = toggle(&["p"], &[], &["p"]);
-        let k = ObligationKey::holds_everywhere(&a, &parse("AG p").unwrap(), "explicit");
+        let k = ObligationKey::system(&a);
         let hex = k.to_hex();
         assert_eq!(hex.len(), 32);
         assert_eq!(ObligationKey::from_hex(&hex), Some(k));

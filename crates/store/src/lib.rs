@@ -12,7 +12,8 @@
 //! obligations of the next. This crate makes that reuse explicit:
 //!
 //! * [`ObligationKey`] — a stable structural hash of an obligation
-//!   (`system ⊨ f` everywhere, `system ⊨_r f`, or SMV source + spec).
+//!   (a composition `⊨_r f` under a proof mode, a refinement, a
+//!   substitution, or SMV source + spec).
 //!   Alphabet order, transition insertion order and fairness-set order are
 //!   canonicalised away, so structurally equal obligations collide by
 //!   construction. Hashing is FNV-1a ([`StableHasher`]), fully specified
@@ -34,7 +35,7 @@
 //!
 //! ```
 //! use cmc_store::{CertStore, Entry, ObligationKey};
-//! use cmc_ctl::parse;
+//! use cmc_ctl::{parse, Restriction};
 //! use cmc_kripke::{Alphabet, System};
 //!
 //! let mut station = System::new(Alphabet::new(["t"]));
@@ -42,7 +43,8 @@
 //! let f = parse("t -> AX t").unwrap();
 //!
 //! let store = CertStore::new();
-//! let key = ObligationKey::holds_everywhere(&station, &f, "explicit");
+//! let r = Restriction::trivial();
+//! let key = ObligationKey::composed("prove", "explicit", &[&station], &r, &f);
 //! // First composition: miss — run the real check and memoize.
 //! let (_, hit) = store
 //!     .get_or_check::<std::convert::Infallible>(key, || Ok(Entry::verdict(false)))

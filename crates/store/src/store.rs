@@ -3,8 +3,8 @@
 use crate::entry::Entry;
 use crate::key::ObligationKey;
 use crate::stats::StoreStats;
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default capacity: plenty for every obligation of the paper's case
 /// studies while bounding memory for adversarial workloads.
@@ -27,9 +27,9 @@ struct Inner {
 /// Keys are structural hashes of obligations ([`ObligationKey`]); values
 /// are verdicts with optional certificates ([`Entry`]). The store is
 /// bounded: at capacity, the least-recently-used entry is evicted. All
-/// methods take `&self`; interior mutability is a `parking_lot::RwLock`,
-/// so a store shared behind `Arc` can be consulted from the parallel
-/// per-component checks.
+/// methods take `&self`; interior mutability is an [`RwLock`], so a store
+/// shared behind `Arc` can be consulted from the parallel per-component
+/// checks.
 pub struct CertStore {
     inner: RwLock<Inner>,
     capacity: usize,
@@ -54,9 +54,20 @@ impl CertStore {
         }
     }
 
+    // Every update of `Inner` leaves it valid at each step (one map
+    // operation or one counter bump at a time), so a panic in another
+    // holder leaves nothing half-written: recover a poisoned lock.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Look up an obligation, counting a hit or miss.
     pub fn lookup(&self, key: &ObligationKey) -> Option<Entry> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -76,7 +87,7 @@ impl CertStore {
     /// Memoize an outcome, evicting the least-recently-used entry if the
     /// store is full. Re-inserting an existing key overwrites in place.
     pub fn insert(&self, key: ObligationKey, entry: Entry) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.clock += 1;
         let clock = inner.clock;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
@@ -120,7 +131,7 @@ impl CertStore {
 
     /// Counter snapshot (with `entries` filled in).
     pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut stats = inner.stats;
         stats.entries = inner.map.len();
         stats
@@ -128,7 +139,7 @@ impl CertStore {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.inner.read().map.len()
+        self.read().map.len()
     }
 
     /// Is the store empty?
@@ -139,7 +150,7 @@ impl CertStore {
     /// All resident entries, sorted by key, for the on-disk layer (sorted
     /// so that saving is deterministic).
     pub fn snapshot(&self) -> Vec<(ObligationKey, Entry)> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut out: Vec<(ObligationKey, Entry)> = inner
             .map
             .iter()
@@ -155,7 +166,7 @@ impl CertStore {
     /// earlier one even in a full store; a new key is dropped once the
     /// store is full, because disk entries never evict live results.
     pub(crate) fn install_from_disk(&self, key: ObligationKey, entry: Entry) -> bool {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
             return false;
         }
@@ -174,18 +185,18 @@ impl CertStore {
 
     /// Count a rejected on-disk entry.
     pub(crate) fn count_disk_reject(&self) {
-        self.inner.write().stats.disk_rejects += 1;
+        self.write().stats.disk_rejects += 1;
     }
 
     /// Count a skipped (torn/truncated/unreadable) on-disk segment.
     pub(crate) fn count_segment_skip(&self) {
-        self.inner.write().stats.segments_skipped += 1;
+        self.write().stats.segments_skipped += 1;
     }
 
     /// Record one compaction pass over the segmented disk tier: how many
     /// entries the byte budget evicted and the resulting disk footprint.
     pub(crate) fn count_compaction(&self, budget_evicted: u64, disk_bytes: u64) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.stats.compactions += 1;
         inner.stats.budget_evictions += budget_evicted;
         inner.stats.disk_bytes = disk_bytes;
@@ -193,7 +204,7 @@ impl CertStore {
 
     /// Record the disk tier's current byte footprint (after an append).
     pub(crate) fn note_disk_bytes(&self, disk_bytes: u64) {
-        self.inner.write().stats.disk_bytes = disk_bytes;
+        self.write().stats.disk_bytes = disk_bytes;
     }
 }
 
@@ -318,5 +329,23 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.hits + stats.misses, 400);
         assert_eq!(stats.entries, 16);
+    }
+
+    #[test]
+    fn store_keeps_working_after_a_panicking_holder() {
+        let store = CertStore::new();
+        store.insert(key(1), Entry::verdict(true));
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = store.inner.write();
+                panic!("poison the store's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(store.inner.is_poisoned());
+        assert_eq!(store.lookup(&key(1)), Some(Entry::verdict(true)));
+        store.insert(key(2), Entry::verdict(false));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats().hits, 1);
     }
 }

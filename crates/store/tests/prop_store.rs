@@ -66,15 +66,16 @@ proptest! {
         let scrambled = build(&shuffled(&names, &name_swaps), n, &shuffled(&pairs, &pair_swaps));
 
         let f = parse(FORMULAS[which]).unwrap();
+        let trivial = Restriction::trivial();
         prop_assert_eq!(
-            ObligationKey::holds_everywhere(&canonical, &f, "explicit"),
-            ObligationKey::holds_everywhere(&scrambled, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&canonical], &trivial, &f),
+            ObligationKey::composed("prove", "explicit", &[&scrambled], &trivial, &f)
         );
 
         let r = Restriction::new(parse("a").unwrap(), [parse("b").unwrap(), parse("a").unwrap()]);
         prop_assert_eq!(
-            ObligationKey::restricted(&canonical, &r, &f, "explicit"),
-            ObligationKey::restricted(&scrambled, &r, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&canonical], &r, &f),
+            ObligationKey::composed("prove", "explicit", &[&scrambled], &r, &f)
         );
 
         // A composed obligation over the scrambled copy and a disjoint
@@ -108,9 +109,10 @@ proptest! {
         let grown = build(&names, n, &grown_pairs);
 
         let f = parse("AG a").unwrap();
+        let r = Restriction::trivial();
         prop_assert_ne!(
-            ObligationKey::holds_everywhere(&base, &f, "explicit"),
-            ObligationKey::holds_everywhere(&grown, &f, "explicit")
+            ObligationKey::composed("prove", "explicit", &[&base], &r, &f),
+            ObligationKey::composed("prove", "explicit", &[&grown], &r, &f)
         );
     }
 }

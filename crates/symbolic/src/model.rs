@@ -505,42 +505,6 @@ impl SymbolicModel {
         }
     }
 
-    /// The identity (stutter) relation `⋀ᵥ v' = v`.
-    pub fn identity_relation(&mut self) -> Bdd {
-        let pairs: Vec<(Var, Var)> = self.vars.iter().map(|v| (v.cur, v.next)).collect();
-        let lit_pairs: Vec<(Bdd, Bdd)> = pairs
-            .into_iter()
-            .map(|(c, n)| {
-                let cb = self.mgr.var(c);
-                let nb = self.mgr.var(n);
-                (cb, nb)
-            })
-            .collect();
-        self.mgr.pairwise_iff(&lit_pairs)
-    }
-
-    /// Frame condition `⋀_{v ∈ names} v' = v` for the given variables.
-    pub fn frame_condition(&mut self, names: &[&str]) -> Bdd {
-        let pairs: Vec<(Var, Var)> = names
-            .iter()
-            .map(|n| {
-                let v = self
-                    .state_var(n)
-                    .unwrap_or_else(|| panic!("unknown state variable {n:?}"));
-                (v.cur, v.next)
-            })
-            .collect();
-        let lit_pairs: Vec<(Bdd, Bdd)> = pairs
-            .into_iter()
-            .map(|(c, n)| {
-                let cb = self.mgr.var(c);
-                let nb = self.mgr.var(n);
-                (cb, nb)
-            })
-            .collect();
-        self.mgr.pairwise_iff(&lit_pairs)
-    }
-
     /// Partition `i`'s relation with its frame condition materialised —
     /// `relᵢ ∧ ⋀_{j ∉ ownedᵢ} vⱼ' = vⱼ`. Only the monolithic paths
     /// ([`SymbolicModel::full_trans`], [`SymbolicModel::to_explicit`])
@@ -548,34 +512,21 @@ impl SymbolicModel {
     fn part_with_frame(&mut self, i: usize) -> Bdd {
         let rel = self.mgr.root(self.trans_parts[i].rel);
         let owned = &self.trans_parts[i].owned;
-        let foreign: Vec<usize> = (0..self.vars.len())
-            .filter(|vi| owned.binary_search(vi).is_err())
-            .collect();
-        let frame = self.frame_over(&foreign);
-        self.mgr.and(rel, frame)
-    }
-
-    /// Frame condition `⋀_{vi ∈ indices} v' = v` over variable indices.
-    fn frame_over(&mut self, indices: &[usize]) -> Bdd {
-        let lit_pairs: Vec<(Bdd, Bdd)> = indices
+        let foreign = self
+            .vars
             .iter()
-            .map(|&vi| (self.vars[vi].cur, self.vars[vi].next))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|(c, n)| {
-                let cb = self.mgr.var(c);
-                let nb = self.mgr.var(n);
-                (cb, nb)
-            })
-            .collect();
-        self.mgr.pairwise_iff(&lit_pairs)
+            .enumerate()
+            .filter(|(vi, _)| owned.binary_search(vi).is_err())
+            .map(|(_, v)| (v.cur, v.next));
+        let frame = frame_condition(&mut self.mgr, foreign);
+        self.mgr.and(rel, frame)
     }
 
     /// The monolithic transition relation: the union of all partitions
     /// (frames materialised), always including the identity relation
     /// (reflexivity).
     pub fn full_trans(&mut self) -> Bdd {
-        let id = self.identity_relation();
+        let id = frame_condition(&mut self.mgr, self.vars.iter().map(|v| (v.cur, v.next)));
         let mut acc = id;
         for i in 0..self.trans_parts.len() {
             let t = self.part_with_frame(i);
@@ -804,9 +755,10 @@ impl SymbolicModel {
                 .filter(|v| oi.binary_search(v).is_err())
                 .collect();
             // rel = (relᵢ ∧ frame(O_j∖O_i)) ∨ (relⱼ ∧ frame(O_i∖O_j))
-            let frame_j = self.frame_over(&only_j);
+            let var_pair = |&vi: &usize| (self.vars[vi].cur, self.vars[vi].next);
+            let frame_j = frame_condition(&mut self.mgr, only_j.iter().map(var_pair));
             let lhs = self.mgr.and(ri, frame_j);
-            let frame_i = self.frame_over(&only_i);
+            let frame_i = frame_condition(&mut self.mgr, only_i.iter().map(var_pair));
             let rhs = self.mgr.and(rj, frame_i);
             let rel = self.mgr.or(lhs, rhs);
             let mut members = mi;
@@ -966,26 +918,9 @@ impl SymbolicModel {
                 .iter()
                 .map(|n| names.iter().position(|u| u == n).unwrap())
                 .collect();
-            let mut part = Bdd::FALSE;
-            for (s, t) in sys.proper_transitions() {
-                let mut pair = Bdd::TRUE;
-                for (i, &vi) in var_idx.iter().enumerate() {
-                    let (cur, next) = (m.vars[vi].cur, m.vars[vi].next);
-                    let cl = if s.contains(i) {
-                        m.mgr.var(cur)
-                    } else {
-                        m.mgr.nvar(cur)
-                    };
-                    let nl = if t.contains(i) {
-                        m.mgr.var(next)
-                    } else {
-                        m.mgr.nvar(next)
-                    };
-                    let both = m.mgr.and(cl, nl);
-                    pair = m.mgr.and(pair, both);
-                }
-                part = m.mgr.or(part, pair);
-            }
+            let cur: Vec<Var> = var_idx.iter().map(|&vi| m.vars[vi].cur).collect();
+            let next: Vec<Var> = var_idx.iter().map(|&vi| m.vars[vi].next).collect();
+            let part = transition_relation(&mut m.mgr, sys, &cur, &next);
             if !part.is_false() {
                 m.add_trans_part_owned(part, var_idx.clone());
             }
@@ -1030,6 +965,41 @@ impl SymbolicModel {
     }
 }
 
+/// The frame condition `⋀ v' = v` over `(current, next)` variable pairs;
+/// over every variable of a model it is the identity (stutter) relation.
+pub(crate) fn frame_condition(
+    mgr: &mut BddManager,
+    pairs: impl IntoIterator<Item = (Var, Var)>,
+) -> Bdd {
+    let lits: Vec<(Bdd, Bdd)> = pairs
+        .into_iter()
+        .map(|(c, n)| (mgr.var(c), mgr.var(n)))
+        .collect();
+    mgr.pairwise_iff(&lits)
+}
+
+/// The proper transitions of `system` as a disjunction of minterms, bit
+/// `i` of a state encoded by `cur[i]` before the move and `next[i]` after.
+pub(crate) fn transition_relation(
+    mgr: &mut BddManager,
+    system: &System,
+    cur: &[Var],
+    next: &[Var],
+) -> Bdd {
+    let mut cubes = Vec::with_capacity(system.proper_transition_count());
+    for (s, t) in system.proper_transitions() {
+        let lits: Vec<Bdd> = cur
+            .iter()
+            .zip(next)
+            .enumerate()
+            .flat_map(|(i, (&c, &n))| [(c, s.contains(i)), (n, t.contains(i))])
+            .map(|(v, on)| if on { mgr.var(v) } else { mgr.nvar(v) })
+            .collect();
+        cubes.push(mgr.and_many(&lits));
+    }
+    mgr.or_many(&cubes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,7 +1023,7 @@ mod tests {
     #[test]
     fn identity_relation_is_stutter() {
         let mut m = SymbolicModel::new(vec!["a".into(), "b".into()]);
-        let id = m.identity_relation();
+        let id = frame_condition(&mut m.mgr, m.vars.iter().map(|v| (v.cur, v.next)));
         // 4 of 16 assignments satisfy a'=a ∧ b'=b.
         assert_eq!(m.mgr_ref().sat_count(id, 4), 4.0);
     }
@@ -1151,16 +1121,10 @@ mod tests {
     #[test]
     fn frame_condition_selected_vars() {
         let mut m = SymbolicModel::new(vec!["p".into(), "q".into()]);
-        let fr = m.frame_condition(&["q"]);
+        let q = m.state_var("q").map(|q| (q.cur, q.next)).unwrap();
+        let fr = frame_condition(&mut m.mgr, [q]);
         // q' = q: 8 of 16 assignments.
         assert_eq!(m.mgr_ref().sat_count(fr, 4), 8.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown state variable")]
-    fn frame_condition_validates_names() {
-        let mut m = SymbolicModel::new(vec!["p".into()]);
-        m.frame_condition(&["zz"]);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! provides). The fixpoint is the greatest simulation; `C ⊑ A` iff
 //! `∃x_A H` is a tautology over the concrete frame.
 
+use crate::model::{frame_condition, transition_relation};
 use cmc_bdd::{Bdd, BddManager, Var};
 use cmc_kripke::simulation::{SharedObs, SimulationCx, SimulationOutcome};
 use cmc_kripke::{State, System};
@@ -70,33 +71,6 @@ impl Frames {
     }
 }
 
-/// Encode the proper transitions of `system` as a disjunction of minterms
-/// over `(cur, nxt)` frames.
-fn proper_relation(mgr: &mut BddManager, system: &System, cur: &[Var], nxt: &[Var]) -> Bdd {
-    let mut parts = Vec::new();
-    for (s, t) in system.proper_transitions() {
-        let lits: Vec<Bdd> = cur
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, s.contains(i)))
-            .chain(nxt.iter().enumerate().map(|(i, &v)| (v, t.contains(i))))
-            .map(|(v, on)| if on { mgr.var(v) } else { mgr.nvar(v) })
-            .collect();
-        parts.push(mgr.and_many(&lits));
-    }
-    mgr.or_many(&parts)
-}
-
-/// The identity relation `cur = nxt` (the implicit stutter partition).
-fn identity_relation(mgr: &mut BddManager, cur: &[Var], nxt: &[Var]) -> Bdd {
-    let pairs: Vec<(Bdd, Bdd)> = cur
-        .iter()
-        .zip(nxt)
-        .map(|(&c, &n)| (mgr.var(c), mgr.var(n)))
-        .collect();
-    mgr.pairwise_iff(&pairs)
-}
-
 /// Decide `concrete ⊑ abstraction` symbolically. Verdict-identical to the
 /// definitional and explicit checkers at any width either of them can
 /// reach, with no width ceiling of its own.
@@ -107,9 +81,16 @@ pub fn simulates_symbolic(concrete: &System, abstraction: &System) -> Simulation
     let obs = SharedObs::new(concrete.alphabet(), abstraction.alphabet());
     let frames = Frames::interleaved(&mut mgr, &obs, nc, na);
 
-    let rc = proper_relation(&mut mgr, concrete, &frames.c_cur, &frames.c_nxt);
-    let ra_proper = proper_relation(&mut mgr, abstraction, &frames.a_cur, &frames.a_nxt);
-    let ra_id = identity_relation(&mut mgr, &frames.a_cur, &frames.a_nxt);
+    let rc = transition_relation(&mut mgr, concrete, &frames.c_cur, &frames.c_nxt);
+    let ra_proper = transition_relation(&mut mgr, abstraction, &frames.a_cur, &frames.a_nxt);
+    let ra_id = frame_condition(
+        &mut mgr,
+        frames
+            .a_cur
+            .iter()
+            .copied()
+            .zip(frames.a_nxt.iter().copied()),
+    );
     let ra_star = mgr.or(ra_proper, ra_id);
 
     // H₀: agreement on the shared observables.

@@ -10,10 +10,8 @@
 //!   results for every worker count.
 
 use cmc_testkit::{gen_obligation, run_obligation, GenConfig, OracleOutcome, RefEvaluator};
-use compositional_mc::core::backend::Target;
-use compositional_mc::core::parallel::check_targets_with_workers;
-use compositional_mc::core::BackendChoice;
-use compositional_mc::ctl::{Checker, Formula, StateSet};
+use compositional_mc::core::{check_routed, scheduler, BackendChoice, Target};
+use compositional_mc::ctl::{Checker, Formula, Restriction, StateSet};
 use compositional_mc::kripke::{Alphabet, State, System};
 use proptest::prelude::*;
 
@@ -150,25 +148,23 @@ fn scheduler_results_stable_across_worker_counts() {
         let mut m = System::new(Alphabet::new([name.as_str()]));
         m.add_transition_named(&[], &[&name]);
         tasks.push((
-            format!("task{i}"),
             Target::system(m),
             Formula::ap(&name).implies(Formula::ap(&name).ax()),
         ));
     }
     // Strip the timing field before comparing: everything else must be
     // byte-identical regardless of scheduling.
-    let digest = |r: Vec<(String, Result<compositional_mc::core::Verdict, String>)>| {
-        r.into_iter()
-            .map(|(n, v)| (n, v.map(|v| (v.holds, v.violating, v.sat_states))))
-            .collect::<Vec<_>>()
+    let trivial = Restriction::trivial();
+    let digest = |workers: usize| {
+        scheduler::run_bounded(tasks.len(), workers, |i| {
+            let (target, f) = &tasks[i];
+            check_routed(BackendChoice::Auto, target, &trivial, f)
+                .map(|v| (v.holds, v.violating, v.sat_states))
+                .map_err(|e| e.to_string())
+        })
     };
-    let baseline = digest(check_targets_with_workers(&tasks, BackendChoice::Auto, 1));
+    let baseline = digest(1);
     for workers in [2, 4, 8] {
-        let got = digest(check_targets_with_workers(
-            &tasks,
-            BackendChoice::Auto,
-            workers,
-        ));
-        assert_eq!(got, baseline, "worker count {workers}");
+        assert_eq!(digest(workers), baseline, "worker count {workers}");
     }
 }

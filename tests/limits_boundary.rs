@@ -3,8 +3,8 @@
 //! *mode switch* — past it the engine goes reachable-only rather than
 //! refusing — and the only hard guard left is the opt-in state budget
 //! (`max_states`), measured in materialised states, not encoded bits.
-//! Guards against off-by-one regressions in `Checker::with_limit`, the
-//! `ExplicitBackend`, the SMV driver's explicit compilation and its
+//! Guards against off-by-one regressions in `Checker::from_components`,
+//! the `ExplicitBackend`, the SMV driver's explicit compilation and its
 //! `Auto` routing.
 
 use compositional_mc::core::{
@@ -29,7 +29,7 @@ fn dense_checker_accepts_exactly_max_explicit_props() {
         Checker::new(&at).is_ok(),
         "width == DEFAULT_DENSE_BITS must be accepted"
     );
-    assert!(Checker::with_limit(&at, max).is_ok());
+    assert!(Checker::from_components(&[&at], &Alphabet::empty(), max).is_ok());
 
     let past = wide_system(max + 1);
     let err = Checker::new(&past).unwrap_err();
@@ -44,7 +44,8 @@ fn checker_custom_limit_boundary_still_checks() {
     // At a small limit the accepted checker must actually run, not just
     // construct.
     let m = wide_system(3);
-    let c = Checker::with_limit(&m, 3).unwrap();
+    let none = Alphabet::empty();
+    let c = Checker::from_components(&[&m], &none, 3).unwrap();
     let v = c
         .check(
             &Restriction::trivial(),
@@ -52,7 +53,7 @@ fn checker_custom_limit_boundary_still_checks() {
         )
         .unwrap();
     assert!(v.holds);
-    assert!(Checker::with_limit(&m, 2).is_err());
+    assert!(Checker::from_components(&[&m], &none, 2).is_err());
 }
 
 #[test]

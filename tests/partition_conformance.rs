@@ -22,9 +22,8 @@ use cmc_testkit::{
     gen_partitioned_obligation, partition_corpus_seeds, run_obligation_with, run_quad_obligation,
     GenConfig, OracleOutcome, QuadOutcome,
 };
-use compositional_mc::core::parallel::check_targets_with_workers;
 use compositional_mc::core::{
-    BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
+    check_routed, BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
 };
 use compositional_mc::ctl::{Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
@@ -155,7 +154,7 @@ proptest! {
 
 /// A small fleet of mixed-width targets used by the determinism tests:
 /// some route explicit, the 22-prop chain routes symbolic under `Auto`.
-fn determinism_tasks() -> Vec<(String, Target, Formula)> {
+fn determinism_tasks() -> Vec<(Target, Formula)> {
     let mut tasks = Vec::new();
     for w in [3usize, 4, 22] {
         let names: Vec<String> = (0..w).map(|i| format!("x{i}")).collect();
@@ -170,7 +169,7 @@ fn determinism_tasks() -> Vec<(String, Target, Formula)> {
             })
             .collect();
         let f = Formula::ap("x0").implies(Formula::ap(format!("x{}", w - 1)).ef());
-        tasks.push((format!("chain{w}"), Target::composition(systems), f));
+        tasks.push((Target::composition(systems), f));
     }
     tasks
 }
@@ -179,17 +178,24 @@ fn determinism_tasks() -> Vec<(String, Target, Formula)> {
 /// a mixed explicit/symbolic fleet of fixpoint obligations.
 #[test]
 fn fanout_verdicts_identical_across_worker_counts() {
-    type Fingerprint = Vec<(String, Result<(bool, Vec<State>, Option<u128>), String>)>;
+    type Fingerprint = Vec<Result<(bool, Vec<State>, Option<u128>), String>>;
     let tasks = determinism_tasks();
+    let trivial = Restriction::trivial();
     let fingerprint = |workers: usize| -> Fingerprint {
-        check_targets_with_workers(&tasks, BackendChoice::Auto, workers)
-            .into_iter()
-            .map(|(n, r)| (n, r.map(|v| (v.holds, v.violating, v.sat_states))))
-            .collect()
+        compositional_mc::core::scheduler::run_bounded(tasks.len(), workers, |i| {
+            let (target, f) = &tasks[i];
+            check_routed(BackendChoice::Auto, target, &trivial, f).map_err(|e| e.to_string())
+        })
+        .into_iter()
+        .map(|r| {
+            r.and_then(|v| v)
+                .map(|v| (v.holds, v.violating, v.sat_states))
+        })
+        .collect()
     };
     let baseline = fingerprint(1);
     assert!(
-        baseline.iter().all(|(_, r)| r.is_ok()),
+        baseline.iter().all(|r| r.is_ok()),
         "baseline fleet failed: {baseline:?}"
     );
     for workers in [2, 4, 8] {

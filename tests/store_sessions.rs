@@ -243,8 +243,8 @@ fn backend_identity_doubles_entries_with_zero_cross_hits() {
     // The two verdicts live under distinct keys even for the *same*
     // component obligation.
     let m = rising("x");
-    let ke = compositional_mc::store::ObligationKey::holds_everywhere(&m, &f, "explicit");
-    let ks = compositional_mc::store::ObligationKey::holds_everywhere(&m, &f, "symbolic");
+    let ke = ObligationKey::composed("prove", "explicit", &[&m], &r, &f);
+    let ks = ObligationKey::composed("prove", "symbolic", &[&m], &r, &f);
     assert_ne!(ke, ks, "backend identity must separate key domains");
 
     // And the whole session's certificates replay through the validator.
@@ -253,7 +253,8 @@ fn backend_identity_doubles_entries_with_zero_cross_hits() {
 }
 
 /// Golden digests of `spec_keys`, the key every stored SMV verdict and
-/// every committed disk segment is filed under. The repo benchmark's
+/// every committed disk segment is filed under, and of one key of each
+/// kind the proof engine files certificates under. The repo benchmark's
 /// `serve-hot` preload derives the same keys with its own
 /// `ObligationKey::source_spec` loop, so a change to key derivation would
 /// turn its preloaded hits into misses and orphan segments on disk.
@@ -300,4 +301,36 @@ fn spec_keys_are_golden() {
             .collect();
         assert_eq!(hex, golden, "keys of\n{src}");
     }
+
+    // The engine's key kinds share the same field encoders; a stored
+    // certificate is filed under one of them.
+    let mut concrete = System::new(Alphabet::new(["y", "x"]));
+    concrete.add_transition_named(&[], &["x"]);
+    concrete.add_transition_named(&["x"], &["x", "y"]);
+    let abstraction = rising("x");
+    let partner = rising("z");
+    let r = Restriction::new(
+        parse("!x").unwrap(),
+        [parse("y").unwrap(), parse("x | z").unwrap()],
+    );
+    let f = parse("x -> AX x").unwrap();
+    let hex: Vec<String> = [
+        ObligationKey::composed("prove", "explicit", &[&concrete, &partner], &r, &f),
+        ObligationKey::refines(&concrete, &abstraction, "symbolic"),
+        ObligationKey::system(&concrete),
+        ObligationKey::substituted("explicit", &concrete, &abstraction, &[&partner], &r, &f),
+    ]
+    .into_iter()
+    .map(ObligationKey::to_hex)
+    .collect();
+    assert_eq!(
+        hex,
+        [
+            "fb4e128e25a54327914b5400ddbb717c",
+            "7d608a87740a97729fbac27f9915cb0f",
+            "a3741d0b1fab810872e674546201e305",
+            "29ee81318d7cbffb2f942bf08ebaea66",
+        ],
+        "engine keys"
+    );
 }
