@@ -86,13 +86,6 @@ impl ComputedTable {
         self.cur.insert(key, value);
     }
 
-    /// Drop every entry *and* the backing capacity. Not counted as
-    /// evictions (the entries are not cold, the caller invalidated them).
-    pub(crate) fn clear(&mut self) {
-        self.cur = FxHashMap::default();
-        self.prev = FxHashMap::default();
-    }
-
     /// Rewrite both generations through a GC compaction map (`u32::MAX`
     /// marks a dead node). An entry survives only if its operands *and*
     /// its result were all marked live; everything else is dropped —

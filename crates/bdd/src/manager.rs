@@ -115,11 +115,6 @@ impl BddManager {
         (0..n).map(|_| self.new_var()).collect()
     }
 
-    /// Number of declared variables.
-    pub fn var_count(&self) -> usize {
-        self.num_vars as usize
-    }
-
     /// The constant TRUE.
     #[inline]
     pub fn tru(&self) -> Bdd {
@@ -669,12 +664,6 @@ impl BddManager {
             gc_reclaimed: self.gc_reclaimed,
             variables: self.num_vars as usize,
         }
-    }
-
-    /// Drop the computed table (unique table and arena are kept). Useful to
-    /// bound memory between unrelated verification runs on one manager.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 }
 

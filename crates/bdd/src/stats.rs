@@ -51,17 +51,6 @@ impl BddStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// `and_exists` computed-table hit rate in `[0, 1]` (0 when the
-    /// relational product never ran).
-    pub fn and_exists_hit_rate(&self) -> f64 {
-        let total = self.and_exists_hits + self.and_exists_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.and_exists_hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

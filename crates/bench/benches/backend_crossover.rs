@@ -116,7 +116,7 @@ where
 /// leg that already timed out at a smaller width this run.
 fn summary_row(family: &str, n: usize, r: &Restriction, f: &Formula, dead: &mut [bool; 2]) -> Json {
     let systems = ring::stations(n);
-    let target = Target::composition(systems.clone());
+    let target = Target::composition(systems.iter().collect());
     let estimate = estimate_reachable_states(&target, r);
     let auto_choice = BackendChoice::Auto.route(&target, r).planned;
 
@@ -128,7 +128,7 @@ fn summary_row(family: &str, n: usize, r: &Restriction, f: &Formula, dead: &mut 
         let r = r.clone();
         let f = f.clone();
         let out = run_leg(move || {
-            let target = Target::composition(systems);
+            let target = Target::composition(systems.iter().collect());
             let start = Instant::now();
             let v = if leg == 0 {
                 auto_explicit().check(&target, &r, &f)

@@ -84,7 +84,8 @@ fn main() {
     let mut sched_acceptance = Json::Null;
     let mut merge_sweep = Vec::new();
     for &n in sym_sizes {
-        let target = Target::composition(ring::stations(n));
+        let stations = ring::stations(n);
+        let target = Target::composition(stations.iter().collect());
         let f = ef_goal(n);
 
         let sched_backend = SymbolicBackend::default();

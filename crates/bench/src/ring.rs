@@ -150,7 +150,8 @@ mod tests {
     fn bounded_gc_policy_bounds_memory() {
         let r = Restriction::trivial();
         for n in [8, 12] {
-            let target = Target::composition(stations(n));
+            let stations = stations(n);
+            let target = Target::composition(stations.iter().collect());
             let f = parse(&format!("EF t{}", n / 2)).unwrap();
             let unbounded = SymbolicBackend::with_maintenance(MaintenanceConfig::disabled())
                 .cache_capacity(1 << 22)

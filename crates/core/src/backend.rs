@@ -17,9 +17,11 @@
 //! [`ExplicitLimits::dense_bits`], so a pinned 30-station ring stays
 //! explicit while a trivially-restricted one routes symbolic.
 //!
-//! Checks are posed against a [`Target`] — a list of component systems
-//! plus an expansion alphabet, composed *lazily*. This matters: neither
-//! backend materialises the interleaving product. The explicit backend
+//! Checks are posed against a [`Target`] — borrowed component systems
+//! plus an expansion alphabet, composed *lazily*, with the union alphabet
+//! `Σ*` computed once when the target is built. This matters: neither
+//! backend materialises the interleaving product, and neither copies a
+//! component or recomputes the union. The explicit backend
 //! frame-pads each component's transitions straight into its CSR index
 //! ([`Checker::from_components`]); the symbolic backend builds one
 //! disjunctive transition partition per component
@@ -306,41 +308,41 @@ pub fn check_planned(
 
 /// A checking target: the interleaving composition of `systems`, expanded
 /// over the `extra` propositions (`M₁ ∘ … ∘ Mₙ ∘ (extra, I)`), represented
-/// lazily so each backend can realise it in its own way.
+/// lazily so each backend can realise it in its own way. It borrows its
+/// systems and computes the union alphabet once, when it is built; every
+/// kernel is laid out on that one union.
 #[derive(Debug, Clone)]
-pub struct Target {
-    systems: Vec<System>,
+pub struct Target<'a> {
+    systems: Vec<&'a System>,
     extra: Alphabet,
+    union: Alphabet,
 }
 
-impl Target {
+impl<'a> Target<'a> {
     /// A single system, as-is.
-    pub fn system(system: System) -> Self {
-        Target {
-            systems: vec![system],
-            extra: Alphabet::empty(),
-        }
+    pub fn system(system: &'a System) -> Self {
+        Target::expansion(vec![system], Alphabet::empty())
     }
 
-    /// A single system expanded over `extra` (the paper's `M ∘ (Σ', I)`).
-    pub fn expansion(system: System, extra: Alphabet) -> Self {
+    /// The composition of `systems` expanded over `extra` (the paper's
+    /// `M ∘ (Σ', I)`; `extra` may be empty). Panics on an empty list.
+    pub fn expansion(systems: Vec<&'a System>, extra: Alphabet) -> Self {
+        assert!(!systems.is_empty(), "a Target needs at least one system");
+        let union = Alphabet::union_of(systems.iter().map(|s| s.alphabet()).chain([&extra]));
         Target {
-            systems: vec![system],
+            systems,
             extra,
+            union,
         }
     }
 
     /// The composition of several systems. Panics on an empty list.
-    pub fn composition(systems: Vec<System>) -> Self {
-        assert!(!systems.is_empty(), "a Target needs at least one system");
-        Target {
-            systems,
-            extra: Alphabet::empty(),
-        }
+    pub fn composition(systems: Vec<&'a System>) -> Self {
+        Target::expansion(systems, Alphabet::empty())
     }
 
     /// The component systems.
-    pub fn systems(&self) -> &[System] {
+    pub fn systems(&self) -> &[&'a System] {
         &self.systems
     }
 
@@ -350,29 +352,24 @@ impl Target {
     }
 
     /// The union alphabet `Σ*` of the composed-and-expanded target, in
-    /// first-seen order (matching both `System::compose` and
-    /// [`SymbolicModel::from_components`]).
-    pub fn union_alphabet(&self) -> Alphabet {
-        let base = self
-            .systems
-            .iter()
-            .fold(Alphabet::empty(), |acc, s| acc.union(s.alphabet()));
-        base.union(&self.extra)
+    /// first-seen order ([`Alphabet::union_of`], the order
+    /// `System::compose` uses too).
+    pub fn union_alphabet(&self) -> &Alphabet {
+        &self.union
     }
 
     /// Number of propositions in the union alphabet — the quantity the
     /// `Auto` policy selects on.
     pub fn width(&self) -> usize {
-        self.union_alphabet().len()
+        self.union.len()
     }
 
     /// Materialise the explicit product (exponential frame padding; the
     /// explicit backend checks the width *first* so this is only reached
     /// when it is affordable).
     pub fn materialize(&self) -> System {
-        let mut it = self.systems.iter();
-        let first = it.next().expect("a Target needs at least one system");
-        let composed = it.fold(first.clone(), |acc, s| acc.compose(s));
+        let (first, rest) = self.systems.split_first().expect("a Target is never empty");
+        let composed = rest.iter().fold((*first).clone(), |acc, s| acc.compose(s));
         let missing: Vec<String> = self
             .extra
             .names()
@@ -533,52 +530,36 @@ impl ExplicitBackend {
         r: &Restriction,
         f: &Formula,
     ) -> Result<Verdict, BackendError> {
-        let props = target.width();
         let start = Instant::now();
         // Build the kernel straight from the components — neither mode
-        // runs the exponential `materialize()` fold.
-        let refs: Vec<&System> = target.systems().iter().collect();
-        if props <= self.limits.dense_bits {
-            // Dense universe: index i IS the state pattern; exact counts.
-            let checker = Checker::from_components(&refs, target.extra(), self.limits.dense_bits)?;
-            let v = checker.check(r, f)?;
-            Ok(Verdict {
-                holds: v.holds,
-                violating: v.violating,
-                sat_states: Some(v.sat_states as u128),
-                stats: CheckStats {
-                    backend: BackendKind::Explicit,
-                    duration: start.elapsed(),
-                    bdd: None,
-                    partitions: 1,
-                    reachable_states: None,
-                    route: None,
-                    schedule: None,
-                },
-            })
+        // runs the exponential `materialize()` fold. Dense universe up to
+        // the width limit (index i IS the state pattern; exact counts);
+        // past it, the reachable-only kernel built on the fly from SAT(I)
+        // outward, whose verdicts agree with dense mode exactly.
+        let (systems, union) = (target.systems(), target.union_alphabet());
+        let checker = if union.len() <= self.limits.dense_bits {
+            Checker::from_components(systems, union, self.limits.dense_bits)?
         } else {
-            // Reachable-only: hash-compacted on-the-fly construction from
-            // SAT(I) outward. Verdicts agree with dense mode exactly;
-            // whole-universe counts are not defined, so sat_states is None
-            // and the materialised fragment size rides in the stats.
-            let checker =
-                Checker::reachable_from_components(&refs, target.extra(), &r.init, &self.limits)?;
-            let v = checker.check(r, f)?;
-            Ok(Verdict {
-                holds: v.holds,
-                violating: v.violating,
-                sat_states: None,
-                stats: CheckStats {
-                    backend: BackendKind::Explicit,
-                    duration: start.elapsed(),
-                    bdd: None,
-                    partitions: 1,
-                    reachable_states: Some(checker.universe() as u64),
-                    route: None,
-                    schedule: None,
-                },
-            })
-        }
+            Checker::reachable_from_components(systems, union, &r.init, &self.limits)?
+        };
+        let v = checker.check(r, f)?;
+        // Whole-universe counts exist only over the dense universe; the
+        // reachable kernel reports the size of the fragment it built.
+        let reachable = checker.is_reachable();
+        Ok(Verdict {
+            holds: v.holds,
+            violating: v.violating,
+            sat_states: (!reachable).then_some(v.sat_states as u128),
+            stats: CheckStats {
+                backend: BackendKind::Explicit,
+                duration: start.elapsed(),
+                bdd: None,
+                partitions: 1,
+                reachable_states: reachable.then_some(checker.universe() as u64),
+                route: None,
+                schedule: None,
+            },
+        })
     }
 }
 
@@ -645,8 +626,8 @@ impl SymbolicBackend {
         f: &Formula,
     ) -> Result<Verdict, BackendError> {
         let start = Instant::now();
-        let refs: Vec<&System> = target.systems().iter().collect();
-        let mut model = SymbolicModel::from_components(&refs, target.extra());
+        let alphabet = target.union_alphabet();
+        let mut model = SymbolicModel::from_components(target.systems(), alphabet);
         if let Some(entries) = self.cache_capacity {
             model.mgr().set_cache_capacity(entries);
         }
@@ -675,11 +656,10 @@ impl SymbolicBackend {
         let init = model.restricted_init(r)?;
         let nsat = model.mgr().not(sat);
         let violating_bdd = model.mgr().and(init, nsat);
-        let alphabet = target.union_alphabet();
         let violating = model
             .enumerate_states(violating_bdd, MAX_WITNESSES)
             .iter()
-            .filter_map(|ns| ns.to_state(&alphabet))
+            .filter_map(|ns| ns.to_state(alphabet))
             .collect();
         Ok(Verdict {
             holds: violating_bdd.is_false(),
@@ -751,8 +731,8 @@ mod tests {
     fn auto_route_crosses_at_the_calibrated_crossover() {
         // Each unpinned riser doubles the estimate: 7 of them estimate
         // exactly AUTO_CROSSOVER_STATES = 128 states, 8 estimate 256.
-        let risers =
-            |n: usize| Target::composition((0..n).map(|i| riser(&format!("p{i}"))).collect());
+        let systems: Vec<System> = (0..30).map(|i| riser(&format!("p{i}"))).collect();
+        let risers = |n: usize| Target::composition(systems[..n].iter().collect());
         let r = Restriction::trivial();
         let (at, past) = (risers(7), risers(8));
         let d = BackendChoice::Auto.route(&at, &r);
@@ -796,7 +776,8 @@ mod tests {
 
     #[test]
     fn backends_agree_on_a_small_composition() {
-        let target = Target::composition(vec![riser("a"), riser("b")]);
+        let (a, b) = (riser("a"), riser("b"));
+        let target = Target::composition(vec![&a, &b]);
         let r = Restriction::trivial();
         for text in ["a -> AX a", "EF (a & b)", "AF a", "AG (a -> EX a)"] {
             let f = parse(text).unwrap();
@@ -811,7 +792,8 @@ mod tests {
     fn witnesses_agree_as_states() {
         // AG !b fails exactly in the b-states; both backends must name the
         // same violating set over the same alphabet.
-        let target = Target::composition(vec![riser("a"), riser("b")]);
+        let (a, b) = (riser("a"), riser("b"));
+        let target = Target::composition(vec![&a, &b]);
         let f = parse("AG !b").unwrap();
         let r = Restriction::trivial();
         let mut e = ExplicitBackend::default().check(&target, &r, &f).unwrap();
@@ -829,7 +811,7 @@ mod tests {
         // materialising anything (the trivial init alone proves the
         // budget is blown), not hang enumerating.
         let systems: Vec<System> = (0..30).map(|i| riser(&format!("p{i}"))).collect();
-        let target = Target::composition(systems);
+        let target = Target::composition(systems.iter().collect());
         let f = parse("p0 -> AX p0").unwrap();
         let err = ExplicitBackend::default()
             .check(&target, &Restriction::trivial(), &f)
@@ -859,7 +841,7 @@ mod tests {
                 m
             })
             .collect();
-        let target = Target::composition(stations);
+        let target = Target::composition(stations.iter().collect());
         assert_eq!(target.width(), 30);
         let init = Formula::and_many((0..30).map(|i| {
             let p = Formula::ap(format!("t{i}"));
@@ -894,7 +876,7 @@ mod tests {
                 m
             })
             .collect();
-        let target = Target::composition(stations);
+        let target = Target::composition(stations.iter().collect());
         let pinned = Restriction::with_init(Formula::and_many((0..30).map(|i| {
             let p = Formula::ap(format!("t{i}"));
             if i == 0 {
@@ -936,7 +918,7 @@ mod tests {
                 m
             })
             .collect();
-        let target = Target::composition(systems);
+        let target = Target::composition(systems.iter().collect());
         let init = Formula::and_many((0..26).map(|i| Formula::ap(format!("p{i}"))));
         let r = Restriction::with_init(init);
         let d = BackendChoice::Auto.route(&target, &r);
@@ -971,7 +953,7 @@ mod tests {
     #[test]
     fn symbolic_handles_wide_targets() {
         let systems: Vec<System> = (0..30).map(|i| riser(&format!("p{i}"))).collect();
-        let target = Target::composition(systems);
+        let target = Target::composition(systems.iter().collect());
         let f = parse("p7 -> AX p7").unwrap();
         let v = SymbolicBackend::default()
             .check(&target, &Restriction::trivial(), &f)
@@ -991,7 +973,7 @@ mod tests {
     fn bounded_backend_agrees_and_collects() {
         use cmc_symbolic::MaintenanceConfig;
         let systems: Vec<System> = (0..12).map(|i| riser(&format!("p{i}"))).collect();
-        let target = Target::composition(systems);
+        let target = Target::composition(systems.iter().collect());
         let r = Restriction::trivial();
         // GC never changes the variable order, so every node count is
         // directly comparable against the unbounded baseline. (The
@@ -1024,7 +1006,7 @@ mod tests {
     fn forced_maintenance_backend_agrees() {
         use cmc_symbolic::MaintenanceConfig;
         let systems: Vec<System> = (0..10).map(|i| riser(&format!("p{i}"))).collect();
-        let target = Target::composition(systems);
+        let target = Target::composition(systems.iter().collect());
         let r = Restriction::trivial();
         let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1))
             .cache_capacity(128);
@@ -1042,7 +1024,7 @@ mod tests {
     fn expansion_target_matches_materialised_expansion() {
         let base = riser("x");
         let extra = Alphabet::new(["y"]);
-        let target = Target::expansion(base.clone(), extra.clone());
+        let target = Target::expansion(vec![&base], extra.clone());
         assert_eq!(target.width(), 2);
         let direct = base.expand(&extra);
         assert!(target.materialize().equivalent(&direct));
@@ -1078,7 +1060,8 @@ mod tests {
 
     #[test]
     fn unknown_proposition_is_uniform() {
-        let target = Target::system(riser("x"));
+        let x = riser("x");
+        let target = Target::system(&x);
         let f = parse("zz").unwrap();
         let r = Restriction::trivial();
         let e = ExplicitBackend::default()

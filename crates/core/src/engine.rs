@@ -420,9 +420,7 @@ impl Engine {
     /// defaults to [`BackendChoice::Auto`]: explicit-state while a check's
     /// target fits under the explicit limit, symbolic beyond it.
     pub fn new(components: Vec<Component>) -> Self {
-        let union = components
-            .iter()
-            .fold(Alphabet::empty(), |acc, c| acc.union(c.system.alphabet()));
+        let union = Alphabet::union_of(components.iter().map(|c| c.system.alphabet()));
         let owned = components
             .iter()
             .map(|c| {
@@ -443,11 +441,6 @@ impl Engine {
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Replace the backend policy (see [`Engine::with_backend`]).
-    pub fn set_backend(&mut self, backend: BackendChoice) {
-        self.backend = backend;
     }
 
     /// The engine's backend policy.
@@ -489,9 +482,7 @@ impl Engine {
     /// The monolithic composition `M₁ ∘ M₂ ∘ …` (exponential; used for
     /// cross-validation and as a fallback for unclassifiable properties).
     pub fn composed(&self) -> System {
-        let mut it = self.components.iter();
-        let first = it.next().expect("engine needs at least one component");
-        it.fold(first.system.clone(), |acc, c| acc.compose(&c.system))
+        self.composition_target().materialize()
     }
 
     /// The *minimal expansion* of component `i` for checking a formula
@@ -505,18 +496,20 @@ impl Engine {
     /// the expansion: the explicit engine pads frames, the symbolic engine
     /// just declares frozen variables. A proposition no component declares
     /// is an [`EngineError::Check`] naming it.
-    fn minimal_target(&self, i: usize, props: &BTreeSet<String>) -> Result<Target, EngineError> {
-        let own = self.components[i].system.alphabet();
-        let extra: Vec<String> = props.iter().filter(|p| !own.contains(p)).cloned().collect();
+    fn minimal_target(
+        &self,
+        i: usize,
+        props: &BTreeSet<String>,
+    ) -> Result<Target<'_>, EngineError> {
+        let system = &self.components[i].system;
+        let extra: Vec<&String> = props
+            .iter()
+            .filter(|p| !system.alphabet().contains(p))
+            .collect();
         if let Some(p) = extra.iter().find(|p| !self.union.contains(p)) {
             return Err(unknown_proposition(p));
         }
-        let system = self.components[i].system.clone();
-        Ok(if extra.is_empty() {
-            Target::system(system)
-        } else {
-            Target::expansion(system, Alphabet::new(extra))
-        })
+        Ok(Target::expansion(vec![system], Alphabet::new(extra)))
     }
 
     /// `props` as a mask over the union alphabet, or the error naming a
@@ -534,8 +527,8 @@ impl Engine {
     }
 
     /// The whole composition as a lazy [`Target`].
-    fn composition_target(&self) -> Target {
-        Target::composition(self.components.iter().map(|c| c.system.clone()).collect())
+    fn composition_target(&self) -> Target<'_> {
+        Target::composition(self.components.iter().map(|c| &c.system).collect())
     }
 
     /// Store key for `target ⊨_r f` under proof `mode` and a resolved
@@ -550,13 +543,12 @@ impl Engine {
         f: &Formula,
         kind: BackendKind,
     ) -> ObligationKey {
-        let identity;
-        let mut refs: Vec<&System> = target.systems().iter().collect();
-        if !target.extra().is_empty() {
-            identity = System::identity(target.extra().clone());
-            refs.push(&identity);
+        if target.extra().is_empty() {
+            return ObligationKey::composed(mode, kind.name(), target.systems(), r, f);
         }
-        ObligationKey::composed(mode, kind.name(), &refs, r, f)
+        let identity = System::identity(target.extra().clone());
+        let systems = [target.systems(), &[&identity]].concat();
+        ObligationKey::composed(mode, kind.name(), &systems, r, f)
     }
 
     /// Flatten top-level conjunctions.
@@ -1687,7 +1679,7 @@ mod tests {
             Component::new("owner", owner),
             Component::new("bystander", bystander.clone()),
         ]);
-        let expansion = Target::expansion(bystander, Alphabet::new(["a", "b"]));
+        let expansion = Target::expansion(vec![&bystander], Alphabet::new(["a", "b"]));
         for (text, holds) in [
             ("a -> AX (a | b)", true),
             ("a -> AX b", false),

@@ -373,9 +373,11 @@ pub fn substitution_side_conditions(
             props: dropped,
         });
     }
-    let surviving = rest
-        .iter()
-        .fold(sigma_a.clone(), |acc, m| acc.union(m.alphabet()));
+    let surviving = Alphabet::union_of(
+        [sigma_a]
+            .into_iter()
+            .chain(rest.iter().map(|m| m.alphabet())),
+    );
     let mut out_of_scope: Vec<String> = f
         .atomic_props()
         .into_iter()

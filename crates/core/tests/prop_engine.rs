@@ -4,7 +4,8 @@
 //! deliberately incomplete.)
 
 use cmc_core::engine::{Component, Engine};
-use cmc_ctl::{Formula, Restriction};
+use cmc_core::{ExplicitBackend, SymbolicBackend, Target};
+use cmc_ctl::{parse, ExplicitLimits, Formula, Restriction};
 use cmc_kripke::{Alphabet, State, System};
 use proptest::prelude::*;
 
@@ -32,6 +33,41 @@ fn arb_prop(names: &'static [&'static str]) -> impl Strategy<Value = Formula> {
             (inner.clone(), inner).prop_map(|(a, b)| a.or(b)),
         ]
     })
+}
+
+/// The proposition pool the union-order test draws alphabets from. Four
+/// names keep every union at most 16 states, so no verdict's witness list
+/// reaches its cap and both engines must list every violating state.
+const POOL: [&str; 4] = ["a", "b", "c", "d"];
+
+/// Pool names drawn `len` times in random order, repeats dropped (the
+/// first occurrence stays), so alphabets overlap and disagree on order.
+fn arb_names(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<&'static str>> {
+    proptest::collection::vec(proptest::sample::select(POOL.to_vec()), len).prop_map(|drawn| {
+        let mut names: Vec<&'static str> = Vec::new();
+        for n in drawn {
+            if !names.contains(&n) {
+                names.push(n);
+            }
+        }
+        names
+    })
+}
+
+/// A component over 1–3 pool names with a few random moves.
+fn arb_component() -> impl Strategy<Value = System> {
+    (
+        arb_names(1..4),
+        proptest::collection::vec((0u32..8, 0u32..8), 0..6),
+    )
+        .prop_map(|(names, pairs)| {
+            let mask = (1u32 << names.len()) - 1;
+            let mut m = System::new(Alphabet::new(names));
+            for (s, t) in pairs {
+                m.add_transition(State((s & mask) as u128), State((t & mask) as u128));
+            }
+            m
+        })
 }
 
 fn engine2(a: System, b: System) -> Engine {
@@ -97,6 +133,67 @@ proptest! {
                 e.monolithic_check(&r, &f).unwrap(),
                 "engine established {f} but the monolith refutes it\n{cert}"
             );
+        }
+    }
+
+    /// A target's union alphabet is the one first-seen order: the order
+    /// of the materialised `System::compose` fold, of `Engine::new` over
+    /// the same components (extra names append after it), and the state
+    /// layout on which the dense and reachable explicit kernels and the
+    /// symbolic engine all name the same violating states.
+    #[test]
+    fn target_union_is_the_one_first_seen_order(
+        systems in proptest::collection::vec(arb_component(), 1..5),
+        extra in arb_names(0..4),
+        shape in 0usize..7,
+        i in 0usize..8,
+        j in 0usize..8,
+    ) {
+        let refs: Vec<&System> = systems.iter().collect();
+        let target = Target::expansion(refs.clone(), Alphabet::new(extra));
+        let union = target.union_alphabet();
+        prop_assert_eq!(union.names(), target.materialize().alphabet().names());
+        let engine = Engine::new(
+            systems
+                .iter()
+                .enumerate()
+                .map(|(k, s)| Component::new(format!("m{k}"), s.clone()))
+                .collect(),
+        );
+        let components = Target::composition(refs);
+        prop_assert_eq!(engine.union_alphabet(), components.union_alphabet());
+        prop_assert!(union.names().starts_with(engine.union_alphabet().names()));
+
+        let (x, y) = (union.name(i % union.len()), union.name(j % union.len()));
+        let text = match shape {
+            0 => format!("AG !{x}"),
+            1 => format!("{x} -> AX {y}"),
+            2 => format!("EF ({x} & !{y})"),
+            3 => format!("AF {x}"),
+            4 => format!("E [{x} U {y}]"),
+            5 => format!("AG ({x} -> EX {y})"),
+            _ => format!("{x} -> EX {y}"),
+        };
+        let f = parse(&text).unwrap();
+        let r = Restriction::trivial();
+        let reachable = ExplicitBackend::with_limits(ExplicitLimits {
+            dense_bits: 0,
+            ..ExplicitLimits::default()
+        });
+        let mut verdicts = [
+            ExplicitBackend::default().check(&target, &r, &f).unwrap(),
+            reachable.check(&target, &r, &f).unwrap(),
+            SymbolicBackend::default().check(&target, &r, &f).unwrap(),
+        ];
+        for v in &mut verdicts {
+            v.violating.sort();
+        }
+        let [dense, reach, symbolic] = verdicts;
+        prop_assert_eq!(dense.stats.reachable_states, None);
+        prop_assert!(reach.stats.reachable_states.is_some());
+        for other in [&reach, &symbolic] {
+            prop_assert_eq!(dense.holds, other.holds, "verdicts split on {}", text);
+            prop_assert_eq!(&dense.violating, &other.violating, "witnesses split on {}", text);
         }
     }
 

@@ -152,40 +152,40 @@ impl Checker {
     pub fn new(system: &System) -> Result<Self, CheckError> {
         Checker::from_components(
             &[system],
-            &Alphabet::empty(),
+            system.alphabet(),
             ExplicitLimits::DEFAULT_DENSE_BITS,
         )
     }
 
-    /// Build the kernel for the composition `M₁ ∘ … ∘ Mₙ ∘ (extra, I)`
-    /// straight from the components: each component's transitions are
-    /// frame-padded directly into the CSR index, skipping the exponential
-    /// `System::compose` fold entirely. The union alphabet is accumulated
-    /// in first-seen order, matching `Target::union_alphabet`. Refuses a
-    /// union wider than `limit` propositions (the state space is `2^|Σ|`,
-    /// so the limit bounds memory at `2^limit` bits per state set).
+    /// Build the kernel for the composition `M₁ ∘ … ∘ Mₙ` expanded over
+    /// `union` (`union` ⊇ every component alphabet; its extra names are
+    /// the paper's `(Σ', I)`) straight from the components: each
+    /// component's transitions are frame-padded directly into the CSR
+    /// index, skipping the exponential `System::compose` fold entirely.
+    /// `union` fixes the state layout; callers take it from
+    /// [`Alphabet::union_of`] (or a `Target`, which computes it once).
+    /// Refuses a union wider than `limit` propositions (the state space
+    /// is `2^|Σ|`, so the limit bounds memory at `2^limit` bits per state
+    /// set).
     pub fn from_components(
         systems: &[&System],
-        extra: &Alphabet,
+        union: &Alphabet,
         limit: usize,
     ) -> Result<Self, CheckError> {
-        let union = systems
-            .iter()
-            .fold(Alphabet::empty(), |acc, s| acc.union(s.alphabet()))
-            .union(extra);
         let n = union.len();
         if n > limit {
             return Err(CheckError::TooLarge { props: n, limit });
         }
         Ok(Checker {
             universe: 1usize << n,
-            csr: CsrIndex::from_components(systems, &union),
-            alphabet: union,
+            csr: CsrIndex::from_components(systems, union),
+            alphabet: union.clone(),
             space: StateSpace::Dense,
         })
     }
 
-    /// Build a **reachable-only** kernel for `M₁ ∘ … ∘ Mₙ ∘ (extra, I)`:
+    /// Build a **reachable-only** kernel for `M₁ ∘ … ∘ Mₙ` expanded over
+    /// `union` (as in [`Checker::from_components`]):
     /// enumerate SAT(`init`) by pruned DFS over the union alphabet, then BFS
     /// outward applying each component's transitions through extract/splice
     /// on arbitrary-width [`StateVec`]s, hash-consing every discovered state
@@ -199,14 +199,10 @@ impl Checker {
     /// reported — [`Checker::universe`] is the reachable state count here.
     pub fn reachable_from_components(
         systems: &[&System],
-        extra: &Alphabet,
+        union: &Alphabet,
         init: &Formula,
         limits: &ExplicitLimits,
     ) -> Result<Self, CheckError> {
-        let union = systems
-            .iter()
-            .fold(Alphabet::empty(), |acc, s| acc.union(s.alphabet()))
-            .union(extra);
         for p in init.atomic_props() {
             if !union.contains(&p) {
                 return Err(CheckError::UnknownProposition(p));
@@ -216,20 +212,20 @@ impl Checker {
             return Err(CheckError::InitNotEnumerable(init.to_string()));
         }
         let budget = limits.state_budget();
-        let seeds = enumerate_sat(init, &union, budget)?;
+        let seeds = enumerate_sat(init, union, budget)?;
         // Per-component stepper: union positions it owns plus a local
         // transition table keyed by the component-projected pattern.
         let comps: Vec<ComponentStep> = systems
             .iter()
-            .map(|sys| ComponentStep::new(sys, &union))
+            .map(|sys| ComponentStep::new(sys, union))
             .collect();
-        Self::reachable_bfs(union, seeds, &comps, budget)
+        Self::reachable_bfs(union.clone(), seeds, &comps, budget)
     }
 
     /// Reachable-only kernel over one materialised [`System`], seeded from
     /// `seeds` (the SMV front-end's enumerated initial states). Same
     /// semantics as [`Checker::reachable_from_components`] with a single
-    /// component and no extra alphabet.
+    /// component over its own alphabet.
     pub fn reachable_from_system(
         system: &System,
         seeds: &[State],
@@ -630,16 +626,7 @@ struct ComponentStep {
 
 impl ComponentStep {
     fn new(system: &System, union: &Alphabet) -> Self {
-        let positions: Vec<usize> = system
-            .alphabet()
-            .names()
-            .iter()
-            .map(|name| {
-                union
-                    .position(name)
-                    .expect("component alphabet must embed in the union")
-            })
-            .collect();
+        let positions = system.alphabet().embedding(union);
         let mut table: HashMap<u128, Vec<u128>> = HashMap::new();
         for (s, t) in system.proper_transitions() {
             table.entry(s.0).or_default().push(t.0);
@@ -927,10 +914,9 @@ mod tests {
     #[test]
     fn limit_is_configurable() {
         let m = counter(); // 2 propositions
-        let none = Alphabet::empty();
-        assert!(Checker::from_components(&[&m], &none, 2).is_ok());
+        assert!(Checker::from_components(&[&m], m.alphabet(), 2).is_ok());
         assert_eq!(
-            Checker::from_components(&[&m], &none, 1).unwrap_err(),
+            Checker::from_components(&[&m], m.alphabet(), 1).unwrap_err(),
             CheckError::TooLarge { props: 2, limit: 1 }
         );
     }
@@ -969,12 +955,12 @@ mod tests {
     fn reachable_kernel_matches_dense_verdicts() {
         let stations = ring_stations(6);
         let refs: Vec<&System> = stations.iter().collect();
-        let extra = Alphabet::empty();
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
         let r = Restriction::with_init(one_hot(6));
         let dense =
-            Checker::from_components(&refs, &extra, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
+            Checker::from_components(&refs, &union, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
         let limits = ExplicitLimits::default();
-        let reach = Checker::reachable_from_components(&refs, &extra, &r.init, &limits).unwrap();
+        let reach = Checker::reachable_from_components(&refs, &union, &r.init, &limits).unwrap();
         assert!(reach.is_reachable() && !dense.is_reachable());
         for spec in [
             ap("t0").implies(ap("t1").ef()),
@@ -1004,12 +990,12 @@ mod tests {
         let n = 6;
         let stations = ring_stations(n);
         let refs: Vec<&System> = stations.iter().collect();
-        let extra = Alphabet::empty();
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
         let init = one_hot(n);
         let dense =
-            Checker::from_components(&refs, &extra, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
+            Checker::from_components(&refs, &union, ExplicitLimits::DEFAULT_DENSE_BITS).unwrap();
         let reach =
-            Checker::reachable_from_components(&refs, &extra, &init, &ExplicitLimits::default())
+            Checker::reachable_from_components(&refs, &union, &init, &ExplicitLimits::default())
                 .unwrap();
         assert_eq!(dense.universe(), 1 << n);
         assert_eq!(reach.universe(), n, "only the one-hot states are reachable");
@@ -1037,7 +1023,7 @@ mod tests {
     fn reachable_construction_honours_the_state_budget() {
         let stations = ring_stations(8);
         let refs: Vec<&System> = stations.iter().collect();
-        let extra = Alphabet::empty();
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
         // 8 reachable states against a budget of 4: refuse, telling the
         // caller how far discovery got.
         let limits = ExplicitLimits {
@@ -1045,7 +1031,7 @@ mod tests {
             max_states: Some(4),
         };
         let err =
-            Checker::reachable_from_components(&refs, &extra, &one_hot(8), &limits).unwrap_err();
+            Checker::reachable_from_components(&refs, &union, &one_hot(8), &limits).unwrap_err();
         assert_eq!(
             err,
             CheckError::StateBudget {
@@ -1058,7 +1044,7 @@ mod tests {
         // Unbounded limits admit the same construction.
         let ok = Checker::reachable_from_components(
             &refs,
-            &extra,
+            &union,
             &one_hot(8),
             &ExplicitLimits::unbounded(),
         )
@@ -1070,9 +1056,10 @@ mod tests {
     fn reachable_rejects_temporal_init() {
         let stations = ring_stations(4);
         let refs: Vec<&System> = stations.iter().collect();
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
         let err = Checker::reachable_from_components(
             &refs,
-            &Alphabet::empty(),
+            &union,
             &ap("t0").ef(),
             &ExplicitLimits::default(),
         )
@@ -1084,9 +1071,10 @@ mod tests {
     fn reachable_witness_extraction_works_by_index() {
         let stations = ring_stations(5);
         let refs: Vec<&System> = stations.iter().collect();
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
         let reach = Checker::reachable_from_components(
             &refs,
-            &Alphabet::empty(),
+            &union,
             &one_hot(5),
             &ExplicitLimits::default(),
         )

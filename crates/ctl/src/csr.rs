@@ -14,7 +14,7 @@
 //! adjacency query returns the empty slice, so constructing a checker for
 //! a wide but edge-free system stays O(1) in the universe size.
 
-use cmc_kripke::{Alphabet, State, System};
+use cmc_kripke::{subsets, Alphabet, State, System};
 
 /// Immutable predecessor/successor adjacency over a fixed `2^n` universe.
 ///
@@ -156,32 +156,6 @@ impl CsrIndex {
         }
         &self.succ[self.succ_off[u] as usize..self.succ_off[u + 1] as usize]
     }
-
-    /// Successors as [`State`]s (witness extraction convenience).
-    pub fn successor_states(&self, u: State) -> impl Iterator<Item = State> + '_ {
-        self.successors(u.0 as usize)
-            .iter()
-            .map(|&t| State(t as u128))
-    }
-}
-
-/// Iterate all subsets of the set bits of `mask` (including `0` and
-/// `mask`) — the frame valuations of §3.1.
-fn subsets(mask: u128) -> impl Iterator<Item = u128> {
-    let mut cur = 0u128;
-    let mut done = false;
-    std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        let out = cur;
-        if cur == mask {
-            done = true;
-        } else {
-            cur = cur.wrapping_sub(mask) & mask;
-        }
-        Some(out)
-    })
 }
 
 #[cfg(test)]

@@ -82,16 +82,29 @@ impl Alphabet {
     }
 
     /// Union `Σ ∪ Σ'`: keeps `self`'s order, then appends `other`'s new
-    /// names in `other`'s order. Deterministic, so composition is
-    /// reproducible.
+    /// names in `other`'s order ([`Alphabet::union_of`] of the two).
     pub fn union(&self, other: &Alphabet) -> Alphabet {
-        let mut names = self.names.clone();
-        for n in &other.names {
-            if !self.contains(n) {
-                names.push(n.clone());
+        Alphabet::union_of([self, other])
+    }
+
+    /// The union `Σ*` of several alphabets in **first-seen order**: every
+    /// name at the position of its first occurrence, scanning `parts` in
+    /// turn. This is the one definition of the union layout — the bit
+    /// order of a composition's [`crate::State`]s, which
+    /// [`crate::System::compose`] and every checker built over the
+    /// components share. Deterministic, so composition is reproducible.
+    pub fn union_of<'a>(parts: impl IntoIterator<Item = &'a Alphabet>) -> Alphabet {
+        let mut names: Vec<String> = Vec::new();
+        let mut index: BTreeMap<String, usize> = BTreeMap::new();
+        for part in parts {
+            for n in &part.names {
+                if !index.contains_key(n) {
+                    index.insert(n.clone(), names.len());
+                    names.push(n.clone());
+                }
             }
         }
-        Alphabet::new(names)
+        Alphabet { names, index }
     }
 
     /// Difference `Σ − Σ'` as a list of names (in `self` order).
@@ -159,6 +172,18 @@ mod tests {
         assert_eq!(u.names(), &["x", "y", "z"]);
         // Union is idempotent on the set level.
         assert!(u.same_set(&b.union(&a)));
+    }
+
+    #[test]
+    fn union_of_keeps_first_seen_order() {
+        let a = Alphabet::new(["x", "y"]);
+        let b = Alphabet::new(["z", "y"]);
+        let c = Alphabet::new(["w", "x"]);
+        let u = Alphabet::union_of([&a, &b, &c]);
+        assert_eq!(u.names(), &["x", "y", "z", "w"]);
+        assert_eq!(u.position("w"), Some(3));
+        assert_eq!(u, a.union(&b).union(&c));
+        assert_eq!(Alphabet::union_of([]), Alphabet::empty());
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub mod system;
 pub use alphabet::Alphabet;
 pub use simulation::{simulates, SharedObs, SimulationCx, SimulationOutcome};
 pub use state::State;
-pub use system::System;
+pub use system::{subsets, System};

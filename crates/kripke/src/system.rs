@@ -15,10 +15,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct System {
     alphabet: Alphabet,
-    /// Non-reflexive transitions, grouped by source for successor queries.
+    /// Non-reflexive transitions, grouped by source.
     succ: BTreeMap<State, BTreeSet<State>>,
-    /// Reverse index for predecessor queries.
-    pred: BTreeMap<State, BTreeSet<State>>,
 }
 
 impl System {
@@ -39,7 +37,6 @@ impl System {
         System {
             alphabet,
             succ: BTreeMap::new(),
-            pred: BTreeMap::new(),
         }
     }
 
@@ -67,7 +64,6 @@ impl System {
             return;
         }
         self.succ.entry(s).or_default().insert(t);
-        self.pred.entry(t).or_default().insert(s);
     }
 
     /// Add a transition given the proposition names true in each state.
@@ -92,15 +88,6 @@ impl System {
         let mut out = vec![s];
         if let Some(ts) = self.succ.get(&s) {
             out.extend(ts.iter().copied());
-        }
-        out
-    }
-
-    /// Predecessors of `t` under `R`, including `t` itself.
-    pub fn predecessors(&self, t: State) -> Vec<State> {
-        let mut out = vec![t];
-        if let Some(ss) = self.pred.get(&t) {
-            out.extend(ss.iter().copied());
         }
         out
     }
@@ -244,8 +231,10 @@ fn frame_mask(sigma_star: &Alphabet, component: &Alphabet) -> u128 {
     mask
 }
 
-/// Iterate all subsets of the set bits of `mask` (including `0` and `mask`).
-fn subsets(mask: u128) -> impl Iterator<Item = u128> {
+/// Iterate all subsets of the set bits of `mask` (including `0` and
+/// `mask`) — the frame valuations a component's move is padded with in
+/// §3.1's composition.
+pub fn subsets(mask: u128) -> impl Iterator<Item = u128> {
     let mut cur = 0u128;
     let mut done = false;
     std::iter::from_fn(move || {

@@ -55,8 +55,6 @@ pub struct ServeConfig {
     pub disk_budget_bytes: Option<u64>,
     /// How often the compactor snapshots the store to disk.
     pub compact_interval: Duration,
-    /// Segment count above which the compactor merges.
-    pub max_segments: usize,
 }
 
 impl Default for ServeConfig {
@@ -70,10 +68,12 @@ impl Default for ServeConfig {
             disk_dir: None,
             disk_budget_bytes: None,
             compact_interval: Duration::from_millis(500),
-            max_segments: 8,
         }
     }
 }
+
+/// Segment count above which the compactor merges the disk tier.
+const MAX_SEGMENTS: usize = 8;
 
 /// How long a session blocks on the socket before re-checking the
 /// draining flag. Bounds shutdown latency for idle keep-alive sessions.
@@ -161,7 +161,7 @@ impl Server {
                 Arc::clone(disk),
                 Arc::clone(&store),
                 shared.cfg.compact_interval,
-                shared.cfg.max_segments,
+                MAX_SEGMENTS,
                 shared.cfg.disk_budget_bytes,
             )
         });

@@ -11,7 +11,7 @@
 use crate::ast::{Expr, Module, Type};
 use crate::check::{check_module, SemError, Symbols};
 use crate::compile::CompiledVar;
-use cmc_ctl::{Checker, ExplicitLimits, Formula, Restriction, StateSet};
+use cmc_ctl::{Checker, ExplicitLimits, Formula, StateSet};
 use cmc_kripke::{Alphabet, State, System};
 use std::sync::OnceLock;
 
@@ -306,7 +306,11 @@ impl ExplicitCompiled {
         }
         let bits = self.system.alphabet().len();
         let checker = if bits <= self.limits.dense_bits {
-            Checker::from_components(&[&self.system], &Alphabet::empty(), self.limits.dense_bits)?
+            Checker::from_components(
+                &[&self.system],
+                self.system.alphabet(),
+                self.limits.dense_bits,
+            )?
         } else {
             Checker::reachable_from_system(&self.system, &self.init_states, &self.limits)?
         };
@@ -424,20 +428,6 @@ impl ExplicitCompiled {
             Eu(a, b) => self.substitute_atoms(a)?.eu(self.substitute_atoms(b)?),
             Au(a, b) => self.substitute_atoms(a)?.au(self.substitute_atoms(b)?),
         })
-    }
-
-    /// Check an arbitrary bit-level formula under a restriction whose
-    /// fairness is *added to* the module's own.
-    pub fn check_formula(&self, r: &Restriction, f: &Formula) -> Result<bool, cmc_ctl::CheckError> {
-        let checker = self.checker()?;
-        let mut fairness = self.fairness.clone();
-        fairness.extend(r.fairness.iter().cloned());
-        let sat = checker.sat_fair(f, &fairness)?;
-        let init_extra = checker.sat(&r.init)?;
-        Ok(self
-            .init_states
-            .iter()
-            .all(|s| !Self::sat_at(checker, &init_extra, *s) || Self::sat_at(checker, &sat, *s)))
     }
 }
 
@@ -711,6 +701,7 @@ enum Side {
 mod tests {
     use super::*;
     use crate::parse::parse_module;
+    use cmc_ctl::Restriction;
 
     fn build(src: &str) -> ExplicitCompiled {
         compile_explicit(&parse_module(src).unwrap()).unwrap()

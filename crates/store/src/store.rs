@@ -4,7 +4,7 @@ use crate::entry::Entry;
 use crate::key::ObligationKey;
 use crate::stats::StoreStats;
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default capacity: plenty for every obligation of the paper's case
 /// studies while bounding memory for adversarial workloads.
@@ -27,11 +27,12 @@ struct Inner {
 /// Keys are structural hashes of obligations ([`ObligationKey`]); values
 /// are verdicts with optional certificates ([`Entry`]). The store is
 /// bounded: at capacity, the least-recently-used entry is evicted. All
-/// methods take `&self`; interior mutability is an [`RwLock`], so a store
+/// methods take `&self`; interior mutability is one [`Mutex`], so a store
 /// shared behind `Arc` can be consulted from the parallel per-component
-/// checks.
+/// checks. (Every lookup updates the LRU clock and the hit/miss counters,
+/// so a reader/writer lock would have no shared side worth having.)
 pub struct CertStore {
-    inner: RwLock<Inner>,
+    inner: Mutex<Inner>,
     capacity: usize,
 }
 
@@ -45,7 +46,7 @@ impl CertStore {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "store capacity must be positive");
         CertStore {
-            inner: RwLock::new(Inner {
+            inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 clock: 0,
                 stats: StoreStats::default(),
@@ -57,17 +58,13 @@ impl CertStore {
     // Every update of `Inner` leaves it valid at each step (one map
     // operation or one counter bump at a time), so a panic in another
     // holder leaves nothing half-written: recover a poisoned lock.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up an obligation, counting a hit or miss.
     pub fn lookup(&self, key: &ObligationKey) -> Option<Entry> {
-        let mut inner = self.write();
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -87,7 +84,7 @@ impl CertStore {
     /// Memoize an outcome, evicting the least-recently-used entry if the
     /// store is full. Re-inserting an existing key overwrites in place.
     pub fn insert(&self, key: ObligationKey, entry: Entry) {
-        let mut inner = self.write();
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
@@ -131,7 +128,7 @@ impl CertStore {
 
     /// Counter snapshot (with `entries` filled in).
     pub fn stats(&self) -> StoreStats {
-        let inner = self.read();
+        let inner = self.lock();
         let mut stats = inner.stats;
         stats.entries = inner.map.len();
         stats
@@ -139,7 +136,7 @@ impl CertStore {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.read().map.len()
+        self.lock().map.len()
     }
 
     /// Is the store empty?
@@ -150,7 +147,7 @@ impl CertStore {
     /// All resident entries, sorted by key, for the on-disk layer (sorted
     /// so that saving is deterministic).
     pub fn snapshot(&self) -> Vec<(ObligationKey, Entry)> {
-        let inner = self.read();
+        let inner = self.lock();
         let mut out: Vec<(ObligationKey, Entry)> = inner
             .map
             .iter()
@@ -166,7 +163,7 @@ impl CertStore {
     /// earlier one even in a full store; a new key is dropped once the
     /// store is full, because disk entries never evict live results.
     pub(crate) fn install_from_disk(&self, key: ObligationKey, entry: Entry) -> bool {
-        let mut inner = self.write();
+        let mut inner = self.lock();
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
             return false;
         }
@@ -185,18 +182,18 @@ impl CertStore {
 
     /// Count a rejected on-disk entry.
     pub(crate) fn count_disk_reject(&self) {
-        self.write().stats.disk_rejects += 1;
+        self.lock().stats.disk_rejects += 1;
     }
 
     /// Count a skipped (torn/truncated/unreadable) on-disk segment.
     pub(crate) fn count_segment_skip(&self) {
-        self.write().stats.segments_skipped += 1;
+        self.lock().stats.segments_skipped += 1;
     }
 
     /// Record one compaction pass over the segmented disk tier: how many
     /// entries the byte budget evicted and the resulting disk footprint.
     pub(crate) fn count_compaction(&self, budget_evicted: u64, disk_bytes: u64) {
-        let mut inner = self.write();
+        let mut inner = self.lock();
         inner.stats.compactions += 1;
         inner.stats.budget_evictions += budget_evicted;
         inner.stats.disk_bytes = disk_bytes;
@@ -204,7 +201,7 @@ impl CertStore {
 
     /// Record the disk tier's current byte footprint (after an append).
     pub(crate) fn note_disk_bytes(&self, disk_bytes: u64) {
-        self.write().stats.disk_bytes = disk_bytes;
+        self.lock().stats.disk_bytes = disk_bytes;
     }
 }
 
@@ -337,7 +334,7 @@ mod tests {
         store.insert(key(1), Entry::verdict(true));
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
-                let _guard = store.inner.write();
+                let _guard = store.inner.lock();
                 panic!("poison the store's lock");
             });
             assert!(holder.join().is_err());

@@ -314,15 +314,6 @@ impl SymbolicModel {
         self.props.keys().map(String::as_str)
     }
 
-    /// Add a disjunctive transition partition that owns **every** state
-    /// variable: a general relation over current ∪ next variables with no
-    /// implicit frame. Front-ends that build their own frame conditions
-    /// (or have none to build) use this unchanged.
-    pub fn add_trans_part(&mut self, part: Bdd) {
-        let owned = (0..self.vars.len()).collect();
-        self.add_trans_part_owned(part, owned);
-    }
-
     /// Add a disjunctive transition partition owning only the state
     /// variables at `owned` (indices into [`SymbolicModel::vars`]). The
     /// frame condition over the remaining variables is implicit: the
@@ -873,11 +864,12 @@ impl SymbolicModel {
     /// union of the explicit proper transitions (stutter stays implicit).
     /// The one-component case of [`SymbolicModel::from_components`].
     pub fn from_explicit(system: &System) -> SymbolicModel {
-        SymbolicModel::from_components(&[system], &cmc_kripke::Alphabet::empty())
+        SymbolicModel::from_components(&[system], system.alphabet())
     }
 
     /// Build the symbolic model of the interleaving composition
-    /// `M₁ ∘ M₂ ∘ … ∘ (extra, I)` **without materialising the product**:
+    /// `M₁ ∘ M₂ ∘ …` expanded over `union` **without materialising the
+    /// product**:
     /// one disjunctive partition per component, each the union of that
     /// component's proper transitions (as current/next cubes over its own
     /// variables) with the frame condition over every foreign variable
@@ -889,35 +881,18 @@ impl SymbolicModel {
     /// polynomial in the component sizes, which is what lets the symbolic
     /// backend take compositions past the explicit-state limit.
     ///
-    /// The union alphabet keeps first-seen order across `systems`, with
-    /// any unseen `extra` propositions appended (matching
-    /// `Alphabet::union`); `extra` contributes no moves, only frozen
-    /// variables, exactly like the paper's expansion `M ∘ (Σ', I)`.
-    pub fn from_components(systems: &[&System], extra: &cmc_kripke::Alphabet) -> SymbolicModel {
-        let mut names: Vec<String> = Vec::new();
-        for sys in systems {
-            for n in sys.alphabet().names() {
-                if !names.iter().any(|seen| seen == n) {
-                    names.push(n.clone());
-                }
-            }
-        }
-        for n in extra.names() {
-            if !names.iter().any(|seen| seen == n) {
-                names.push(n.clone());
-            }
-        }
-        let mut m = SymbolicModel::new(names.clone());
+    /// `union` (⊇ every component alphabet, usually
+    /// [`cmc_kripke::Alphabet::union_of`] of them) lays out one variable
+    /// per proposition in its order; its names no component owns
+    /// contribute no moves, only frozen variables, exactly like the
+    /// paper's expansion `M ∘ (Σ', I)`.
+    pub fn from_components(systems: &[&System], union: &cmc_kripke::Alphabet) -> SymbolicModel {
+        let mut m = SymbolicModel::new(union.names().iter().cloned());
         for sys in systems {
             // Union-alphabet variable index of each component proposition.
             // The frame over the complement stays implicit in the
             // partition ([`TransPart`]); only `owned` records it.
-            let var_idx: Vec<usize> = sys
-                .alphabet()
-                .names()
-                .iter()
-                .map(|n| names.iter().position(|u| u == n).unwrap())
-                .collect();
+            let var_idx = sys.alphabet().embedding(union);
             let cur: Vec<Var> = var_idx.iter().map(|&vi| m.vars[vi].cur).collect();
             let next: Vec<Var> = var_idx.iter().map(|&vi| m.vars[vi].next).collect();
             let part = transition_relation(&mut m.mgr, sys, &cur, &next);
@@ -1163,19 +1138,19 @@ mod from_components_tests {
         b.add_transition_named(&["a"], &["a", "b"]); // shares `a` with riser
         b.add_transition_named(&["b"], &[]);
         let composed = a.compose(&b);
-        let mut direct = SymbolicModel::from_components(&[&a, &b], &Alphabet::empty());
+        let mut direct = SymbolicModel::from_components(&[&a, &b], composed.alphabet());
         let back = direct.to_explicit();
         assert!(composed.equivalent(&back), "partitioned ≠ explicit product");
     }
 
-    /// Expansion semantics: `extra` propositions are frozen, exactly like
-    /// `System::expand`.
+    /// Expansion semantics: union propositions no component owns are
+    /// frozen, exactly like `System::expand`.
     #[test]
     fn extra_props_match_explicit_expansion() {
         let a = riser("a");
         let extra = Alphabet::new(["p", "q"]);
         let expanded = a.expand(&extra);
-        let mut direct = SymbolicModel::from_components(&[&a], &extra);
+        let mut direct = SymbolicModel::from_components(&[&a], &a.alphabet().union(&extra));
         let back = direct.to_explicit();
         assert!(
             expanded.equivalent(&back),
@@ -1189,7 +1164,8 @@ mod from_components_tests {
     fn wide_composition_stays_tractable() {
         let systems: Vec<System> = (0..40).map(|i| riser(&format!("p{i}"))).collect();
         let refs: Vec<&System> = systems.iter().collect();
-        let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
+        let mut m = SymbolicModel::from_components(&refs, &union);
         assert_eq!(m.num_state_vars(), 40);
         assert_eq!(m.trans_parts().len(), 40);
         // EF-style query: from the all-false state, every variable can rise.
@@ -1218,7 +1194,10 @@ mod partition_tests {
             })
             .collect();
         let refs: Vec<&System> = ring.iter().collect();
-        SymbolicModel::from_components(&refs, &Alphabet::empty())
+        SymbolicModel::from_components(
+            &refs,
+            &Alphabet::union_of(ring.iter().map(System::alphabet)),
+        )
     }
 
     /// pre_exists (scheduled partitions) and pre_exists_monolithic agree

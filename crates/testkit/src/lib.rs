@@ -268,7 +268,8 @@ pub fn soak(seed0: u64, iters: u64, mut progress: impl FnMut(&str)) -> Result<So
         })
         .collect();
     let refs: Vec<&System> = systems.iter().collect();
-    let mut model = SymbolicModel::from_components(&refs, &Alphabet::empty());
+    let union = Alphabet::union_of(systems.iter().map(System::alphabet));
+    let mut model = SymbolicModel::from_components(&refs, &union);
     model.set_maintenance(MaintenanceConfig {
         gc_threshold: SOAK_LIVE_BOUND / 8,
         ..MaintenanceConfig::default()

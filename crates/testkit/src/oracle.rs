@@ -106,7 +106,7 @@ fn check_three(
     f: &Formula,
     sym: SymbolicBackend,
 ) -> Result<(TripleVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.to_vec());
+    let target = Target::composition(systems.iter().collect());
     let explicit = ExplicitBackend::default()
         .check(&target, r, f)
         .map_err(|e: BackendError| e.to_string())?;
@@ -385,7 +385,7 @@ fn check_four(
     r: &Restriction,
     f: &Formula,
 ) -> Result<(QuadVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.to_vec());
+    let target = Target::composition(systems.iter().collect());
     let unmerged = SymbolicBackend::default()
         .unmerged()
         .check(&target, r, f)
@@ -603,7 +603,7 @@ pub enum WideOutcome {
 /// exceed the dense width — the point is to exercise the arbitrary-width
 /// path, and a dense run would silently test the wrong kernel.
 pub fn run_wide_obligation(o: &Obligation) -> WideOutcome {
-    let target = Target::composition(o.systems.to_vec());
+    let target = Target::composition(o.systems.iter().collect());
     // A tighter budget than the production default: an oracle corpus wants
     // many small cross-checks, and a seed whose reachable fragment runs
     // away is better skipped in milliseconds than enumerated for minutes.
@@ -762,7 +762,7 @@ pub fn revalidate(
     f: &Formula,
     v: &cmc_core::Verdict,
 ) -> Result<(), ValidationError> {
-    let product = Target::composition(systems.to_vec()).materialize();
+    let product = Target::composition(systems.iter().collect()).materialize();
     validate_verdict(&product, r, f, v)
 }
 

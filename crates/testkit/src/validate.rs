@@ -416,8 +416,8 @@ pub fn replay_substitution(record: &StoredSubstitution) -> Result<bool, Validati
         )));
     }
 
-    let mut systems = vec![record.abstraction.clone()];
-    systems.extend(record.rest.iter().cloned());
+    let mut systems = vec![&record.abstraction];
+    systems.extend(&record.rest);
     let target = Target::composition(systems);
     let verdict = cmc_core::ExplicitBackend::default()
         .check(&target, &r, &f)

@@ -142,16 +142,22 @@ proptest! {
 /// worker count.
 #[test]
 fn scheduler_results_stable_across_worker_counts() {
-    let mut tasks = Vec::new();
-    for i in 0..12 {
-        let name = format!("v{i}");
-        let mut m = System::new(Alphabet::new([name.as_str()]));
-        m.add_transition_named(&[], &[&name]);
-        tasks.push((
-            Target::system(m),
-            Formula::ap(&name).implies(Formula::ap(&name).ax()),
-        ));
-    }
+    let systems: Vec<System> = (0..12)
+        .map(|i| {
+            let name = format!("v{i}");
+            let mut m = System::new(Alphabet::new([name.as_str()]));
+            m.add_transition_named(&[], &[&name]);
+            m
+        })
+        .collect();
+    let tasks: Vec<(Target, Formula)> = systems
+        .iter()
+        .map(|m| {
+            let name = m.alphabet().name(0);
+            let f = Formula::ap(name).implies(Formula::ap(name).ax());
+            (Target::system(m), f)
+        })
+        .collect();
     // Strip the timing field before comparing: everything else must be
     // byte-identical regardless of scheduling.
     let trivial = Restriction::trivial();

@@ -29,7 +29,7 @@ fn dense_checker_accepts_exactly_max_explicit_props() {
         Checker::new(&at).is_ok(),
         "width == DEFAULT_DENSE_BITS must be accepted"
     );
-    assert!(Checker::from_components(&[&at], &Alphabet::empty(), max).is_ok());
+    assert!(Checker::from_components(&[&at], at.alphabet(), max).is_ok());
 
     let past = wide_system(max + 1);
     let err = Checker::new(&past).unwrap_err();
@@ -44,8 +44,7 @@ fn checker_custom_limit_boundary_still_checks() {
     // At a small limit the accepted checker must actually run, not just
     // construct.
     let m = wide_system(3);
-    let none = Alphabet::empty();
-    let c = Checker::from_components(&[&m], &none, 3).unwrap();
+    let c = Checker::from_components(&[&m], m.alphabet(), 3).unwrap();
     let v = c
         .check(
             &Restriction::trivial(),
@@ -53,7 +52,7 @@ fn checker_custom_limit_boundary_still_checks() {
         )
         .unwrap();
     assert!(v.holds);
-    assert!(Checker::from_components(&[&m], &none, 2).is_err());
+    assert!(Checker::from_components(&[&m], m.alphabet(), 2).is_err());
 }
 
 #[test]
@@ -62,7 +61,8 @@ fn explicit_backend_widths_past_dense_bits_go_reachable_not_rejected() {
         dense_bits: 3,
         max_states: None,
     });
-    let at = Target::system(wide_system(3));
+    let (three, four) = (wide_system(3), wide_system(4));
+    let at = Target::system(&three);
     let v = backend
         .check(&at, &Restriction::trivial(), &Formula::True)
         .unwrap();
@@ -71,7 +71,7 @@ fn explicit_backend_widths_past_dense_bits_go_reachable_not_rejected() {
 
     // One bit past dense_bits: the old engine refused with TooLarge; now
     // the reachable kernel enumerates the 16 initial states and checks.
-    let past = Target::system(wide_system(4));
+    let past = Target::system(&four);
     let v = backend
         .check(&past, &Restriction::trivial(), &Formula::True)
         .unwrap();
@@ -88,7 +88,8 @@ fn explicit_backend_state_budget_is_the_only_hard_guard() {
     });
     // 2^4 = 16 initial states exceed an 8-state budget: honest refusal
     // before materialising anything.
-    let past = Target::system(wide_system(4));
+    let (three, four) = (wide_system(3), wide_system(4));
+    let past = Target::system(&four);
     let err = tight
         .check(&past, &Restriction::trivial(), &Formula::True)
         .unwrap_err();
@@ -97,7 +98,7 @@ fn explicit_backend_state_budget_is_the_only_hard_guard() {
         "{err}"
     );
     // Exactly at the budget is accepted.
-    let at = Target::system(wide_system(3));
+    let at = Target::system(&three);
     let v = ExplicitBackend::with_limits(ExplicitLimits {
         dense_bits: 2,
         max_states: Some(8),

@@ -97,7 +97,8 @@ proptest! {
         let b = system_from_pairs(&["q", "r", "s"], &pb);
         let c = system_from_pairs(&["r", "s", "t"], &pc);
         let refs = [&a, &b, &c];
-        let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
+        let union = Alphabet::union_of(refs.iter().map(|s| s.alphabet()));
+        let mut m = SymbolicModel::from_components(&refs, &union);
         // One partition per component with at least one proper move
         // (transition-free components contribute only the implicit
         // stutter and get no partition).
@@ -152,9 +153,10 @@ proptest! {
     }
 }
 
-/// A small fleet of mixed-width targets used by the determinism tests:
-/// some route explicit, the 22-prop chain routes symbolic under `Auto`.
-fn determinism_tasks() -> Vec<(Target, Formula)> {
+/// A small fleet of mixed-width compositions used by the determinism
+/// tests: some route explicit, the 22-prop chain routes symbolic under
+/// `Auto`.
+fn determinism_tasks() -> Vec<(Vec<System>, Formula)> {
     let mut tasks = Vec::new();
     for w in [3usize, 4, 22] {
         let names: Vec<String> = (0..w).map(|i| format!("x{i}")).collect();
@@ -169,7 +171,7 @@ fn determinism_tasks() -> Vec<(Target, Formula)> {
             })
             .collect();
         let f = Formula::ap("x0").implies(Formula::ap(format!("x{}", w - 1)).ef());
-        tasks.push((Target::composition(systems), f));
+        tasks.push((systems, f));
     }
     tasks
 }
@@ -183,8 +185,9 @@ fn fanout_verdicts_identical_across_worker_counts() {
     let trivial = Restriction::trivial();
     let fingerprint = |workers: usize| -> Fingerprint {
         compositional_mc::core::scheduler::run_bounded(tasks.len(), workers, |i| {
-            let (target, f) = &tasks[i];
-            check_routed(BackendChoice::Auto, target, &trivial, f).map_err(|e| e.to_string())
+            let (systems, f) = &tasks[i];
+            let target = Target::composition(systems.iter().collect());
+            check_routed(BackendChoice::Auto, &target, &trivial, f).map_err(|e| e.to_string())
         })
         .into_iter()
         .map(|r| {
@@ -293,7 +296,7 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
     let cfg = GenConfig::default();
     for seed in 300..320u64 {
         let o = gen_partitioned_obligation(seed, &cfg);
-        let target = Target::composition(o.systems.clone());
+        let target = Target::composition(o.systems.iter().collect());
         let unmerged =
             SymbolicBackend::default()
                 .unmerged()

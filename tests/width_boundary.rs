@@ -18,8 +18,8 @@ use compositional_mc::smv::run_source_with_backend;
 /// An `n`-station token ring: station `i` owns `{t_i, t_{i+1 mod n}}` and
 /// passes the token forward. With a one-hot start the reachable fragment
 /// is exactly the `n` token positions.
-fn ring(n: usize) -> Target {
-    let stations: Vec<System> = (0..n)
+fn stations(n: usize) -> Vec<System> {
+    (0..n)
         .map(|i| {
             let here = format!("t{i}");
             let next = format!("t{}", (i + 1) % n);
@@ -27,8 +27,12 @@ fn ring(n: usize) -> Target {
             m.add_transition_named(&[&here], &[&next]);
             m
         })
-        .collect();
-    Target::composition(stations)
+        .collect()
+}
+
+/// The composition of `stations` as a lazy target.
+fn ring(stations: &[System]) -> Target<'_> {
+    Target::composition(stations.iter().collect())
 }
 
 /// One-hot initial condition: the token at `t0`, all other props pinned
@@ -64,7 +68,8 @@ fn reachable_backend() -> ExplicitBackend {
 #[test]
 fn explicit_backend_checks_every_width_boundary() {
     for n in WIDTHS {
-        let target = ring(n);
+        let stations = stations(n);
+        let target = ring(&stations);
         let r = one_hot(n);
         let f = parse("AG EF t0").unwrap();
         let v = reachable_backend()
@@ -92,14 +97,14 @@ fn dense_reachable_boundary_flips_at_dense_bits() {
     // one past, it interns only the reachable fragment.
     let f = parse("AG EF t0").unwrap();
     let at = reachable_backend()
-        .check(&ring(12), &one_hot(12), &f)
+        .check(&ring(&stations(12)), &one_hot(12), &f)
         .unwrap();
     assert!(at.holds);
     assert!(at.sat_states.is_some(), "width 12 should run dense");
     assert_eq!(at.stats.reachable_states, None);
 
     let past = reachable_backend()
-        .check(&ring(13), &one_hot(13), &f)
+        .check(&ring(&stations(13)), &one_hot(13), &f)
         .unwrap();
     assert!(past.holds);
     assert_eq!(past.sat_states, None);
@@ -109,7 +114,8 @@ fn dense_reachable_boundary_flips_at_dense_bits() {
 #[test]
 fn auto_routes_every_width_boundary_explicit_when_pinned() {
     for n in WIDTHS {
-        let target = ring(n);
+        let stations = stations(n);
+        let target = ring(&stations);
         let r = one_hot(n);
         let f = parse("EF t1").unwrap();
         let v = check_routed(BackendChoice::Auto, &target, &r, &f)
@@ -132,7 +138,8 @@ fn explicit_agrees_with_symbolic_across_widths() {
     // The BDD engine is cross-checked where its variable count stays
     // cheap to order; 130 vars is exercised explicit-only above.
     for n in [24, 25, 33] {
-        let target = ring(n);
+        let stations = stations(n);
+        let target = ring(&stations);
         let r = one_hot(n);
         for spec in ["AG EF t0", "AG t0", "EF t2", &format!("EF t{}", n - 1)] {
             let f = parse(spec).unwrap();
@@ -148,7 +155,8 @@ fn explicit_agrees_with_symbolic_across_widths() {
 /// verdict matching the symbolic engine's.
 #[test]
 fn thirty_station_ring_completes_explicit_and_matches_symbolic() {
-    let target = ring(30);
+    let stations = stations(30);
+    let target = ring(&stations);
     let r = one_hot(30);
     let f = parse("AG (t0 -> EF t15)").unwrap();
     let e = ExplicitBackend::default().check(&target, &r, &f).unwrap();
