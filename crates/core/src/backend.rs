@@ -125,6 +125,20 @@ impl BackendChoice {
         }
     }
 
+    /// The limits a check planned `Explicit` under this policy runs at:
+    /// `Auto`'s attempt is budgeted by the cost model (cheap to be wrong)
+    /// and labels the dense universe only up to [`AUTO_DENSE_BITS`]; a
+    /// forced `Explicit` check runs at the defaults.
+    pub(crate) fn explicit_limits(self) -> ExplicitLimits {
+        match self {
+            BackendChoice::Auto => ExplicitLimits {
+                dense_bits: AUTO_DENSE_BITS,
+                max_states: Some(AUTO_CROSSOVER_STATES.saturating_mul(AUTO_BUDGET_SLACK)),
+            },
+            _ => ExplicitLimits::default(),
+        }
+    }
+
     /// Stable identity string for deduction-level store keys and the
     /// daemon's wire protocol (the *policy*, as opposed to the resolved
     /// [`BackendKind::name`] used for per-obligation keys).
@@ -211,8 +225,10 @@ pub struct RouteDecision {
 /// ```
 ///
 /// clamped to `[0, 127]`, where `touchedᵢ` is the number of distinct
-/// states on component `i`'s proper transitions and `covered` the union
-/// of component-owned positions. Components that wander their whole local
+/// states on component `i`'s proper transitions
+/// ([`System::touched_states`], counted once per system however many
+/// checks route on it) and `covered` the union of component-owned
+/// positions. Components that wander their whole local
 /// space contribute `2^|Σᵢ|`; a token-ring station that only ever touches
 /// a handful of patterns contributes those. A conjunctive initial
 /// condition pins each mentioned proposition, collapsing a factor of two
@@ -231,12 +247,7 @@ pub fn estimate_reachable_states(target: &Target, r: &Restriction) -> u128 {
                 covered.insert(p);
             }
         }
-        let mut touched: std::collections::BTreeSet<u128> = std::collections::BTreeSet::new();
-        for (s, t) in sys.proper_transitions() {
-            touched.insert(s.0);
-            touched.insert(t.0);
-        }
-        log2 += (a as f64).min(((touched.len() + 1) as f64).log2());
+        log2 += (a as f64).min(((sys.touched_states() + 1) as f64).log2());
     }
     let dup = (own_sum - covered.len()) as f64;
     let free = (union.len() - covered.len()) as f64;
@@ -278,15 +289,7 @@ pub fn check_planned(
     f: &Formula,
 ) -> Result<Verdict, BackendError> {
     if decision.planned == BackendKind::Explicit {
-        let limits = match choice {
-            // The attempt is budgeted by the cost model: cheap to be wrong.
-            BackendChoice::Auto => ExplicitLimits {
-                dense_bits: AUTO_DENSE_BITS,
-                max_states: Some(AUTO_CROSSOVER_STATES.saturating_mul(AUTO_BUDGET_SLACK)),
-            },
-            _ => ExplicitLimits::default(),
-        };
-        match ExplicitBackend::with_limits(limits).check(target, r, f) {
+        match ExplicitBackend::with_limits(choice.explicit_limits()).check(target, r, f) {
             Ok(mut v) => {
                 v.stats.route = Some(decision);
                 return Ok(v);

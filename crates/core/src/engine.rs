@@ -9,7 +9,9 @@
 //! obligations on the system, compositionally where possible. A Rule-2
 //! obligation on a component that declares none of its propositions needs
 //! no checker at all: the expansion freezes them, so the frame argument of
-//! Lemma 8 decides it propositionally.
+//! Lemma 8 decides it propositionally. Every other Rule-2 obligation small
+//! enough for the dense explicit kernel is decided by Lemma 6, in one pass
+//! over the component's own moves.
 //!
 //! Every deduction produces a [`Certificate`] recording each step, so a
 //! component consumer can audit the proof — the paper's stated goal is
@@ -18,8 +20,8 @@
 
 use crate::backend::{
     check_planned, check_refines, check_routed, BackendChoice, BackendKind, RouteDecision, Target,
-    Verdict,
 };
+use crate::lemmas::lemma6_ax_holds;
 use crate::property::{classify, PropertyClass};
 use crate::rules::{
     circular_refines, invariant_obligations, substitution_side_conditions, Guarantee,
@@ -34,7 +36,7 @@ use cmc_symbolic::SymbolicModel;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A named component in a composition.
 #[derive(Debug, Clone)]
@@ -394,6 +396,16 @@ fn rule2_parts(f: &Formula) -> Option<(&Formula, &Formula)> {
     }
 }
 
+/// A fresh check's outcome, as its certificate step records it.
+#[derive(Debug, Clone, Copy)]
+struct Checked {
+    holds: bool,
+    /// The engine that answered.
+    backend: BackendKind,
+    /// Wall-clock time of the check.
+    duration: Duration,
+}
+
 /// The invariant rule's per-proof bookkeeping: every conjunct with its
 /// proposition set and union mask, computed once per proof rather than per
 /// (conjunct, component) pair.
@@ -564,30 +576,34 @@ impl Engine {
     }
 
     /// Check a universal obligation on every component, conjunct-wise with
-    /// minimal expansions, in parallel. Appends one step per (conjunct,
-    /// component) pair, in grid order. A pair whose component declares none
-    /// of the conjunct's propositions is decided by frame (Lemma 8) without
-    /// a checker; with a store attached, obligations answered from the
-    /// store never reach the checker either. Only the rest are fanned out.
+    /// minimal expansions. Appends one step per (conjunct, component) pair,
+    /// in grid order. A pair whose component declares none of the
+    /// conjunct's propositions is decided by frame (Lemma 8) without a
+    /// checker; with a store attached, obligations answered from the store
+    /// never reach the checker either. Of the rest, Lemma 6 decides the
+    /// ones the dense explicit kernel would answer on the spot; only the
+    /// others are fanned out in parallel.
     fn check_universal(&self, f: &Formula, cert: &mut Certificate) -> Result<(), EngineError> {
         enum Slot {
             /// Decided by frame: is `p ⇒ q` valid?
             Frame(bool),
             /// Answered by the store under the planned engine.
             Cached(bool, BackendKind),
-            /// Checked fresh, memoized under its key when a store is attached.
-            Fresh(Option<ObligationKey>),
+            /// Checked fresh, memoized under its key when a store is
+            /// attached: decided by Lemma 6 already, or by the fan-out.
+            Fresh(Option<ObligationKey>, Option<Checked>),
         }
         let trivial = Restriction::trivial();
         let mut slots: Vec<(String, Slot)> = Vec::new();
-        let mut misses: Vec<(Target, Formula, Option<RouteDecision>)> = Vec::new();
+        let mut misses: Vec<(Target, Formula, RouteDecision)> = Vec::new();
         for conjunct in Self::conjuncts(f) {
             let props = conjunct.atomic_props();
             let mask = self.prop_mask(&props)?;
+            let text = conjunct.to_string();
             // `p ⇒ q` decides every frame-local pair of this conjunct.
             let mut frame = None;
             for (i, comp) in self.components.iter().enumerate() {
-                let name = format!("minimal expansion of {} ⊨ {conjunct}", comp.name);
+                let name = format!("minimal expansion of {} ⊨ {text}", comp.name);
                 if let Some((p, q)) = rule2_parts(&conjunct).filter(|_| self.frame_local(i, &mask))
                 {
                     let holds = *frame.get_or_insert_with(|| {
@@ -597,23 +613,27 @@ impl Engine {
                     continue;
                 }
                 let target = self.minimal_target(i, &props)?;
-                let Some(store) = &self.store else {
-                    misses.push((target, conjunct.clone(), None));
-                    slots.push((name, Slot::Fresh(None)));
-                    continue;
-                };
                 let plan = self.backend.route(&target, &trivial);
-                let key = self.target_key("check", &target, &trivial, &conjunct, plan.planned);
-                match store.lookup(&key) {
-                    Some(entry) => slots.push((
-                        format!("{name} (cached)"),
-                        Slot::Cached(entry.verdict, plan.planned),
-                    )),
-                    None => {
-                        misses.push((target, conjunct.clone(), Some(plan)));
-                        slots.push((name, Slot::Fresh(Some(key))));
+                let key = match &self.store {
+                    Some(store) => {
+                        let key =
+                            self.target_key("check", &target, &trivial, &conjunct, plan.planned);
+                        if let Some(entry) = store.lookup(&key) {
+                            slots.push((
+                                format!("{name} (cached)"),
+                                Slot::Cached(entry.verdict, plan.planned),
+                            ));
+                            continue;
+                        }
+                        Some(key)
                     }
+                    None => None,
+                };
+                let decided = self.by_lemma6(&target, &trivial, &conjunct, &plan);
+                if decided.is_none() {
+                    misses.push((target, conjunct.clone(), plan));
                 }
+                slots.push((name, Slot::Fresh(key, decided)));
             }
         }
         let mut fresh = crate::scheduler::run(misses.len(), |m| {
@@ -625,20 +645,23 @@ impl Engine {
             match slot {
                 Slot::Frame(holds) => cert.step(name, holds, true),
                 Slot::Cached(holds, kind) => cert.step_checked(name, holds, true, kind, None),
-                Slot::Fresh(key) => {
-                    let verdict = fresh
-                        .next()
-                        .expect("one parallel result per miss")
-                        .map_err(EngineError::Check)??;
+                Slot::Fresh(key, decided) => {
+                    let checked = match decided {
+                        Some(checked) => checked,
+                        None => fresh
+                            .next()
+                            .expect("one parallel result per miss")
+                            .map_err(EngineError::Check)??,
+                    };
                     if let (Some(store), Some(key)) = (&self.store, key) {
-                        store.insert(key, Entry::verdict(verdict.holds));
+                        store.insert(key, Entry::verdict(checked.holds));
                     }
                     cert.step_checked(
                         name,
-                        verdict.holds,
+                        checked.holds,
                         true,
-                        verdict.stats.backend,
-                        Some(verdict.stats.duration),
+                        checked.backend,
+                        Some(checked.duration),
                     );
                 }
             }
@@ -646,21 +669,54 @@ impl Engine {
         Ok(())
     }
 
-    /// `target ⊨_r f` through the selected backend — on `plan` when the
-    /// caller already routed the target (a store key names the planned
-    /// engine), so the cost model runs once per check.
+    /// `target ⊨_r f` on `plan`, the route the caller made (a store key
+    /// names the planned engine, so the cost model runs once per check):
+    /// by Lemma 6 where [`Engine::by_lemma6`] applies, through the
+    /// selected backend otherwise.
     fn run_check(
         &self,
         target: &Target,
         r: &Restriction,
         f: &Formula,
-        plan: Option<RouteDecision>,
-    ) -> Result<Verdict, EngineError> {
-        match plan {
-            Some(plan) => check_planned(self.backend, plan, target, r, f),
-            None => check_routed(self.backend, target, r, f),
+        plan: RouteDecision,
+    ) -> Result<Checked, EngineError> {
+        if let Some(checked) = self.by_lemma6(target, r, f, &plan) {
+            return Ok(checked);
         }
-        .map_err(|e| EngineError::Check(e.to_string()))
+        let v = check_planned(self.backend, plan, target, r, f)
+            .map_err(|e| EngineError::Check(e.to_string()))?;
+        Ok(Checked {
+            holds: v.holds,
+            backend: v.stats.backend,
+            duration: v.stats.duration,
+        })
+    }
+
+    /// Decide `target ⊨_r f` by Lemma 6 over the component's own moves
+    /// ([`lemma6_ax_holds`]) exactly where the dense explicit kernel would
+    /// answer it: a Rule-2 obligation `p ⇒ AX q` under the trivial
+    /// restriction on one component's expansion, planned `Explicit` and no
+    /// wider than the dense width of the planned check. The verdict is the
+    /// kernel's; no expansion, index or labelling is built. `None` leaves
+    /// the check to the backend.
+    fn by_lemma6(
+        &self,
+        target: &Target,
+        r: &Restriction,
+        f: &Formula,
+        plan: &RouteDecision,
+    ) -> Option<Checked> {
+        let start = Instant::now();
+        let ([system], Some((p, q))) = (target.systems(), rule2_parts(f)) else {
+            return None;
+        };
+        let dense = plan.planned == BackendKind::Explicit
+            && target.width() <= self.backend.explicit_limits().dense_bits;
+        (dense && r.is_trivial()).then(|| Checked {
+            holds: lemma6_ax_holds(system, target.extra(), p, q),
+            backend: BackendKind::Explicit,
+            duration: start.elapsed(),
+        })
     }
 
     /// `target ⊨_r f` through the selected backend, answered from the
@@ -672,21 +728,21 @@ impl Engine {
         r: &Restriction,
         f: &Formula,
     ) -> Result<(bool, bool, BackendKind, Option<Duration>), EngineError> {
+        let plan = self.backend.route(target, r);
         let Some(store) = &self.store else {
-            let v = self.run_check(target, r, f, None)?;
-            return Ok((v.holds, false, v.stats.backend, Some(v.stats.duration)));
+            let c = self.run_check(target, r, f, plan)?;
+            return Ok((c.holds, false, c.backend, Some(c.duration)));
         };
         // The store key carries the *planned* engine (deterministic across
         // runs); the recorded backend is whatever actually answered, which
         // differs only when Auto's explicit attempt fell back. Key and
         // check share one plan.
-        let plan = self.backend.route(target, r);
         let key = self.target_key("check", target, r, f, plan.planned);
         let ran = std::cell::Cell::new(None);
         let (entry, hit) = store.get_or_check(key, || {
-            let v = self.run_check(target, r, f, Some(plan))?;
-            ran.set(Some((v.stats.backend, v.stats.duration)));
-            Ok::<_, EngineError>(Entry::verdict(v.holds))
+            let c = self.run_check(target, r, f, plan)?;
+            ran.set(Some((c.backend, c.duration)));
+            Ok::<_, EngineError>(Entry::verdict(c.holds))
         })?;
         let (kind, duration) = match ran.get() {
             Some((kind, duration)) => (kind, Some(duration)),
@@ -871,6 +927,10 @@ impl Engine {
     ///    (bounded mutual induction — still local),
     /// 3. `Inv ⇒ AX K` (full mutual induction, the §4.2.3 form).
     ///
+    /// Each level is a Rule-2 obligation, decided by Lemma 6 from the
+    /// component's own moves ([`crate::lemmas::lemma6_ax_holds`]) wherever
+    /// the dense explicit kernel would answer it.
+    ///
     /// Every level implies the universal property `Inv ⇒ AX K` on that
     /// component (`Inv ⇒ K` and `Inv ⇒ H` propositionally), so Rule 2
     /// transfers `Inv ⇒ AX Inv` to the composition whenever each
@@ -939,6 +999,7 @@ impl Engine {
         });
         let mut outcomes = outcomes.into_iter();
         for (ki, k) in grid.conjuncts.iter().enumerate() {
+            let k = k.to_string();
             for (i, comp) in self.components.iter().enumerate() {
                 if self.frame_local(i, &grid.masks[ki]) {
                     cert.step(
@@ -1708,6 +1769,52 @@ mod tests {
                 assert!(!cert.valid, "{cert}");
             }
         }
+    }
+
+    /// Lemma 6 answers exactly where the dense explicit kernel would: a
+    /// Rule-2 obligation under the trivial restriction on one component's
+    /// expansion, planned `Explicit`, no wider than the planned check's
+    /// dense width (8 under `Auto`, 24 under `Explicit`).
+    #[test]
+    fn lemma6_decides_only_where_the_dense_kernel_would() {
+        let wide = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
+            let mut m = System::new(Alphabet::new(names));
+            m.add_transition_named(&[], &["w0"]);
+            m
+        };
+        let (m8, m9, other) = (wide(8), wide(9), wide(1));
+        let step = parse("w0 -> AX w0").unwrap();
+        let decides = |choice: BackendChoice, target: &Target, r: &Restriction, f: &Formula| {
+            let e = Engine::new(vec![Component::new("m", m8.clone())]).with_backend(choice);
+            e.by_lemma6(target, r, f, &choice.route(target, r))
+                .map(|c| (c.holds, c.backend))
+        };
+        let trivial = Restriction::trivial();
+        let at = |m| Target::expansion(vec![m], Alphabet::empty());
+        let decided = Some((true, BackendKind::Explicit));
+        for (choice, m, expected) in [
+            (BackendChoice::Auto, &m8, decided),
+            (BackendChoice::Auto, &m9, None),
+            (BackendChoice::Explicit, &m9, decided),
+            (BackendChoice::Symbolic, &m8, None),
+        ] {
+            assert_eq!(
+                decides(choice, &at(m), &trivial, &step),
+                expected,
+                "{choice:?}"
+            );
+        }
+        // One frozen proposition past the width is past it too.
+        let frozen = Target::expansion(vec![&m8], Alphabet::new(["z"]));
+        assert_eq!(decides(BackendChoice::Auto, &frozen, &trivial, &step), None);
+        // Not a trivially restricted Rule-2 obligation on one component.
+        let pinned = Restriction::with_init(parse("w0").unwrap());
+        assert_eq!(decides(BackendChoice::Auto, &at(&m8), &pinned, &step), None);
+        let ex = parse("w0 -> EX w0").unwrap();
+        assert_eq!(decides(BackendChoice::Auto, &at(&m8), &trivial, &ex), None);
+        let both = Target::composition(vec![&other, &m8]);
+        assert_eq!(decides(BackendChoice::Auto, &both, &trivial, &step), None);
     }
 
     /// Minimal expansions: obligations whose propositions live inside one

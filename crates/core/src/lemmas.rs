@@ -22,17 +22,220 @@ pub fn lemma5_expansion_preserves(
 }
 
 /// Lemma 6: `M ⊨ (f ⇒ AX g)  ⇔  ∀s ⊨ f: ∀t ∈ R(s): t ⊨ g`
-/// for propositional `f`, `g`.
+/// for propositional `f`, `g` — the checker's verdict against
+/// [`lemma6_ax_holds`], the structural decision the proof engine uses.
 pub fn lemma6_ax_structural(m: &System, f: &Formula, g: &Formula) -> Result<bool, CheckError> {
     let formula = f.clone().implies(g.clone().ax());
     let semantic = Checker::new(m)?.holds_everywhere(&formula)?;
-    let structural = m.states().all(|s| {
-        !f.eval_in_state(m.alphabet(), s)
-            || m.successors(s)
-                .into_iter()
-                .all(|t| g.eval_in_state(m.alphabet(), t))
-    });
-    Ok(semantic == structural)
+    Ok(semantic == lemma6_ax_holds(m, &Alphabet::empty(), f, g))
+}
+
+/// Lemma 6 as a decision procedure on an expansion: does
+/// `M ∘ (Σ', I) ⊨ p ⇒ AX q` hold, for `p` and `q` propositional over
+/// `Σ ∪ Σ'`? The successors of a state `s ∪ e` (`e` a valuation of the
+/// frozen propositions `Σ' − Σ`) are itself and `s' ∪ e` for each proper
+/// move `s → s'` of `M`, so it holds iff
+///
+/// * `p ⇒ q` is valid (the stutter step), and
+/// * every proper move `s → s'`, under every `e`, gives
+///   `p(s ∪ e) ⇒ q(s' ∪ e)`.
+///
+/// Nothing is built: `p` and `q` are evaluated as truth tables, 64
+/// valuations to a word, over just the propositions they read. A move
+/// that changes none of those is a stutter step as far as `p` and `q`
+/// can tell, so only the moves with distinct projections onto them are
+/// evaluated, each over the valuations of the frozen propositions read.
+/// The frame rule (Lemma 8) is the case where no move remains. Cost is
+/// exponential in the number of propositions `p` and `q` read, so the
+/// engine poses it only on expansions no wider than the dense explicit
+/// kernel, which labels every state of `2^(Σ ∪ Σ')` instead.
+///
+/// Panics if `p` or `q` is temporal or reads a proposition outside
+/// `Σ ∪ Σ'`.
+pub fn lemma6_ax_holds(m: &System, frozen: &Alphabet, p: &Formula, q: &Formula) -> bool {
+    let mut names = Vec::new();
+    let (p, q) = (
+        TruthTable::new(p, &mut names),
+        TruthTable::new(q, &mut names),
+    );
+    // Where each read proposition's value comes from: a bit of `M`'s own
+    // state, or a frozen proposition, numbered among the frozen ones read.
+    let (mut owned, mut frozen_read) = (0u128, 0);
+    let sources: Vec<Source> = names
+        .iter()
+        .map(|name| match m.alphabet().position(name) {
+            Some(pos) => {
+                owned |= 1 << pos;
+                Source::Owned(pos)
+            }
+            None => {
+                assert!(frozen.contains(name), "{name:?} is outside Σ ∪ Σ'");
+                frozen_read += 1;
+                Source::Frozen(frozen_read - 1)
+            }
+        })
+        .collect();
+    let mut stack = Vec::new();
+    // The stutter step: every proposition read is a variable.
+    let mut words = vec![0; names.len()];
+    for chunk in 0..chunks(names.len()) {
+        for (var, w) in words.iter_mut().enumerate() {
+            *w = column(var, chunk);
+        }
+        if p.eval(&words, &mut stack) & !q.eval(&words, &mut stack) != 0 {
+            return false;
+        }
+    }
+    // The proper moves, projected onto the propositions read: the frozen
+    // ones are the variables, the same on both sides of the move.
+    let mut moves: Vec<(u128, u128)> = m
+        .proper_transitions()
+        .map(|(s, t)| (s.0 & owned, t.0 & owned))
+        .filter(|(s, t)| s != t)
+        .collect();
+    moves.sort_unstable();
+    moves.dedup();
+    let mut after = vec![0; names.len()];
+    for (s, t) in moves {
+        for chunk in 0..chunks(frozen_read) {
+            for (slot, source) in sources.iter().enumerate() {
+                (words[slot], after[slot]) = match *source {
+                    Source::Owned(pos) => (bit_word(s, pos), bit_word(t, pos)),
+                    Source::Frozen(var) => (column(var, chunk), column(var, chunk)),
+                };
+            }
+            if p.eval(&words, &mut stack) & !q.eval(&after, &mut stack) != 0 {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Where [`lemma6_ax_holds`] reads a proposition's value.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Bit `pos` of the component's state.
+    Owned(usize),
+    /// The `var`-th frozen proposition read, a truth-table variable.
+    Frozen(usize),
+}
+
+/// A propositional formula compiled to postfix over numbered slots, one
+/// per distinct proposition, evaluated on 64 valuations at once: slot
+/// `i`'s word holds the proposition's value in each valuation.
+struct TruthTable(Vec<Op>);
+
+#[derive(Clone, Copy)]
+enum Op {
+    Const(u64),
+    Slot(usize),
+    Not,
+    And,
+    Or,
+    Implies,
+    Iff,
+}
+
+impl TruthTable {
+    /// Compile `f`, numbering its propositions by their position in
+    /// `names` (appending the ones not there yet).
+    fn new<'f>(f: &'f Formula, names: &mut Vec<&'f str>) -> Self {
+        let mut ops = Vec::new();
+        Self::compile(f, names, &mut ops);
+        TruthTable(ops)
+    }
+
+    fn compile<'f>(f: &'f Formula, names: &mut Vec<&'f str>, ops: &mut Vec<Op>) {
+        match f {
+            Formula::True => ops.push(Op::Const(!0)),
+            Formula::False => ops.push(Op::Const(0)),
+            Formula::Ap(name) => {
+                let slot = names.iter().position(|n| n == name).unwrap_or_else(|| {
+                    names.push(name);
+                    names.len() - 1
+                });
+                ops.push(Op::Slot(slot));
+            }
+            Formula::Not(g) => {
+                Self::compile(g, names, ops);
+                ops.push(Op::Not);
+            }
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Implies(a, b)
+            | Formula::Iff(a, b) => {
+                Self::compile(a, names, ops);
+                Self::compile(b, names, ops);
+                ops.push(match f {
+                    Formula::And(..) => Op::And,
+                    Formula::Or(..) => Op::Or,
+                    Formula::Implies(..) => Op::Implies,
+                    _ => Op::Iff,
+                });
+            }
+            _ => panic!("Lemma 6 on temporal formula {f}"),
+        }
+    }
+
+    /// The formula's value in the 64 valuations `words` describe.
+    fn eval(&self, words: &[u64], stack: &mut Vec<u64>) -> u64 {
+        stack.clear();
+        for op in &self.0 {
+            let value = match *op {
+                Op::Const(w) => w,
+                Op::Slot(i) => words[i],
+                Op::Not => !stack.pop().expect("an operand"),
+                _ => {
+                    let b = stack.pop().expect("a right operand");
+                    let a = stack.pop().expect("a left operand");
+                    match op {
+                        Op::And => a & b,
+                        Op::Or => a | b,
+                        Op::Implies => !a | b,
+                        _ => !(a ^ b),
+                    }
+                }
+            };
+            stack.push(value);
+        }
+        stack.pop().expect("a compiled formula leaves its value")
+    }
+}
+
+/// Words of 64 valuations needed to cover all `2^vars`. Below six
+/// variables one word repeats the table, which changes no verdict.
+fn chunks(vars: usize) -> usize {
+    1usize
+        .checked_shl(vars.saturating_sub(6) as u32)
+        .expect("a truth table of at most 2^69 rows")
+}
+
+/// Truth-table variable `var`'s column in chunk `chunk`: bit `b` is its
+/// value in valuation `64 · chunk + b`.
+fn column(var: usize, chunk: usize) -> u64 {
+    const COLUMNS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match COLUMNS.get(var) {
+        Some(&w) => w,
+        None if chunk >> (var - 6) & 1 == 1 => !0,
+        None => 0,
+    }
+}
+
+/// Bit `pos` of `state`, as a constant word.
+fn bit_word(state: u128, pos: usize) -> u64 {
+    if state >> pos & 1 == 1 {
+        !0
+    } else {
+        0
+    }
 }
 
 /// Lemma 7: `M ⊨ (f ⇒ EX g)  ⇔  ∀s ⊨ f: ∃t ∈ R(s): t ⊨ g`.
@@ -179,6 +382,59 @@ mod tests {
             assert!(lemma6_ax_structural(&m, &parse(f).unwrap(), &parse(g).unwrap()).unwrap());
             assert!(lemma7_ex_structural(&m, &parse(f).unwrap(), &parse(g).unwrap()).unwrap());
         }
+    }
+
+    /// The decision on an expansion, case by case, against the checker on
+    /// the expansion built: `chain` moves `∅ → {a} → {a, b}` and never
+    /// touches the frozen `z`.
+    #[test]
+    fn lemma6_decides_on_the_expansion() {
+        let m = chain();
+        let frozen = Alphabet::new(["z"]);
+        let expanded = Checker::new(&m.expand(&frozen)).unwrap();
+        for (p, q, holds) in [
+            ("a", "a", true),           // no move clears a
+            ("!a", "!a", false),        // ∅ → {a}
+            ("a & !b", "a", true),      // {a} → {a, b} keeps a
+            ("a", "b", false),          // {a} stutters without b
+            ("z", "z", true),           // frozen: never changes
+            ("!a & z", "z", true),      // ... not even across {z} → {a, z}
+            ("z & !a", "z & a", false), // stutter from {z}
+            ("a | z", "a | z", true),
+            ("!b & z", "!b", false), // {a, z} → {a, b, z}
+        ] {
+            let (p, q) = (parse(p).unwrap(), parse(q).unwrap());
+            assert_eq!(lemma6_ax_holds(&m, &frozen, &p, &q), holds, "{p} ⇒ AX {q}");
+            let f = p.clone().implies(q.clone().ax());
+            assert_eq!(expanded.holds_everywhere(&f).unwrap(), holds, "{f}");
+        }
+    }
+
+    /// Seven frozen propositions read need two truth-table words per
+    /// move; the second word's valuations must be reached too.
+    #[test]
+    fn lemma6_covers_every_frozen_valuation() {
+        let m = chain();
+        let names = ["u", "v", "w", "x", "y", "z", "last"];
+        let frozen = Alphabet::new(names);
+        let all = Formula::and_many(names.iter().map(|n| Formula::ap(*n)));
+        // Only the all-true valuation (the last of 128) breaks it.
+        let p = parse("!a").unwrap().and(all.clone());
+        let q = parse("!a").unwrap();
+        assert!(!lemma6_ax_holds(&m, &frozen, &p, &q));
+        assert!(lemma6_ax_holds(
+            &m,
+            &frozen,
+            &p.clone().and(Formula::False),
+            &q
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside Σ ∪ Σ'")]
+    fn lemma6_refuses_unknown_propositions() {
+        let q = parse("c").unwrap();
+        lemma6_ax_holds(&chain(), &Alphabet::empty(), &q, &q);
     }
 
     #[test]

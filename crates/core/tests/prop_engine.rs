@@ -4,6 +4,7 @@
 //! deliberately incomplete.)
 
 use cmc_core::engine::{Component, Engine};
+use cmc_core::lemmas::lemma6_ax_holds;
 use cmc_core::{ExplicitBackend, SymbolicBackend, Target};
 use cmc_ctl::{parse, ExplicitLimits, Formula, Restriction};
 use cmc_kripke::{Alphabet, State, System};
@@ -217,5 +218,49 @@ proptest! {
                 "engine established AG {inv} from {init} but the monolith refutes it\n{cert}"
             );
         }
+    }
+}
+
+/// The frozen propositions an expansion adds, and every name a Lemma-6
+/// formula is drawn over: the component's pool plus these.
+static FROZEN: [&str; 3] = ["x", "y", "z"];
+static LEMMA6_NAMES: [&str; 7] = ["a", "b", "c", "d", "x", "y", "z"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Lemma 6 decides `p ⇒ AX q` on an expansion exactly as the explicit
+    /// checker does on the expansion built: a random component over 1–3
+    /// pool names, 0–3 frozen propositions, and `p`, `q` over `Σ ∪ extra`
+    /// (every other name folded to the constant `fill`).
+    #[test]
+    fn lemma6_decides_like_the_explicit_checker(
+        m in arb_component(),
+        frozen in 0usize..4,
+        p in arb_prop(&LEMMA6_NAMES),
+        q in arb_prop(&LEMMA6_NAMES),
+        fill in any::<bool>(),
+    ) {
+        let extra = Alphabet::new(FROZEN[..frozen].iter().copied());
+        let within = |f: Formula| {
+            LEMMA6_NAMES
+                .iter()
+                .filter(|n| !m.alphabet().contains(n) && !extra.contains(n))
+                .fold(f, |f, n| f.assign(n, fill))
+        };
+        let (p, q) = (within(p), within(q));
+        let f = p.clone().implies(q.clone().ax());
+        let target = Target::expansion(vec![&m], extra.clone());
+        let oracle = ExplicitBackend::default()
+            .check(&target, &Restriction::trivial(), &f)
+            .unwrap();
+        prop_assert_eq!(
+            lemma6_ax_holds(&m, &extra, &p, &q),
+            oracle.holds,
+            "{} on {:?} expanded over {}",
+            f,
+            m,
+            extra
+        );
     }
 }

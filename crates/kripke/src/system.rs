@@ -4,6 +4,7 @@
 use crate::alphabet::Alphabet;
 use crate::state::{all_states, State};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::OnceLock;
 
 /// A finite-state system `M = (Σ, R)`.
 ///
@@ -12,12 +13,25 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// the reflexive pairs `(s, s)` for every `s ∈ 2^Σ` are implicit. All query
 /// methods ([`System::successors`], [`System::has_transition`], …) account
 /// for the implicit stutter transitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct System {
     alphabet: Alphabet,
     /// Non-reflexive transitions, grouped by source.
     succ: BTreeMap<State, BTreeSet<State>>,
+    /// [`System::touched_states`], counted on first use and dropped by
+    /// [`System::add_transition`].
+    touched: OnceLock<usize>,
 }
+
+/// Equality is the alphabet and the relation; the memoised count is not
+/// part of the value.
+impl PartialEq for System {
+    fn eq(&self, other: &Self) -> bool {
+        self.alphabet == other.alphabet && self.succ == other.succ
+    }
+}
+
+impl Eq for System {}
 
 impl System {
     /// A system over `alphabet` with only the implicit stutter transitions —
@@ -37,6 +51,7 @@ impl System {
         System {
             alphabet,
             succ: BTreeMap::new(),
+            touched: OnceLock::new(),
         }
     }
 
@@ -64,6 +79,7 @@ impl System {
             return;
         }
         self.succ.entry(s).or_default().insert(t);
+        self.touched.take();
     }
 
     /// Add a transition given the proposition names true in each state.
@@ -110,6 +126,18 @@ impl System {
     /// Number of explicit (non-reflexive) transitions.
     pub fn proper_transition_count(&self) -> usize {
         self.succ.values().map(|ts| ts.len()).sum()
+    }
+
+    /// The number of distinct states on the proper transitions, sources
+    /// and targets alike: how much of `2^Σ` the system actually moves
+    /// through. Counted once and kept until the next
+    /// [`System::add_transition`].
+    pub fn touched_states(&self) -> usize {
+        *self.touched.get_or_init(|| {
+            let mut touched: BTreeSet<State> = self.succ.keys().copied().collect();
+            touched.extend(self.succ.values().flatten());
+            touched.len()
+        })
     }
 
     /// Iterate the explicit (non-reflexive) transitions.
@@ -377,6 +405,23 @@ mod tests {
         let mut c = System::new(Alphabet::new(["q", "p"]));
         c.add_transition_named(&["q"], &["p"]);
         assert!(!a.equivalent(&c));
+    }
+
+    /// The count covers sources and targets once each and is recounted
+    /// after the relation grows; equality ignores whether it was counted.
+    #[test]
+    fn touched_states_counts_each_state_once() {
+        let (m, _) = figure1_systems();
+        assert_eq!(m.touched_states(), 2);
+        let mut grown = System::new(Alphabet::new(["x", "y"]));
+        let uncounted = grown.clone();
+        assert_eq!(grown.touched_states(), 0);
+        assert_eq!(grown, uncounted);
+        grown.add_transition_named(&[], &["x"]);
+        grown.add_transition_named(&["x"], &["x", "y"]);
+        assert_eq!(grown.touched_states(), 3);
+        grown.add_transition_named(&["y"], &[]);
+        assert_eq!(grown.touched_states(), 4);
     }
 
     #[test]

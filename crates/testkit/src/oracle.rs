@@ -4,7 +4,10 @@
 //! backend, and the independent [`RefEvaluator`] written straight from
 //! the paper's restriction semantics. A 2-vs-1 split is a bug in
 //! *somebody*; the oracle shrinks the obligation to a minimal disagreeing
-//! pair and reports it with a replayable seed.
+//! pair and reports it with a replayable seed. A trivially restricted
+//! `p ⇒ AX q` is also decided by Lemma 6 ([`lemma6_ax_holds`], the
+//! decision the proof engine takes on component obligations), and a
+//! Lemma-6 verdict that splits from the reference is a disagreement too.
 //!
 //! The three-way oracle stays beside the five-way one
 //! ([`run_quad_obligation`]) because its symbolic leg takes a
@@ -16,9 +19,10 @@
 use crate::gen::{Obligation, SimPair};
 use crate::reference::{naive_simulates, RefEvaluator};
 use crate::validate::{validate_verdict, ValidationError};
+use cmc_core::lemmas::lemma6_ax_holds;
 use cmc_core::{BackendError, ExplicitBackend, SymbolicBackend, Target};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
-use cmc_kripke::{SimulationOutcome, System};
+use cmc_kripke::{Alphabet, SimulationOutcome, System};
 use cmc_symbolic::{simulates_symbolic, ImageMode};
 use std::fmt;
 
@@ -144,6 +148,20 @@ fn check_three(
         }
     }
 
+    // Lemma 6 decides a trivially restricted p ⇒ AX q from the moves alone.
+    if let Formula::Implies(p, next) = f {
+        if let Formula::Ax(q) = next.as_ref() {
+            if r.is_trivial() && p.is_propositional() && q.is_propositional() {
+                let decided = lemma6_ax_holds(&product, &Alphabet::empty(), p, q);
+                if decided != ref_holds {
+                    notes.push(format!(
+                        "Lemma 6 decides {decided}, the reference {ref_holds}"
+                    ));
+                }
+            }
+        }
+    }
+
     Ok((
         TripleVerdict {
             explicit: explicit.holds,
@@ -171,6 +189,22 @@ fn subformulas(f: &Formula) -> Vec<Formula> {
             vec![(**a).clone(), (**b).clone()]
         }
     }
+}
+
+/// The restrictions one shrinking step can reach by dropping one fairness
+/// constraint. `Restriction::new` puts `true` back into an empty set, so
+/// dropping the last constraint of `{true}` gives the same restriction;
+/// that candidate is left out, or a split under it would count as
+/// progress on every pass and the shrinker would never return.
+fn fewer_fairness(r: &Restriction) -> Vec<Restriction> {
+    (0..r.fairness.len())
+        .map(|i| {
+            let mut fair = r.fairness.clone();
+            fair.remove(i);
+            Restriction::new(r.init.clone(), fair)
+        })
+        .filter(|smaller| smaller != r)
+        .collect()
 }
 
 fn without_transition(m: &System, skip: usize) -> System {
@@ -208,10 +242,7 @@ pub fn shrink_with(o: &Obligation, sym: SymbolicBackend) -> Obligation {
             }
         }
 
-        for i in 0..cur.restriction.fairness.len() {
-            let mut fair = cur.restriction.fairness.clone();
-            fair.remove(i);
-            let r = Restriction::new(cur.restriction.init.clone(), fair);
+        for r in fewer_fairness(&cur.restriction) {
             if is_buggy(&cur.systems, &r, &cur.formula, sym) {
                 cur.restriction = r;
                 progressed = true;
@@ -491,10 +522,7 @@ pub fn shrink_quad(o: &Obligation) -> Obligation {
             }
         }
 
-        for i in 0..cur.restriction.fairness.len() {
-            let mut fair = cur.restriction.fairness.clone();
-            fair.remove(i);
-            let r = Restriction::new(cur.restriction.init.clone(), fair);
+        for r in fewer_fairness(&cur.restriction) {
             if is_buggy_quad(&cur.systems, &r, &cur.formula) {
                 cur.restriction = r;
                 progressed = true;
@@ -848,6 +876,25 @@ mod tests {
         assert!(
             agreed.iter().sum::<usize>() >= 15,
             "only {agreed:?} agreements ({skipped} skipped)"
+        );
+    }
+
+    #[test]
+    fn fairness_shrinking_never_repeats_the_restriction() {
+        assert!(fewer_fairness(&Restriction::trivial()).is_empty());
+        let (a, b) = (Formula::ap("a"), Formula::ap("b"));
+        let r = Restriction::new(Formula::True, [a.clone(), b.clone()]);
+        assert_eq!(
+            fewer_fairness(&r),
+            vec![
+                Restriction::new(Formula::True, [b]),
+                Restriction::new(Formula::True, [a.clone()]),
+            ]
+        );
+        let init = Formula::ap("i");
+        assert_eq!(
+            fewer_fairness(&Restriction::new(init.clone(), [a])),
+            vec![Restriction::with_init(init)]
         );
     }
 
