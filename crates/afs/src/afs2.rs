@@ -291,6 +291,7 @@ pub fn prove_invariant_compositional(n: usize) -> Result<InvariantProof, SemErro
     let inv = invariant_formula(n);
     let obligation = inv.clone().implies(inv.clone().ax());
     let mut component_checks = Vec::new();
+    let mut init_implies_inv = false;
     for (k, m) in mods.iter().enumerate() {
         let mut expansion = compile_expansion(&union, m)?;
         let ok = expansion
@@ -303,18 +304,19 @@ pub fn prove_invariant_compositional(n: usize) -> Result<InvariantProof, SemErro
             format!("client{k}")
         };
         component_checks.push((name, ok));
+        if k == 0 {
+            // I ⇒ Inv, decided on the server expansion's BDD vocabulary
+            // (every expansion declares the whole union).
+            let model = &mut expansion.model;
+            let init_bdd = model
+                .prop_to_bdd(&initial_condition(n))
+                .map_err(|e| SemError(e.to_string()))?;
+            let inv_bdd = model
+                .prop_to_bdd(&inv)
+                .map_err(|e| SemError(e.to_string()))?;
+            init_implies_inv = model.mgr().implies_trivially(init_bdd, inv_bdd);
+        }
     }
-    // I ⇒ Inv, decided on any expansion's BDD vocabulary.
-    let mut vocab = compile_expansion(&union, &mods[0])?;
-    let init_bdd = vocab
-        .model
-        .prop_to_bdd(&initial_condition(n))
-        .map_err(|e| SemError(e.to_string()))?;
-    let inv_bdd = vocab
-        .model
-        .prop_to_bdd(&inv)
-        .map_err(|e| SemError(e.to_string()))?;
-    let init_implies_inv = vocab.model.mgr().implies_trivially(init_bdd, inv_bdd);
     Ok(InvariantProof {
         component_checks,
         init_implies_inv,

@@ -11,7 +11,9 @@
 //! no checker at all: the expansion freezes them, so the frame argument of
 //! Lemma 8 decides it propositionally. Every other Rule-2 obligation small
 //! enough for the dense explicit kernel is decided by Lemma 6, in one pass
-//! over the component's own moves.
+//! over the component's own moves. Each obligation is decided on the
+//! calling thread at the moment it is posed, in certificate order: with
+//! almost every one decided in microseconds, the engine starts no thread.
 //!
 //! Every deduction produces a [`Certificate`] recording each step, so a
 //! component consumer can audit the proof — the paper's stated goal is
@@ -364,6 +366,29 @@ impl PropMask {
         self.0.get(w).copied().unwrap_or(0)
     }
 
+    /// `self ∪ other`.
+    fn or(mut self, other: &PropMask) -> PropMask {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
+        self
+    }
+
+    /// The positions in `self ∖ other`, ascending.
+    fn difference<'s>(&'s self, other: &'s PropMask) -> impl Iterator<Item = usize> + 's {
+        self.0.iter().enumerate().flat_map(move |(w, m)| {
+            let mut bits = m & !other.word(w);
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(w * 64 + bit)
+            })
+        })
+    }
+
     fn is_disjoint(&self, other: &PropMask) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a & b == 0)
     }
@@ -375,13 +400,6 @@ impl PropMask {
             .enumerate()
             .all(|(w, m)| m & !(a.word(w) | b.word(w)) == 0)
     }
-}
-
-/// The error for a formula proposition that no component declares.
-fn unknown_proposition(p: &str) -> EngineError {
-    EngineError::Check(format!(
-        "formula proposition {p:?} unknown to every component"
-    ))
 }
 
 /// The `(p, q)` of a Rule-2 obligation `p ⇒ AX q`, `p` and `q`
@@ -407,13 +425,12 @@ struct Checked {
 }
 
 /// The invariant rule's per-proof bookkeeping: every conjunct with its
-/// proposition set and union mask, computed once per proof rather than per
-/// (conjunct, component) pair.
+/// union mask, computed once per proof rather than per (conjunct,
+/// component) pair.
 struct InvariantGrid<'a> {
     inv: &'a Formula,
-    inv_props: BTreeSet<String>,
+    inv_mask: PropMask,
     conjuncts: Vec<Formula>,
-    props: Vec<BTreeSet<String>>,
     masks: Vec<PropMask>,
 }
 
@@ -498,36 +515,34 @@ impl Engine {
     }
 
     /// The *minimal expansion* of component `i` for checking a formula
-    /// with proposition set `props`: the component expanded over only the
-    /// propositions it is missing (Lemma 5 makes this equivalent to the
-    /// full-union expansion for formulas in `C(Σᵢ ∪ props)` — and it is
-    /// exponentially cheaper when obligations are local, which is what
-    /// makes the Discussion's linear-in-components claim real).
+    /// over the propositions in `props`: the component expanded over only
+    /// the propositions it is missing, in name order (Lemma 5 makes this
+    /// equivalent to the full-union expansion for formulas in
+    /// `C(Σᵢ ∪ props)` — and it is exponentially cheaper when obligations
+    /// are local, which is what makes the Discussion's
+    /// linear-in-components claim real).
     ///
     /// Returned as a lazy [`Target`] so the backend decides how to realise
     /// the expansion: the explicit engine pads frames, the symbolic engine
-    /// just declares frozen variables. A proposition no component declares
-    /// is an [`EngineError::Check`] naming it.
-    fn minimal_target(
-        &self,
-        i: usize,
-        props: &BTreeSet<String>,
-    ) -> Result<Target<'_>, EngineError> {
-        let system = &self.components[i].system;
-        let extra: Vec<&String> = props
-            .iter()
-            .filter(|p| !system.alphabet().contains(p))
+    /// just declares frozen variables.
+    fn minimal_target(&self, i: usize, props: &PropMask) -> Target<'_> {
+        let mut extra: Vec<&str> = props
+            .difference(&self.owned[i])
+            .map(|p| self.union.name(p))
             .collect();
-        if let Some(p) = extra.iter().find(|p| !self.union.contains(p)) {
-            return Err(unknown_proposition(p));
-        }
-        Ok(Target::expansion(vec![system], Alphabet::new(extra)))
+        extra.sort_unstable();
+        Target::expansion(vec![&self.components[i].system], Alphabet::new(extra))
     }
 
-    /// `props` as a mask over the union alphabet, or the error naming a
-    /// proposition no component declares.
+    /// `props` as a mask over the union alphabet, or the
+    /// [`EngineError::Check`] naming the first proposition no component
+    /// declares.
     fn prop_mask(&self, props: &BTreeSet<String>) -> Result<PropMask, EngineError> {
-        PropMask::of(&self.union, props).map_err(|p| unknown_proposition(p))
+        PropMask::of(&self.union, props).map_err(|p| {
+            EngineError::Check(format!(
+                "formula proposition {p:?} unknown to every component"
+            ))
+        })
     }
 
     /// Does component `i` declare none of the propositions in `mask`? Its
@@ -577,96 +592,75 @@ impl Engine {
 
     /// Check a universal obligation on every component, conjunct-wise with
     /// minimal expansions. Appends one step per (conjunct, component) pair,
-    /// in grid order. A pair whose component declares none of the
-    /// conjunct's propositions is decided by frame (Lemma 8) without a
-    /// checker; with a store attached, obligations answered from the store
-    /// never reach the checker either. Of the rest, Lemma 6 decides the
-    /// ones the dense explicit kernel would answer on the spot; only the
-    /// others are fanned out in parallel.
+    /// in grid order, deciding each pair as it is posed. A pair whose
+    /// component declares none of the conjunct's propositions is decided by
+    /// frame (Lemma 8) without a checker; with a store attached,
+    /// obligations answered from the store never reach the checker either.
+    ///
+    /// Fresh verdicts are memoized only after the last lookup, so every
+    /// lookup sees the store as the call found it: a second identical
+    /// component is checked, not answered by the first one's entry, and a
+    /// cold proof with a store certifies exactly what one without a store
+    /// does (DESIGN §6a).
     fn check_universal(&self, f: &Formula, cert: &mut Certificate) -> Result<(), EngineError> {
-        enum Slot {
-            /// Decided by frame: is `p ⇒ q` valid?
-            Frame(bool),
-            /// Answered by the store under the planned engine.
-            Cached(bool, BackendKind),
-            /// Checked fresh, memoized under its key when a store is
-            /// attached: decided by Lemma 6 already, or by the fan-out.
-            Fresh(Option<ObligationKey>, Option<Checked>),
-        }
+        let conjuncts = Self::conjuncts(f)
+            .into_iter()
+            .map(|k| Ok((self.prop_mask(&k.atomic_props())?, k)))
+            .collect::<Result<Vec<_>, EngineError>>()?;
         let trivial = Restriction::trivial();
-        let mut slots: Vec<(String, Slot)> = Vec::new();
-        let mut misses: Vec<(Target, Formula, RouteDecision)> = Vec::new();
-        for conjunct in Self::conjuncts(f) {
-            let props = conjunct.atomic_props();
-            let mask = self.prop_mask(&props)?;
+        let mut fresh = Vec::new();
+        let mut failed = None;
+        'grid: for (mask, conjunct) in &conjuncts {
             let text = conjunct.to_string();
             // `p ⇒ q` decides every frame-local pair of this conjunct.
             let mut frame = None;
             for (i, comp) in self.components.iter().enumerate() {
                 let name = format!("minimal expansion of {} ⊨ {text}", comp.name);
-                if let Some((p, q)) = rule2_parts(&conjunct).filter(|_| self.frame_local(i, &mask))
-                {
+                if let Some((p, q)) = rule2_parts(conjunct).filter(|_| self.frame_local(i, mask)) {
                     let holds = *frame.get_or_insert_with(|| {
                         propositional_validity(&p.clone().implies(q.clone()))
                     });
-                    slots.push((format!("{name} by frame (Lemma 8)"), Slot::Frame(holds)));
+                    cert.step(format!("{name} by frame (Lemma 8)"), holds, true);
                     continue;
                 }
-                let target = self.minimal_target(i, &props)?;
+                let target = self.minimal_target(i, mask);
                 let plan = self.backend.route(&target, &trivial);
                 let key = match &self.store {
                     Some(store) => {
                         let key =
-                            self.target_key("check", &target, &trivial, &conjunct, plan.planned);
+                            self.target_key("check", &target, &trivial, conjunct, plan.planned);
                         if let Some(entry) = store.lookup(&key) {
-                            slots.push((
-                                format!("{name} (cached)"),
-                                Slot::Cached(entry.verdict, plan.planned),
-                            ));
+                            let name = format!("{name} (cached)");
+                            cert.step_checked(name, entry.verdict, true, plan.planned, None);
                             continue;
                         }
                         Some(key)
                     }
                     None => None,
                 };
-                let decided = self.by_lemma6(&target, &trivial, &conjunct, &plan);
-                if decided.is_none() {
-                    misses.push((target, conjunct.clone(), plan));
-                }
-                slots.push((name, Slot::Fresh(key, decided)));
-            }
-        }
-        let mut fresh = crate::scheduler::run(misses.len(), |m| {
-            let (target, conjunct, plan) = &misses[m];
-            self.run_check(target, &trivial, conjunct, *plan)
-        })
-        .into_iter();
-        for (name, slot) in slots {
-            match slot {
-                Slot::Frame(holds) => cert.step(name, holds, true),
-                Slot::Cached(holds, kind) => cert.step_checked(name, holds, true, kind, None),
-                Slot::Fresh(key, decided) => {
-                    let checked = match decided {
-                        Some(checked) => checked,
-                        None => fresh
-                            .next()
-                            .expect("one parallel result per miss")
-                            .map_err(EngineError::Check)??,
-                    };
-                    if let (Some(store), Some(key)) = (&self.store, key) {
-                        store.insert(key, Entry::verdict(checked.holds));
+                let checked = match self.run_check(&target, &trivial, conjunct, plan) {
+                    Ok(checked) => checked,
+                    Err(e) => {
+                        failed = Some(e);
+                        break 'grid;
                     }
-                    cert.step_checked(
-                        name,
-                        checked.holds,
-                        true,
-                        checked.backend,
-                        Some(checked.duration),
-                    );
-                }
+                };
+                fresh.extend(key.map(|key| (key, checked.holds)));
+                cert.step_checked(
+                    name,
+                    checked.holds,
+                    true,
+                    checked.backend,
+                    Some(checked.duration),
+                );
             }
         }
-        Ok(())
+        if let Some(store) = &self.store {
+            for (key, holds) in fresh {
+                store.insert(key, Entry::verdict(holds));
+            }
+        }
+        failed.map_or(Ok(()), Err)
     }
 
     /// `target ⊨_r f` on `plan`, the route the caller made (a store key
@@ -749,15 +743,6 @@ impl Engine {
             None => (plan.planned, None),
         };
         Ok((entry.verdict, hit, kind, duration))
-    }
-
-    /// `⊨ f` in every state of `target` — a trivially restricted check.
-    fn cached_holds_everywhere(
-        &self,
-        target: &Target,
-        f: &Formula,
-    ) -> Result<(bool, bool, BackendKind, Option<Duration>), EngineError> {
-        self.cached_target_check(target, &Restriction::trivial(), f)
     }
 
     /// Suffix a step description with the cache marker when `hit`.
@@ -846,9 +831,10 @@ impl Engine {
                 for c in &r.fairness {
                     props.extend(c.atomic_props());
                 }
+                let mask = self.prop_mask(&props)?;
                 let mut found = false;
                 for (i, comp) in self.components.iter().enumerate() {
-                    let target = self.minimal_target(i, &props)?;
+                    let target = self.minimal_target(i, &mask);
                     let (holds, hit, kind, duration) = self.cached_target_check(&target, r, f)?;
                     if holds {
                         cert.step_checked(
@@ -875,7 +861,8 @@ impl Engine {
                     // necessary: the property may still hold through the
                     // components' interaction. Fall back to the monolith.
                     cert.step(
-                        "no single component establishes the existential property;                          falling back to whole-system check",
+                        "no single component establishes the existential property; \
+                         falling back to whole-system check",
                         true,
                         false,
                     );
@@ -964,16 +951,14 @@ impl Engine {
         // mutual-exclusion invariant of a token ring — destroying the
         // locality this method exists to exploit.)
         let conjuncts = Self::conjuncts(inv);
-        let props: Vec<BTreeSet<String>> = conjuncts.iter().map(Formula::atomic_props).collect();
-        let masks = props
+        let masks = conjuncts
             .iter()
-            .map(|ps| self.prop_mask(ps))
+            .map(|k| self.prop_mask(&k.atomic_props()))
             .collect::<Result<Vec<_>, _>>()?;
         let grid = InvariantGrid {
             inv,
-            inv_props: props.iter().flatten().cloned().collect(),
+            inv_mask: masks.iter().fold(PropMask::default(), PropMask::or),
             conjuncts,
-            props,
             masks,
         };
         let r = Restriction::new(init.clone(), fairness.iter().cloned());
@@ -982,22 +967,7 @@ impl Engine {
         let valid_init = propositional_validity(&validity);
         cert.step(format!("validity of {validity}"), valid_init, true);
 
-        // Fan the pairs that share a proposition out over the bounded
-        // scheduler; frame-local pairs need no check. Every pair is
-        // independent (the ladder only reads `self` and the shared store),
-        // so a 30-component proof keeps all cores busy with exactly
-        // `available_parallelism` workers. Results come back in grid order,
-        // so the certificate below is byte-identical to the sequential one.
-        let n = self.components.len();
-        let pairs: Vec<(usize, usize)> = (0..grid.conjuncts.len())
-            .flat_map(|ki| (0..n).map(move |i| (ki, i)))
-            .filter(|&(ki, i)| !self.frame_local(i, &grid.masks[ki]))
-            .collect();
-        let outcomes = crate::scheduler::run(pairs.len(), |p| {
-            let (ki, i) = pairs[p];
-            self.check_cluster_on_component(&grid, ki, i)
-        });
-        let mut outcomes = outcomes.into_iter();
+        // One step per pair in grid order; frame-local pairs need no check.
         for (ki, k) in grid.conjuncts.iter().enumerate() {
             let k = k.to_string();
             for (i, comp) in self.components.iter().enumerate() {
@@ -1009,11 +979,7 @@ impl Engine {
                     );
                     continue;
                 }
-                let level = outcomes
-                    .next()
-                    .expect("one outcome per checked (conjunct, component) pair")
-                    .map_err(EngineError::Check)??;
-                match level {
+                match self.check_cluster_on_component(&grid, ki, i)? {
                     Some((level, kind)) => cert.step_checked(
                         format!(
                             "{}: Inv ⇒ AX ({k}) via {}",
@@ -1058,16 +1024,16 @@ impl Engine {
         ki: usize,
         i: usize,
     ) -> Result<Option<(u8, BackendKind)>, EngineError> {
-        let check =
-            |props: &BTreeSet<String>, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
-                let target = self.minimal_target(i, props)?;
-                self.cached_holds_everywhere(&target, f)
-                    .map(|(holds, _, kind, _)| (holds, kind))
-            };
+        let trivial = Restriction::trivial();
+        let check = |props: &PropMask, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
+            let target = self.minimal_target(i, props);
+            self.cached_target_check(&target, &trivial, f)
+                .map(|(holds, _, kind, _)| (holds, kind))
+        };
         let k = &grid.conjuncts[ki];
         // Level 1: local induction.
         let local = k.clone().implies(k.clone().ax());
-        if let (true, kind) = check(&grid.props[ki], &local)? {
+        if let (true, kind) = check(&grid.masks[ki], &local)? {
             return Ok(Some((1, kind)));
         }
         // Level 2: neighbourhood hypothesis — the conjuncts that fit
@@ -1080,16 +1046,15 @@ impl Engine {
         let hyp = Formula::and_many(relevant.iter().map(|&c| grid.conjuncts[c].clone()));
         let wide = hyp.implies(k.clone().ax());
         // `K` itself fits its own footprint, so it is among `relevant`.
-        let props2: BTreeSet<String> = relevant
+        let footprint = relevant
             .iter()
-            .flat_map(|&c| grid.props[c].iter().cloned())
-            .collect();
-        if let (true, kind) = check(&props2, &wide)? {
+            .fold(PropMask::default(), |acc, &c| acc.or(&grid.masks[c]));
+        if let (true, kind) = check(&footprint, &wide)? {
             return Ok(Some((2, kind)));
         }
         // Level 3: full mutual induction.
         let full = grid.inv.clone().implies(k.clone().ax());
-        if let (true, kind) = check(&grid.inv_props, &full)? {
+        if let (true, kind) = check(&grid.inv_mask, &full)? {
             return Ok(Some((3, kind)));
         }
         Ok(None)
@@ -1843,6 +1808,31 @@ mod tests {
         assert!(cert.fully_compositional());
     }
 
+    /// Masks past one 64-bit word: a minimal expansion names exactly the
+    /// propositions its component lacks, in name order (as the proof's
+    /// targets always have), not in union order.
+    #[test]
+    fn minimal_targets_past_one_mask_word() {
+        let comps: Vec<Component> = (0..70)
+            .map(|i| {
+                let name = format!("x{i}");
+                let mut m = System::new(Alphabet::new([name.clone()]));
+                m.add_transition_named(&[], &[name.as_str()]);
+                Component::new(format!("c{i}"), m)
+            })
+            .collect();
+        let e = Engine::new(comps);
+        let f = parse("x0 -> AX (x0 | x7 | x69)").unwrap();
+        let mask = e.prop_mask(&f.atomic_props()).unwrap();
+        let extra = |i: usize| e.minimal_target(i, &mask).extra().names().to_vec();
+        assert_eq!(extra(0), ["x69", "x7"]);
+        assert_eq!(extra(69), ["x0", "x7"]);
+        assert_eq!(extra(3), ["x0", "x69", "x7"]);
+        let cert = e.prove(&Restriction::trivial(), &f).unwrap();
+        assert!(cert.valid, "{cert}");
+        assert_eq!(cert.checked_steps().count(), 3, "{cert}");
+    }
+
     /// The acceptance scenario for pluggable backends: an unclassifiable
     /// property over a composition whose union alphabet exceeds
     /// `ExplicitLimits::DEFAULT_DENSE_BITS` forces a whole-system check, which the old
@@ -1966,6 +1956,64 @@ mod tests {
             "{c2}"
         );
         assert!(store.stats().hits >= 1);
+    }
+
+    /// DESIGN §6a's transparency rule where deciding pairs in place could
+    /// break it: two components with the same system pose identical
+    /// obligations under identical store keys, and a cold proof with a
+    /// fresh store must not answer the second from the first one's entry.
+    #[test]
+    fn identical_components_keep_cold_proofs_transparent() {
+        let mut twin = System::new(Alphabet::new(["a", "b"]));
+        twin.add_transition_named(&[], &["a"]);
+        twin.add_transition_named(&["a"], &["a", "b"]);
+        let engine = || {
+            Engine::new(vec![
+                Component::new("left", twin.clone()),
+                Component::new("right", twin.clone()),
+            ])
+        };
+        let store = Arc::new(CertStore::new());
+        let stored = engine().with_store(Arc::clone(&store));
+        let no_cached = |cert: &Certificate| {
+            assert!(cert.valid, "{cert}");
+            assert!(!cert.steps.iter().any(Step::cached), "{cert}");
+        };
+        let r = Restriction::trivial();
+        let f = parse("(a -> AX a) & (b -> AX b)").unwrap();
+        let bare = engine().prove(&r, &f).unwrap();
+        let cold = stored.prove(&r, &f).unwrap();
+        no_cached(&cold);
+        assert_eq!(cold, bare);
+        assert_eq!(stored.prove(&r, &f).unwrap(), cold);
+
+        let (inv, init) = (parse("b -> a").unwrap(), parse("!a & !b").unwrap());
+        let bare = engine().prove_invariant(&inv, &init, &[]).unwrap();
+        let cold = stored.prove_invariant(&inv, &init, &[]).unwrap();
+        no_cached(&cold);
+        assert_eq!(cold, bare);
+        assert_eq!(stored.prove_invariant(&inv, &init, &[]).unwrap(), cold);
+        assert!(store.stats().hits >= 2, "{}", store.stats());
+    }
+
+    /// When no single component establishes an existential property, the
+    /// certificate says so in one sentence before the whole-system check.
+    #[test]
+    fn existential_fallback_step_text() {
+        // Each component's expansion freezes the other's proposition, so
+        // neither reaches `x & y` alone; the composition does.
+        let cert = rising_pair()
+            .prove(&Restriction::trivial(), &parse("EF (x & y)").unwrap())
+            .unwrap();
+        assert!(cert.valid, "{cert}");
+        let steps: Vec<&str> = cert.steps.iter().map(|s| s.description.as_str()).collect();
+        assert_eq!(
+            steps[1],
+            "no single component establishes the existential property; \
+             falling back to whole-system check",
+            "{cert}"
+        );
+        assert_eq!(steps.len(), 3, "{cert}");
     }
 
     /// Toggler on `name` with `k` private scratch bits cycled before the

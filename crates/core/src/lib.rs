@@ -11,9 +11,11 @@
 //!   Rule 5 (strong fairness) producing *guarantees properties*, and the
 //!   invariant rule used throughout the case study.
 //! * **The proof engine** ([`engine`]) — expands components over the
-//!   composed alphabet (Lemma 5), model-checks component obligations (in
-//!   parallel, [`scheduler`]), transfers them by class, discharges
+//!   composed alphabet (Lemma 5), decides component obligations one at a
+//!   time on the calling thread, transfers them by class, discharges
 //!   guarantees, and emits auditable [`engine::Certificate`]s.
+//! * **A bounded scheduler** ([`scheduler`]) — the worker pool
+//!   `cmc-serve` fans each batch's jobs over.
 //! * **Executable lemmas** ([`lemmas`]) — decision procedures for Lemmas
 //!   5–11 of §3.2 on concrete systems (Lemmas 1–4 live in
 //!   `cmc_kripke::lemmas`), used by the property-based test-suite.

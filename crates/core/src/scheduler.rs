@@ -1,19 +1,19 @@
-//! Bounded work-claiming scheduler for obligation fan-out.
+//! Bounded work-claiming scheduler for independent jobs.
 //!
-//! The proof engine fans independent component obligations out over it
-//! (`Engine::check_universal`, `Engine::prove_invariant`), and `cmc-serve`
-//! runs each batch's jobs through [`run_bounded`]. The parallelism sits
-//! between obligations, as in the paper's Discussion: every single check
-//! (one labelling or BDD fixpoint) runs on one thread.
+//! `cmc-serve` runs each batch's jobs through [`run_bounded`], and the
+//! worker-count conformance tests run their obligations through it. The
+//! parallelism sits between whole jobs: every single check (one labelling
+//! or BDD fixpoint) runs on one thread. The proof engine starts no thread
+//! at all — its component obligations are decided in microseconds by the
+//! frame rule or Lemma 6, so it decides each on the calling thread as it
+//! is posed.
 //!
-//! One OS thread per component would be fine for the paper's
-//! three-process AFS case study and pathological for a 30-component proof
-//! on a 4-core box (oversubscription, stack pressure, unbounded spawn
-//! cost). This module is a *bounded* scheduler instead: at most
-//! `min(available_parallelism, tasks)` worker threads share one atomic
-//! claim counter over the task list, so every core stays busy, no task
-//! waits behind an idle sibling, and adding components adds queue
-//! entries, not threads.
+//! One OS thread per job would be pathological for a large batch
+//! (oversubscription, stack pressure, unbounded spawn cost). This module
+//! is a *bounded* scheduler instead: at most `min(workers, tasks)` worker
+//! threads share one atomic claim counter over the task list, so every
+//! core stays busy, no task waits behind an idle sibling, and adding jobs
+//! adds queue entries, not threads.
 //!
 //! Determinism: results are written to the slot matching each task's
 //! index, so the output order equals the input order *regardless of the
@@ -88,15 +88,6 @@ where
                 .expect("scope join guarantees every task ran")
         })
         .collect()
-}
-
-/// [`run_bounded`] at the machine's [`default_workers`] cap.
-pub fn run<T, F>(count: usize, job: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_bounded(count, default_workers(), job)
 }
 
 #[cfg(test)]

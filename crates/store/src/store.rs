@@ -28,9 +28,10 @@ struct Inner {
 /// are verdicts with optional certificates ([`Entry`]). The store is
 /// bounded: at capacity, the least-recently-used entry is evicted. All
 /// methods take `&self`; interior mutability is one [`Mutex`], so a store
-/// shared behind `Arc` can be consulted from the parallel per-component
-/// checks. (Every lookup updates the LRU clock and the hit/miss counters,
-/// so a reader/writer lock would have no shared side worth having.)
+/// shared behind `Arc` can serve several engines and `cmc-serve`'s
+/// concurrent batch workers. (Every lookup updates the LRU clock and the
+/// hit/miss counters, so a reader/writer lock would have no shared side
+/// worth having.)
 pub struct CertStore {
     inner: Mutex<Inner>,
     capacity: usize,
