@@ -121,12 +121,6 @@ impl BddManager {
         Bdd::TRUE
     }
 
-    /// The constant FALSE.
-    #[inline]
-    pub fn fls(&self) -> Bdd {
-        Bdd::FALSE
-    }
-
     /// The literal `v`.
     pub fn var(&mut self, v: Var) -> Bdd {
         assert!(v.0 < self.num_vars, "variable {v:?} not declared");

@@ -762,18 +762,20 @@ impl Engine {
         ObligationKey::composed(mode, self.backend.tag(), &systems, r, f)
     }
 
-    /// Memoize a whole deduction: return the stored certificate for `key`
-    /// if present, otherwise run `deduce` and store its certificate. A
-    /// stored certificate is returned verbatim — byte-for-byte the
-    /// certificate the original deduction produced.
+    /// Memoize a whole deduction: return the stored certificate for
+    /// `key()` if present, otherwise run `deduce` and store its
+    /// certificate. A stored certificate is returned verbatim —
+    /// byte-for-byte the certificate the original deduction produced.
+    /// Without a store the key is never built.
     fn cached_deduction(
         &self,
-        key: ObligationKey,
+        key: impl FnOnce() -> ObligationKey,
         deduce: impl FnOnce() -> Result<Certificate, EngineError>,
     ) -> Result<Certificate, EngineError> {
         let Some(store) = &self.store else {
             return deduce();
         };
+        let key = key();
         if let Some(entry) = store.lookup(&key) {
             if let Some(cert) = entry.certificate {
                 return Ok(cert.into());
@@ -794,9 +796,10 @@ impl Engine {
     /// sharing a component still reuses that component's checks (its
     /// steps are marked `(cached)`).
     pub fn prove(&self, r: &Restriction, f: &Formula) -> Result<Certificate, EngineError> {
-        self.cached_deduction(self.composition_key("prove", r, f), || {
-            self.prove_uncached(r, f)
-        })
+        self.cached_deduction(
+            || self.composition_key("prove", r, f),
+            || self.prove_uncached(r, f),
+        )
     }
 
     fn prove_uncached(&self, r: &Restriction, f: &Formula) -> Result<Certificate, EngineError> {
@@ -931,9 +934,10 @@ impl Engine {
         fairness: &[Formula],
     ) -> Result<Certificate, EngineError> {
         let r = Restriction::new(init.clone(), fairness.iter().cloned());
-        self.cached_deduction(self.composition_key("invariant", &r, inv), || {
-            self.prove_invariant_uncached(inv, init, fairness)
-        })
+        self.cached_deduction(
+            || self.composition_key("invariant", &r, inv),
+            || self.prove_invariant_uncached(inv, init, fairness),
+        )
     }
 
     fn prove_invariant_uncached(
@@ -1119,7 +1123,7 @@ impl Engine {
             .collect();
         substitution_side_conditions(&comp.name, concrete, abstraction, &rest, r, f)?;
         let key =
-            ObligationKey::substituted(self.backend.tag(), concrete, abstraction, &rest, r, f);
+            || ObligationKey::substituted(self.backend.tag(), concrete, abstraction, &rest, r, f);
         self.cached_deduction(key, || {
             let mut cert =
                 Certificate::new(format!("system ⊨_{r} {f} via abstraction of {}", comp.name));
@@ -1134,7 +1138,6 @@ impl Engine {
             );
             // Premise: C ⊑ A, memoized on its own key so any deduction
             // reusing this (concrete, abstraction) pair skips the fixpoint.
-            let sim_key = ObligationKey::refines(concrete, abstraction, self.backend.tag());
             let fresh = std::cell::RefCell::new(None);
             let run_sim = || -> Result<Entry, EngineError> {
                 let (out, kind) = check_refines(self.backend, concrete, abstraction)
@@ -1145,6 +1148,7 @@ impl Engine {
             };
             let (sim_holds, sim_hit) = match &self.store {
                 Some(store) => {
+                    let sim_key = ObligationKey::refines(concrete, abstraction, self.backend.tag());
                     let (entry, hit) = store.get_or_check(sim_key, run_sim)?;
                     (entry.verdict, hit)
                 }
@@ -1255,9 +1259,11 @@ impl Engine {
             }
         }
         // Memo key: both oriented premises, combined asymmetrically.
-        let k1 = ObligationKey::substituted(self.backend.tag(), c1, a1, &[a2], r, f);
-        let k2 = ObligationKey::substituted(self.backend.tag(), c2, a2, &[a1], r, f);
-        let key = ObligationKey(k1.0 ^ k2.0.rotate_left(1));
+        let key = || {
+            let k1 = ObligationKey::substituted(self.backend.tag(), c1, a1, &[a2], r, f);
+            let k2 = ObligationKey::substituted(self.backend.tag(), c2, a2, &[a1], r, f);
+            ObligationKey(k1.0 ^ k2.0.rotate_left(1))
+        };
         self.cached_deduction(key, || {
             let discharge = circular_refines(self.backend, c1, a1, c2, a2, &r.init)?;
             let mut cert = Certificate::new(format!(

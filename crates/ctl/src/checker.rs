@@ -399,23 +399,6 @@ impl Checker {
         z
     }
 
-    /// Greatest fixpoint `EG S = νZ. S ∧ EX Z` by backwards removal: a
-    /// state leaves `Z` once its last successor in `Z` is gone, and only
-    /// the predecessors of freshly removed states are re-examined.
-    ///
-    /// Because `R` is reflexive, every state's stutter self-loop keeps it
-    /// alive, the removal frontier starts (and stays) empty, and
-    /// `EG S = S` — the generic kernel is kept so the algorithm remains
-    /// correct should the reflexivity assumption ever be relaxed.
-    fn global_exists(&self, s: &StateSet) -> StateSet {
-        let z = s.clone();
-        // Seed the removal frontier with Z-states whose successor count
-        // within Z is zero. The stutter successor contributes 1 to every
-        // Z-state, so no state qualifies and the fixpoint is immediate.
-        debug_assert!(z.iter_indices().all(|v| z.contains_index(v)));
-        z
-    }
-
     /// Emerson–Lei fair `EG`: states with a fair path remaining in `S`.
     ///
     /// `νZ. S ∧ ⋀_i EX (E[S U (Z ∧ Fᵢ)])`, with two frontier-era savings
@@ -571,7 +554,8 @@ impl Checker {
 
     fn eg_maybe_fair(&self, s: &StateSet, fair_sets: &[StateSet]) -> StateSet {
         if fair_sets.is_empty() {
-            self.global_exists(s)
+            // `EG S = S`: every state's stutter loop stays in `S`.
+            s.clone()
         } else {
             self.global_exists_fair(s, fair_sets)
         }

@@ -3,9 +3,9 @@
 //! One thread accepts connections; each connection gets a session thread
 //! (capped by [`ServeConfig::max_sessions`]) that reads newline-framed
 //! requests and answers them in order. A `batch` request fans its jobs
-//! out across `cmc_core::scheduler::run_bounded` — the same bounded
-//! work-claiming pool the engine uses for obligation fan-out — so a
-//! 16-job batch on a 4-core box runs 4 worker sessions, not 16 threads.
+//! out across `cmc_core::scheduler::run_bounded`, a bounded
+//! work-claiming pool, so a 16-job batch on a 4-core box runs 4 worker
+//! sessions, not 16 threads.
 //! Every worker session parses and keys its job once and verifies the
 //! parsed module through [`cmc_smv::run_module`] against **one shared
 //! [`CertStore`]**, so obligations memoized by any client warm every
@@ -14,7 +14,7 @@
 //!
 //! With a disk directory configured, the store is loaded from the
 //! [`SegmentedDiskStore`] at start and a single [`Compactor`] thread
-//! periodically snapshots new verdicts into fresh segments and compacts
+//! snapshots new verdicts into fresh segments every 500 ms and compacts
 //! them under the byte budget. Shutdown (client `shutdown` op or
 //! [`Server::shutdown`]) *drains*: in-flight batches complete and their
 //! responses are written, sessions close at the next frame boundary, and
@@ -47,14 +47,10 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Shared in-memory store capacity (entries).
     pub store_capacity: usize,
-    /// Per-request-line byte cap.
-    pub max_request_bytes: usize,
     /// Segmented disk tier directory (`None` disables persistence).
     pub disk_dir: Option<PathBuf>,
     /// On-disk byte budget enforced by compaction (`None` = unbounded).
     pub disk_budget_bytes: Option<u64>,
-    /// How often the compactor snapshots the store to disk.
-    pub compact_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -64,16 +60,17 @@ impl Default for ServeConfig {
             workers: cmc_core::scheduler::default_workers(),
             max_sessions: 32,
             store_capacity: 4096,
-            max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
             disk_dir: None,
             disk_budget_bytes: None,
-            compact_interval: Duration::from_millis(500),
         }
     }
 }
 
 /// Segment count above which the compactor merges the disk tier.
 const MAX_SEGMENTS: usize = 8;
+
+/// How often the compactor snapshots the store to disk.
+const COMPACT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// How long a session blocks on the socket before re-checking the
 /// draining flag. Bounds shutdown latency for idle keep-alive sessions.
@@ -160,7 +157,7 @@ impl Server {
             Compactor::spawn(
                 Arc::clone(disk),
                 Arc::clone(&store),
-                shared.cfg.compact_interval,
+                COMPACT_INTERVAL,
                 MAX_SEGMENTS,
                 shared.cfg.disk_budget_bytes,
             )
@@ -270,8 +267,7 @@ fn session(stream: TcpStream, shared: &Shared) {
     let mut writer = stream;
     let mut partial = Vec::new();
     loop {
-        let line = match read_bounded_line(&mut reader, shared.cfg.max_request_bytes, &mut partial)
-        {
+        let line = match read_bounded_line(&mut reader, DEFAULT_MAX_REQUEST_BYTES, &mut partial) {
             Ok(LineRead::Line(line)) => line,
             Ok(LineRead::Eof) => return, // clean close
             Ok(LineRead::Oversized) => {
@@ -286,10 +282,7 @@ fn session(stream: TcpStream, shared: &Shared) {
                     &Response::Error {
                         id: None,
                         code: ErrorCode::Oversized,
-                        message: format!(
-                            "request line exceeds {} bytes",
-                            shared.cfg.max_request_bytes
-                        ),
+                        message: format!("request line exceeds {DEFAULT_MAX_REQUEST_BYTES} bytes"),
                     },
                 )
                 .ok();

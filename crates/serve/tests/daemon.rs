@@ -2,6 +2,7 @@
 //! single-shot `run_source`, the protocol error paths, graceful drain,
 //! and warm restarts from the segmented disk tier.
 
+use cmc_serve::protocol::DEFAULT_MAX_REQUEST_BYTES;
 use cmc_serve::workload::{afs_source, mixed_workload, ring_source};
 use cmc_serve::{Client, ErrorCode, Request, Response, ServeConfig, Server};
 use cmc_smv::run_source;
@@ -226,14 +227,11 @@ fn malformed_request_line_is_answered_and_the_session_survives() {
 
 #[test]
 fn oversized_payload_is_refused_and_the_connection_closes() {
-    let cfg = ServeConfig {
-        max_request_bytes: 512,
-        ..ServeConfig::default()
-    };
-    let mut server = Server::start(cfg).unwrap();
+    let mut server = Server::start(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let huge = format!(r#"{{"op":"ping","id":7,"pad":"{}"}}"#, "x".repeat(4096));
+    let pad = "x".repeat(DEFAULT_MAX_REQUEST_BYTES);
+    let huge = format!(r#"{{"op":"ping","id":7,"pad":"{pad}"}}"#);
     match client.raw_roundtrip(&huge).unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
         other => panic!("expected oversized error, got {other:?}"),
@@ -372,7 +370,6 @@ fn warm_restart_reloads_verdicts_from_the_segmented_store() {
     let sources = vec![ring_source(4), afs_source(2)];
     let cfg = || ServeConfig {
         disk_dir: Some(dir.clone()),
-        compact_interval: Duration::from_millis(50),
         ..ServeConfig::default()
     };
 

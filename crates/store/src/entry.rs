@@ -22,11 +22,12 @@ pub struct StoredStep {
     pub backend: Option<String>,
 }
 
-/// One abstraction substitution a certificate leaned on (mirrors
-/// `cmc_core::SubstitutionRecord`): everything a replay validator needs to
-/// re-establish the deduction *from the certificate alone* — re-run the
-/// simulation premise `concrete ⊑ abstraction` and re-check the property
-/// on `abstraction ∘ rest` under the recorded restriction.
+/// One abstraction substitution a certificate leaned on (a
+/// `cmc_core::Certificate` carries these as its `abstractions`):
+/// everything a replay validator needs to re-establish the deduction
+/// *from the certificate alone* — re-run the simulation premise
+/// `concrete ⊑ abstraction` and re-check the property on
+/// `abstraction ∘ rest` under the recorded restriction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredSubstitution {
     /// Display name of the component that was substituted.

@@ -21,27 +21,14 @@ use cmc_kripke::{Alphabet, State, System};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Tunable knobs for one generated obligation.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Union alphabet width (propositions across all components).
-    pub max_props: usize,
-    /// Expected proper transitions per system, as a fraction of the
-    /// `2^Σ × 2^Σ` pair space actually sampled.
-    pub max_transitions: usize,
-    /// Maximum formula nesting depth.
-    pub max_depth: usize,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_props: 4,
-            max_transitions: 12,
-            max_depth: 3,
-        }
-    }
-}
+/// Widest union alphabet the narrow generators draw ([`gen_obligation`],
+/// [`gen_partitioned_obligation`], [`gen_sim_pair`]).
+const MAX_PROPS: usize = 4;
+/// Most proper transitions the generators have [`gen_system`] sample for
+/// one system.
+const MAX_TRANSITIONS: usize = 12;
+/// Deepest formula nesting the generators draw.
+const MAX_DEPTH: usize = 3;
 
 /// The property-class strata the formula generator draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,10 +195,10 @@ pub fn gen_restriction(rng: &mut StdRng, names: &[String]) -> Restriction {
 /// Generate one full obligation from `seed`: either a single system over
 /// the whole alphabet, or an interleaving composition `M ∘ M'` of two
 /// components whose alphabets overlap in the middle.
-pub fn gen_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
+pub fn gen_obligation(seed: u64) -> Obligation {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..=cfg.max_props.max(2));
+    let n = rng.gen_range(2..=MAX_PROPS);
     let names = prop_names(0, n);
 
     let systems = if n >= 3 && rng.gen_bool(0.5) {
@@ -220,11 +207,11 @@ pub fn gen_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
         let left: Vec<String> = names[..=k].to_vec();
         let right: Vec<String> = names[k..].to_vec();
         vec![
-            gen_system(&mut rng, &left, cfg.max_transitions),
-            gen_system(&mut rng, &right, cfg.max_transitions),
+            gen_system(&mut rng, &left, MAX_TRANSITIONS),
+            gen_system(&mut rng, &right, MAX_TRANSITIONS),
         ]
     } else {
-        vec![gen_system(&mut rng, &names, cfg.max_transitions)]
+        vec![gen_system(&mut rng, &names, MAX_TRANSITIONS)]
     };
 
     let stratum = match rng.gen_range(0..8) {
@@ -234,7 +221,7 @@ pub fn gen_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
         5 => Stratum::AxStep,
         _ => Stratum::Free,
     };
-    let formula = gen_formula(&mut rng, &names, cfg.max_depth, stratum);
+    let formula = gen_formula(&mut rng, &names, MAX_DEPTH, stratum);
     let restriction = gen_restriction(&mut rng, &names);
 
     Obligation {
@@ -273,7 +260,7 @@ pub fn gen_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
 /// only a few active stations the mutable bits form short islands and the
 /// fragment stays a product of small local state spaces — wide,
 /// non-monotone, and still enumerable.
-pub fn gen_wide_obligation(seed: u64, props: usize, cfg: &GenConfig) -> Obligation {
+pub fn gen_wide_obligation(seed: u64, props: usize) -> Obligation {
     use rand::SeedableRng;
     assert!(props >= 3, "a ring needs at least 3 stations");
     // Decorrelate from the other obligation streams.
@@ -309,7 +296,7 @@ pub fn gen_wide_obligation(seed: u64, props: usize, cfg: &GenConfig) -> Obligati
                 return m; // frozen station: stutter only
             }
             m.add_transition_named(&[local[0].as_str()], &[local[1].as_str()]);
-            for _ in 0..rng.gen_range(0..=cfg.max_transitions.min(3)) {
+            for _ in 0..rng.gen_range(0..=3) {
                 let (s, t) = if family == 2 && rng.gen_range(0..4) == 0 {
                     GROWING_ARCS[rng.gen_range(0..GROWING_ARCS.len())]
                 } else {
@@ -342,7 +329,7 @@ pub fn gen_wide_obligation(seed: u64, props: usize, cfg: &GenConfig) -> Obligati
         5 => Stratum::AxStep,
         _ => Stratum::Free,
     };
-    let formula = gen_formula(&mut rng, &names, cfg.max_depth, stratum);
+    let formula = gen_formula(&mut rng, &names, MAX_DEPTH, stratum);
     let n_fair = rng.gen_range(0..=1);
     let fairness: Vec<Formula> = (0..n_fair)
         .map(|_| gen_propositional(&mut rng, &names, 1))
@@ -363,12 +350,13 @@ pub fn gen_wide_obligation(seed: u64, props: usize, cfg: &GenConfig) -> Obligati
 /// with component `i+1`), so the symbolic engine gets a genuinely
 /// disjunctive multi-partition relation and the explicit engine gets
 /// real frame padding. This is the disagreement-seeking corpus for the
-/// unmerged/scheduled/monolithic/explicit/reference five-way oracle.
-pub fn gen_partitioned_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
+/// unmerged, scheduled and monolithic symbolic plans against the explicit
+/// backend and the reference.
+pub fn gen_partitioned_obligation(seed: u64) -> Obligation {
     use rand::SeedableRng;
     // Decorrelate from the plain obligation stream.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xa5a5_5a5a_c3c3_3c3c);
-    let n = rng.gen_range(3..=cfg.max_props.max(3));
+    let n = rng.gen_range(3..=MAX_PROPS);
     let names = prop_names(0, n);
     let k = rng.gen_range(2..=n.min(4));
 
@@ -389,7 +377,7 @@ pub fn gen_partitioned_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
         .map(|i| {
             let lo = cuts[i].saturating_sub(1);
             let hi = (cuts[i + 1] + 1).min(n);
-            gen_system(&mut rng, &names[lo..hi], cfg.max_transitions)
+            gen_system(&mut rng, &names[lo..hi], MAX_TRANSITIONS)
         })
         .collect();
 
@@ -400,7 +388,7 @@ pub fn gen_partitioned_obligation(seed: u64, cfg: &GenConfig) -> Obligation {
         5 => Stratum::AxStep,
         _ => Stratum::Free,
     };
-    let formula = gen_formula(&mut rng, &names, cfg.max_depth, stratum);
+    let formula = gen_formula(&mut rng, &names, MAX_DEPTH, stratum);
     let restriction = gen_restriction(&mut rng, &names);
 
     Obligation {
@@ -452,13 +440,13 @@ pub struct SimPair {
 /// weakened projection — all `holds` by construction); the rest exercise
 /// the failure paths and the relational fixpoint with abstract-private
 /// propositions.
-pub fn gen_sim_pair(seed: u64, cfg: &GenConfig) -> SimPair {
+pub fn gen_sim_pair(seed: u64) -> SimPair {
     use rand::SeedableRng;
     // Decorrelate from the obligation stream so the two corpora differ.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f7_5e0d_beef_cafe);
-    let n = rng.gen_range(2..=cfg.max_props.max(2));
+    let n = rng.gen_range(2..=MAX_PROPS);
     let names = prop_names(0, n);
-    let concrete = gen_system(&mut rng, &names, cfg.max_transitions);
+    let concrete = gen_system(&mut rng, &names, MAX_TRANSITIONS);
 
     // A random non-empty kept subset, in alphabet order.
     let k = rng.gen_range(1..=n);
@@ -513,7 +501,7 @@ pub fn gen_sim_pair(seed: u64, cfg: &GenConfig) -> SimPair {
                 // fixpoint genuinely relational.
                 anames.push("hidden".to_string());
             }
-            let a = gen_system(&mut rng, &anames, cfg.max_transitions);
+            let a = gen_system(&mut rng, &anames, MAX_TRANSITIONS);
             (SimPairKind::Random, a, None)
         }
     };
@@ -534,10 +522,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = GenConfig::default();
         for seed in 0..50 {
-            let a = gen_obligation(seed, &cfg);
-            let b = gen_obligation(seed, &cfg);
+            let a = gen_obligation(seed);
+            let b = gen_obligation(seed);
             assert_eq!(a.formula, b.formula);
             assert_eq!(a.restriction.init, b.restriction.init);
             assert_eq!(a.restriction.fairness, b.restriction.fairness);
@@ -577,11 +564,10 @@ mod tests {
 
     #[test]
     fn sim_pairs_are_deterministic_and_overlapping() {
-        let cfg = GenConfig::default();
         let mut kinds = std::collections::BTreeSet::new();
         for seed in 0..120 {
-            let a = gen_sim_pair(seed, &cfg);
-            let b = gen_sim_pair(seed, &cfg);
+            let a = gen_sim_pair(seed);
+            let b = gen_sim_pair(seed);
             assert!(a.concrete.equivalent(&b.concrete));
             assert!(a.abstraction.equivalent(&b.abstraction));
             assert_eq!(a.kind, b.kind);
@@ -604,11 +590,10 @@ mod tests {
 
     #[test]
     fn partitioned_obligations_form_overlapping_chains() {
-        let cfg = GenConfig::default();
         let mut sizes = std::collections::BTreeSet::new();
         for seed in 0..150 {
-            let a = gen_partitioned_obligation(seed, &cfg);
-            let b = gen_partitioned_obligation(seed, &cfg);
+            let a = gen_partitioned_obligation(seed);
+            let b = gen_partitioned_obligation(seed);
             assert_eq!(a.formula, b.formula, "seed {seed} not deterministic");
             assert_eq!(a.systems.len(), b.systems.len());
             assert!(
@@ -634,7 +619,6 @@ mod tests {
 
     #[test]
     fn wide_families_cover_non_monotone_reachability() {
-        let cfg = GenConfig::default();
         let grows = |o: &Obligation| {
             o.systems.iter().any(|m| {
                 m.proper_transitions()
@@ -645,7 +629,7 @@ mod tests {
         let mut minting = 0usize;
         let mut mixed_minting = 0usize;
         for seed in 0..30u64 {
-            let o = gen_wide_obligation(seed, 9, &cfg);
+            let o = gen_wide_obligation(seed, 9);
             match seed % 3 {
                 0 => shrinking_only &= !grows(&o),
                 1 => minting += usize::from(grows(&o)),
@@ -662,10 +646,9 @@ mod tests {
 
     #[test]
     fn compositions_share_a_proposition() {
-        let cfg = GenConfig::default();
         let mut found_composed = false;
         for seed in 0..200 {
-            let o = gen_obligation(seed, &cfg);
+            let o = gen_obligation(seed);
             if o.systems.len() == 2 {
                 found_composed = true;
                 let a = o.systems[0].alphabet();

@@ -4,18 +4,20 @@
 //! satisfaction relation `M ⊨_r f`: the explicit checker (`cmc-ctl`), the
 //! symbolic checker (`cmc-symbolic`), and this crate's deliberately naïve
 //! [`RefEvaluator`] written straight from §2.2's path semantics. This
-//! crate generates seeded obligations, runs all three, replays every
+//! crate generates seeded obligations, runs them through a caller-chosen
+//! list of backend configurations and the reference, replays every
 //! witness and certificate against the transition relation, and shrinks
 //! any disagreement to a minimal replayable repro.
 //!
 //! Entry points:
 //!
 //! * [`gen_obligation`] — deterministic obligation from a `u64` seed;
-//! * [`run_obligation`] — the three-way differential check;
+//! * [`run_obligation`] — the differential check over a list of [`Leg`]s;
 //! * [`validate_witness`] / [`validate_verdict`] /
 //!   [`validate_certificate`] / [`replay_store`] — the replay validators;
 //! * `cargo run -p cmc-testkit --release -- --seed N --iters K` — the
-//!   fuzz binary ([`fuzz`]); `--corpus` replays `corpus/seeds.txt`.
+//!   fuzz binary, a [`sweep`] over fresh seeds; `--corpus` replays
+//!   `corpus/seeds.txt`.
 
 #![warn(missing_docs)]
 
@@ -25,14 +27,10 @@ pub mod reference;
 pub mod validate;
 
 pub use gen::{
-    gen_obligation, gen_partitioned_obligation, gen_sim_pair, gen_wide_obligation, GenConfig,
-    Obligation, SimPair, SimPairKind, Stratum,
+    gen_obligation, gen_partitioned_obligation, gen_sim_pair, gen_wide_obligation, Obligation,
+    SimPair, SimPairKind, Stratum,
 };
-pub use oracle::{
-    run_obligation, run_obligation_with, run_quad_obligation, run_sim_pair, run_wide_obligation,
-    shrink, shrink_quad, shrink_with, Disagreement, OracleOutcome, QuadDisagreement, QuadOutcome,
-    QuadVerdict, SimOracleOutcome, TripleVerdict, WideOutcome, WideVerdict,
-};
+pub use oracle::{run_obligation, run_sim_pair, shrink, Disagreement, Leg, Outcome, Verdicts};
 pub use reference::{
     naive_simulates, NaiveSimulation, RefError, RefEvaluator, NAIVE_SIM_MAX_PROPS,
     REFERENCE_MAX_PROPS,
@@ -42,30 +40,19 @@ pub use validate::{
     validate_witness, ValidationError, WitnessClaim,
 };
 
-/// The checked-in regression seed corpus, one seed per line (`#` comments
-/// allowed). Compiled in so the corpus replays identically from any
-/// working directory.
+/// The checked-in regression seed corpus for [`gen_obligation`], one seed
+/// per line (`#` comments allowed). Compiled in so the corpus replays
+/// identically from any working directory.
 pub const SEED_CORPUS: &str = include_str!("../corpus/seeds.txt");
 
-/// Parse [`SEED_CORPUS`] into seeds.
-pub fn corpus_seeds() -> Vec<u64> {
-    SEED_CORPUS
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| l.parse().ok())
-        .collect()
-}
-
-/// The partitioned-obligation regression corpus (seeds for
-/// [`gen_partitioned_obligation`]), one seed per line, `#` comments
-/// allowed. A separate file from [`SEED_CORPUS`]: these seeds drive the
-/// *five-way* oracle over multi-component partitions.
+/// The partitioned-obligation regression corpus, seeds for
+/// [`gen_partitioned_obligation`] in [`SEED_CORPUS`]'s format.
 pub const PARTITION_SEED_CORPUS: &str = include_str!("../corpus/partition_seeds.txt");
 
-/// Parse [`PARTITION_SEED_CORPUS`] into seeds.
-pub fn partition_corpus_seeds() -> Vec<u64> {
-    PARTITION_SEED_CORPUS
+/// Parse a seed corpus ([`SEED_CORPUS`], [`PARTITION_SEED_CORPUS`]) into
+/// seeds.
+pub fn corpus_seeds(corpus: &str) -> Vec<u64> {
+    corpus
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -73,142 +60,52 @@ pub fn partition_corpus_seeds() -> Vec<u64> {
         .collect()
 }
 
-/// Result of a partition-conformance fuzzing run.
+/// What a [`sweep`] came to.
 #[derive(Debug)]
-pub struct PartitionFuzzReport {
-    /// Obligations whose five verdicts agreed (witnesses replayed).
+pub struct SweepReport<D> {
+    /// Seeds on which every evaluator agreed.
     pub agreed: usize,
-    /// Obligations skipped (backend limits).
-    pub skipped: usize,
-    /// The first five-way disagreement found, if any.
-    pub failure: Option<QuadDisagreement>,
-}
-
-/// Run `iters` seeded **partitioned** obligations (overlapping-alphabet
-/// component sets from [`gen_partitioned_obligation`]) through the
-/// five-way oracle, stopping at the first disagreement.
-pub fn partition_fuzz(
-    seed0: u64,
-    iters: u64,
-    mut progress: impl FnMut(&str),
-) -> PartitionFuzzReport {
-    let cfg = GenConfig::default();
-    let mut report = PartitionFuzzReport {
-        agreed: 0,
-        skipped: 0,
-        failure: None,
-    };
-    for i in 0..iters {
-        let seed = seed0.wrapping_add(i);
-        let o = gen_partitioned_obligation(seed, &cfg);
-        match run_quad_obligation(&o) {
-            QuadOutcome::Agree(_) => report.agreed += 1,
-            QuadOutcome::Skipped(why) => {
-                report.skipped += 1;
-                progress(&format!("seed {seed}: skipped ({why})"));
-            }
-            QuadOutcome::Disagree(d) => {
-                report.failure = Some(*d);
-                return report;
-            }
-        }
-        if (i + 1) % 100 == 0 {
-            progress(&format!(
-                "{}/{iters} partitioned obligations checked",
-                i + 1
-            ));
-        }
-    }
-    report
-}
-
-/// Result of a fuzzing run.
-#[derive(Debug)]
-pub struct FuzzReport {
-    /// Obligations whose three verdicts agreed (witnesses replayed).
-    pub agreed: usize,
-    /// Obligations skipped (backend limits).
-    pub skipped: usize,
-    /// The first disagreement found, if any.
-    pub failure: Option<Disagreement>,
-}
-
-/// Run `iters` seeded obligations starting at `seed0`, stopping at the
-/// first disagreement. Progress lines go through `progress` (pass a no-op
-/// closure for quiet runs).
-pub fn fuzz(seed0: u64, iters: u64, mut progress: impl FnMut(&str)) -> FuzzReport {
-    let cfg = GenConfig::default();
-    let mut report = FuzzReport {
-        agreed: 0,
-        skipped: 0,
-        failure: None,
-    };
-    for i in 0..iters {
-        let seed = seed0.wrapping_add(i);
-        let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => report.agreed += 1,
-            OracleOutcome::Skipped(why) => {
-                report.skipped += 1;
-                progress(&format!("seed {seed}: skipped ({why})"));
-            }
-            OracleOutcome::Disagree(d) => {
-                report.failure = Some(*d);
-                return report;
-            }
-        }
-        if (i + 1) % 100 == 0 {
-            progress(&format!("{}/{iters} obligations checked", i + 1));
-        }
-    }
-    report
-}
-
-/// Result of a simulation-pair fuzzing run.
-#[derive(Debug)]
-pub struct SimFuzzReport {
-    /// Pairs where all three checkers agreed.
-    pub agreed: usize,
-    /// Agreed pairs whose verdict was `holds`.
+    /// Agreed seeds whose verdict was `holds`.
     pub holding: usize,
-    /// Pairs skipped (width limits).
+    /// Seeds skipped (backend limits).
     pub skipped: usize,
-    /// The first disagreement report, if any.
-    pub failure: Option<String>,
+    /// The first disagreement, if any; the sweep stops there.
+    pub failure: Option<D>,
 }
 
-/// Run `iters` seeded `(concrete, abstraction)` pairs through the
-/// three-way simulation oracle ([`run_sim_pair`]), stopping at the first
-/// disagreement.
-pub fn sim_fuzz(seed0: u64, iters: u64, mut progress: impl FnMut(&str)) -> SimFuzzReport {
-    let cfg = GenConfig::default();
-    let mut report = SimFuzzReport {
+/// Run `check` on each of `seeds` in order, stopping at the first
+/// disagreement. Each skip, and every hundredth seed as
+/// `"{n}/{total} {noun} checked"`, goes through `progress` (pass a no-op
+/// closure for quiet runs).
+pub fn sweep<D>(
+    seeds: &[u64],
+    noun: &str,
+    mut check: impl FnMut(u64) -> Outcome<D>,
+    mut progress: impl FnMut(&str),
+) -> SweepReport<D> {
+    let mut report = SweepReport {
         agreed: 0,
         holding: 0,
         skipped: 0,
         failure: None,
     };
-    for i in 0..iters {
-        let seed = seed0.wrapping_add(i);
-        let p = gen_sim_pair(seed, &cfg);
-        match run_sim_pair(&p) {
-            SimOracleOutcome::Agree { holds } => {
+    for (i, &seed) in seeds.iter().enumerate() {
+        match check(seed) {
+            Outcome::Agree(holds) => {
                 report.agreed += 1;
-                if holds {
-                    report.holding += 1;
-                }
+                report.holding += usize::from(holds);
             }
-            SimOracleOutcome::Skipped(why) => {
+            Outcome::Skipped(why) => {
                 report.skipped += 1;
                 progress(&format!("seed {seed}: skipped ({why})"));
             }
-            SimOracleOutcome::Disagree(d) => {
+            Outcome::Disagree(d) => {
                 report.failure = Some(d);
                 return report;
             }
         }
         if (i + 1) % 100 == 0 {
-            progress(&format!("{}/{iters} simulation pairs checked", i + 1));
+            progress(&format!("{}/{} {noun} checked", i + 1, seeds.len()));
         }
     }
     report
@@ -336,7 +233,7 @@ mod tests {
 
     #[test]
     fn corpus_parses_and_is_nonempty() {
-        let seeds = corpus_seeds();
+        let seeds = corpus_seeds(SEED_CORPUS);
         assert!(
             seeds.len() >= 50,
             "seed corpus should carry at least 50 regression seeds, got {}",

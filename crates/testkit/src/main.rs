@@ -5,22 +5,24 @@
 //! cargo run -p cmc-testkit --release -- --corpus             # regression corpus
 //! cargo run -p cmc-testkit --release -- --soak N             # one shared symbolic session
 //! cargo run -p cmc-testkit --release -- --sim N              # simulation-pair differential
-//! cargo run -p cmc-testkit --release -- --partition          # five-way partition oracle
+//! cargo run -p cmc-testkit --release -- --partition          # partitioned obligations
 //! ```
 //!
-//! Exit status 0 means every obligation ran through the explicit backend,
-//! the symbolic backend, and the reference evaluator in full agreement
-//! with all witnesses replaying; status 1 means a disagreement was found
-//! and a shrunk repro (with its `--seed`) was printed; status 2 is a
-//! usage error. `--soak N` instead drives N seeded formulas through one
-//! long-lived symbolic session and fails (status 1) if the BDD live-node
-//! high-water mark ever crosses the soak bound — the leak check for the
-//! memory kernel\'s garbage collector.
+//! Every obligation runs through the differential oracle: the explicit
+//! backend, the default symbolic backend and the reference evaluator, or
+//! with `--partition` the unmerged, scheduled and monolithic symbolic
+//! plans, the explicit backend and the reference. Exit status 0 means
+//! every seed agreed with all witnesses replaying; status 1 means a
+//! disagreement was found and a shrunk repro (with its replay command) was
+//! printed; status 2 is a usage error. `--soak N` instead drives N seeded
+//! formulas through one long-lived symbolic session and fails (status 1)
+//! if the BDD live-node high-water mark ever crosses the soak bound — the
+//! leak check for the memory kernel's garbage collector.
 
+use cmc_core::{ExplicitBackend, ImageMode, SymbolicBackend};
 use cmc_testkit::{
-    corpus_seeds, fuzz, gen_obligation, gen_partitioned_obligation, partition_corpus_seeds,
-    partition_fuzz, run_obligation, run_quad_obligation, sim_fuzz, soak, GenConfig, OracleOutcome,
-    QuadOutcome,
+    corpus_seeds, gen_obligation, gen_partitioned_obligation, gen_sim_pair, run_obligation,
+    run_sim_pair, soak, sweep, Leg, Obligation, PARTITION_SEED_CORPUS, SEED_CORPUS,
 };
 
 struct Args {
@@ -75,6 +77,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+fn print(line: &str) {
+    println!("{line}");
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -83,13 +89,14 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let fresh = |n: u64| -> Vec<u64> { (0..n).map(|i| args.seed.wrapping_add(i)).collect() };
 
     if let Some(n) = args.soak {
         println!(
             "soaking one shared symbolic session with {n} formulas from seed {}",
             args.seed
         );
-        match soak(args.seed, n, |line| println!("{line}")) {
+        match soak(args.seed, n, print) {
             Ok(report) => println!(
                 "soak clean: {} formulas; peak live {} nodes (bound {}), \
                  {} allocated in total, {} collections",
@@ -112,7 +119,8 @@ fn main() {
             "differential simulation check: {n} (concrete, abstraction) pairs from seed {}",
             args.seed
         );
-        let report = sim_fuzz(args.seed, n, |line| println!("{line}"));
+        let check = |seed| run_sim_pair(&gen_sim_pair(seed));
+        let report = sweep(&fresh(n), "simulation pairs", check, print);
         if let Some(d) = report.failure {
             eprintln!("{d}");
             std::process::exit(1);
@@ -127,71 +135,63 @@ fn main() {
         return;
     }
 
-    if args.partition && args.corpus {
-        let seeds = partition_corpus_seeds();
-        println!("replaying {} partition corpus seeds", seeds.len());
-        let cfg = GenConfig::default();
-        let mut agreed = 0usize;
-        for seed in seeds {
-            let o = gen_partitioned_obligation(seed, &cfg);
-            match run_quad_obligation(&o) {
-                QuadOutcome::Agree(_) => agreed += 1,
-                QuadOutcome::Skipped(why) => println!("seed {seed}: skipped ({why})"),
-                QuadOutcome::Disagree(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        println!("partition corpus clean: {agreed} obligations, five-way agreement everywhere");
-        return;
-    }
-
-    if args.partition {
+    let explicit = Leg::explicit(ExplicitBackend::default());
+    let scheduled = SymbolicBackend::default();
+    let legs = if args.partition {
+        let monolithic = scheduled.with_image_mode(ImageMode::Monolithic);
+        vec![
+            Leg::symbolic("unmerged", scheduled.unmerged()),
+            Leg::symbolic("scheduled", scheduled),
+            Leg::symbolic("monolithic", monolithic),
+            explicit,
+        ]
+    } else {
+        vec![explicit, Leg::symbolic("symbolic", scheduled)]
+    };
+    let (generate, corpus, noun): (fn(u64) -> Obligation, _, _) = if args.partition {
+        (
+            gen_partitioned_obligation,
+            PARTITION_SEED_CORPUS,
+            "partitioned obligations",
+        )
+    } else {
+        (gen_obligation, SEED_CORPUS, "obligations")
+    };
+    let (prefix, flag, ways, oracle) = if args.partition {
+        (
+            "partition ",
+            "--partition ",
+            "five-way",
+            " (five-way oracle)",
+        )
+    } else {
+        ("", "", "three-way", "")
+    };
+    let seeds = if args.corpus {
+        let seeds = corpus_seeds(corpus);
+        println!("replaying {} {prefix}corpus seeds", seeds.len());
+        seeds
+    } else {
         println!(
-            "fuzzing {} partitioned obligations from seed {} (five-way oracle)",
+            "fuzzing {} {noun} from seed {}{oracle}",
             args.iters, args.seed
         );
-        let report = partition_fuzz(args.seed, args.iters, |line| println!("{line}"));
-        if let Some(d) = report.failure {
-            eprintln!("{d}");
-            std::process::exit(1);
-        }
-        println!(
-            "done: {} agreed, {} skipped, five-way agreement everywhere",
-            report.agreed, report.skipped
-        );
-        return;
-    }
-
-    if args.corpus {
-        let seeds = corpus_seeds();
-        println!("replaying {} corpus seeds", seeds.len());
-        let cfg = GenConfig::default();
-        let mut agreed = 0usize;
-        for seed in seeds {
-            let o = gen_obligation(seed, &cfg);
-            match run_obligation(&o) {
-                OracleOutcome::Agree(_) => agreed += 1,
-                OracleOutcome::Skipped(why) => println!("seed {seed}: skipped ({why})"),
-                OracleOutcome::Disagree(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        println!("corpus clean: {agreed} obligations, three-way agreement everywhere");
-        return;
-    }
-
-    println!("fuzzing {} obligations from seed {}", args.iters, args.seed);
-    let report = fuzz(args.seed, args.iters, |line| println!("{line}"));
+        fresh(args.iters)
+    };
+    let report = sweep(&seeds, noun, |s| run_obligation(&generate(s), &legs), print);
     if let Some(d) = report.failure {
-        eprintln!("{d}");
+        eprintln!(
+            "{d}replay:   cargo run -p cmc-testkit -- {flag}--seed {}",
+            d.seed
+        );
         std::process::exit(1);
     }
-    println!(
-        "done: {} agreed, {} skipped, no disagreements",
-        report.agreed, report.skipped
-    );
+    let (agreed, skipped) = (report.agreed, report.skipped);
+    if args.corpus {
+        println!("{prefix}corpus clean: {agreed} obligations, {ways} agreement everywhere");
+    } else if args.partition {
+        println!("done: {agreed} agreed, {skipped} skipped, {ways} agreement everywhere");
+    } else {
+        println!("done: {agreed} agreed, {skipped} skipped, no disagreements");
+    }
 }

@@ -1,70 +1,129 @@
-//! The three-way differential oracle.
+//! The differential oracle.
 //!
-//! Every obligation runs through the explicit backend, the symbolic
-//! backend, and the independent [`RefEvaluator`] written straight from
-//! the paper's restriction semantics. A 2-vs-1 split is a bug in
-//! *somebody*; the oracle shrinks the obligation to a minimal disagreeing
-//! pair and reports it with a replayable seed. A trivially restricted
-//! `p ⇒ AX q` is also decided by Lemma 6 ([`lemma6_ax_holds`], the
-//! decision the proof engine takes on component obligations), and a
-//! Lemma-6 verdict that splits from the reference is a disagreement too.
+//! An obligation runs through an ordered list of [`Leg`]s, each a name and
+//! a check with [`ExplicitBackend::check`]'s signature, so the caller picks
+//! the backend configurations (image mode, GC schedule, cache bound, state
+//! budget) and a test can plant a faulty one. Where the target is at most
+//! [`REFERENCE_MAX_PROPS`] wide, the independent [`RefEvaluator`] also
+//! runs, on the materialised product. One obligation gets five checks:
 //!
-//! The three-way oracle stays beside the five-way one
-//! ([`run_quad_obligation`]) because its symbolic leg takes a
-//! [`SymbolicBackend`] chosen by the caller (GC schedule, cache bound):
-//! `tests/gc_conformance.rs` and `partition_conformance`'s
-//! forced-maintenance test need that, while the five-way oracle fixes its
-//! five legs.
+//! * every leg's `holds` equals every other leg's and the reference's;
+//! * every exact `sat_states` a leg reports equals the reference's count;
+//! * every violating state a leg reports replays through
+//!   [`validate_verdict`];
+//! * on a trivially restricted `p ⇒ AX q`, Lemma 6 ([`lemma6_ax_holds`],
+//!   the decision the proof engine takes on component obligations) agrees
+//!   with the reference;
+//! * every leg the symbolic engine answered reports the same `violating`
+//!   and `sat_states` as the first such leg.
+//!
+//! The second to fourth read the reference's product, so they run where it
+//! does; past its width the legs still cross-check each other. A failed
+//! check is a disagreement, which [`shrink`] reduces greedily to a minimal
+//! obligation that still disagrees. [`run_sim_pair`] is the same kind of
+//! oracle for the simulation checkers, and [`crate::sweep`] runs either
+//! over a list of seeds.
 
 use crate::gen::{Obligation, SimPair};
-use crate::reference::{naive_simulates, RefEvaluator};
-use crate::validate::{validate_verdict, ValidationError};
+use crate::reference::{naive_simulates, RefEvaluator, REFERENCE_MAX_PROPS};
+use crate::validate::validate_verdict;
 use cmc_core::lemmas::lemma6_ax_holds;
-use cmc_core::{BackendError, ExplicitBackend, SymbolicBackend, Target};
+use cmc_core::{BackendError, BackendKind, ExplicitBackend, SymbolicBackend, Target, Verdict};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
 use cmc_kripke::{Alphabet, SimulationOutcome, System};
-use cmc_symbolic::{simulates_symbolic, ImageMode};
+use cmc_symbolic::simulates_symbolic;
 use std::fmt;
 
-/// The three verdicts for one obligation, in a fixed order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TripleVerdict {
-    /// The explicit backend's `holds`.
-    pub explicit: bool,
-    /// The symbolic backend's `holds`.
-    pub symbolic: bool,
-    /// The reference evaluator's `holds`.
-    pub reference: bool,
+/// A leg's check: [`ExplicitBackend::check`]'s signature.
+type Check = dyn Fn(&Target, &Restriction, &Formula) -> Result<Verdict, BackendError> + Send + Sync;
+
+/// One evaluator the oracle runs: a name for reports and a check.
+pub struct Leg {
+    name: String,
+    check: Box<Check>,
 }
 
-impl TripleVerdict {
-    /// Do all three evaluators agree?
-    pub fn agrees(&self) -> bool {
-        self.explicit == self.symbolic && self.symbolic == self.reference
+impl Leg {
+    /// A leg named `name` that decides with `check`.
+    pub fn new(
+        name: impl Into<String>,
+        check: impl Fn(&Target, &Restriction, &Formula) -> Result<Verdict, BackendError>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Leg {
+        Leg {
+            name: name.into(),
+            check: Box::new(check),
+        }
+    }
+
+    /// The explicit backend under `backend`'s limits, named `explicit`.
+    pub fn explicit(backend: ExplicitBackend) -> Leg {
+        Leg::new("explicit", move |t, r, f| backend.check(t, r, f))
+    }
+
+    /// The symbolic backend configured as `backend`.
+    pub fn symbolic(name: impl Into<String>, backend: SymbolicBackend) -> Leg {
+        Leg::new(name, move |t, r, f| backend.check(t, r, f))
     }
 }
 
-/// A confirmed, shrunk disagreement between the evaluators.
+/// Every leg's `holds` on one obligation, and the reference's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Verdicts {
+    /// Each leg's name and `holds`, in leg order.
+    pub legs: Vec<(String, bool)>,
+    /// The reference evaluator's `holds`; `None` where the target is wider
+    /// than [`REFERENCE_MAX_PROPS`].
+    pub reference: Option<bool>,
+}
+
+impl Verdicts {
+    /// Do all evaluators say the same?
+    pub fn agrees(&self) -> bool {
+        let mut all = self
+            .legs
+            .iter()
+            .map(|&(_, holds)| holds)
+            .chain(self.reference);
+        let first = all.next();
+        all.all(|holds| Some(holds) == first)
+    }
+}
+
+impl fmt::Display for Verdicts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
+        for (name, holds) in &self.legs {
+            write!(f, "{sep}{name}={holds}")?;
+            sep = " ";
+        }
+        match self.reference {
+            Some(holds) => write!(f, "{sep}reference={holds}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A confirmed, shrunk disagreement.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
     /// Seed that produced the original obligation.
     pub seed: u64,
-    /// The verdict split on the *shrunk* obligation.
-    pub verdicts: TripleVerdict,
-    /// The shrunk minimal obligation still exhibiting the split.
+    /// The verdicts on the shrunk obligation.
+    pub verdicts: Verdicts,
+    /// The smallest obligation the shrinker found that still disagrees.
     pub shrunk: Obligation,
-    /// Ancillary detail (witness-replay failures, count mismatches).
+    /// Every other failed check on it: count mismatches, witness
+    /// replays, Lemma 6, differences between symbolic legs.
     pub notes: Vec<String>,
 }
 
 impl fmt::Display for Disagreement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== DIFFERENTIAL DISAGREEMENT ===")?;
-        writeln!(
-            f,
-            "verdicts: explicit={} symbolic={} reference={}",
-            self.verdicts.explicit, self.verdicts.symbolic, self.verdicts.reference
-        )?;
+        writeln!(f, "verdicts: {}", self.verdicts)?;
         writeln!(f, "formula:  {}", self.shrunk.formula)?;
         writeln!(f, "init:     {}", self.shrunk.restriction.init)?;
         for (i, c) in self.shrunk.restriction.fairness.iter().enumerate() {
@@ -72,111 +131,118 @@ impl fmt::Display for Disagreement {
         }
         for (i, m) in self.shrunk.systems.iter().enumerate() {
             let alpha = m.alphabet().names().join(",");
-            writeln!(f, "system[{i}] over {{{alpha}}}:")?;
+            writeln!(f, "component[{i}] over {{{alpha}}}:")?;
             for (s, t) in m.proper_transitions() {
-                writeln!(
-                    f,
-                    "  {} -> {}",
-                    s.display(m.alphabet()),
-                    t.display(m.alphabet())
-                )?;
+                let (s, t) = (s.display(m.alphabet()), t.display(m.alphabet()));
+                writeln!(f, "  {s} -> {t}")?;
             }
         }
         for n in &self.notes {
             writeln!(f, "note: {n}")?;
         }
-        writeln!(
-            f,
-            "replay:   cargo run -p cmc-testkit -- --seed {}",
-            self.seed
-        )
+        writeln!(f, "seed:     {}", self.seed)
     }
 }
 
-/// Outcome of running one obligation through the oracle.
+/// What one oracle run came to; `D` is the disagreement report.
 #[derive(Debug)]
-pub enum OracleOutcome {
-    /// All three evaluators agree (and every witness replayed cleanly).
-    Agree(TripleVerdict),
-    /// Somebody is wrong; here is the shrunk evidence.
-    Disagree(Box<Disagreement>),
-    /// The obligation could not be run (e.g. backend limit) — skipped.
+pub enum Outcome<D> {
+    /// Every evaluator agreed on this `holds` (witnesses replayed).
+    Agree(bool),
+    /// Somebody is wrong; here is the evidence.
+    Disagree(D),
+    /// The obligation could not be run (e.g. a backend limit).
     Skipped(String),
 }
 
-fn check_three(
-    systems: &[System],
-    r: &Restriction,
-    f: &Formula,
-    sym: SymbolicBackend,
-) -> Result<(TripleVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.iter().collect());
-    let explicit = ExplicitBackend::default()
-        .check(&target, r, f)
-        .map_err(|e: BackendError| e.to_string())?;
-    let symbolic = sym.check(&target, r, f).map_err(|e| e.to_string())?;
-
-    let product = target.materialize();
-    let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
-    let (ref_holds, _ref_violating) = reference.check(r, f).map_err(|e| e.to_string())?;
-
+/// Run every leg and, where the target fits it, the reference; return the
+/// verdicts and a note for every other check that failed.
+fn check_all(o: &Obligation, legs: &[Leg]) -> Result<(Verdicts, Vec<String>), String> {
+    let (r, f) = (&o.restriction, &o.formula);
+    let target = Target::composition(o.systems.iter().collect());
+    let verdicts = legs
+        .iter()
+        .map(|leg| (leg.check)(&target, r, f).map_err(|e| format!("{}: {e}", leg.name)))
+        .collect::<Result<Vec<Verdict>, String>>()?;
     let mut notes = Vec::new();
 
-    // Exact satisfying-state counts must match the reference wherever a
-    // backend offers one.
-    let ref_count = reference
-        .sat_count(f, &r.fairness)
-        .map_err(|e| e.to_string())?;
-    for v in [&explicit, &symbolic] {
-        if let Some(n) = v.sat_states {
-            if n != ref_count {
+    let reference = if target.width() <= REFERENCE_MAX_PROPS {
+        let product = target.materialize();
+        let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
+        let (ref_holds, _) = reference.check(r, f).map_err(|e| e.to_string())?;
+        let ref_count = reference
+            .sat_count(f, &r.fairness)
+            .map_err(|e| e.to_string())?;
+        for (leg, v) in legs.iter().zip(&verdicts) {
+            if let Some(n) = v.sat_states.filter(|&n| n != ref_count) {
                 notes.push(format!(
-                    "{} reports {} satisfying states, reference counts {}",
-                    v.stats.backend.name(),
-                    n,
-                    ref_count
+                    "{} reports {n} satisfying states, reference counts {ref_count}",
+                    leg.name
+                ));
+            }
+            // A reported witness must be an I-state refuting f.
+            if let Err(err) = validate_verdict(&product, r, f, v) {
+                notes.push(format!("{}: {err}", leg.name));
+            }
+        }
+        if let Some(decided) = lemma6_verdict(&product, r, f).filter(|&d| d != ref_holds) {
+            notes.push(format!(
+                "Lemma 6 decides {decided}, the reference {ref_holds}"
+            ));
+        }
+        Some(ref_holds)
+    } else {
+        None
+    };
+
+    // Image mode, merging, GC and cache bounds change how the symbolic
+    // engine computes its sets, never the sets: its legs must agree bit
+    // for bit, not only on `holds`.
+    let mut symbolic = legs
+        .iter()
+        .zip(&verdicts)
+        .filter(|(_, v)| v.stats.backend == BackendKind::Symbolic);
+    if let Some((first, base)) = symbolic.next() {
+        for (leg, v) in symbolic {
+            if v.violating != base.violating {
+                notes.push(format!(
+                    "{} and {} witness sets differ",
+                    leg.name, first.name
+                ));
+            }
+            if v.sat_states != base.sat_states {
+                notes.push(format!(
+                    "{} counts {:?} satisfying states, {} {:?}",
+                    leg.name, v.sat_states, first.name, base.sat_states
                 ));
             }
         }
     }
 
-    // Replay each backend's violating witnesses against the reference
-    // semantics: a reported witness must be an I-state refuting f.
-    for v in [&explicit, &symbolic] {
-        if let Err(err) = validate_verdict(&product, r, f, v) {
-            notes.push(format!("{}: {}", v.stats.backend.name(), err));
-        }
-    }
-
-    // Lemma 6 decides a trivially restricted p ⇒ AX q from the moves alone.
-    if let Formula::Implies(p, next) = f {
-        if let Formula::Ax(q) = next.as_ref() {
-            if r.is_trivial() && p.is_propositional() && q.is_propositional() {
-                let decided = lemma6_ax_holds(&product, &Alphabet::empty(), p, q);
-                if decided != ref_holds {
-                    notes.push(format!(
-                        "Lemma 6 decides {decided}, the reference {ref_holds}"
-                    ));
-                }
-            }
-        }
-    }
-
-    Ok((
-        TripleVerdict {
-            explicit: explicit.holds,
-            symbolic: symbolic.holds,
-            reference: ref_holds,
-        },
-        notes,
-    ))
+    let legs = legs.iter().zip(&verdicts);
+    let verdicts = Verdicts {
+        legs: legs.map(|(leg, v)| (leg.name.clone(), v.holds)).collect(),
+        reference,
+    };
+    Ok((verdicts, notes))
 }
 
-fn is_buggy(systems: &[System], r: &Restriction, f: &Formula, sym: SymbolicBackend) -> bool {
-    match check_three(systems, r, f, sym) {
-        Ok((v, notes)) => !v.agrees() || !notes.is_empty(),
-        Err(_) => false,
-    }
+/// Lemma 6's verdict on a trivially restricted `p ⇒ AX q` with
+/// propositional `p` and `q`, decided from the moves alone; `None` for
+/// any other obligation.
+fn lemma6_verdict(product: &System, r: &Restriction, f: &Formula) -> Option<bool> {
+    let Formula::Implies(p, next) = f else {
+        return None;
+    };
+    let Formula::Ax(q) = next.as_ref() else {
+        return None;
+    };
+    (r.is_trivial() && p.is_propositional() && q.is_propositional())
+        .then(|| lemma6_ax_holds(product, &Alphabet::empty(), p, q))
+}
+
+fn disagrees(o: &Obligation, legs: &[Leg]) -> bool {
+    check_all(o, legs).is_ok_and(|(v, notes)| !v.agrees() || !notes.is_empty())
 }
 
 /// Immediate subformulas of `f` (shrinking candidates).
@@ -217,371 +283,79 @@ fn without_transition(m: &System, skip: usize) -> System {
     out
 }
 
-/// Greedily shrink `o` while the three-way split persists. Each pass
-/// tries, in order: replacing the formula by a subformula, dropping a
-/// fairness constraint, widening init to `True`, and deleting single
-/// transitions; passes repeat until a fixpoint.
-pub fn shrink(o: &Obligation) -> Obligation {
-    shrink_with(o, SymbolicBackend::default())
-}
-
-/// [`shrink`] with a specific symbolic-backend configuration — the
-/// shrinking predicate re-checks with the same engine setup, so a split
-/// that only appears under e.g. forced maintenance keeps reproducing as
-/// the obligation shrinks.
-pub fn shrink_with(o: &Obligation, sym: SymbolicBackend) -> Obligation {
-    let mut cur = o.clone();
-    loop {
-        let mut progressed = false;
-
-        for sub in subformulas(&cur.formula) {
-            if is_buggy(&cur.systems, &cur.restriction, &sub, sym) {
-                cur.formula = sub;
-                progressed = true;
-                break;
-            }
-        }
-
-        for r in fewer_fairness(&cur.restriction) {
-            if is_buggy(&cur.systems, &r, &cur.formula, sym) {
-                cur.restriction = r;
-                progressed = true;
-                break;
-            }
-        }
-
-        if cur.restriction.init != Formula::True {
-            let r = Restriction::new(Formula::True, cur.restriction.fairness.clone());
-            if is_buggy(&cur.systems, &r, &cur.formula, sym) {
-                cur.restriction = r;
-                progressed = true;
-            }
-        }
-
-        'systems: for si in 0..cur.systems.len() {
-            let n_trans = cur.systems[si].proper_transitions().count();
-            for ti in 0..n_trans {
-                let mut systems = cur.systems.clone();
-                systems[si] = without_transition(&systems[si], ti);
-                if is_buggy(&systems, &cur.restriction, &cur.formula, sym) {
-                    cur.systems = systems;
-                    progressed = true;
-                    break 'systems;
-                }
-            }
-        }
-
-        if !progressed {
-            return cur;
-        }
-    }
-}
-
-/// Run one obligation through all three evaluators, cross-validating
-/// witnesses, shrinking on any disagreement.
-pub fn run_obligation(o: &Obligation) -> OracleOutcome {
-    run_obligation_with(o, SymbolicBackend::default())
-}
-
-/// [`run_obligation`] with a specific symbolic-backend configuration
-/// (maintenance policy, cache bound) — the lever the memory-kernel
-/// conformance suite uses to prove GC schedules are verdict-invariant.
-pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcome {
-    match check_three(&o.systems, &o.restriction, &o.formula, sym) {
-        Err(e) => OracleOutcome::Skipped(e),
-        Ok((v, notes)) if v.agrees() && notes.is_empty() => OracleOutcome::Agree(v),
-        Ok(_) => {
-            let shrunk = shrink_with(o, sym);
-            let (verdicts, notes) =
-                check_three(&shrunk.systems, &shrunk.restriction, &shrunk.formula, sym)
-                    .unwrap_or_else(|e| {
-                        (
-                            TripleVerdict {
-                                explicit: false,
-                                symbolic: false,
-                                reference: false,
-                            },
-                            vec![format!("shrunk obligation failed to re-run: {e}")],
-                        )
-                    });
-            OracleOutcome::Disagree(Box::new(Disagreement {
-                seed: o.seed,
-                verdicts,
-                shrunk,
-                notes,
-            }))
-        }
-    }
-}
-
-/// The verdicts of the partition-conformance oracle, in a fixed order:
-/// unmerged symbolic (the scheduled executor with one cluster per
-/// disjunctive part, [`SymbolicBackend::unmerged`]), scheduled symbolic
-/// (the default plan: cost-driven cluster merging and ordering),
-/// monolithic symbolic (the memoised product relation), explicit (the
-/// serial frontier kernel), and the naïve reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuadVerdict {
-    /// Unmerged-plan symbolic backend's `holds`.
-    pub unmerged: bool,
-    /// Scheduled-image symbolic backend's `holds`.
-    pub scheduled: bool,
-    /// Monolithic-image symbolic backend's `holds`.
-    pub monolithic: bool,
-    /// Explicit backend's `holds`.
-    pub explicit: bool,
-    /// The reference evaluator's `holds`.
-    pub reference: bool,
-}
-
-impl QuadVerdict {
-    /// Do all evaluators agree?
-    pub fn agrees(&self) -> bool {
-        self.unmerged == self.scheduled
-            && self.scheduled == self.monolithic
-            && self.monolithic == self.explicit
-            && self.explicit == self.reference
-    }
-}
-
-/// A confirmed, shrunk five-way disagreement.
-#[derive(Debug, Clone)]
-pub struct QuadDisagreement {
-    /// Seed that produced the original obligation.
-    pub seed: u64,
-    /// The verdict split on the *shrunk* obligation.
-    pub verdicts: QuadVerdict,
-    /// The shrunk minimal obligation still exhibiting the split — the
-    /// shrinker also *coarsens the partition* (merging adjacent
-    /// components), so the report shows the fewest components that still
-    /// disagree.
-    pub shrunk: Obligation,
-    /// Ancillary detail (witness-replay failures, count mismatches).
-    pub notes: Vec<String>,
-}
-
-impl fmt::Display for QuadDisagreement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== PARTITION-CONFORMANCE DISAGREEMENT ===")?;
-        writeln!(
-            f,
-            "verdicts: unmerged={} scheduled={} monolithic={} explicit={} reference={}",
-            self.verdicts.unmerged,
-            self.verdicts.scheduled,
-            self.verdicts.monolithic,
-            self.verdicts.explicit,
-            self.verdicts.reference
-        )?;
-        writeln!(f, "formula:  {}", self.shrunk.formula)?;
-        writeln!(f, "init:     {}", self.shrunk.restriction.init)?;
-        for (i, c) in self.shrunk.restriction.fairness.iter().enumerate() {
-            writeln!(f, "fair[{i}]:  {c}")?;
-        }
-        for (i, m) in self.shrunk.systems.iter().enumerate() {
-            let alpha = m.alphabet().names().join(",");
-            writeln!(f, "component[{i}] over {{{alpha}}}:")?;
-            for (s, t) in m.proper_transitions() {
-                writeln!(
-                    f,
-                    "  {} -> {}",
-                    s.display(m.alphabet()),
-                    t.display(m.alphabet())
-                )?;
-            }
-        }
-        for n in &self.notes {
-            writeln!(f, "note: {n}")?;
-        }
-        writeln!(
-            f,
-            "replay:   cargo run -p cmc-testkit -- --partition --seed {}",
-            self.seed
+/// The obligations one shrinking step reaches from `o`, in the order the
+/// shrinker tries them: merging two adjacent components, replacing the
+/// formula by a subformula, dropping a fairness constraint, widening init
+/// to `true`, and deleting one transition.
+fn smaller(o: &Obligation) -> impl Iterator<Item = Obligation> + '_ {
+    let edit = move |change: &dyn Fn(&mut Obligation)| {
+        let mut c = o.clone();
+        change(&mut c);
+        c
+    };
+    // `compose` pads every move with each valuation of the other side's
+    // private propositions, so merges stop at the reference's width:
+    // coarsening a wide obligation to one component would build its
+    // exponential product.
+    let coarser = (1..o.systems.len())
+        .filter(|&i| {
+            let (a, b) = (o.systems[i - 1].alphabet(), o.systems[i].alphabet());
+            a.union(b).len() <= REFERENCE_MAX_PROPS
+        })
+        .map(move |i| {
+            edit(&|c| {
+                c.systems[i - 1] = c.systems[i - 1].compose(&c.systems[i]);
+                c.systems.remove(i);
+            })
+        });
+    let formulas = subformulas(&o.formula)
+        .into_iter()
+        .map(move |g| edit(&|c| c.formula = g.clone()));
+    let restrictions = fewer_fairness(&o.restriction)
+        .into_iter()
+        .chain(
+            (o.restriction.init != Formula::True)
+                .then(|| Restriction::new(Formula::True, o.restriction.fairness.clone())),
         )
-    }
+        .map(move |r| edit(&|c| c.restriction = r.clone()));
+    let transitions = o.systems.iter().enumerate().flat_map(move |(si, m)| {
+        (0..m.proper_transitions().count())
+            .map(move |ti| edit(&|c| c.systems[si] = without_transition(&c.systems[si], ti)))
+    });
+    coarser
+        .chain(formulas)
+        .chain(restrictions)
+        .chain(transitions)
 }
 
-/// Outcome of running one obligation through the five-way oracle.
-#[derive(Debug)]
-pub enum QuadOutcome {
-    /// All five evaluators agree (counts and witnesses cross-validated).
-    Agree(QuadVerdict),
-    /// Somebody is wrong; here is the shrunk evidence.
-    Disagree(Box<QuadDisagreement>),
-    /// The obligation could not be run (e.g. backend limit) — skipped.
-    Skipped(String),
-}
-
-fn check_four(
-    systems: &[System],
-    r: &Restriction,
-    f: &Formula,
-) -> Result<(QuadVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.iter().collect());
-    let unmerged = SymbolicBackend::default()
-        .unmerged()
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let scheduled = SymbolicBackend::default()
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let monolithic = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Monolithic)
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let explicit = ExplicitBackend::default()
-        .check(&target, r, f)
-        .map_err(|e: BackendError| e.to_string())?;
-
-    let product = target.materialize();
-    let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
-    let (ref_holds, _) = reference.check(r, f).map_err(|e| e.to_string())?;
-
-    let mut notes = Vec::new();
-    let ref_count = reference
-        .sat_count(f, &r.fairness)
-        .map_err(|e| e.to_string())?;
-    for (name, v) in [
-        ("unmerged", &unmerged),
-        ("scheduled", &scheduled),
-        ("monolithic", &monolithic),
-        ("explicit", &explicit),
-    ] {
-        if let Some(n) = v.sat_states {
-            if n != ref_count {
-                notes.push(format!(
-                    "{name} reports {n} satisfying states, reference counts {ref_count}"
-                ));
-            }
-        }
-        if let Err(err) = validate_verdict(&product, r, f, v) {
-            notes.push(format!("{name}: {err}"));
-        }
-    }
-
-    // The merged plan's verdicts must be *bit-identical* to the unmerged
-    // plan's, not merely agree on `holds`.
-    if scheduled.violating != unmerged.violating {
-        notes.push("scheduled and unmerged witness sets differ".into());
-    }
-    if scheduled.sat_states != unmerged.sat_states {
-        notes.push(format!(
-            "scheduled counts {:?} satisfying states, unmerged {:?}",
-            scheduled.sat_states, unmerged.sat_states
-        ));
-    }
-
-    Ok((
-        QuadVerdict {
-            unmerged: unmerged.holds,
-            scheduled: scheduled.holds,
-            monolithic: monolithic.holds,
-            explicit: explicit.holds,
-            reference: ref_holds,
-        },
-        notes,
-    ))
-}
-
-fn is_buggy_quad(systems: &[System], r: &Restriction, f: &Formula) -> bool {
-    match check_four(systems, r, f) {
-        Ok((v, notes)) => !v.agrees() || !notes.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// Greedily shrink a quad-oracle failure. On top of the passes of
-/// [`shrink`] (subformulas, fairness, init, single transitions) this adds
-/// **partition coarsening**: merging two adjacent components into their
-/// interleaving product. A split that survives coarsening down to one
-/// component is an engine bug independent of the partitioning; one that
-/// vanishes pinpoints the partition handling itself.
-pub fn shrink_quad(o: &Obligation) -> Obligation {
+/// Greedily shrink `o` while `legs` and the reference still disagree on
+/// it: take the first smaller obligation that disagrees, in the order
+/// partition coarsening, subformulas, fairness, init, single transitions,
+/// until none does. A split that survives coarsening down to one component
+/// does not depend on the partition; one that vanishes points at the
+/// partition handling.
+pub fn shrink(o: &Obligation, legs: &[Leg]) -> Obligation {
     let mut cur = o.clone();
     loop {
-        let mut progressed = false;
-
-        // Coarsen first: fewer components shrink every later pass's
-        // search space.
-        for i in 0..cur.systems.len().saturating_sub(1) {
-            let mut systems = cur.systems.clone();
-            let merged = systems[i].compose(&systems[i + 1]);
-            systems[i] = merged;
-            systems.remove(i + 1);
-            if is_buggy_quad(&systems, &cur.restriction, &cur.formula) {
-                cur.systems = systems;
-                progressed = true;
-                break;
-            }
-        }
-
-        for sub in subformulas(&cur.formula) {
-            if is_buggy_quad(&cur.systems, &cur.restriction, &sub) {
-                cur.formula = sub;
-                progressed = true;
-                break;
-            }
-        }
-
-        for r in fewer_fairness(&cur.restriction) {
-            if is_buggy_quad(&cur.systems, &r, &cur.formula) {
-                cur.restriction = r;
-                progressed = true;
-                break;
-            }
-        }
-
-        if cur.restriction.init != Formula::True {
-            let r = Restriction::new(Formula::True, cur.restriction.fairness.clone());
-            if is_buggy_quad(&cur.systems, &r, &cur.formula) {
-                cur.restriction = r;
-                progressed = true;
-            }
-        }
-
-        'systems: for si in 0..cur.systems.len() {
-            let n_trans = cur.systems[si].proper_transitions().count();
-            for ti in 0..n_trans {
-                let mut systems = cur.systems.clone();
-                systems[si] = without_transition(&systems[si], ti);
-                if is_buggy_quad(&systems, &cur.restriction, &cur.formula) {
-                    cur.systems = systems;
-                    progressed = true;
-                    break 'systems;
-                }
-            }
-        }
-
-        if !progressed {
-            return cur;
+        let next = smaller(&cur).find(|c| disagrees(c, legs));
+        match next {
+            Some(next) => cur = next,
+            None => return cur,
         }
     }
 }
 
-/// Run one obligation through the five-way partition-conformance oracle,
-/// cross-validating counts and witnesses, shrinking (with partition
-/// coarsening) on any disagreement.
-pub fn run_quad_obligation(o: &Obligation) -> QuadOutcome {
-    match check_four(&o.systems, &o.restriction, &o.formula) {
-        Err(e) => QuadOutcome::Skipped(e),
-        Ok((v, notes)) if v.agrees() && notes.is_empty() => QuadOutcome::Agree(v),
+/// Run `o` through `legs` (at least one) and the reference, shrinking on
+/// any disagreement.
+pub fn run_obligation(o: &Obligation, legs: &[Leg]) -> Outcome<Box<Disagreement>> {
+    match check_all(o, legs) {
+        Err(e) => Outcome::Skipped(e),
+        Ok((v, notes)) if v.agrees() && notes.is_empty() => Outcome::Agree(v.legs[0].1),
         Ok(_) => {
-            let shrunk = shrink_quad(o);
+            let shrunk = shrink(o, legs);
             let (verdicts, notes) =
-                check_four(&shrunk.systems, &shrunk.restriction, &shrunk.formula).unwrap_or_else(
-                    |e| {
-                        (
-                            QuadVerdict {
-                                unmerged: false,
-                                scheduled: false,
-                                monolithic: false,
-                                explicit: false,
-                                reference: false,
-                            },
-                            vec![format!("shrunk obligation failed to re-run: {e}")],
-                        )
-                    },
-                );
-            QuadOutcome::Disagree(Box::new(QuadDisagreement {
+                check_all(&shrunk, legs).expect("the shrinker keeps only obligations that run");
+            Outcome::Disagree(Box::new(Disagreement {
                 seed: o.seed,
                 verdicts,
                 shrunk,
@@ -589,114 +363,6 @@ pub fn run_quad_obligation(o: &Obligation) -> QuadOutcome {
             }))
         }
     }
-}
-
-/// The two verdicts of the wide-composition oracle, in a fixed order.
-/// Past the dense-universe width there is no reference evaluator (it
-/// materialises `2^Σ`), so the cross-check is the hash-compacted
-/// reachable-only explicit kernel against the symbolic engine — two
-/// independent implementations of the same restricted semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WideVerdict {
-    /// The reachable-only explicit kernel's `holds`.
-    pub explicit: bool,
-    /// The symbolic backend's `holds`.
-    pub symbolic: bool,
-    /// States the explicit kernel materialised (its interned universe).
-    pub reachable_states: u64,
-}
-
-impl WideVerdict {
-    /// Do the two engines agree?
-    pub fn agrees(&self) -> bool {
-        self.explicit == self.symbolic
-    }
-}
-
-/// Outcome of running one wide obligation through the two-way oracle.
-#[derive(Debug)]
-pub enum WideOutcome {
-    /// Both engines agree (and the explicit leg really ran reachable).
-    Agree(WideVerdict),
-    /// The engines disagree; a rendered report.
-    Disagree(String),
-    /// The obligation could not be run (e.g. the reachable fragment
-    /// exceeded the state budget) — skipped, honestly.
-    Skipped(String),
-}
-
-/// Run one wide obligation (see
-/// [`gen_wide_obligation`](crate::gen::gen_wide_obligation)) through the
-/// reachable-only explicit kernel and the symbolic engine. The target must
-/// exceed the dense width — the point is to exercise the arbitrary-width
-/// path, and a dense run would silently test the wrong kernel.
-pub fn run_wide_obligation(o: &Obligation) -> WideOutcome {
-    let target = Target::composition(o.systems.iter().collect());
-    // A tighter budget than the production default: an oracle corpus wants
-    // many small cross-checks, and a seed whose reachable fragment runs
-    // away is better skipped in milliseconds than enumerated for minutes.
-    let limits = cmc_ctl::ExplicitLimits {
-        max_states: Some(1 << 16),
-        ..cmc_ctl::ExplicitLimits::default()
-    };
-    let explicit =
-        match ExplicitBackend::with_limits(limits).check(&target, &o.restriction, &o.formula) {
-            Ok(v) => v,
-            Err(e) => return WideOutcome::Skipped(format!("explicit: {e}")),
-        };
-    let Some(reachable_states) = explicit.stats.reachable_states else {
-        return WideOutcome::Skipped(
-            "target fits the dense universe; not a wide obligation".into(),
-        );
-    };
-    let symbolic = match SymbolicBackend::default().check(&target, &o.restriction, &o.formula) {
-        Ok(v) => v,
-        Err(e) => return WideOutcome::Skipped(format!("symbolic: {e}")),
-    };
-    let v = WideVerdict {
-        explicit: explicit.holds,
-        symbolic: symbolic.holds,
-        reachable_states,
-    };
-    if v.agrees() {
-        return WideOutcome::Agree(v);
-    }
-    let mut report = String::new();
-    use std::fmt::Write;
-    let _ = writeln!(report, "=== WIDE-COMPOSITION DISAGREEMENT ===");
-    let _ = writeln!(
-        report,
-        "verdicts: explicit={} symbolic={} ({} reachable states)",
-        v.explicit, v.symbolic, v.reachable_states
-    );
-    let _ = writeln!(report, "formula:  {}", o.formula);
-    let _ = writeln!(report, "init:     {}", o.restriction.init);
-    for (i, c) in o.restriction.fairness.iter().enumerate() {
-        let _ = writeln!(report, "fair[{i}]:  {c}");
-    }
-    let _ = writeln!(
-        report,
-        "stations: {} over {} propositions (seed {})",
-        o.systems.len(),
-        target.width(),
-        o.seed
-    );
-    WideOutcome::Disagree(report)
-}
-
-/// Outcome of running one simulation pair through the three checkers.
-#[derive(Debug)]
-pub enum SimOracleOutcome {
-    /// All three checkers agree (verdict, pair counts, counterexamples
-    /// all cross-validated).
-    Agree {
-        /// The agreed verdict.
-        holds: bool,
-    },
-    /// Somebody is wrong; a rendered report with the replay seed.
-    Disagree(String),
-    /// The pair was too wide for some checker — skipped.
-    Skipped(String),
 }
 
 /// Run one `(concrete, abstraction)` pair through the explicit worklist
@@ -707,14 +373,14 @@ pub enum SimOracleOutcome {
 /// production counterexample state must be genuinely partnerless in the
 /// reference relation; and a verdict known by construction
 /// ([`SimPair::expected`]) must match.
-pub fn run_sim_pair(p: &SimPair) -> SimOracleOutcome {
+pub fn run_sim_pair(p: &SimPair) -> Outcome<String> {
     let naive = match naive_simulates(&p.concrete, &p.abstraction) {
         Ok(n) => n,
-        Err(e) => return SimOracleOutcome::Skipped(e.to_string()),
+        Err(e) => return Outcome::Skipped(e.to_string()),
     };
     let explicit = match simulates_explicit(&p.concrete, &p.abstraction) {
         Ok(o) => o,
-        Err(e) => return SimOracleOutcome::Skipped(e.to_string()),
+        Err(e) => return Outcome::Skipped(e.to_string()),
     };
     let symbolic = simulates_symbolic(&p.concrete, &p.abstraction);
 
@@ -757,7 +423,7 @@ pub fn run_sim_pair(p: &SimPair) -> SimOracleOutcome {
     }
 
     if problems.is_empty() {
-        return SimOracleOutcome::Agree { holds: naive.holds };
+        return Outcome::Agree(naive.holds);
     }
     let mut report = String::new();
     use std::fmt::Write;
@@ -779,29 +445,34 @@ pub fn run_sim_pair(p: &SimPair) -> SimOracleOutcome {
         }
     }
     let _ = writeln!(report, "replay: cmc-testkit -- --sim 1 --seed {}", p.seed);
-    SimOracleOutcome::Disagree(report)
-}
-
-/// Convenience: re-validate a backend verdict against an independently
-/// materialised product (exposed for integration tests).
-pub fn revalidate(
-    systems: &[System],
-    r: &Restriction,
-    f: &Formula,
-    v: &cmc_core::Verdict,
-) -> Result<(), ValidationError> {
-    let product = Target::composition(systems.iter().collect()).materialize();
-    validate_verdict(&product, r, f, v)
+    Outcome::Disagree(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{gen_obligation, gen_sim_pair, GenConfig};
+    use crate::gen::{gen_obligation, gen_sim_pair, gen_wide_obligation};
+    use crate::{corpus_seeds, SEED_CORPUS};
+    use cmc_ctl::ExplicitLimits;
+
+    /// The explicit backend and the default symbolic backend.
+    fn engine_legs() -> Vec<Leg> {
+        vec![
+            Leg::explicit(ExplicitBackend::default()),
+            Leg::symbolic("symbolic", SymbolicBackend::default()),
+        ]
+    }
+
+    fn has_ax(f: &Formula) -> bool {
+        matches!(f, Formula::Ax(_)) || subformulas(f).iter().any(has_ax)
+    }
+
+    fn is_subformula(g: &Formula, f: &Formula) -> bool {
+        g == f || subformulas(f).iter().any(|s| is_subformula(g, s))
+    }
 
     #[test]
     fn three_way_simulation_agreement_on_two_hundred_pairs() {
-        let cfg = GenConfig::default();
         let mut agreed = 0usize;
         let mut holds = 0usize;
         let mut fails = 0usize;
@@ -811,9 +482,8 @@ mod tests {
                 seed < 400,
                 "too many skips: only {agreed} agreements in 400 seeds"
             );
-            let p = gen_sim_pair(seed, &cfg);
-            match run_sim_pair(&p) {
-                SimOracleOutcome::Agree { holds: h } => {
+            match run_sim_pair(&gen_sim_pair(seed)) {
+                Outcome::Agree(h) => {
                     agreed += 1;
                     if h {
                         holds += 1;
@@ -821,8 +491,8 @@ mod tests {
                         fails += 1;
                     }
                 }
-                SimOracleOutcome::Skipped(_) => {}
-                SimOracleOutcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
+                Outcome::Skipped(_) => {}
+                Outcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
             }
             seed += 1;
         }
@@ -833,19 +503,40 @@ mod tests {
 
     #[test]
     fn small_corpus_agrees() {
-        let cfg = GenConfig::default();
+        let legs = engine_legs();
         for seed in 0..40 {
-            let o = gen_obligation(seed, &cfg);
-            match run_obligation(&o) {
-                OracleOutcome::Agree(_) | OracleOutcome::Skipped(_) => {}
-                OracleOutcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
+            match run_obligation(&gen_obligation(seed), &legs) {
+                Outcome::Agree(_) | Outcome::Skipped(_) => {}
+                Outcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
             }
         }
     }
 
     #[test]
     fn wide_corpus_agrees_past_the_dense_width() {
-        let cfg = GenConfig::default();
+        // A tighter budget than the production default: an oracle corpus
+        // wants many small cross-checks, and a seed whose reachable
+        // fragment runs away is better skipped in milliseconds than
+        // enumerated for minutes.
+        let limits = ExplicitLimits {
+            max_states: Some(1 << 16),
+            ..ExplicitLimits::default()
+        };
+        // The point is the arbitrary-width path: a dense run would test
+        // the wrong kernel.
+        let reachable_only = Leg::new("explicit", move |t, r, f| {
+            let v = ExplicitBackend::with_limits(limits).check(t, r, f)?;
+            assert!(
+                v.stats.reachable_states.is_some_and(|n| n >= 1),
+                "the explicit leg ran dense on a {}-proposition target",
+                t.width()
+            );
+            Ok(v)
+        });
+        let legs = [
+            reachable_only,
+            Leg::symbolic("symbolic", SymbolicBackend::default()),
+        ];
         // Agreements per arc family (seed % 3): shrinking, minting, mixed.
         let mut agreed = [0usize; 3];
         let mut skipped = 0usize;
@@ -859,17 +550,13 @@ mod tests {
                 "too many skips: {agreed:?} agreements per family in 120 \
                  wide seeds ({skipped} skipped)"
             );
-            let o = crate::gen::gen_wide_obligation(seed, 26, &cfg);
-            match run_wide_obligation(&o) {
-                WideOutcome::Agree(v) => {
-                    agreed[(seed % 3) as usize] += 1;
-                    assert!(v.reachable_states >= 1, "seed {seed}: empty fragment");
-                }
-                WideOutcome::Skipped(why) => {
+            match run_obligation(&gen_wide_obligation(seed, 26), &legs) {
+                Outcome::Agree(_) => agreed[(seed % 3) as usize] += 1,
+                Outcome::Skipped(why) => {
                     println!("seed {seed} skipped: {why}");
                     skipped += 1;
                 }
-                WideOutcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
+                Outcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
             }
             seed += 1;
         }
@@ -900,11 +587,80 @@ mod tests {
 
     #[test]
     fn shrinking_prefers_subformulas() {
-        // A fabricated "always disagrees" predicate can't be injected
-        // without test seams, so just check shrink() is identity on an
-        // agreeing obligation.
-        let o = gen_obligation(3, &GenConfig::default());
-        let s = shrink(&o);
+        // On an agreeing obligation no smaller one disagrees, so the
+        // shrinker returns it unchanged.
+        let o = gen_obligation(3);
+        let s = shrink(&o, &engine_legs());
         assert_eq!(s.formula, o.formula);
+    }
+
+    /// A leg that negates `holds` on every formula with an `AX` is named
+    /// in the report, and the shrinker strips everything the fault does
+    /// not depend on: the other operators, the transitions, the
+    /// restriction.
+    #[test]
+    fn a_planted_holds_fault_is_named_and_shrunk_to_its_operator() {
+        let mut legs = engine_legs();
+        legs.push(Leg::new("negates-ax", |t, r, f| {
+            let mut v = SymbolicBackend::default().check(t, r, f)?;
+            v.holds ^= has_ax(f);
+            Ok(v)
+        }));
+        let o = corpus_seeds(SEED_CORPUS)
+            .into_iter()
+            .map(gen_obligation)
+            .find(|o| has_ax(&o.formula))
+            .expect("a corpus formula with AX");
+        let Outcome::Disagree(d) = run_obligation(&o, &legs) else {
+            panic!("seed {}: the planted leg went unnoticed", o.seed);
+        };
+        let reference = d.verdicts.reference.expect("narrow target");
+        let odd: Vec<&str> = (d.verdicts.legs.iter())
+            .filter(|&&(_, holds)| holds != reference)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(odd, ["negates-ax"], "{d}");
+        assert!(has_ax(&d.shrunk.formula), "{d}");
+        assert!(is_subformula(&d.shrunk.formula, &o.formula), "{d}");
+        let moves = d.shrunk.systems.iter();
+        assert_eq!(
+            moves.map(|m| m.proper_transitions().count()).sum::<usize>(),
+            0,
+            "{d}"
+        );
+        assert_eq!(d.shrunk.restriction, Restriction::trivial(), "{d}");
+        assert!(matches!(
+            run_obligation(&d.shrunk, &legs),
+            Outcome::Disagree(_)
+        ));
+    }
+
+    /// A leg that drops the last of two or more violating states keeps
+    /// `holds` and every witness it reports valid; only the comparison
+    /// between symbolic legs catches it.
+    #[test]
+    fn a_planted_witness_fault_is_caught_across_legs() {
+        let mut legs = engine_legs();
+        legs.push(Leg::new("drops-witness", |t, r, f| {
+            let mut v = SymbolicBackend::default().check(t, r, f)?;
+            if v.violating.len() >= 2 {
+                v.violating.pop();
+            }
+            Ok(v)
+        }));
+        let o = corpus_seeds(SEED_CORPUS)
+            .into_iter()
+            .map(gen_obligation)
+            .find(|o| {
+                let target = Target::composition(o.systems.iter().collect());
+                let v = SymbolicBackend::default().check(&target, &o.restriction, &o.formula);
+                v.is_ok_and(|v| v.violating.len() >= 2)
+            })
+            .expect("a corpus obligation with two violating states");
+        let Outcome::Disagree(d) = run_obligation(&o, &legs) else {
+            panic!("seed {}: the planted leg went unnoticed", o.seed);
+        };
+        assert!(d.verdicts.agrees(), "{d}");
+        assert!(d.notes.iter().any(|n| n.contains("drops-witness")), "{d}");
     }
 }

@@ -3,41 +3,46 @@
 //! corpus of ≥ 500 seeded obligations, and every witness either engine
 //! produces must replay against the paper's semantics.
 //!
-//! Any failure here prints a shrunk minimal structure/formula pair plus a
-//! `cargo run -p cmc-testkit -- --seed N` line to replay it standalone.
+//! Any failure here prints a shrunk minimal structure/formula pair and
+//! its seed `N`; `cargo run -p cmc-testkit -- --seed N` replays it
+//! standalone.
 
 use cmc_testkit::{
-    corpus_seeds, gen_obligation, run_obligation, validate_witness, GenConfig, OracleOutcome,
-    WitnessClaim,
+    corpus_seeds, gen_obligation, run_obligation, validate_witness, Leg, Outcome, WitnessClaim,
+    SEED_CORPUS,
 };
+use compositional_mc::core::{ExplicitBackend, SymbolicBackend};
 use compositional_mc::ctl::{Checker, Formula, Restriction};
 use compositional_mc::symbolic::SymbolicModel;
 
 /// The tentpole acceptance gate: ≥ 500 deterministic obligations through
-/// all three evaluators, in full agreement, with every backend witness
-/// replayed (witness replay happens inside the oracle — a bogus violating
-/// state is reported as a disagreement note).
+/// the explicit backend, the symbolic backend and the reference, in full
+/// agreement, with every backend witness replayed (witness replay happens
+/// inside the oracle — a bogus violating state is reported as a
+/// disagreement note).
 #[test]
 fn five_hundred_obligations_agree_three_ways() {
-    let cfg = GenConfig::default();
-    let mut seeds: Vec<u64> = corpus_seeds();
+    let legs = [
+        Leg::explicit(ExplicitBackend::default()),
+        Leg::symbolic("symbolic", SymbolicBackend::default()),
+    ];
+    let mut seeds: Vec<u64> = corpus_seeds(SEED_CORPUS);
     seeds.extend(1_000..1_450u64);
     assert!(seeds.len() >= 500, "corpus too small: {}", seeds.len());
 
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
-        let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => agreed += 1,
-            OracleOutcome::Skipped(why) => {
+        match run_obligation(&gen_obligation(seed), &legs) {
+            Outcome::Agree(_) => agreed += 1,
+            Outcome::Skipped(why) => {
                 skipped += 1;
                 assert!(
                     skipped <= seeds.len() / 50,
                     "too many skipped obligations (last: seed {seed}: {why})"
                 );
             }
-            OracleOutcome::Disagree(d) => panic!("{d}"),
+            Outcome::Disagree(d) => panic!("{d}"),
         }
     }
     assert!(
@@ -51,10 +56,9 @@ fn five_hundred_obligations_agree_three_ways() {
 /// constraint hit inside the loop.
 #[test]
 fn explicit_fair_lassos_all_replay() {
-    let cfg = GenConfig::default();
     let mut replayed = 0usize;
     for seed in 2_000..2_200u64 {
-        let o = gen_obligation(seed, &cfg);
+        let o = gen_obligation(seed);
         // Fair-EG witnesses only make sense per-system; use the first
         // component and the obligation's fairness set.
         let m = &o.systems[0];
@@ -85,10 +89,9 @@ fn explicit_fair_lassos_all_replay() {
 /// validator's `Until` claim.
 #[test]
 fn explicit_until_witnesses_all_replay() {
-    let cfg = GenConfig::default();
     let mut replayed = 0usize;
     for seed in 3_000..3_150u64 {
-        let o = gen_obligation(seed, &cfg);
+        let o = gen_obligation(seed);
         let m = &o.systems[0];
         let checker = Checker::new(m).unwrap();
         let name = m.alphabet().names()[0].clone();
@@ -116,10 +119,9 @@ fn explicit_until_witnesses_all_replay() {
 /// and replay on the originating explicit system.
 #[test]
 fn symbolic_lassos_lower_and_replay() {
-    let cfg = GenConfig::default();
     let mut replayed = 0usize;
     for seed in 4_000..4_150u64 {
-        let o = gen_obligation(seed, &cfg);
+        let o = gen_obligation(seed);
         let m = &o.systems[0];
         let mut sym = SymbolicModel::from_explicit(m);
         let truth = compositional_mc::bdd::Bdd::TRUE;

@@ -2,73 +2,49 @@
 //! collection and the bounded computed table must be *invisible* to
 //! verdicts.
 //!
-//! * the three-way oracle (explicit vs symbolic vs reference) re-runs the
-//!   same seeds with maintenance disabled and forced at every `k`-th safe
-//!   point — every outcome must match class-for-class and verdict-for-
-//!   verdict,
+//! * the differential oracle runs each seed once with maintenance
+//!   disabled and forced at every `k`-th safe point as four symbolic legs
+//!   beside the explicit backend and the reference — the four must report
+//!   bit-identical witnesses and counts,
 //! * proptests drive random systems/formulas through a model with
 //!   `gc_now` injected mid-run and pin the sat-state counts
 //!   to the untouched engine,
 //! * a bounded computed table (with evictions observed) must leave sat
 //!   sets untouched.
 
-use cmc_testkit::{gen_obligation, run_obligation_with, GenConfig, OracleOutcome};
-use compositional_mc::core::SymbolicBackend;
+use cmc_testkit::{gen_obligation, run_obligation, sweep, Leg};
+use compositional_mc::core::{ExplicitBackend, SymbolicBackend};
 use compositional_mc::ctl::{parse, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
 use compositional_mc::symbolic::{MaintenanceConfig, SymbolicModel};
 use proptest::prelude::*;
 
-/// The three-way oracle over a fresh seed range, once per maintenance
-/// schedule: disabled, and forced at every 1st/2nd/5th safe point. For
-/// each seed all four runs must land in the same outcome class with the
-/// same triple verdict — GC schedules are semantics-free.
+/// The oracle over a fresh seed range with one symbolic leg per
+/// maintenance schedule: disabled, and forced at every 1st/2nd/5th safe
+/// point under a 512-entry cache. The oracle holds every symbolic leg to
+/// the first one bit for bit (`holds`, violating states, exact counts) —
+/// GC schedules are semantics-free.
 #[test]
 fn oracle_verdicts_invariant_under_forced_maintenance() {
-    let cfg = GenConfig::default();
-    let schedules: Vec<(String, SymbolicBackend)> = std::iter::once((
-        "disabled".to_string(),
-        SymbolicBackend::with_maintenance(MaintenanceConfig::disabled()),
-    ))
-    .chain([1u32, 2, 5].iter().map(|&k| {
-        (
-            format!("forced-every-{k}"),
-            SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(k))
-                .cache_capacity(512),
-        )
-    }))
-    .collect();
+    let disabled = SymbolicBackend::with_maintenance(MaintenanceConfig::disabled());
+    let mut legs = vec![
+        Leg::explicit(ExplicitBackend::default()),
+        Leg::symbolic("disabled", disabled),
+    ];
+    legs.extend([1u32, 2, 5].map(|k| {
+        let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(k));
+        Leg::symbolic(format!("forced-every-{k}"), forced.cache_capacity(512))
+    }));
     let seeds: Vec<u64> = (20_000..20_060u64).collect();
-    let mut skipped = 0usize;
-    for &seed in &seeds {
-        let o = gen_obligation(seed, &cfg);
-        let mut baseline = None;
-        for (name, backend) in &schedules {
-            match run_obligation_with(&o, *backend) {
-                OracleOutcome::Agree(v) => match &baseline {
-                    None => baseline = Some(v),
-                    Some(b) => assert_eq!(
-                        *b, v,
-                        "seed {seed}: schedule {name} changed the agreed verdict"
-                    ),
-                },
-                OracleOutcome::Skipped(why) => {
-                    assert!(
-                        baseline.is_none(),
-                        "seed {seed}: schedule {name} skipped ({why}) after another agreed"
-                    );
-                    skipped += 1;
-                    break; // skip reasons are schedule-independent (width)
-                }
-                OracleOutcome::Disagree(d) => {
-                    panic!("seed {seed}: schedule {name} disagreed:\n{d}")
-                }
-            }
-        }
+    let check = |seed| run_obligation(&gen_obligation(seed), &legs);
+    let report = sweep(&seeds, "obligations", check, |line| println!("{line}"));
+    if let Some(d) = report.failure {
+        panic!("{d}");
     }
     assert!(
-        skipped <= seeds.len() / 10,
-        "too many skipped obligations ({skipped})"
+        report.skipped <= seeds.len() / 10,
+        "too many skipped obligations ({})",
+        report.skipped
     );
 }
 

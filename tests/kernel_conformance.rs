@@ -1,7 +1,7 @@
 //! Conformance of the frontier-driven explicit kernel (CSR index +
 //! worklist fixpoints) introduced for the perf rebuild:
 //!
-//! * a seeded three-way oracle run (explicit vs symbolic vs reference)
+//! * a seeded differential-oracle run (explicit vs symbolic vs reference)
 //!   over ≥ 200 obligations on a seed range disjoint from
 //!   `tests/conformance.rs`,
 //! * proptests pinning the frontier `E[· U ·]` and fair-`EG` fixpoints to
@@ -9,34 +9,39 @@
 //! * a determinism check that the bounded scheduler returns identical
 //!   results for every worker count.
 
-use cmc_testkit::{gen_obligation, run_obligation, GenConfig, OracleOutcome, RefEvaluator};
-use compositional_mc::core::{check_routed, scheduler, BackendChoice, Target};
+use cmc_testkit::{gen_obligation, run_obligation, Leg, Outcome, RefEvaluator};
+use compositional_mc::core::{
+    check_routed, scheduler, BackendChoice, ExplicitBackend, SymbolicBackend, Target,
+};
 use compositional_mc::ctl::{Checker, Formula, Restriction, StateSet};
 use compositional_mc::kripke::{Alphabet, State, System};
 use proptest::prelude::*;
 
-/// ≥ 200 fresh seeded obligations through the three-way oracle — the new
-/// kernel sits behind the explicit backend, so every agreement is a
-/// differential check of the CSR worklist fixpoints against both the BDD
-/// engine and the cycle-analysis reference.
+/// ≥ 200 fresh seeded obligations through the explicit backend, the
+/// symbolic backend and the reference — the new kernel sits behind the
+/// explicit backend, so every agreement is a differential check of the
+/// CSR worklist fixpoints against both the BDD engine and the
+/// cycle-analysis reference.
 #[test]
 fn two_hundred_fresh_obligations_agree_three_ways() {
-    let cfg = GenConfig::default();
+    let legs = [
+        Leg::explicit(ExplicitBackend::default()),
+        Leg::symbolic("symbolic", SymbolicBackend::default()),
+    ];
     let seeds: Vec<u64> = (10_000..10_250u64).collect();
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
-        let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => agreed += 1,
-            OracleOutcome::Skipped(why) => {
+        match run_obligation(&gen_obligation(seed), &legs) {
+            Outcome::Agree(_) => agreed += 1,
+            Outcome::Skipped(why) => {
                 skipped += 1;
                 assert!(
                     skipped <= seeds.len() / 50,
                     "too many skipped obligations (last: seed {seed}: {why})"
                 );
             }
-            OracleOutcome::Disagree(d) => panic!("{d}"),
+            Outcome::Disagree(d) => panic!("{d}"),
         }
     }
     assert!(

@@ -4,10 +4,11 @@
 //! Three pillars:
 //!
 //! 1. a 250-seed sweep of multi-component obligations through the
-//!    **five-way** oracle (unmerged symbolic / scheduled symbolic /
-//!    monolithic symbolic / explicit / naïve reference), with sat counts
-//!    and witnesses cross-validated and partition-coarsening shrinking on
-//!    failure;
+//!    differential oracle with five evaluators (unmerged symbolic /
+//!    scheduled symbolic / monolithic symbolic / explicit / naïve
+//!    reference), with sat counts and witnesses cross-validated, the
+//!    symbolic plans held bit-identical, and partition-coarsening
+//!    shrinking on failure;
 //! 2. property tests that the two quantification plans over the
 //!    disjunctive partition — the unmerged control plan
 //!    (`set_merging(false)`) and the default merged plan, built once per
@@ -19,8 +20,7 @@
 //!    maintenance.
 
 use cmc_testkit::{
-    gen_partitioned_obligation, partition_corpus_seeds, run_obligation_with, run_quad_obligation,
-    GenConfig, OracleOutcome, QuadOutcome,
+    corpus_seeds, gen_partitioned_obligation, run_obligation, Leg, Outcome, PARTITION_SEED_CORPUS,
 };
 use compositional_mc::core::{
     check_routed, BackendChoice, Component, Engine, ExplicitBackend, SymbolicBackend, Target,
@@ -31,14 +31,24 @@ use compositional_mc::symbolic::{ImageMode, MaintenanceConfig, SymbolicModel};
 use proptest::prelude::*;
 
 /// The tentpole acceptance gate: ≥ 250 deterministic multi-component
-/// obligations through the five-way oracle, in full agreement, every
-/// backend witness replayed and every exact sat count checked against
-/// the reference (both happen inside the oracle — a bogus witness or
-/// count is reported as a disagreement note).
+/// obligations through the unmerged, scheduled and monolithic symbolic
+/// plans, the explicit backend and the reference, in full agreement,
+/// every backend witness replayed and every exact sat count checked
+/// against the reference (both happen inside the oracle — a bogus witness
+/// or count is reported as a disagreement note).
 #[test]
 fn two_hundred_fifty_partitioned_obligations_agree_four_ways() {
-    let cfg = GenConfig::default();
-    let mut seeds: Vec<u64> = partition_corpus_seeds();
+    let scheduled = SymbolicBackend::default();
+    let legs = [
+        Leg::symbolic("unmerged", scheduled.unmerged()),
+        Leg::symbolic("scheduled", scheduled),
+        Leg::symbolic(
+            "monolithic",
+            scheduled.with_image_mode(ImageMode::Monolithic),
+        ),
+        Leg::explicit(ExplicitBackend::default()),
+    ];
+    let mut seeds: Vec<u64> = corpus_seeds(PARTITION_SEED_CORPUS);
     let fresh = 250usize.saturating_sub(seeds.len());
     seeds.extend(2_000..2_000 + fresh as u64);
     assert!(seeds.len() >= 250, "corpus too small: {}", seeds.len());
@@ -46,17 +56,16 @@ fn two_hundred_fifty_partitioned_obligations_agree_four_ways() {
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
-        let o = gen_partitioned_obligation(seed, &cfg);
-        match run_quad_obligation(&o) {
-            QuadOutcome::Agree(_) => agreed += 1,
-            QuadOutcome::Skipped(why) => {
+        match run_obligation(&gen_partitioned_obligation(seed), &legs) {
+            Outcome::Agree(_) => agreed += 1,
+            Outcome::Skipped(why) => {
                 skipped += 1;
                 assert!(
                     skipped <= seeds.len() / 50,
                     "too many skipped obligations (last: seed {seed}: {why})"
                 );
             }
-            QuadOutcome::Disagree(d) => panic!("{d}"),
+            Outcome::Disagree(d) => panic!("{d}"),
         }
     }
     assert!(
@@ -213,16 +222,17 @@ fn fanout_verdicts_identical_across_worker_counts() {
 /// never shared across threads.
 #[test]
 fn forced_maintenance_per_worker_managers_are_verdict_invariant() {
-    let cfg = GenConfig::default();
-    let obligations: Vec<_> = (400..412u64)
-        .map(|seed| gen_partitioned_obligation(seed, &cfg))
-        .collect();
+    let obligations: Vec<_> = (400..412u64).map(gen_partitioned_obligation).collect();
     let run = |workers: usize, backend: SymbolicBackend| -> Vec<String> {
+        let legs = [
+            Leg::explicit(ExplicitBackend::default()),
+            Leg::symbolic("symbolic", backend),
+        ];
         compositional_mc::core::scheduler::run_bounded(obligations.len(), workers, |i| {
-            match run_obligation_with(&obligations[i], backend) {
-                OracleOutcome::Agree(v) => format!("agree:{}", v.symbolic),
-                OracleOutcome::Skipped(why) => format!("skip:{why}"),
-                OracleOutcome::Disagree(d) => format!("disagree:{d}"),
+            match run_obligation(&obligations[i], &legs) {
+                Outcome::Agree(holds) => format!("agree:{holds}"),
+                Outcome::Skipped(why) => format!("skip:{why}"),
+                Outcome::Disagree(d) => format!("disagree:{d}"),
             }
         })
         .into_iter()
@@ -293,9 +303,8 @@ fn certificate_steps_identical_across_worker_counts() {
 /// exact sat count.
 #[test]
 fn image_modes_and_blocked_explicit_agree_on_fleet() {
-    let cfg = GenConfig::default();
     for seed in 300..320u64 {
-        let o = gen_partitioned_obligation(seed, &cfg);
+        let o = gen_partitioned_obligation(seed);
         let target = Target::composition(o.systems.iter().collect());
         let unmerged =
             SymbolicBackend::default()
@@ -366,16 +375,17 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
 /// the plan's registry-rooted clusters survive unchanged).
 #[test]
 fn scheduled_mode_is_verdict_invariant_across_workers() {
-    let cfg = GenConfig::default();
-    let obligations: Vec<_> = (500..512u64)
-        .map(|seed| gen_partitioned_obligation(seed, &cfg))
-        .collect();
+    let obligations: Vec<_> = (500..512u64).map(gen_partitioned_obligation).collect();
     let run = |workers: usize, backend: SymbolicBackend| -> Vec<String> {
+        let legs = [
+            Leg::explicit(ExplicitBackend::default()),
+            Leg::symbolic("symbolic", backend),
+        ];
         compositional_mc::core::scheduler::run_bounded(obligations.len(), workers, |i| {
-            match run_obligation_with(&obligations[i], backend) {
-                OracleOutcome::Agree(v) => format!("agree:{}", v.symbolic),
-                OracleOutcome::Skipped(why) => format!("skip:{why}"),
-                OracleOutcome::Disagree(d) => format!("disagree:{d}"),
+            match run_obligation(&obligations[i], &legs) {
+                Outcome::Agree(holds) => format!("agree:{holds}"),
+                Outcome::Skipped(why) => format!("skip:{why}"),
+                Outcome::Disagree(d) => format!("disagree:{d}"),
             }
         })
         .into_iter()
