@@ -5,7 +5,9 @@
 use cmc_serve::protocol::DEFAULT_MAX_REQUEST_BYTES;
 use cmc_serve::workload::{afs_source, mixed_workload, ring_source};
 use cmc_serve::{Client, ErrorCode, Request, Response, ServeConfig, Server};
-use cmc_smv::run_source;
+use cmc_smv::{parse_module, run_source, spec_keys};
+use cmc_store::{CertStore, SegmentedDiskStore};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -403,6 +405,54 @@ fn warm_restart_reloads_verdicts_from_the_segmented_store() {
             assert!(report.cache_hits > 0);
         }
         server.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn budgeted_store_shuts_down_within_its_budget_with_correct_verdicts() {
+    const BUDGET: u64 = 2_000;
+    let dir = tmp_dir("budget");
+    let sources: Vec<String> = (3..=8)
+        .map(ring_source)
+        .chain((1..=3).map(afs_source))
+        .collect();
+    let cfg = ServeConfig {
+        disk_dir: Some(dir.clone()),
+        disk_budget_bytes: Some(BUDGET),
+        ..ServeConfig::default()
+    };
+
+    // Write past the budget: every spec of every source is a fresh verdict.
+    let mut server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for report in client.check_sources(&sources).unwrap() {
+        assert!(report.unwrap().cache_misses > 0);
+    }
+    let written = server.store().len();
+    server.shutdown();
+
+    let disk = SegmentedDiskStore::open(&dir).unwrap();
+    let disk_bytes = disk.disk_bytes().unwrap();
+    assert!(disk_bytes <= BUDGET, "{disk_bytes} bytes on disk");
+    let reloaded = CertStore::new();
+    let kept = disk.load_into(&reloaded).unwrap();
+    assert!(
+        0 < kept && kept < written,
+        "kept {kept} of {written} verdicts"
+    );
+
+    // Every verdict that survived is the one single-shot checking gives.
+    let mut expected = HashMap::new();
+    for source in &sources {
+        let module = parse_module(source).unwrap();
+        let verdicts = run_source(source).unwrap().results;
+        for (key, (_, holds)) in spec_keys(source, &module).into_iter().zip(verdicts) {
+            expected.insert(key, holds);
+        }
+    }
+    for (key, entry) in reloaded.snapshot() {
+        assert_eq!(Some(&entry.verdict), expected.get(&key), "key {key}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -121,7 +121,8 @@ pub fn run_source_with_backend(
 
 /// The certificate-store key of each `SPEC` of `module`, parsed from
 /// `src`, in spec order — the one place the driver and the daemon key a
-/// spec.
+/// spec. The source is normalised and hashed once per call
+/// ([`ObligationKey::source_specs`]), not once per spec.
 ///
 /// Keys are `(normalised source, spec)` pairs with no backend tag: both
 /// engines are sound over the same semantics (the testkit oracle enforces
@@ -129,11 +130,7 @@ pub fn run_source_with_backend(
 /// deliberately unlike engine-level obligation keys, which stay
 /// backend-tagged because their certificates differ.
 pub fn spec_keys(src: &str, module: &Module) -> Vec<ObligationKey> {
-    module
-        .specs
-        .iter()
-        .map(|(text, _)| ObligationKey::source_spec(src, text))
-        .collect()
+    ObligationKey::source_specs(src, module.specs.iter().map(|(text, _)| text.as_str()))
 }
 
 /// Verify every `SPEC`, consulting `store` first **and** routing the

@@ -126,7 +126,9 @@ impl Json {
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    /// Append the [`Json::to_pretty`] form of this value as it appears
+    /// `indent` levels deep (without the indent of its first line).
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 out.push_str("[\n");

@@ -8,10 +8,11 @@
 //! rendering, which is minimal-parenthesised and parses back unambiguously;
 //! fairness sets are sorted (the paper treats `F` as a set).
 
-use crate::hash::hash_bytes_seeded;
+use crate::hash::StableHasher;
 use cmc_ctl::{Formula, Restriction};
 use cmc_kripke::System;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Field separator for the canonical encoding: a byte that cannot occur in
 /// proposition names or rendered formulas, so adjacent fields cannot blur.
@@ -136,8 +137,15 @@ impl ObligationKey {
     /// `source`". The source is normalised (comments and blank lines
     /// dropped, lines trimmed) so formatting-only edits still hit.
     pub fn source_spec(source: &str, spec: &str) -> Self {
-        let mut enc = Vec::with_capacity(256);
-        push_tag(&mut enc, "SMV");
+        ObligationKey::source_specs(source, [spec])[0]
+    }
+
+    /// The [`ObligationKey::source_spec`] key of each of `specs` over one
+    /// `source`, in order. The normalised source is hashed once, and each
+    /// spec finishes its key from a copy of that state.
+    pub fn source_specs<'a>(source: &str, specs: impl IntoIterator<Item = &'a str>) -> Vec<Self> {
+        let mut prefix = KeyHasher::new();
+        prefix.field("SMV");
         for line in source.lines() {
             let line = match line.find("--") {
                 Some(i) => &line[..i],
@@ -145,18 +153,24 @@ impl ObligationKey {
             };
             let line = line.trim();
             if !line.is_empty() {
-                push_str(&mut enc, line);
+                prefix.field(line);
             }
         }
-        push_tag(&mut enc, "/SPEC");
-        push_str(&mut enc, spec.trim());
-        ObligationKey::from_encoding(&enc)
+        prefix.field("/SPEC");
+        specs
+            .into_iter()
+            .map(|spec| {
+                let mut key = prefix.clone();
+                key.field(spec.trim());
+                key.finish()
+            })
+            .collect()
     }
 
     fn from_encoding(enc: &[u8]) -> Self {
-        let hi = hash_bytes_seeded(SEED_HI, enc) as u128;
-        let lo = hash_bytes_seeded(SEED_LO, enc) as u128;
-        ObligationKey((hi << 64) | lo)
+        let mut key = KeyHasher::new();
+        key.write(enc);
+        key.finish()
     }
 
     /// Render as 32 lowercase hex digits (the on-disk form).
@@ -176,6 +190,37 @@ impl ObligationKey {
 impl fmt::Display for ObligationKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_hex())
+    }
+}
+
+/// The two seeded hash states a key is made of, fed the same bytes.
+#[derive(Clone)]
+struct KeyHasher {
+    hi: StableHasher,
+    lo: StableHasher,
+}
+
+impl KeyHasher {
+    fn new() -> Self {
+        KeyHasher {
+            hi: StableHasher::with_seed(SEED_HI),
+            lo: StableHasher::with_seed(SEED_LO),
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.hi.write(bytes);
+        self.lo.write(bytes);
+    }
+
+    /// Feed one field as `push_str` encodes it: its bytes, then [`SEP`].
+    fn field(&mut self, s: &str) {
+        self.write(s.as_bytes());
+        self.write(&[SEP]);
+    }
+
+    fn finish(&self) -> ObligationKey {
+        ObligationKey(((self.hi.finish() as u128) << 64) | self.lo.finish() as u128)
     }
 }
 

@@ -18,16 +18,20 @@
 //!   canonicalised away, so structurally equal obligations collide by
 //!   construction. Hashing is FNV-1a ([`StableHasher`]), fully specified
 //!   and stable across processes and toolchains.
-//! * [`CertStore`] — a bounded, thread-safe, LRU-evicting map from keys to
-//!   verdicts and proof certificates ([`Entry`], [`StoredCertificate`]),
-//!   with hit/miss/eviction counters ([`StoreStats`]).
+//! * [`CertStore`] — a bounded, thread-safe map from keys to verdicts and
+//!   proof certificates ([`Entry`], [`StoredCertificate`]), with
+//!   hit/miss/eviction counters ([`StoreStats`]). It evicts in exact LRU
+//!   order, finding the victim through a recency index in O(log n).
+//!   [`ObligationKey::source_specs`] keys every spec of one SMV source
+//!   with one pass over the source.
 //! * [`SegmentedDiskStore`] — the on-disk tier: an append-only directory
 //!   of atomically-written segments of hand-rolled, checksummed JSON
 //!   ([`json::Json`]). Loads are hash-verified, so stale or tampered
 //!   entries are ignored, never trusted. Readers are concurrent and
 //!   lock-free, a single-writer [`Compactor`] thread merges segments, and
-//!   an on-disk byte budget's evictions are surfaced through
-//!   [`StoreStats`]. [`SegmentedDiskStore::save_snapshot`] and
+//!   an on-disk byte budget, counted in bytes as written, evicts the
+//!   oldest entries, surfaced through [`StoreStats`].
+//!   [`SegmentedDiskStore::save_snapshot`] and
 //!   [`SegmentedDiskStore::load_into`] ship a store between sessions; the
 //!   `cmc-serve` daemon shares the same tier across all client sessions.
 //!

@@ -20,9 +20,11 @@
 //! [`SegmentedDiskStore::compact`], which merges every live segment into
 //! one (newest entry per key wins), applies the optional byte budget by
 //! evicting oldest-first, writes the merged segment atomically and only
-//! then unlinks the inputs. Telemetry (compaction count, budget
-//! evictions, resulting disk bytes) lands in the attached store's
-//! [`crate::StoreStats`].
+//! then unlinks the inputs. The budget counts the merged segment's bytes
+//! as written, frame included, and one pass from the newest entry back
+//! renders each kept entry once and cuts the oldest prefix. Telemetry
+//! (compaction count, budget evictions, resulting disk bytes) lands in
+//! the attached store's [`crate::StoreStats`].
 
 use crate::codec::{entry_from_json, entry_to_json, write_atomic};
 use crate::entry::Entry;
@@ -84,12 +86,14 @@ impl SegmentedDiskStore {
     pub fn append(&self, entries: &[(ObligationKey, Entry)]) -> io::Result<u64> {
         let mut next = self.writer.lock().expect("segment writer poisoned");
         let seq = *next;
-        let items: Vec<Json> = entries
+        let rendered: Vec<String> = entries
             .iter()
-            .map(|(key, entry)| entry_to_json(*key, entry))
+            .map(|(key, entry)| render_entry(*key, entry))
             .collect();
-        let doc = segment_doc(seq, items);
-        write_atomic(&self.segment_path(seq), doc.to_pretty().as_bytes())?;
+        write_atomic(
+            &self.segment_path(seq),
+            segment_text(seq, &rendered).as_bytes(),
+        )?;
         *next = seq + 1;
         Ok(seq)
     }
@@ -120,8 +124,9 @@ impl SegmentedDiskStore {
     }
 
     /// Merge every live segment into one, newest entry per key winning.
-    /// With a byte budget, oldest entries are evicted until the merged
-    /// segment fits. Telemetry is recorded into `store`'s stats. Safe to
+    /// With a byte budget, the oldest entries are evicted until the merged
+    /// segment, as written, fits; it exceeds the budget only when it keeps
+    /// no entry. Telemetry is recorded into `store`'s stats. Safe to
     /// race with concurrent `load_into` readers; concurrent compactors
     /// are serialised by the writer mutex.
     pub fn compact(
@@ -131,40 +136,41 @@ impl SegmentedDiskStore {
     ) -> io::Result<CompactReport> {
         let mut next = self.writer.lock().expect("segment writer poisoned");
         let segments = self.list_segments()?;
-        // Newest-wins merge preserving first-write (oldest) order for
-        // budget eviction.
-        let mut order: Vec<ObligationKey> = Vec::new();
-        let mut merged: HashMap<ObligationKey, Entry> = HashMap::new();
-        read_segments(&segments, store, |key, entry| {
-            if merged.insert(key, entry).is_none() {
-                order.push(key);
+        // Newest-wins merge, each key at the place of its first write, so
+        // `merged` runs oldest first.
+        let mut merged: Vec<(ObligationKey, Entry)> = Vec::new();
+        let mut place: HashMap<ObligationKey, usize> = HashMap::new();
+        read_segments(&segments, store, |key, entry| match place.get(&key) {
+            Some(&i) => merged[i].1 = entry,
+            None => {
+                place.insert(key, merged.len());
+                merged.push((key, entry));
             }
         })?;
+        drop(place);
 
-        // Apply the byte budget: serialised entry sizes, evict oldest
-        // until the projected segment fits.
-        let mut rendered: Vec<(ObligationKey, Json)> = order
-            .iter()
-            .map(|key| (*key, entry_to_json(*key, &merged[key])))
-            .collect();
-        let mut budget_evicted = 0usize;
-        if let Some(budget) = budget_bytes {
-            let mut total: u64 = rendered
-                .iter()
-                .map(|(_, json)| json.to_compact().len() as u64)
-                .sum();
-            while total > budget && !rendered.is_empty() {
-                let (_, json) = rendered.remove(0);
-                total -= json.to_compact().len() as u64;
-                budget_evicted += 1;
-            }
-        }
-
+        // Keep the newest entries while the segment they make fits the
+        // budget: a segment of k ≥ 1 entries is the frame around one
+        // empty entry plus each entry's text and one separator, less the
+        // separator the first entry goes without.
         let seq = *next;
-        let items: Vec<Json> = rendered.iter().map(|(_, json)| json.clone()).collect();
-        let entries_kept = items.len();
-        let doc = segment_doc(seq, items);
-        write_atomic(&self.segment_path(seq), doc.to_pretty().as_bytes())?;
+        let total = merged.len();
+        let mut size = (segment_text(seq, &[String::new()]).len() - ENTRY_SEP.len()) as u64;
+        let mut kept: Vec<String> = Vec::with_capacity(total);
+        for (key, entry) in merged.into_iter().rev() {
+            let text = render_entry(key, &entry);
+            size += (text.len() + ENTRY_SEP.len()) as u64;
+            if budget_bytes.is_some_and(|budget| size > budget) {
+                break;
+            }
+            kept.push(text);
+        }
+        kept.reverse();
+        let budget_evicted = total - kept.len();
+        let entries_kept = kept.len();
+        let text = segment_text(seq, &kept);
+        drop(kept);
+        write_atomic(&self.segment_path(seq), text.as_bytes())?;
         *next = seq + 1;
         // The merged segment is durable under its live name; only now
         // unlink the inputs. A reader racing this sees merged + some
@@ -271,11 +277,14 @@ impl Compactor {
                     }
                 }
                 // Final pass: flush anything unflushed and merge down to
-                // one tidy, budget-respecting segment.
+                // one tidy, budget-respecting segment (a lone segment over
+                // the budget is compacted too).
                 if store.stats().insertions != flushed {
                     disk.save_snapshot(&store).ok();
                 }
-                if disk.segment_count().map(|n| n > 1).unwrap_or(false) {
+                let over_budget =
+                    budget_bytes.is_some_and(|budget| disk.disk_bytes().is_ok_and(|n| n > budget));
+                if over_budget || disk.segment_count().is_ok_and(|n| n > 1) {
                     disk.compact(&store, budget_bytes).ok();
                 }
             })
@@ -324,13 +333,48 @@ impl Drop for Compactor {
     }
 }
 
-fn segment_doc(seq: u64, items: Vec<Json>) -> Json {
-    Json::Obj(vec![
-        ("format".to_string(), Json::Str(FORMAT.to_string())),
-        ("version".to_string(), Json::int(VERSION)),
-        ("seq".to_string(), Json::int(seq)),
-        ("entries".to_string(), Json::Arr(items)),
-    ])
+/// Indent of an entry's first line in a segment (two levels deep).
+const ENTRY_INDENT: &str = "    ";
+/// What separates two entries in a segment's entry list.
+const ENTRY_SEP: &str = ",\n";
+
+/// One entry exactly as a segment file holds it: pretty-printed two
+/// levels deep, first-line indent included.
+fn render_entry(key: ObligationKey, entry: &Entry) -> String {
+    let mut out = String::from(ENTRY_INDENT);
+    entry_to_json(key, entry).write_pretty(&mut out, 2);
+    out
+}
+
+/// The segment document around entries rendered by [`render_entry`]:
+/// byte for byte the pretty-printed object with fields `format`,
+/// `version`, `seq` and `entries`.
+fn segment_text(seq: u64, rendered: &[String]) -> String {
+    let mut out = format!(
+        "{{\n  \"format\": \"{FORMAT}\",\n  \"version\": {VERSION},\n  \"seq\": {seq},\n  \"entries\": "
+    );
+    // Room for every entry, its separator and the closing brackets.
+    out.reserve(
+        rendered
+            .iter()
+            .map(|text| text.len() + ENTRY_SEP.len())
+            .sum::<usize>()
+            + "[\n\n  ]\n}\n".len(),
+    );
+    if rendered.is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push_str("[\n");
+        for (i, text) in rendered.iter().enumerate() {
+            if i > 0 {
+                out.push_str(ENTRY_SEP);
+            }
+            out.push_str(text);
+        }
+        out.push_str("\n  ]");
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 /// Read `segments` in the order given, handing every entry that passes
@@ -796,13 +840,16 @@ mod tests {
             disk.append(&[(key(n), Entry::verdict(true))]).unwrap();
         }
         let store = CertStore::new();
-        // Budget sized for roughly half the entries.
-        let one_entry = entry_to_json(key(0), &Entry::verdict(true))
-            .to_compact()
-            .len() as u64;
-        let report = disk.compact(&store, Some(one_entry * 4)).unwrap();
+        // Budget sized for half the entries as written: the merged
+        // segment (number 8) holding the newest four.
+        let newest: Vec<String> = (4..8u128)
+            .map(|n| render_entry(key(n), &Entry::verdict(true)))
+            .collect();
+        let budget = segment_text(8, &newest).len() as u64;
+        let report = disk.compact(&store, Some(budget)).unwrap();
         assert_eq!(report.budget_evicted, 4);
         assert_eq!(report.entries_kept, 4);
+        assert!(report.disk_bytes <= budget, "the merged segment fits");
 
         let reloaded = CertStore::new();
         disk.load_into(&reloaded).unwrap();
@@ -820,7 +867,111 @@ mod tests {
         assert_eq!(stats.budget_evictions, 4);
         assert_eq!(stats.compactions, 1);
         assert!(stats.disk_bytes > 0);
+        assert!(stats.disk_bytes <= budget);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The segment writer's frame is the JSON writer's: assembling
+    /// pre-rendered entries gives the pretty-printed document's bytes.
+    #[test]
+    fn segment_text_is_the_pretty_printed_document() {
+        let entries = substituted_store()
+            .snapshot()
+            .into_iter()
+            .chain(sample_store().snapshot())
+            .collect::<Vec<_>>();
+        for seq in [0, 7, 12_345_678] {
+            for n in 0..=entries.len() {
+                let doc = Json::Obj(vec![
+                    ("format".to_string(), Json::Str(FORMAT.to_string())),
+                    ("version".to_string(), Json::int(VERSION)),
+                    ("seq".to_string(), Json::int(seq)),
+                    (
+                        "entries".to_string(),
+                        Json::Arr(
+                            entries[..n]
+                                .iter()
+                                .map(|(k, e)| entry_to_json(*k, e))
+                                .collect(),
+                        ),
+                    ),
+                ]);
+                let rendered: Vec<String> = entries[..n]
+                    .iter()
+                    .map(|(k, e)| render_entry(*k, e))
+                    .collect();
+                assert_eq!(segment_text(seq, &rendered), doc.to_pretty());
+            }
+        }
+    }
+
+    /// Under any budget the merged segment keeps the longest newest run
+    /// of entries whose written form fits, and fits unless it keeps none.
+    #[test]
+    fn compaction_keeps_the_newest_entries_that_fit_as_written() {
+        // Entries of unequal sizes: certificates on every third key.
+        let cert = |n: u128| StoredCertificate {
+            goal: format!("goal {n}"),
+            steps: vec![],
+            valid: true,
+            abstractions: vec![],
+        };
+        let entries: Vec<(ObligationKey, Entry)> = (0..9u128)
+            .map(|n| {
+                let entry = if n % 3 == 0 {
+                    Entry::with_certificate(n % 2 == 0, cert(n))
+                } else {
+                    Entry::verdict(n % 2 == 0)
+                };
+                (key(n), entry)
+            })
+            .collect();
+        // Three input segments, so the merged one is number 3; key 1 is
+        // rewritten last but keeps the place of its first write.
+        let write = |disk: &SegmentedDiskStore| {
+            disk.append(&entries[..4]).unwrap();
+            disk.append(&entries[4..]).unwrap();
+            disk.append(&[(key(1), Entry::verdict(true))]).unwrap();
+        };
+        let mut merged = entries.clone();
+        merged[1].1 = Entry::verdict(true);
+        let written = |k: usize| {
+            let rendered: Vec<String> = merged[merged.len() - k..]
+                .iter()
+                .map(|(key, entry)| render_entry(*key, entry))
+                .collect();
+            segment_text(3, &rendered).len() as u64
+        };
+        let full = written(merged.len());
+        for budget in (0..=full + 40)
+            .step_by(37)
+            .chain([written(1), written(5), full])
+        {
+            let dir = tmp_dir(&format!("fit-{budget}"));
+            let disk = SegmentedDiskStore::open(&dir).unwrap();
+            write(&disk);
+            let report = disk.compact(&CertStore::new(), Some(budget)).unwrap();
+            let kept = report.entries_kept;
+            assert_eq!(kept + report.budget_evicted, merged.len());
+            assert_eq!(report.disk_bytes, written(kept), "budget {budget}");
+            assert!(kept == 0 || report.disk_bytes <= budget, "budget {budget}");
+            assert!(
+                kept == merged.len() || written(kept + 1) > budget,
+                "budget {budget}: one more entry would have fit"
+            );
+            let reloaded = CertStore::new();
+            disk.load_into(&reloaded).unwrap();
+            assert_eq!(
+                reloaded.snapshot(),
+                {
+                    let mut newest = merged[merged.len() - kept..].to_vec();
+                    newest.sort_by_key(|(k, _)| *k);
+                    newest
+                },
+                "budget {budget}: the newest entries survive"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

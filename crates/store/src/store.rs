@@ -3,7 +3,7 @@
 use crate::entry::Entry;
 use crate::key::ObligationKey;
 use crate::stats::StoreStats;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default capacity: plenty for every obligation of the paper's case
@@ -17,16 +17,37 @@ struct Slot {
 
 struct Inner {
     map: HashMap<ObligationKey, Slot>,
+    /// The recency index: each resident key under its slot's `last_used`
+    /// clock, so the first entry is the least recently used. Every touch
+    /// takes a fresh clock value, so no two slots share one.
+    recency: BTreeMap<u64, ObligationKey>,
     /// Logical clock for LRU bookkeeping (bumped on every touch).
     clock: u64,
     stats: StoreStats,
+}
+
+impl Inner {
+    /// Put `entry` under `key` as the most recently used entry, moving
+    /// the key's recency entry (an overwrite drops its old clock).
+    fn put(&mut self, key: ObligationKey, entry: Entry) {
+        self.clock += 1;
+        let slot = Slot {
+            entry,
+            last_used: self.clock,
+        };
+        if let Some(old) = self.map.insert(key, slot) {
+            self.recency.remove(&old.last_used);
+        }
+        self.recency.insert(self.clock, key);
+    }
 }
 
 /// A content-addressed, thread-safe store of verification outcomes.
 ///
 /// Keys are structural hashes of obligations ([`ObligationKey`]); values
 /// are verdicts with optional certificates ([`Entry`]). The store is
-/// bounded: at capacity, the least-recently-used entry is evicted. All
+/// bounded: at capacity, the least-recently-used entry is evicted, found
+/// in O(log n) through a recency index ordered by the LRU clock. All
 /// methods take `&self`; interior mutability is one [`Mutex`], so a store
 /// shared behind `Arc` can serve several engines and `cmc-serve`'s
 /// concurrent batch workers. (Every lookup updates the LRU clock and the
@@ -49,6 +70,7 @@ impl CertStore {
         CertStore {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                recency: BTreeMap::new(),
                 clock: 0,
                 stats: StoreStats::default(),
             }),
@@ -56,9 +78,10 @@ impl CertStore {
         }
     }
 
-    // Every update of `Inner` leaves it valid at each step (one map
-    // operation or one counter bump at a time), so a panic in another
-    // holder leaves nothing half-written: recover a poisoned lock.
+    // No update of `Inner` can panic between its map and its recency
+    // index (both are plain collection operations on owned keys), so a
+    // panic in another holder leaves nothing half-written: recover a
+    // poisoned lock.
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -68,15 +91,22 @@ impl CertStore {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.get_mut(key) {
+        let Inner {
+            map,
+            recency,
+            stats,
+            ..
+        } = &mut *inner;
+        match map.get_mut(key) {
             Some(slot) => {
+                recency.remove(&slot.last_used);
+                recency.insert(clock, *key);
                 slot.last_used = clock;
-                let entry = slot.entry.clone();
-                inner.stats.hits += 1;
-                Some(entry)
+                stats.hits += 1;
+                Some(slot.entry.clone())
             }
             None => {
-                inner.stats.misses += 1;
+                stats.misses += 1;
                 None
             }
         }
@@ -86,26 +116,13 @@ impl CertStore {
     /// store is full. Re-inserting an existing key overwrites in place.
     pub fn insert(&self, key: ObligationKey, entry: Entry) {
         let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k)
-            {
+            if let Some((_, victim)) = inner.recency.pop_first() {
                 inner.map.remove(&victim);
                 inner.stats.evictions += 1;
             }
         }
-        inner.map.insert(
-            key,
-            Slot {
-                entry,
-                last_used: clock,
-            },
-        );
+        inner.put(key, entry);
         inner.stats.insertions += 1;
     }
 
@@ -146,15 +163,16 @@ impl CertStore {
     }
 
     /// All resident entries, sorted by key, for the on-disk layer (sorted
-    /// so that saving is deterministic).
+    /// so that saving is deterministic). The sort runs after the lock is
+    /// released, so lookups wait only for the copy.
     pub fn snapshot(&self) -> Vec<(ObligationKey, Entry)> {
-        let inner = self.lock();
-        let mut out: Vec<(ObligationKey, Entry)> = inner
+        let mut out: Vec<(ObligationKey, Entry)> = self
+            .lock()
             .map
             .iter()
             .map(|(k, slot)| (*k, slot.entry.clone()))
             .collect();
-        out.sort_by_key(|(k, _)| *k);
+        out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
 
@@ -168,15 +186,7 @@ impl CertStore {
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
             return false;
         }
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.insert(
-            key,
-            Slot {
-                entry,
-                last_used: clock,
-            },
-        );
+        inner.put(key, entry);
         inner.stats.disk_loads += 1;
         true
     }
@@ -216,6 +226,7 @@ impl Default for CertStore {
 mod tests {
     use super::*;
     use crate::entry::{StoredCertificate, StoredStep};
+    use proptest::prelude::*;
 
     fn key(n: u128) -> ObligationKey {
         ObligationKey(n)
@@ -327,6 +338,120 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.hits + stats.misses, 400);
         assert_eq!(stats.entries, 16);
+    }
+
+    /// The LRU policy as the store kept it before its recency index: each
+    /// slot carries the clock of its last touch, and a full store scans
+    /// every slot for the smallest.
+    #[derive(Default)]
+    struct ScanLru {
+        map: HashMap<ObligationKey, (Entry, u64)>,
+        clock: u64,
+        stats: StoreStats,
+    }
+
+    impl ScanLru {
+        fn lookup(&mut self, key: &ObligationKey) -> Option<Entry> {
+            self.clock += 1;
+            match self.map.get_mut(key) {
+                Some((entry, last_used)) => {
+                    *last_used = self.clock;
+                    self.stats.hits += 1;
+                    Some(entry.clone())
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, capacity: usize, key: ObligationKey, entry: Entry) {
+            self.clock += 1;
+            if !self.map.contains_key(&key) && self.map.len() >= capacity {
+                if let Some(victim) = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (_, last_used))| *last_used)
+                    .map(|(k, _)| *k)
+                {
+                    self.map.remove(&victim);
+                    self.stats.evictions += 1;
+                }
+            }
+            self.map.insert(key, (entry, self.clock));
+            self.stats.insertions += 1;
+        }
+
+        fn install_from_disk(&mut self, capacity: usize, key: ObligationKey, entry: Entry) -> bool {
+            if !self.map.contains_key(&key) && self.map.len() >= capacity {
+                return false;
+            }
+            self.clock += 1;
+            self.map.insert(key, (entry, self.clock));
+            self.stats.disk_loads += 1;
+            true
+        }
+
+        fn resident(&self) -> Vec<(ObligationKey, Entry)> {
+            let mut out: Vec<_> = self.map.iter().map(|(k, (e, _))| (*k, e.clone())).collect();
+            out.sort_by_key(|(k, _)| *k);
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The recency index evicts exactly what the scan evicted: after
+        /// every `insert`, `lookup`, `get_or_check` and `install_from_disk`
+        /// the two agree on each answer, on hits, misses, insertions,
+        /// evictions and disk loads, and on the resident entries; and the
+        /// index holds each resident key once, under its slot's clock.
+        #[test]
+        fn recency_index_evicts_as_the_scan_did(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..4, 0u8..12, any::<bool>()), 0..200),
+        ) {
+            let store = CertStore::with_capacity(capacity);
+            let mut scan = ScanLru::default();
+            for (step, &(op, k, verdict)) in ops.iter().enumerate() {
+                let k = key(k.into());
+                let entry = Entry::verdict(verdict);
+                match op {
+                    0 => {
+                        store.insert(k, entry.clone());
+                        scan.insert(capacity, k, entry);
+                    }
+                    1 => prop_assert_eq!(store.lookup(&k), scan.lookup(&k), "step {}", step),
+                    2 => {
+                        let got = store.get_or_check::<()>(k, || Ok(entry.clone())).unwrap();
+                        let want = match scan.lookup(&k) {
+                            Some(stored) => (stored, true),
+                            None => {
+                                scan.insert(capacity, k, entry.clone());
+                                (entry, false)
+                            }
+                        };
+                        prop_assert_eq!(got, want, "step {}", step);
+                    }
+                    _ => prop_assert_eq!(
+                        store.install_from_disk(k, entry.clone()),
+                        scan.install_from_disk(capacity, k, entry),
+                        "step {}", step
+                    ),
+                }
+                let mut stats = scan.stats;
+                stats.entries = scan.map.len();
+                prop_assert_eq!(store.stats(), stats, "step {}", step);
+                prop_assert_eq!(store.snapshot(), scan.resident(), "step {}", step);
+                let inner = store.lock();
+                prop_assert_eq!(inner.recency.len(), inner.map.len(), "step {}", step);
+                for (clock, k) in &inner.recency {
+                    prop_assert_eq!(inner.map[k].last_used, *clock, "step {}", step);
+                }
+            }
+        }
     }
 
     #[test]

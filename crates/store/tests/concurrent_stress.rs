@@ -9,10 +9,13 @@
 //!   performed (lookups = hits + misses, insertions counted once each,
 //!   zero evictions below capacity);
 //! * **`get_or_check` coherence** — once any thread memoizes a key, every
-//!   later `get_or_check` returns that verdict without re-running.
+//!   later `get_or_check` returns that verdict without re-running;
+//! * **exact eviction at capacity** — writers inserting fresh keys past a
+//!   small capacity leave it exactly full, evict exactly the excess, and
+//!   never let a concurrent reader see it over capacity.
 
 use cmc_store::{CertStore, Entry, ObligationKey};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const WRITERS: usize = 4;
@@ -113,4 +116,56 @@ fn get_or_check_memoizes_exactly_once_per_key_under_contention() {
     let stats = store.stats();
     assert_eq!(stats.hits + stats.misses, lookups);
     assert_eq!(stats.entries, KEYS as usize);
+}
+
+#[test]
+fn writers_past_capacity_evict_exactly_the_excess() {
+    const CAPACITY: usize = 48;
+    const FRESH: usize = 400;
+    let store = Arc::new(CertStore::with_capacity(CAPACITY));
+    let largest = Arc::new(AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let store = Arc::clone(&store);
+            scope.spawn(move || {
+                // Disjoint fresh keys: writer `w` owns every key ≡ w mod WRITERS.
+                for i in 0..FRESH {
+                    let k = (i * WRITERS + w) as u128;
+                    store.insert(ObligationKey(k), Entry::verdict(verdict_for(k)));
+                }
+            });
+        }
+        for r in 0..READERS {
+            let store = Arc::clone(&store);
+            let largest = Arc::clone(&largest);
+            scope.spawn(move || {
+                for i in 0..ITERS * 4 {
+                    let k = ((r * 31 + i * 7) % (WRITERS * FRESH)) as u128;
+                    if let Some(entry) = store.lookup(&ObligationKey(k)) {
+                        assert_eq!(entry.verdict, verdict_for(k), "key {k}");
+                    }
+                    largest.fetch_max(store.len(), Ordering::Relaxed);
+                }
+            });
+        }
+    });
+
+    let stats = store.stats();
+    assert_eq!(store.len(), CAPACITY);
+    assert_eq!(stats.insertions, (WRITERS * FRESH) as u64);
+    assert_eq!(stats.evictions, stats.insertions - CAPACITY as u64);
+    assert_eq!(stats.hits + stats.misses, (READERS * ITERS * 4) as u64);
+    for (key, entry) in store.snapshot() {
+        assert!(
+            key.0 < (WRITERS * FRESH) as u128,
+            "key {} never written",
+            key.0
+        );
+        assert_eq!(entry.verdict, verdict_for(key.0), "key {}", key.0);
+    }
+    assert!(
+        largest.load(Ordering::Relaxed) <= CAPACITY,
+        "a reader saw {} resident entries",
+        largest.load(Ordering::Relaxed)
+    );
 }
