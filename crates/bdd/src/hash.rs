@@ -1,9 +1,11 @@
 //! A fast, non-cryptographic hasher for integer-shaped keys.
 //!
-//! The unique table and the ITE computed table are the hottest maps in the
-//! whole checker and their keys are small tuples of `u32`s. The standard
-//! library's SipHash is a poor fit for such keys (see *The Rust Performance
-//! Book*, "Hashing"), and no fast-hash crate is available offline, so this
+//! The unique table and the computed table are the hottest tables in the
+//! whole checker and their keys are small tuples of `u32`s; both hash them
+//! with [`FxHasher`], and the maps of `support`, `node_count` and
+//! `rename`'s memo use it through [`FxHashMap`]. The standard library's
+//! SipHash is a poor fit for such keys (see *The Rust Performance Book*,
+//! "Hashing"), and no fast-hash crate is available offline, so this
 //! module implements the well-known Fx multiply-rotate hash used by rustc.
 
 use std::hash::{BuildHasherDefault, Hasher};

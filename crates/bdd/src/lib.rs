@@ -8,8 +8,10 @@
 //!
 //! The package provides:
 //!
-//! * a [`BddManager`] owning an arena of hash-consed nodes with a unique
-//!   table and an ITE computed-table cache,
+//! * a [`BddManager`] owning an arena of hash-consed nodes, found through
+//!   an open-addressed unique table of arena ids, and a direct-mapped,
+//!   lossy computed table ([`cache`]) memoising ITE, the quantifiers and
+//!   the relational product — one probe per recursive step,
 //! * the full boolean algebra ([`BddManager::and`], [`BddManager::or`],
 //!   [`BddManager::not`], [`BddManager::xor`], [`BddManager::iff`],
 //!   [`BddManager::implies`], [`BddManager::ite`]),
@@ -20,9 +22,9 @@
 //!   variable frames,
 //! * a memory kernel: mark-and-sweep garbage collection with compaction
 //!   over an explicit root registry ([`BddManager::protect`] /
-//!   [`BddManager::gc`]) and a bounded generational computed table
-//!   ([`cache`]); variables keep their declaration order for the
-//!   manager's whole life,
+//!   [`BddManager::gc`]) that remaps the bounded computed table in place
+//!   and rebuilds the unique table for the live set; variables keep their
+//!   declaration order for the manager's whole life,
 //! * model counting and witness extraction ([`sat`] module),
 //! * resource statistics mirroring the `resources used:` trailer that SMV
 //!   prints in the paper's Figures 7, 10, 15 and 17 ([`stats`] module),
@@ -54,6 +56,7 @@ pub mod ops;
 pub mod roots;
 pub mod sat;
 pub mod stats;
+mod unique;
 
 pub use cache::DEFAULT_CACHE_CAPACITY;
 pub use manager::{BddManager, GcStats};

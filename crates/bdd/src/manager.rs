@@ -5,6 +5,11 @@ use crate::hash::FxHashMap;
 use crate::node::{Bdd, Node, Var, TERMINAL_VAR};
 use crate::roots::{RootId, Roots};
 use crate::stats::BddStats;
+use crate::unique::UniqueTable;
+
+/// Entry of [`BddManager::rename`]'s dense variable map for a variable the
+/// map leaves alone.
+const KEEP: u32 = u32::MAX;
 
 /// Outcome of one [`BddManager::gc`] collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +44,7 @@ pub struct GcStats {
 /// boundaries where its live set is fully registered.
 pub struct BddManager {
     nodes: Vec<Node>,
-    unique: FxHashMap<Node, u32>,
+    unique: UniqueTable,
     cache: ComputedTable,
     roots: Roots,
     num_vars: u32,
@@ -78,8 +83,8 @@ impl BddManager {
             high: 1,
         });
         BddManager {
+            unique: UniqueTable::from_arena(&nodes),
             nodes,
-            unique: FxHashMap::default(),
             cache: ComputedTable::new(DEFAULT_CACHE_CAPACITY),
             roots: Roots::default(),
             num_vars: 0,
@@ -91,16 +96,17 @@ impl BddManager {
         }
     }
 
-    /// Bound the computed table at `entries` per generation (two
-    /// generations may be resident, so the table holds at most `2 ×
-    /// entries`). Takes effect on the next insert.
-    pub fn set_cache_capacity(&mut self, entries: usize) {
-        self.cache.set_segment_capacity(entries);
+    /// Bound the computed table at `slots` slots, rounded down to a power
+    /// of two (at least one slot). The table grows towards the bound as
+    /// inserts arrive; one already larger shrinks now, keeping one entry
+    /// per slot.
+    pub fn set_cache_capacity(&mut self, slots: usize) {
+        self.cache.set_capacity(slots);
     }
 
-    /// The configured per-generation computed-table bound.
+    /// The computed-table bound, in slots (a power of two).
     pub fn cache_capacity(&self) -> usize {
-        self.cache.segment_capacity()
+        self.cache.capacity()
     }
 
     /// Declare a fresh variable at the bottom of the current order.
@@ -133,18 +139,23 @@ impl BddManager {
         self.mk(v.0, 1, 0)
     }
 
-    /// Hash-consed node constructor applying the ROBDD reduction rules.
+    /// Hash-consed node constructor applying the ROBDD reduction rules:
+    /// one unique-table probe finds the node or the slot for a new one.
     fn mk(&mut self, var: u32, low: u32, high: u32) -> Bdd {
         if low == high {
             return Bdd(low);
         }
         let node = Node { var, low, high };
-        if let Some(&id) = self.unique.get(&node) {
-            return Bdd(id);
-        }
-        let id = self.nodes.len() as u32;
+        let slot = match self.unique.find(&self.nodes, &node) {
+            Ok(id) => return Bdd(id),
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("BDD arena full: node ids exhausted");
         self.nodes.push(node);
-        self.unique.insert(node, id);
+        self.unique.insert(&self.nodes, slot);
         self.total_allocated += 1;
         if self.nodes.len() > self.peak_live {
             self.peak_live = self.nodes.len();
@@ -208,11 +219,12 @@ impl BddManager {
     /// nodes and remapping every registered root in place.
     ///
     /// Every handle not reachable from the registry is invalidated; the
-    /// computed table (whose keys and values are node ids) is remapped so
-    /// entries over surviving nodes keep memoising across the collection,
-    /// and entries touching reclaimed nodes are dropped. The unique table
-    /// is rebuilt right-sized, so reclaimed memory is actually returned
-    /// rather than retained as capacity.
+    /// computed table (whose keys and values are node ids) is remapped in
+    /// place so entries over surviving nodes keep memoising across the
+    /// collection, and entries touching reclaimed nodes are dropped. The
+    /// unique table is rebuilt from the compacted arena, sized to the live
+    /// set, so reclaimed memory is actually returned rather than retained
+    /// as capacity.
     pub fn gc(&mut self) -> GcStats {
         let before = self.nodes.len();
         let mut mark = vec![false; before];
@@ -251,12 +263,8 @@ impl BddManager {
                 });
             }
         }
-        let mut unique = FxHashMap::with_capacity_and_hasher(new_nodes.len(), Default::default());
-        for (id, n) in new_nodes.iter().enumerate().skip(2) {
-            unique.insert(*n, id as u32);
-        }
+        self.unique = UniqueTable::from_arena(&new_nodes);
         self.nodes = new_nodes;
-        self.unique = unique;
         self.cache.remap(&remap);
         self.roots.remap(&remap);
         let reclaimed = before - self.nodes.len();
@@ -522,32 +530,36 @@ impl BddManager {
     /// always satisfies this. Panics otherwise.
     pub fn rename(&mut self, f: Bdd, map: &[(Var, Var)]) -> Bdd {
         // Constants mention no variables, and an empty or identity map
-        // renames nothing: return `f` before allocating the lookup and
-        // memo tables the recursive rebuild needs.
+        // renames nothing: return `f` before allocating the variable map
+        // and memo table the recursive rebuild needs.
         if f.is_const() || map.iter().all(|&(a, b)| a == b) {
             return f;
         }
-        let mut pairs: Vec<(u32, u32)> = map.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        pairs.sort_unstable();
-        for w in pairs.windows(2) {
-            assert!(
-                w[0].1 < w[1].1,
-                "rename map must be order-preserving: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
+        // Dense map, indexed by variable: the new variable, or `KEEP`
+        // where `map` leaves a variable alone. Pairs over undeclared
+        // variables cannot match a node and are skipped.
+        let mut to = vec![KEEP; self.num_vars as usize];
+        for &(a, b) in map {
+            if let Some(t) = to.get_mut(a.index()) {
+                *t = b.0;
+            }
         }
-        let lookup: FxHashMap<u32, u32> = pairs.iter().copied().collect();
+        let mut last: Option<(usize, u32)> = None;
+        for (a, &b) in to.iter().enumerate().filter(|&(_, &b)| b != KEEP) {
+            if let Some(prev) = last {
+                assert!(
+                    prev.1 < b,
+                    "rename map must be order-preserving: {prev:?} then {:?}",
+                    (a, b)
+                );
+            }
+            last = Some((a, b));
+        }
         let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
-        self.rename_rec(f, &lookup, &mut memo)
+        self.rename_rec(f, &to, &mut memo)
     }
 
-    fn rename_rec(
-        &mut self,
-        f: Bdd,
-        map: &FxHashMap<u32, u32>,
-        memo: &mut FxHashMap<u32, u32>,
-    ) -> Bdd {
+    fn rename_rec(&mut self, f: Bdd, to: &[u32], memo: &mut FxHashMap<u32, u32>) -> Bdd {
         if f.is_const() {
             return f;
         }
@@ -555,9 +567,12 @@ impl BddManager {
             return Bdd(r);
         }
         let n = self.node(f);
-        let lo = self.rename_rec(Bdd(n.low), map, memo);
-        let hi = self.rename_rec(Bdd(n.high), map, memo);
-        let var = *map.get(&n.var).unwrap_or(&n.var);
+        let lo = self.rename_rec(Bdd(n.low), to, memo);
+        let hi = self.rename_rec(Bdd(n.high), to, memo);
+        let var = match to[n.var as usize] {
+            KEEP => n.var,
+            renamed => renamed,
+        };
         let r = self.mk(var, lo.0, hi.0);
         memo.insert(f.0, r.0);
         r
@@ -645,8 +660,7 @@ impl BddManager {
             live_nodes: self.nodes.len(),
             peak_live_nodes: self.peak_live,
             bytes_allocated: self.nodes.capacity() * std::mem::size_of::<Node>()
-                + self.unique.capacity()
-                    * (std::mem::size_of::<Node>() + std::mem::size_of::<u32>())
+                + self.unique.capacity_bytes()
                 + self.cache.capacity_bytes()
                 + self.roots.capacity_bytes(),
             cache_hits: self.cache.hits(),
@@ -1089,7 +1103,7 @@ mod tests {
         let s = m.stats();
         assert!(
             s.cache_evictions > 0,
-            "a 64-entry cache must rotate under this load"
+            "a 64-slot cache must evict under this load"
         );
     }
 

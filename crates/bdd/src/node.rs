@@ -61,7 +61,7 @@ impl Bdd {
 /// Terminals occupy arena slots 0 (FALSE) and 1 (TRUE) with a sentinel
 /// variable index larger than any real variable, so that the "top variable"
 /// comparisons in the ITE recursion need no special cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     /// Decision variable (sentinel `u32::MAX` for terminals).
     pub var: u32,

@@ -18,15 +18,19 @@ pub struct BddStats {
     pub live_nodes: usize,
     /// High-water mark of [`BddStats::live_nodes`] over the manager's life.
     pub peak_live_nodes: usize,
-    /// Heap bytes held by the arena, unique table, computed table and root
-    /// registry — *capacity*, not element counts, so retained memory that
-    /// has not yet been returned is visible.
+    /// Heap bytes held by the arena, the unique table's slot array, the
+    /// computed table's slot array and the root registry — *capacity*,
+    /// not element counts, so retained memory that has not yet been
+    /// returned is visible.
     pub bytes_allocated: usize,
     /// Computed-table hits since manager creation.
     pub cache_hits: u64,
     /// Computed-table misses since manager creation.
     pub cache_misses: u64,
-    /// Entries dropped by generational computed-table rotation.
+    /// Computed-table inserts that overwrote an occupied slot (the table
+    /// is direct-mapped, so a colliding insert replaces the old entry).
+    /// Entries a collection drops because their nodes died are not
+    /// counted.
     pub cache_evictions: u64,
     /// Computed-table hits attributed to `and_exists` relational-product
     /// keys alone — the memo the quantification scheduler optimises for.

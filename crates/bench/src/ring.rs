@@ -142,7 +142,7 @@ mod tests {
 
     /// A bounded GC policy bounds memory without changing the answer. The
     /// least fixpoint `EF t[n/2]` runs once with maintenance off and a
-    /// computed table too large to rotate, and once with automatic GC at
+    /// 2²²-slot computed table, and once with automatic GC at
     /// a quarter of that run's peak and a small table: the bounded run
     /// must collect, and stay strictly below the unbounded run in peak
     /// live nodes and in bytes allocated.

@@ -580,7 +580,8 @@ const EXACT_COUNT_PROPS: usize = 52;
 pub struct SymbolicBackend {
     /// Maintenance policy installed on the model before checking.
     pub maintenance: Option<MaintenanceConfig>,
-    /// Computed-table segment capacity, in entries.
+    /// Computed-table bound, in slots (rounded down to a power of two; see
+    /// `BddManager::set_cache_capacity`).
     pub cache_capacity: Option<usize>,
     /// Image strategy: the scheduled partitions (the default) or the
     /// memoised monolithic relation. `None` keeps the model default.
@@ -599,9 +600,9 @@ impl SymbolicBackend {
         }
     }
 
-    /// Override the computed-table bound (builder style).
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_capacity = Some(entries);
+    /// Override the computed-table bound, in slots (builder style).
+    pub fn cache_capacity(mut self, slots: usize) -> Self {
+        self.cache_capacity = Some(slots);
         self
     }
 
@@ -631,8 +632,8 @@ impl SymbolicBackend {
         let start = Instant::now();
         let alphabet = target.union_alphabet();
         let mut model = SymbolicModel::from_components(target.systems(), alphabet);
-        if let Some(entries) = self.cache_capacity {
-            model.mgr().set_cache_capacity(entries);
+        if let Some(slots) = self.cache_capacity {
+            model.mgr().set_cache_capacity(slots);
         }
         if let Some(cfg) = self.maintenance {
             model.set_maintenance(cfg);

@@ -8,7 +8,7 @@
 
 use crate::ast::{Expr, Module, Type};
 use crate::check::{check_module, SemError, Symbols};
-use cmc_bdd::Bdd;
+use cmc_bdd::{Bdd, Var};
 use cmc_ctl::Formula;
 use cmc_symbolic::SymbolicModel;
 use std::collections::BTreeMap;
@@ -115,8 +115,15 @@ struct Compiler<'m> {
     syms: Symbols<'m>,
     model: SymbolicModel,
     vars: Vec<CompiledVar>,
-    /// var name → (index into vars, bit prop names)
+    /// var name → index into vars
     var_index: BTreeMap<String, usize>,
+    /// Index into the model's flat state-variable layout of each source
+    /// variable's first bit.
+    bit_offsets: Vec<usize>,
+    /// Values of the DEFINEs of the module in `syms` evaluated so far, by
+    /// frame (`Frame as usize`) and name: a body is evaluated once per
+    /// frame however often it is used.
+    define_memo: [BTreeMap<String, SValue>; 2],
 }
 
 /// Compile a module to a symbolic model. Runs the semantic checker first.
@@ -157,28 +164,10 @@ pub(crate) fn compile_parts(
         });
     }
 
-    let model = SymbolicModel::new(bit_names_flat);
-    let mut c = Compiler {
-        syms: Symbols::new(&modules[0])?,
-        model,
-        vars,
-        var_index,
-    };
-    c.register_value_props()?;
-
-    // Every relation below is one `and_many` over its constraints in
-    // source order: a balanced conjunction, where a left fold would
-    // re-walk the accumulated relation once per constraint.
-    let valid_cur = c.validity(Frame::Current);
-    let mut init = vec![valid_cur];
-    let to_next: Vec<(cmc_bdd::Var, cmc_bdd::Var)> =
-        c.model.vars().iter().map(|v| (v.cur, v.next)).collect();
-
     // Bit offset of each source variable in the flat StateVar layout.
     let bit_offsets: Vec<usize> = {
         let mut off = 0usize;
-        c.vars
-            .iter()
+        vars.iter()
             .map(|v| {
                 let o = off;
                 off += v.bit_names.len();
@@ -187,8 +176,26 @@ pub(crate) fn compile_parts(
             .collect()
     };
 
+    let model = SymbolicModel::new(bit_names_flat);
+    let mut c = Compiler {
+        syms: Symbols::new(&modules[0])?,
+        model,
+        vars,
+        var_index,
+        bit_offsets,
+        define_memo: Default::default(),
+    };
+    c.register_value_props()?;
+
+    // Every relation below is one `and_many` over its constraints in
+    // source order: a balanced conjunction, where a left fold would
+    // re-walk the accumulated relation once per constraint.
+    let valid_cur = c.validity(Frame::Current);
+    let mut init = vec![valid_cur];
+    let to_next: Vec<(Var, Var)> = c.model.vars().iter().map(|v| (v.cur, v.next)).collect();
+
     for module in modules {
-        c.syms = Symbols::new(module)?;
+        c.enter(module)?;
 
         // This module's synchronous step over its own variables.
         let mut part = Vec::new();
@@ -212,7 +219,7 @@ pub(crate) fn compile_parts(
         let owned_bits: Vec<usize> = own_vars
             .iter()
             .flat_map(|&vi| {
-                let o = bit_offsets[vi];
+                let o = c.bit_offsets[vi];
                 o..o + c.vars[vi].bit_names.len()
             })
             .collect();
@@ -254,7 +261,7 @@ pub(crate) fn compile_parts(
     // Translate specs (per module, so DEFINEs resolve in the right scope).
     let mut specs = Vec::new();
     for module in modules {
-        c.syms = Symbols::new(module)?;
+        c.enter(module)?;
         for (text, e) in &module.specs {
             let f = c.spec_to_formula(e)?;
             specs.push((text.clone(), f));
@@ -269,18 +276,28 @@ pub(crate) fn compile_parts(
 }
 
 impl<'m> Compiler<'m> {
+    /// Compile `module`'s constructs from here on: its symbols, and a
+    /// fresh DEFINE memo.
+    fn enter(&mut self, module: &'m Module) -> Result<(), SemError> {
+        self.syms = Symbols::new(module)?;
+        self.define_memo = Default::default();
+        Ok(())
+    }
+
+    /// The BDD variable of bit `j` of source variable `vi` in `frame`.
+    fn bit_var(&self, vi: usize, j: usize, frame: Frame) -> Var {
+        let sv = &self.model.vars()[self.bit_offsets[vi] + j];
+        match frame {
+            Frame::Current => sv.cur,
+            Frame::NextState => sv.next,
+        }
+    }
+
     /// BDD of "variable (in `frame`) encodes value index `idx`".
     fn var_equals_index(&mut self, vi: usize, idx: usize, frame: Frame) -> Bdd {
         let mut lits = Vec::new();
-        for (j, bit_name) in self.vars[vi].bit_names.iter().enumerate() {
-            let sv = self
-                .model
-                .state_var(bit_name)
-                .expect("bit variable registered");
-            let var = match frame {
-                Frame::Current => sv.cur,
-                Frame::NextState => sv.next,
-            };
+        for j in 0..self.vars[vi].bit_names.len() {
+            let var = self.bit_var(vi, j, frame);
             lits.push(if idx >> j & 1 == 1 {
                 self.model.mgr().var(var)
             } else {
@@ -296,11 +313,7 @@ impl<'m> Compiler<'m> {
         let ty = self.vars[vi].ty.clone();
         match ty {
             Type::Boolean => {
-                let sv = self.model.state_var(name).unwrap().clone();
-                let var = match frame {
-                    Frame::Current => sv.cur,
-                    Frame::NextState => sv.next,
-                };
+                let var = self.bit_var(vi, 0, frame);
                 let b = self.model.mgr().var(var);
                 SValue::boolean(self.model.mgr(), b)
             }
@@ -324,8 +337,8 @@ impl<'m> Compiler<'m> {
             let ty = self.vars[vi].ty.clone();
             match ty {
                 Type::Boolean => {
-                    let sv = self.model.state_var(&name).unwrap().clone();
-                    let b = self.model.mgr().var(sv.cur);
+                    let var = self.bit_var(vi, 0, Frame::Current);
+                    let b = self.model.mgr().var(var);
                     let nb = self.model.mgr().not(b);
                     self.model.define_prop(format!("{name}=1"), b);
                     self.model.define_prop(format!("{name}=0"), nb);
@@ -377,8 +390,8 @@ impl<'m> Compiler<'m> {
             Ident(name) => {
                 if self.var_index.contains_key(name) {
                     self.var_value(name, frame)
-                } else if let Some(body) = self.syms.defines.get(name.as_str()).copied() {
-                    self.eval(&body.clone(), frame)?
+                } else if let Some(v) = self.define_value(name, frame)? {
+                    v
                 } else {
                     // Enum literal.
                     SValue::constant(name.clone())
@@ -448,6 +461,20 @@ impl<'m> Compiler<'m> {
                 return Err(SemError(format!("temporal operator in expression: {e}")))
             }
         })
+    }
+
+    /// The value of DEFINE `name` in `frame`, evaluating its body on the
+    /// first use only; `None` if the module defines no `name`.
+    fn define_value(&mut self, name: &str, frame: Frame) -> Result<Option<SValue>, SemError> {
+        if let Some(v) = self.define_memo[frame as usize].get(name) {
+            return Ok(Some(v.clone()));
+        }
+        let Some(&body) = self.syms.defines.get(name) else {
+            return Ok(None);
+        };
+        let v = self.eval(body, frame)?;
+        self.define_memo[frame as usize].insert(name.to_owned(), v.clone());
+        Ok(Some(v))
     }
 
     fn boolean_op(
@@ -524,10 +551,9 @@ impl<'m> Compiler<'m> {
             Ident(name) => {
                 if self.model.prop(name).is_some() {
                     Formula::ap(name.clone())
-                } else if self.syms.defines.contains_key(name.as_str()) {
+                } else if let Some(v) = self.define_value(name, Frame::Current)? {
                     // Register the define's BDD as a proposition.
-                    let body = self.syms.defines[name.as_str()].clone();
-                    let b = self.eval(&body, Frame::Current)?.to_bool()?;
+                    let b = v.to_bool()?;
                     self.model.define_prop(name.clone(), b);
                     Formula::ap(name.clone())
                 } else {

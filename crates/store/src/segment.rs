@@ -238,9 +238,10 @@ pub struct Compactor {
 impl Compactor {
     /// Spawn the compactor: every `interval` (and once at shutdown) it
     /// appends the store's current snapshot as a fresh segment, then —
-    /// whenever more than `max_segments` accumulated — compacts under
-    /// `budget_bytes`. Passes are dirty-gated on the store's insertion
-    /// counter: an idle store writes nothing, however long it idles.
+    /// whenever more than `max_segments` accumulated or the tier outgrew
+    /// `budget_bytes` — compacts under `budget_bytes`. Passes are
+    /// dirty-gated on the store's insertion counter: an idle store writes
+    /// nothing, however long it idles.
     pub fn spawn(
         disk: Arc<SegmentedDiskStore>,
         store: Arc<CertStore>,
@@ -282,9 +283,9 @@ impl Compactor {
                 if store.stats().insertions != flushed {
                     disk.save_snapshot(&store).ok();
                 }
-                let over_budget =
-                    budget_bytes.is_some_and(|budget| disk.disk_bytes().is_ok_and(|n| n > budget));
-                if over_budget || disk.segment_count().is_ok_and(|n| n > 1) {
+                if Self::over_budget(&disk, budget_bytes)
+                    || disk.segment_count().is_ok_and(|n| n > 1)
+                {
                     disk.compact(&store, budget_bytes).ok();
                 }
             })
@@ -306,13 +307,18 @@ impl Compactor {
         if disk.save_snapshot(store).is_err() {
             return;
         }
-        if disk
-            .segment_count()
-            .map(|n| n > max_segments)
-            .unwrap_or(false)
+        if Self::over_budget(disk, budget_bytes)
+            || disk.segment_count().is_ok_and(|n| n > max_segments)
         {
             disk.compact(store, budget_bytes).ok();
         }
+    }
+
+    /// Does the tier hold more bytes than a set budget? Always false
+    /// without a budget, so an unbudgeted tier never stats its segments
+    /// here.
+    fn over_budget(disk: &SegmentedDiskStore, budget_bytes: Option<u64>) -> bool {
+        budget_bytes.is_some_and(|budget| disk.disk_bytes().is_ok_and(|n| n > budget))
     }
 
     /// Signal the thread and wait for its final flush/compaction.
@@ -829,6 +835,34 @@ mod tests {
         assert!(reloaded.lookup(&ObligationKey(7)).is_some());
         assert_eq!(reloaded.stats().segments_skipped, 0);
         assert_eq!(reloaded.stats().disk_rejects, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A budgeted tier is compacted whenever a pass leaves it over the
+    /// budget, not only once segments pile up: after every pass it fits,
+    /// unless the merged segment keeps no entry.
+    #[test]
+    fn budgeted_passes_keep_the_tier_within_its_budget() {
+        let dir = tmp_dir("pass-budget");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let store = CertStore::new();
+        // Room for the newest four entries (all of one size) as written.
+        let four: Vec<String> = (0..4u128)
+            .map(|n| render_entry(key(n), &Entry::verdict(true)))
+            .collect();
+        let budget = segment_text(99, &four).len() as u64;
+        for batch in 0..6u128 {
+            for n in 0..3 {
+                store.insert(key(10 * batch + n), Entry::verdict(true));
+            }
+            Compactor::pass(&disk, &store, 8, Some(budget));
+            let bytes = disk.disk_bytes().unwrap();
+            let kept = disk.load_into(&CertStore::new()).unwrap();
+            assert!(
+                bytes <= budget || kept == 0,
+                "batch {batch}: {bytes} bytes on disk over a budget of {budget}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -151,11 +151,46 @@ struct TransPart {
 struct SchedCluster {
     /// Indices into `SymbolicModel::trans_parts` of the member partitions.
     members: Vec<usize>,
-    /// Ascending union of the members' owned-variable indices.
-    owned: Vec<usize>,
     /// Merged local move relation (partial frames materialised), held in
     /// the root registry so GC keeps it alive.
     rel: RootId,
+    /// The owned variables' `(cur, next)` rename pairs.
+    cur_to_next: Vec<(Var, Var)>,
+    /// The owned variables' `(next, cur)` rename pairs.
+    next_to_cur: Vec<(Var, Var)>,
+    /// Cube of the owned current-state variables (a registry root).
+    cur_cube: RootId,
+    /// Cube of the owned next-state variables (a registry root).
+    next_cube: RootId,
+}
+
+impl SchedCluster {
+    /// Backward image through the cluster's relation:
+    /// `∃next_owned. (rel ∧ S[cur_owned→next_owned])`, renaming and
+    /// quantifying **only the owned variables**. This is the
+    /// early-quantification schedule in closed form: in
+    /// `∃next.(rel ∧ ⋀_{j foreign} vⱼ'=vⱼ ∧ S[cur→next])` every frame
+    /// conjunct `vⱼ'=vⱼ` is the sole constraint on `vⱼ'`, so quantifying
+    /// `vⱼ'` first collapses it to the substitution `vⱼ' := vⱼ` in `S` —
+    /// i.e. foreign variables of `S` simply stay in the current frame and
+    /// never materialise in the product.
+    fn pre_image(&self, mgr: &mut BddManager, s: Bdd) -> Bdd {
+        let rel = mgr.root(self.rel);
+        let s_next = mgr.rename(s, &self.cur_to_next);
+        let next_cube = mgr.root(self.next_cube);
+        mgr.and_exists(rel, s_next, next_cube)
+    }
+
+    /// Forward image through the cluster's relation:
+    /// `(∃cur_owned. rel ∧ S)[next_owned→cur_owned]` — again only owned
+    /// variables are quantified and renamed; foreign variables of `S` pass
+    /// through in the current frame (see [`SchedCluster::pre_image`]).
+    fn post_image(&self, mgr: &mut BddManager, s: Bdd) -> Bdd {
+        let rel = mgr.root(self.rel);
+        let cur_cube = mgr.root(self.cur_cube);
+        let img_next = mgr.and_exists(rel, s, cur_cube);
+        mgr.rename(img_next, &self.next_to_cur)
+    }
 }
 
 /// A cached quantification schedule: the merge plan plus the cost-model
@@ -386,11 +421,14 @@ impl SymbolicModel {
         })
     }
 
-    /// Drop the cached schedule, releasing its merged-cluster roots.
+    /// Drop the cached schedule, releasing its clusters' relation and
+    /// cube roots.
     fn drop_schedule(&mut self) {
         if let Some(sched) = self.schedule.take() {
             for c in sched.clusters {
                 self.mgr.unprotect(c.rel);
+                self.mgr.unprotect(c.cur_cube);
+                self.mgr.unprotect(c.next_cube);
             }
         }
     }
@@ -548,60 +586,23 @@ impl SymbolicModel {
             .collect()
     }
 
-    /// Backward image through one local relation owning exactly the
-    /// variables at `owned` (a partition or a merged cluster):
-    /// `∃next_owned. (rel ∧ S[cur_owned→next_owned])`, renaming and
-    /// quantifying **only the owned variables**. This is the
-    /// early-quantification schedule in closed form: in
-    /// `∃next.(rel ∧ ⋀_{j foreign} vⱼ'=vⱼ ∧ S[cur→next])` every frame
-    /// conjunct `vⱼ'=vⱼ` is the sole constraint on `vⱼ'`, so quantifying
-    /// `vⱼ'` first collapses it to the substitution `vⱼ' := vⱼ` in `S` —
-    /// i.e. foreign variables of `S` simply stay in the current frame and
-    /// never materialise in the product.
-    fn pre_image_owned(&mut self, rel: Bdd, owned: &[usize], s: Bdd) -> Bdd {
-        let rename: Vec<(Var, Var)> = owned
-            .iter()
-            .map(|&vi| (self.vars[vi].cur, self.vars[vi].next))
-            .collect();
-        let next_vars: Vec<Var> = owned.iter().map(|&vi| self.vars[vi].next).collect();
-        let s_next = self.mgr.rename(s, &rename);
-        let next_cube = self.mgr.cube(&next_vars);
-        self.mgr.and_exists(rel, s_next, next_cube)
-    }
-
-    /// Forward image through one local relation owning exactly the
-    /// variables at `owned`: `(∃cur_owned. rel ∧ S)[next_owned→cur_owned]`
-    /// — again only owned variables are quantified and renamed; foreign
-    /// variables of `S` pass through in the current frame (see
-    /// [`SymbolicModel::pre_image_owned`]).
-    fn post_image_owned(&mut self, rel: Bdd, owned: &[usize], s: Bdd) -> Bdd {
-        let cur_vars: Vec<Var> = owned.iter().map(|&vi| self.vars[vi].cur).collect();
-        let rename: Vec<(Var, Var)> = owned
-            .iter()
-            .map(|&vi| (self.vars[vi].next, self.vars[vi].cur))
-            .collect();
-        let cur_cube = self.mgr.cube(&cur_vars);
-        let img_next = self.mgr.and_exists(rel, s, cur_cube);
-        self.mgr.rename(img_next, &rename)
-    }
-
     /// `EX S` — predecessors of `S` under the transition relation
     /// (including the stutter move, so `S ⇒ EX S`).
     ///
     /// In [`ImageMode::Scheduled`] (the default) this is the union of
     /// the early-quantified products over the scheduled clusters (the
-    /// closed form in `pre_image_owned`); the monolithic relation is
-    /// never built. [`ImageMode::Monolithic`] computes the same set
+    /// closed form in `SchedCluster::pre_image`); the monolithic relation
+    /// is never built. [`ImageMode::Monolithic`] computes the same set
     /// against the memoised product relation instead.
     pub fn pre_exists(&mut self, s: Bdd) -> Bdd {
         match self.image_mode {
             ImageMode::Monolithic => self.pre_exists_monolithic(s),
             ImageMode::Scheduled => {
-                let plan = self.scheduled_plan();
+                self.ensure_schedule();
+                let sched = self.schedule.as_ref().expect("schedule just built");
                 let mut acc = s; // identity partition: S itself
-                for (rel_root, owned) in plan {
-                    let rel = self.mgr.root(rel_root);
-                    let img = self.pre_image_owned(rel, &owned, s);
+                for &c in &sched.order {
+                    let img = sched.clusters[c].pre_image(&mut self.mgr, s);
                     acc = self.mgr.or(acc, img);
                 }
                 acc
@@ -634,11 +635,11 @@ impl SymbolicModel {
                 self.mgr.rename(img_next, &self.next_to_cur)
             }
             ImageMode::Scheduled => {
-                let plan = self.scheduled_plan();
+                self.ensure_schedule();
+                let sched = self.schedule.as_ref().expect("schedule just built");
                 let mut acc = s; // identity partition
-                for (rel_root, owned) in plan {
-                    let rel = self.mgr.root(rel_root);
-                    let img = self.post_image_owned(rel, &owned, s);
+                for &c in &sched.order {
+                    let img = sched.clusters[c].post_image(&mut self.mgr, s);
                     acc = self.mgr.or(acc, img);
                 }
                 acc
@@ -646,20 +647,7 @@ impl SymbolicModel {
         }
     }
 
-    /// The cached schedule's cluster relations and owned sets, in
-    /// processing order — building the schedule on first use. Returns
-    /// registry handles so the plan stays valid across the images the
-    /// caller is about to run (no maintenance happens inside an image).
-    fn scheduled_plan(&mut self) -> Vec<(RootId, Vec<usize>)> {
-        self.ensure_schedule();
-        let sched = self.schedule.as_ref().expect("schedule just built");
-        sched
-            .order
-            .iter()
-            .map(|&c| (sched.clusters[c].rel, sched.clusters[c].owned.clone()))
-            .collect()
-    }
-
+    /// Build the schedule on first use.
     fn ensure_schedule(&mut self) {
         if self.schedule.is_none() {
             self.build_schedule();
@@ -667,7 +655,9 @@ impl SymbolicModel {
     }
 
     /// Compute and cache the quantification schedule: greedy cluster
-    /// merging followed by cost-model ordering.
+    /// merging followed by cost-model ordering. Each cluster also keeps
+    /// what its images read on every call — its rename pairs and its two
+    /// cubes, the cubes as registry roots — so an image only looks them up.
     ///
     /// **Merging** (skipped when [`SymbolicModel::set_merging`] turned it
     /// off) repeatedly picks the admissible pair with the largest
@@ -780,10 +770,23 @@ impl SymbolicModel {
         let order: Vec<usize> = keyed.into_iter().map(|(_, _, c)| c).collect();
         let clusters = work
             .into_iter()
-            .map(|(members, owned, rel)| SchedCluster {
-                members,
-                owned,
-                rel: self.mgr.protect(rel),
+            .map(|(members, owned, rel)| {
+                let cur_to_next: Vec<(Var, Var)> = owned
+                    .iter()
+                    .map(|&vi| (self.vars[vi].cur, self.vars[vi].next))
+                    .collect();
+                let (cur_vars, next_vars): (Vec<Var>, Vec<Var>) =
+                    cur_to_next.iter().copied().unzip();
+                let cur_cube = self.mgr.cube(&cur_vars);
+                let next_cube = self.mgr.cube(&next_vars);
+                SchedCluster {
+                    members,
+                    rel: self.mgr.protect(rel),
+                    next_to_cur: cur_to_next.iter().map(|&(c, n)| (n, c)).collect(),
+                    cur_to_next,
+                    cur_cube: self.mgr.protect(cur_cube),
+                    next_cube: self.mgr.protect(next_cube),
+                }
             })
             .collect();
         self.schedule = Some(QuantSchedule { clusters, order });

@@ -172,7 +172,7 @@ fn tiny_cache_preserves_verdicts() {
         assert_eq!(want, got, "bounded cache changed the verdict on {text}");
         assert!(
             bounded.mgr_ref().stats().cache_evictions > 0,
-            "capacity-16 cache never rotated on {text}"
+            "capacity-16 cache never evicted on {text}"
         );
     }
 }

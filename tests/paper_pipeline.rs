@@ -144,6 +144,11 @@ fn resource_numbers_same_shape_as_paper() {
         assert!(report.contains(&line), "expected {relation}:\n{report}");
     }
     let [s1, c1, s2, c2] = reports.map(|r| grab(&r));
+    // The exact allocation of each check. Hash consing makes it a property
+    // of the diagrams built, not of the tables that find them: a unique
+    // table that misses an existing node allocates it twice, and a
+    // computed-table miss only recomputes nodes that already exist.
+    assert_eq!([s1, c1, s2, c2], [449, 411, 448, 558]);
     // All in the hundreds, like the paper's figures.
     for n in [s1, c1, s2, c2] {
         assert!(n > 50 && n < 10_000, "node count {n} out of expected band");
@@ -151,4 +156,21 @@ fn resource_numbers_same_shape_as_paper() {
     // AFS-2 components are bigger than their AFS-1 counterparts.
     assert!(s2 > c1, "AFS-2 server should exceed AFS-1 client");
     assert!(c2 > c1, "AFS-2 client should exceed AFS-1 client");
+}
+
+/// The exact allocation of the ring checks the `cli-symbolic` benchmark
+/// runs, pinned like the paper sources' above.
+#[test]
+fn ring_allocation_counts_are_pinned() {
+    use cmc_serve::workload::ring_source;
+    for (n, allocated) in [(24, 3117), (48, 10_558)] {
+        let report = compositional_mc::smv::run_source(&ring_source(n))
+            .unwrap()
+            .report;
+        let line = format!("\nBDD nodes allocated: {allocated}\n");
+        assert!(
+            report.contains(&line),
+            "ring {n}: expected {allocated}:\n{report}"
+        );
+    }
 }
