@@ -103,8 +103,23 @@ impl BackendChoice {
     /// engine may differ only when an `Auto` explicit attempt falls back
     /// (flagged by [`RouteDecision::fell_back`]).
     pub fn route(self, target: &Target, r: &Restriction) -> RouteDecision {
-        let width = target.width();
-        let estimated_states = estimate_reachable_states(target, r);
+        self.decide(target.width(), estimate_reachable_states(target, r))
+    }
+
+    /// [`BackendChoice::route`] for one component expanded over `frozen`
+    /// propositions it does not declare, under the trivial restriction,
+    /// from counts alone: the expansion is `|Σ| + frozen` wide, nothing is
+    /// shared and nothing is pinned, so the estimate is
+    /// `⌈2^(min(|Σ|, log2(touched + 1)) + frozen)⌉`. No [`Target`] is
+    /// built.
+    pub(crate) fn route_expansion(self, system: &System, frozen: usize) -> RouteDecision {
+        let width = system.alphabet().len() + frozen;
+        self.decide(width, estimate_from_counts([system], 0, frozen, 0))
+    }
+
+    /// The plan for a target `width` propositions wide whose reachable
+    /// state count is estimated at `estimated_states`.
+    fn decide(self, width: usize, estimated_states: u128) -> RouteDecision {
         let planned = match self {
             BackendChoice::Explicit => BackendKind::Explicit,
             BackendChoice::Symbolic => BackendKind::Symbolic,
@@ -123,6 +138,14 @@ impl BackendChoice {
             planned,
             fell_back: false,
         }
+    }
+
+    /// Does `plan` run the dense explicit kernel under this policy:
+    /// planned `Explicit` and no wider than
+    /// [`ExplicitLimits::dense_bits`]? Lemma 6 decides exactly the Rule-2
+    /// pairs planned so.
+    pub(crate) fn plans_dense(self, plan: &RouteDecision) -> bool {
+        plan.planned == BackendKind::Explicit && plan.width <= self.explicit_limits().dense_bits
     }
 
     /// The limits a check planned `Explicit` under this policy runs at:
@@ -238,26 +261,43 @@ pub fn estimate_reachable_states(target: &Target, r: &Restriction) -> u128 {
     let union = target.union_alphabet();
     let mut covered: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
     let mut own_sum = 0usize;
-    let mut log2 = 0.0f64;
     for sys in target.systems() {
-        let a = sys.alphabet().len();
-        own_sum += a;
+        own_sum += sys.alphabet().len();
         for name in sys.alphabet().names() {
             if let Some(p) = union.position(name) {
                 covered.insert(p);
             }
         }
-        log2 += (a as f64).min(((sys.touched_states() + 1) as f64).log2());
     }
-    let dup = (own_sum - covered.len()) as f64;
-    let free = (union.len() - covered.len()) as f64;
     let pinned = r
         .init
         .atomic_props()
         .iter()
         .filter(|p| union.contains(p))
-        .count() as f64;
-    let est = (log2 - dup + free - pinned).clamp(0.0, 127.0);
+        .count();
+    estimate_from_counts(
+        target.systems().iter().copied(),
+        own_sum - covered.len(),
+        union.len() - covered.len(),
+        pinned,
+    )
+}
+
+/// The arithmetic of [`estimate_reachable_states`], on counts: each
+/// system's state variety, less `dup` shared propositions, plus `free`
+/// expansion propositions, less `pinned` initial ones, in log2 terms.
+fn estimate_from_counts<'s>(
+    systems: impl IntoIterator<Item = &'s System>,
+    dup: usize,
+    free: usize,
+    pinned: usize,
+) -> u128 {
+    let mut log2 = 0.0f64;
+    for sys in systems {
+        let a = sys.alphabet().len() as f64;
+        log2 += a.min(((sys.touched_states() + 1) as f64).log2());
+    }
+    let est = (log2 - dup as f64 + free as f64 - pinned as f64).clamp(0.0, 127.0);
     est.exp2().ceil() as u128
 }
 
@@ -754,6 +794,34 @@ mod tests {
             assert_eq!(
                 BackendChoice::Symbolic.route(target, &r).planned,
                 BackendKind::Symbolic
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The plan from counts is the plan on the target built: a random
+        /// component over 1–9 propositions expanded over 0–4 frozen ones,
+        /// under each policy, routes alike in width, estimate and kind.
+        #[test]
+        fn expansion_plans_from_counts_as_on_the_target(
+            width in 1usize..10,
+            moves in proptest::collection::vec((0u32..512, 0u32..512), 0..40),
+            frozen in 0usize..5,
+            choice in 0usize..3,
+        ) {
+            let mut m = System::new(Alphabet::new((0..width).map(|i| format!("p{i}"))));
+            let states = (1u32 << width) - 1;
+            for (s, t) in moves {
+                m.add_transition(State((s & states) as u128), State((t & states) as u128));
+            }
+            let extra = Alphabet::new((0..frozen).map(|i| format!("f{i}")));
+            let target = Target::expansion(vec![&m], extra);
+            let choice = [BackendChoice::Auto, BackendChoice::Explicit, BackendChoice::Symbolic][choice];
+            proptest::prop_assert_eq!(
+                choice.route_expansion(&m, frozen),
+                choice.route(&target, &Restriction::trivial())
             );
         }
     }

@@ -23,7 +23,7 @@
 use crate::backend::{
     check_planned, check_refines, check_routed, BackendChoice, BackendKind, RouteDecision, Target,
 };
-use crate::lemmas::lemma6_ax_holds;
+use crate::lemmas::{Lemma6, TruthTable};
 use crate::property::{classify, PropertyClass};
 use crate::rules::{
     circular_refines, invariant_obligations, substitution_side_conditions, Guarantee,
@@ -37,7 +37,7 @@ use cmc_store::{
 use cmc_symbolic::SymbolicModel;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A named component in a composition.
@@ -353,13 +353,20 @@ impl PropMask {
     ) -> Result<Self, &'a String> {
         let mut mask = PropMask::default();
         for name in names {
-            let pos = union.position(name).ok_or(name)?;
-            if mask.0.len() <= pos / 64 {
-                mask.0.resize(pos / 64 + 1, 0);
-            }
-            mask.0[pos / 64] |= 1 << (pos % 64);
+            mask.insert(union.position(name).ok_or(name)?);
         }
         Ok(mask)
+    }
+
+    fn insert(&mut self, pos: usize) {
+        if self.0.len() <= pos / 64 {
+            self.0.resize(pos / 64 + 1, 0);
+        }
+        self.0[pos / 64] |= 1 << (pos % 64);
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.word(pos / 64) >> (pos % 64) & 1 == 1
     }
 
     fn word(&self, w: usize) -> u64 {
@@ -377,16 +384,29 @@ impl PropMask {
         self
     }
 
+    /// The lowest position in `self`.
+    fn first(&self) -> Option<usize> {
+        positions(self.0.iter().copied()).next()
+    }
+
     /// The positions in `self ∖ other`, ascending.
     fn difference<'s>(&'s self, other: &'s PropMask) -> impl Iterator<Item = usize> + 's {
-        self.0.iter().enumerate().flat_map(move |(w, m)| {
-            let mut bits = m & !other.word(w);
-            std::iter::from_fn(move || {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits.wrapping_sub(1);
-                (bit < 64).then_some(w * 64 + bit)
-            })
-        })
+        positions(self.0.iter().enumerate().map(|(w, m)| m & !other.word(w)))
+    }
+
+    /// `|self ∖ other|`.
+    fn count_difference(&self, other: &PropMask) -> usize {
+        self.0
+            .iter()
+            .enumerate()
+            .map(|(w, m)| (m & !other.word(w)).count_ones() as usize)
+            .sum()
+    }
+
+    /// The positions in `self ∪ other`, ascending.
+    fn union<'s>(&'s self, other: &'s PropMask) -> impl Iterator<Item = usize> + 's {
+        let words = self.0.len().max(other.0.len());
+        positions((0..words).map(|w| self.word(w) | other.word(w)))
     }
 
     fn is_disjoint(&self, other: &PropMask) -> bool {
@@ -400,6 +420,18 @@ impl PropMask {
             .enumerate()
             .all(|(w, m)| m & !(a.word(w) | b.word(w)) == 0)
     }
+}
+
+/// The positions set in `words`, word `w` holding positions `64w..64w+63`,
+/// ascending.
+fn positions(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (bit < 64).then_some(w * 64 + bit)
+        })
+    })
 }
 
 /// The `(p, q)` of a Rule-2 obligation `p ⇒ AX q`, `p` and `q`
@@ -424,14 +456,74 @@ struct Checked {
     duration: Duration,
 }
 
-/// The invariant rule's per-proof bookkeeping: every conjunct with its
-/// union mask, computed once per proof rather than per (conjunct,
-/// component) pair.
+/// The invariant rule's per-proof bookkeeping, built once per proof
+/// rather than per (conjunct, component) pair: every conjunct with its
+/// union mask and truth table, and the index level 2 finds its
+/// hypothesis through.
 struct InvariantGrid<'a> {
     inv: &'a Formula,
     inv_mask: PropMask,
-    conjuncts: Vec<Formula>,
+    conjuncts: Vec<&'a Formula>,
     masks: Vec<PropMask>,
+    /// Each conjunct's truth table over union positions.
+    tables: Vec<TruthTable>,
+    /// `by_first[pos]`: the conjuncts whose lowest union position is
+    /// `pos`, ascending. A conjunct fits a footprint only if that position
+    /// is in it, so level 2 looks no further than the footprint's lists.
+    by_first: Vec<Vec<usize>>,
+    /// The conjuncts that read no proposition (`TRUE`, `FALSE`): they fit
+    /// every footprint.
+    constant: Vec<usize>,
+}
+
+impl<'a> InvariantGrid<'a> {
+    fn new(engine: &Engine, inv: &'a Formula) -> Result<Self, EngineError> {
+        let conjuncts = Engine::conjuncts(inv);
+        let mut masks = Vec::with_capacity(conjuncts.len());
+        let mut tables = Vec::with_capacity(conjuncts.len());
+        let mut by_first = vec![Vec::new(); engine.union.len()];
+        let mut constant = Vec::new();
+        for (c, &k) in conjuncts.iter().enumerate() {
+            let (table, mask) = engine.compile(k).ok_or_else(|| engine.unknown(k))?;
+            match mask.first() {
+                Some(pos) => by_first[pos].push(c),
+                None => constant.push(c),
+            }
+            masks.push(mask);
+            tables.push(table);
+        }
+        Ok(InvariantGrid {
+            inv,
+            inv_mask: masks.iter().fold(PropMask::default(), PropMask::or),
+            conjuncts,
+            masks,
+            tables,
+            by_first,
+            constant,
+        })
+    }
+
+    /// Level 2's hypothesis for conjunct `ki` on a component declaring
+    /// `owned`: the conjuncts that fit entirely inside the footprint
+    /// `owned ∪ props(K)`, ascending. `K` itself is among them.
+    fn neighbourhood(&self, owned: &PropMask, ki: usize) -> Vec<usize> {
+        let mut fit = self.constant.clone();
+        for pos in owned.union(&self.masks[ki]) {
+            let within = |&c: &usize| self.masks[c].is_within(owned, &self.masks[ki]);
+            fit.extend(self.by_first[pos].iter().copied().filter(within));
+        }
+        fit.sort_unstable();
+        fit
+    }
+}
+
+/// A component as Lemma 6 reads it, listed once per engine on first use:
+/// its proper moves over its own state bits, and the union position of
+/// each of those bits.
+struct Moves {
+    /// `at[bit]`: the union position of the component's proposition `bit`.
+    at: Vec<usize>,
+    moves: Vec<(u128, u128)>,
 }
 
 /// The assume-guarantee engine for a fixed set of components.
@@ -440,6 +532,8 @@ pub struct Engine {
     union: Alphabet,
     /// Each component's alphabet as a mask over `union`.
     owned: Vec<PropMask>,
+    /// Each component's [`Moves`], listed when Lemma 6 first reads it.
+    moves: Vec<OnceLock<Moves>>,
     store: Option<Arc<CertStore>>,
     backend: BackendChoice,
 }
@@ -458,6 +552,7 @@ impl Engine {
             })
             .collect();
         Engine {
+            moves: components.iter().map(|_| OnceLock::new()).collect(),
             components,
             union,
             owned,
@@ -578,15 +673,105 @@ impl Engine {
         ObligationKey::composed(mode, kind.name(), &systems, r, f)
     }
 
-    /// Flatten top-level conjunctions.
-    fn conjuncts(f: &Formula) -> Vec<Formula> {
-        match f {
-            Formula::And(a, b) => {
-                let mut out = Self::conjuncts(a);
-                out.extend(Self::conjuncts(b));
-                out
+    /// The top-level conjuncts of `f`, left to right.
+    fn conjuncts(f: &Formula) -> Vec<&Formula> {
+        fn collect<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+            match f {
+                Formula::And(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                other => out.push(other),
             }
-            other => vec![other.clone()],
+        }
+        let mut out = Vec::new();
+        collect(f, &mut out);
+        out
+    }
+
+    /// The propositional `f`'s truth table over union positions, with the
+    /// mask of the positions it reads; `None` if it reads a proposition no
+    /// component declares.
+    fn compile(&self, f: &Formula) -> Option<(TruthTable, PropMask)> {
+        let mut mask = PropMask::default();
+        let table = TruthTable::new(f, &mut |name| {
+            let pos = self.union.position(name)?;
+            mask.insert(pos);
+            Some(pos)
+        })?;
+        Some((table, mask))
+    }
+
+    /// The error for `f`, which reads a proposition no component declares:
+    /// the one [`Engine::prop_mask`] reports.
+    fn unknown(&self, f: &Formula) -> EngineError {
+        self.prop_mask(&f.atomic_props())
+            .expect_err("f reads a proposition outside the union")
+    }
+
+    /// The plan for an obligation on component `i`'s minimal expansion
+    /// over `props` under the trivial restriction: what
+    /// [`BackendChoice::route`] plans on [`Engine::minimal_target`], from
+    /// counts alone.
+    fn plan_pair(&self, i: usize, props: &PropMask) -> RouteDecision {
+        let frozen = props.count_difference(&self.owned[i]);
+        self.backend
+            .route_expansion(&self.components[i].system, frozen)
+    }
+
+    /// Component `i`'s [`Moves`], listed on first use.
+    fn moves(&self, i: usize) -> &Moves {
+        self.moves[i].get_or_init(|| {
+            let system = &self.components[i].system;
+            let at = system.alphabet().names().iter();
+            Moves {
+                at: at
+                    .map(|name| self.union.position(name).expect("in the union"))
+                    .collect(),
+                moves: system
+                    .proper_transitions()
+                    .map(|(s, t)| (s.0, t.0))
+                    .collect(),
+            }
+        })
+    }
+
+    /// Lemma 6 on component `i`'s minimal expansion over `read`: does
+    /// `p ⇒ AX q` hold there, `p` conjoining the tables `p`? Every table
+    /// is over union positions and reads only `read`.
+    fn lemma6_on_masks<'t>(
+        &self,
+        lemma6: &mut Lemma6,
+        i: usize,
+        read: &PropMask,
+        p: impl Iterator<Item = &'t TruthTable> + Clone,
+        q: &TruthTable,
+    ) -> bool {
+        let moves = self.moves(i);
+        let owned = moves.at.iter().enumerate();
+        let owned = owned.filter_map(|(bit, &pos)| read.contains(pos).then_some((pos, bit)));
+        let frozen = read.difference(&self.owned[i]);
+        lemma6.decide(owned, frozen, &moves.moves, p, q)
+    }
+
+    /// Decide a (conjunct, component) pair fresh: by Lemma 6 where `plan`
+    /// is the dense explicit kernel and `lemma6` answers (it returns `None`
+    /// for an obligation that is not of Rule 2's form), through the
+    /// backend otherwise. The verdict is the kernel's either way.
+    fn run_pair(
+        &self,
+        plan: RouteDecision,
+        lemma6: impl FnOnce() -> Option<bool>,
+        backend: impl FnOnce() -> Result<Checked, EngineError>,
+    ) -> Result<Checked, EngineError> {
+        let start = Instant::now();
+        match self.backend.plans_dense(&plan).then(lemma6).flatten() {
+            Some(holds) => Ok(Checked {
+                holds,
+                backend: BackendKind::Explicit,
+                duration: start.elapsed(),
+            }),
+            None => backend(),
         }
     }
 
@@ -596,6 +781,8 @@ impl Engine {
     /// component declares none of the conjunct's propositions is decided by
     /// frame (Lemma 8) without a checker; with a store attached,
     /// obligations answered from the store never reach the checker either.
+    /// A pair is planned on masks, and a [`Target`] is built for it only
+    /// for a store key or a backend check.
     ///
     /// Fresh verdicts are memoized only after the last lookup, so every
     /// lookup sees the store as the call found it: a second identical
@@ -603,51 +790,75 @@ impl Engine {
     /// cold proof with a store certifies exactly what one without a store
     /// does (DESIGN §6a).
     fn check_universal(&self, f: &Formula, cert: &mut Certificate) -> Result<(), EngineError> {
+        // Each conjunct with its mask and, for a Rule-2 obligation
+        // `p ⇒ AX q`, the truth tables of `p` and `q`.
         let conjuncts = Self::conjuncts(f)
             .into_iter()
-            .map(|k| Ok((self.prop_mask(&k.atomic_props())?, k)))
+            .map(|k| {
+                let Some((p, q)) = rule2_parts(k) else {
+                    return Ok((k, self.prop_mask(&k.atomic_props())?, None));
+                };
+                match (self.compile(p), self.compile(q)) {
+                    (Some((p, p_mask)), Some((q, q_mask))) => {
+                        Ok((k, p_mask.or(&q_mask), Some((p, q))))
+                    }
+                    _ => Err(self.unknown(k)),
+                }
+            })
             .collect::<Result<Vec<_>, EngineError>>()?;
         let trivial = Restriction::trivial();
+        let mut scratch = Lemma6::new(self.union.len());
         let mut fresh = Vec::new();
         let mut failed = None;
-        'grid: for (mask, conjunct) in &conjuncts {
+        'grid: for (conjunct, mask, tables) in &conjuncts {
             let text = conjunct.to_string();
             // `p ⇒ q` decides every frame-local pair of this conjunct.
             let mut frame = None;
             for (i, comp) in self.components.iter().enumerate() {
-                let name = format!("minimal expansion of {} ⊨ {text}", comp.name);
+                let name = |how: &str| format!("minimal expansion of {} ⊨ {text}{how}", comp.name);
                 if let Some((p, q)) = rule2_parts(conjunct).filter(|_| self.frame_local(i, mask)) {
                     let holds = *frame.get_or_insert_with(|| {
                         propositional_validity(&p.clone().implies(q.clone()))
                     });
-                    cert.step(format!("{name} by frame (Lemma 8)"), holds, true);
+                    cert.step(name(" by frame (Lemma 8)"), holds, true);
                     continue;
                 }
-                let target = self.minimal_target(i, mask);
-                let plan = self.backend.route(&target, &trivial);
-                let key = match &self.store {
+                let plan = self.plan_pair(i, mask);
+                let keyed = match &self.store {
                     Some(store) => {
+                        let target = self.minimal_target(i, mask);
                         let key =
                             self.target_key("check", &target, &trivial, conjunct, plan.planned);
                         if let Some(entry) = store.lookup(&key) {
-                            let name = format!("{name} (cached)");
+                            let name = name(" (cached)");
                             cert.step_checked(name, entry.verdict, true, plan.planned, None);
                             continue;
                         }
-                        Some(key)
+                        Some((key, target))
                     }
                     None => None,
                 };
-                let checked = match self.run_check(&target, &trivial, conjunct, plan) {
+                let lemma6 = || {
+                    let (p, q) = tables.as_ref()?;
+                    Some(self.lemma6_on_masks(&mut scratch, i, mask, std::iter::once(p), q))
+                };
+                let backend = || match &keyed {
+                    Some((_, target)) => self.run_check(target, &trivial, conjunct, plan),
+                    None => {
+                        let target = self.minimal_target(i, mask);
+                        self.run_check(&target, &trivial, conjunct, plan)
+                    }
+                };
+                let checked = match self.run_pair(plan, lemma6, backend) {
                     Ok(checked) => checked,
                     Err(e) => {
                         failed = Some(e);
                         break 'grid;
                     }
                 };
-                fresh.extend(key.map(|key| (key, checked.holds)));
+                fresh.extend(keyed.map(|(key, _)| (key, checked.holds)));
                 cert.step_checked(
-                    name,
+                    name(""),
                     checked.holds,
                     true,
                     checked.backend,
@@ -663,10 +874,9 @@ impl Engine {
         failed.map_or(Ok(()), Err)
     }
 
-    /// `target ⊨_r f` on `plan`, the route the caller made (a store key
-    /// names the planned engine, so the cost model runs once per check):
-    /// by Lemma 6 where [`Engine::by_lemma6`] applies, through the
-    /// selected backend otherwise.
+    /// `target ⊨_r f` through the selected backend on `plan`, the route the
+    /// caller made (a store key names the planned engine, so the cost
+    /// model runs once per check).
     fn run_check(
         &self,
         target: &Target,
@@ -674,42 +884,12 @@ impl Engine {
         f: &Formula,
         plan: RouteDecision,
     ) -> Result<Checked, EngineError> {
-        if let Some(checked) = self.by_lemma6(target, r, f, &plan) {
-            return Ok(checked);
-        }
         let v = check_planned(self.backend, plan, target, r, f)
             .map_err(|e| EngineError::Check(e.to_string()))?;
         Ok(Checked {
             holds: v.holds,
             backend: v.stats.backend,
             duration: v.stats.duration,
-        })
-    }
-
-    /// Decide `target ⊨_r f` by Lemma 6 over the component's own moves
-    /// ([`lemma6_ax_holds`]) exactly where the dense explicit kernel would
-    /// answer it: a Rule-2 obligation `p ⇒ AX q` under the trivial
-    /// restriction on one component's expansion, planned `Explicit` and no
-    /// wider than the dense width of the planned check. The verdict is the
-    /// kernel's; no expansion, index or labelling is built. `None` leaves
-    /// the check to the backend.
-    fn by_lemma6(
-        &self,
-        target: &Target,
-        r: &Restriction,
-        f: &Formula,
-        plan: &RouteDecision,
-    ) -> Option<Checked> {
-        let start = Instant::now();
-        let ([system], Some((p, q))) = (target.systems(), rule2_parts(f)) else {
-            return None;
-        };
-        let dense = plan.planned == BackendKind::Explicit
-            && target.width() <= self.backend.explicit_limits().dense_bits;
-        (dense && r.is_trivial()).then(|| Checked {
-            holds: lemma6_ax_holds(system, target.extra(), p, q),
-            backend: BackendKind::Explicit,
-            duration: start.elapsed(),
         })
     }
 
@@ -732,13 +912,13 @@ impl Engine {
         // differs only when Auto's explicit attempt fell back. Key and
         // check share one plan.
         let key = self.target_key("check", target, r, f, plan.planned);
-        let ran = std::cell::Cell::new(None);
+        let mut ran = None;
         let (entry, hit) = store.get_or_check(key, || {
             let c = self.run_check(target, r, f, plan)?;
-            ran.set(Some((c.backend, c.duration)));
+            ran = Some((c.backend, c.duration));
             Ok::<_, EngineError>(Entry::verdict(c.holds))
         })?;
-        let (kind, duration) = match ran.get() {
+        let (kind, duration) = match ran {
             Some((kind, duration)) => (kind, Some(duration)),
             None => (plan.planned, None),
         };
@@ -954,17 +1134,7 @@ impl Engine {
         // chain every conjunct into one global cluster — e.g. the pairwise
         // mutual-exclusion invariant of a token ring — destroying the
         // locality this method exists to exploit.)
-        let conjuncts = Self::conjuncts(inv);
-        let masks = conjuncts
-            .iter()
-            .map(|k| self.prop_mask(&k.atomic_props()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let grid = InvariantGrid {
-            inv,
-            inv_mask: masks.iter().fold(PropMask::default(), PropMask::or),
-            conjuncts,
-            masks,
-        };
+        let grid = InvariantGrid::new(self, inv)?;
         let r = Restriction::new(init.clone(), fairness.iter().cloned());
         let mut cert = Certificate::new(format!("system ⊨_{r} AG ({inv})"));
         // I ⇒ Inv: a propositional validity over the mentioned props.
@@ -972,6 +1142,7 @@ impl Engine {
         cert.step(format!("validity of {validity}"), valid_init, true);
 
         // One step per pair in grid order; frame-local pairs need no check.
+        let mut scratch = Lemma6::new(self.union.len());
         for (ki, k) in grid.conjuncts.iter().enumerate() {
             let k = k.to_string();
             for (i, comp) in self.components.iter().enumerate() {
@@ -983,7 +1154,7 @@ impl Engine {
                     );
                     continue;
                 }
-                match self.check_cluster_on_component(&grid, ki, i)? {
+                match self.check_cluster_on_component(&grid, &mut scratch, ki, i)? {
                     Some((level, kind)) => cert.step_checked(
                         format!(
                             "{}: Inv ⇒ AX ({k}) via {}",
@@ -1025,43 +1196,76 @@ impl Engine {
     fn check_cluster_on_component(
         &self,
         grid: &InvariantGrid,
+        scratch: &mut Lemma6,
         ki: usize,
         i: usize,
     ) -> Result<Option<(u8, BackendKind)>, EngineError> {
-        let trivial = Restriction::trivial();
-        let check = |props: &PropMask, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
-            let target = self.minimal_target(i, props);
-            self.cached_target_check(&target, &trivial, f)
-                .map(|(holds, _, kind, _)| (holds, kind))
-        };
-        let k = &grid.conjuncts[ki];
+        let (k, goal) = (grid.conjuncts[ki], &grid.tables[ki]);
+        let ax_k = || k.clone().ax();
         // Level 1: local induction.
-        let local = k.clone().implies(k.clone().ax());
-        if let (true, kind) = check(&grid.masks[ki], &local)? {
+        let hyp = std::iter::once(goal);
+        let local = || k.clone().implies(ax_k());
+        if let (true, kind) = self.ladder_step(scratch, i, &grid.masks[ki], hyp, goal, local)? {
             return Ok(Some((1, kind)));
         }
         // Level 2: neighbourhood hypothesis — the conjuncts that fit
         // entirely inside the footprint Σᵢ ∪ props(K). Conjuncts merely
         // *touching* the footprint would drag their remaining propositions
         // in and blow the expansion back up to the union width.
-        let relevant: Vec<usize> = (0..grid.conjuncts.len())
-            .filter(|&c| grid.masks[c].is_within(&self.owned[i], &grid.masks[ki]))
-            .collect();
-        let hyp = Formula::and_many(relevant.iter().map(|&c| grid.conjuncts[c].clone()));
-        let wide = hyp.implies(k.clone().ax());
-        // `K` itself fits its own footprint, so it is among `relevant`.
+        let relevant = grid.neighbourhood(&self.owned[i], ki);
         let footprint = relevant
             .iter()
             .fold(PropMask::default(), |acc, &c| acc.or(&grid.masks[c]));
-        if let (true, kind) = check(&footprint, &wide)? {
+        let hyp = relevant.iter().map(|&c| &grid.tables[c]);
+        let neighbourhood = || {
+            let hyp = Formula::and_many(relevant.iter().map(|&c| grid.conjuncts[c].clone()));
+            hyp.implies(ax_k())
+        };
+        if let (true, kind) = self.ladder_step(scratch, i, &footprint, hyp, goal, neighbourhood)? {
             return Ok(Some((2, kind)));
         }
         // Level 3: full mutual induction.
-        let full = grid.inv.clone().implies(k.clone().ax());
-        if let (true, kind) = check(&grid.inv_mask, &full)? {
+        let hyp = grid.tables.iter();
+        let full = || grid.inv.clone().implies(ax_k());
+        if let (true, kind) = self.ladder_step(scratch, i, &grid.inv_mask, hyp, goal, full)? {
             return Ok(Some((3, kind)));
         }
         Ok(None)
+    }
+
+    /// One level of the invariant ladder: `p ⇒ AX q` on component `i`'s
+    /// minimal expansion over `read` under the trivial restriction, `p`
+    /// conjoining the tables `p`, decided on masks. `formula` builds the
+    /// obligation, with its [`Target`], only for a store key or a backend
+    /// check. Returns the verdict and the engine that answered (the
+    /// planned one on a store hit).
+    fn ladder_step<'t>(
+        &self,
+        scratch: &mut Lemma6,
+        i: usize,
+        read: &PropMask,
+        p: impl Iterator<Item = &'t TruthTable> + Clone,
+        q: &TruthTable,
+        formula: impl FnOnce() -> Formula,
+    ) -> Result<(bool, BackendKind), EngineError> {
+        let trivial = Restriction::trivial();
+        let plan = self.plan_pair(i, read);
+        let lemma6 = || Some(self.lemma6_on_masks(scratch, i, read, p, q));
+        let Some(store) = &self.store else {
+            let backend =
+                || self.run_check(&self.minimal_target(i, read), &trivial, &formula(), plan);
+            let c = self.run_pair(plan, lemma6, backend)?;
+            return Ok((c.holds, c.backend));
+        };
+        let (target, f) = (self.minimal_target(i, read), formula());
+        let key = self.target_key("check", &target, &trivial, &f, plan.planned);
+        let mut ran = None;
+        let (entry, _) = store.get_or_check(key, || {
+            let c = self.run_pair(plan, lemma6, || self.run_check(&target, &trivial, &f, plan))?;
+            ran = Some(c.backend);
+            Ok::<_, EngineError>(Entry::verdict(c.holds))
+        })?;
+        Ok((entry.verdict, ran.unwrap_or(plan.planned)))
     }
 
     /// Discharge a guarantees property: prove each left-hand obligation of
@@ -1366,7 +1570,10 @@ fn propositional_validity(f: &Formula) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExplicitBackend;
+    use crate::lemmas::DECISIONS;
     use cmc_ctl::parse;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1743,9 +1950,10 @@ mod tests {
     }
 
     /// Lemma 6 answers exactly where the dense explicit kernel would: a
-    /// Rule-2 obligation under the trivial restriction on one component's
-    /// expansion, planned `Explicit`, no wider than the planned check's
-    /// dense width (8 under `Auto`, 24 under `Explicit`).
+    /// Rule-2 pair under the trivial restriction on one component's
+    /// minimal expansion, planned `Explicit`, no wider than the planned
+    /// check's dense width (8 under `Auto`, 24 under `Explicit`). The
+    /// decisions are counted on this thread.
     #[test]
     fn lemma6_decides_only_where_the_dense_kernel_would() {
         let wide = |n: usize| {
@@ -1755,37 +1963,151 @@ mod tests {
             m
         };
         let (m8, m9, other) = (wide(8), wide(9), wide(1));
-        let step = parse("w0 -> AX w0").unwrap();
-        let decides = |choice: BackendChoice, target: &Target, r: &Restriction, f: &Formula| {
-            let e = Engine::new(vec![Component::new("m", m8.clone())]).with_backend(choice);
-            e.by_lemma6(target, r, f, &choice.route(target, r))
-                .map(|c| (c.holds, c.backend))
+        let engine = |choice: BackendChoice, systems: &[&System]| {
+            let named = systems.iter().enumerate();
+            let comps = named.map(|(i, m)| Component::new(format!("m{i}"), (*m).clone()));
+            Engine::new(comps.collect()).with_backend(choice)
         };
+        // Lemma-6 decisions while `run` runs, and the verdict it returns.
+        let decides = |run: &dyn Fn() -> bool| {
+            let before = DECISIONS.with(|d| d.get());
+            let holds = run();
+            (DECISIONS.with(|d| d.get()) - before, holds)
+        };
+        let step = parse("w0 -> AX w0").unwrap();
         let trivial = Restriction::trivial();
-        let at = |m| Target::expansion(vec![m], Alphabet::empty());
-        let decided = Some((true, BackendKind::Explicit));
+        let prove = |e: &Engine, r: &Restriction, f: &Formula| e.prove(r, f).unwrap().valid;
         for (choice, m, expected) in [
-            (BackendChoice::Auto, &m8, decided),
-            (BackendChoice::Auto, &m9, None),
-            (BackendChoice::Explicit, &m9, decided),
-            (BackendChoice::Symbolic, &m8, None),
+            (BackendChoice::Auto, &m8, 1),
+            (BackendChoice::Auto, &m9, 0),
+            (BackendChoice::Explicit, &m9, 1),
+            (BackendChoice::Symbolic, &m8, 0),
         ] {
-            assert_eq!(
-                decides(choice, &at(m), &trivial, &step),
-                expected,
-                "{choice:?}"
-            );
+            let e = engine(choice, &[m]);
+            let run = || prove(&e, &trivial, &step);
+            assert_eq!(decides(&run), (expected, true), "{choice:?}");
         }
-        // One frozen proposition past the width is past it too.
-        let frozen = Target::expansion(vec![&m8], Alphabet::new(["z"]));
-        assert_eq!(decides(BackendChoice::Auto, &frozen, &trivial, &step), None);
-        // Not a trivially restricted Rule-2 obligation on one component.
+        // One frozen proposition past the width is past it too: only the
+        // owner of `z` decides its pair by Lemma 6.
+        let z = System::new(Alphabet::new(["z"]));
+        let e = engine(BackendChoice::Auto, &[&m8, &z]);
+        let props = |names: &[&str]| e.prop_mask(&names.iter().map(|n| n.to_string()).collect());
+        let (own, frozen) = (props(&["w0"]).unwrap(), props(&["w0", "z"]).unwrap());
+        assert!(e.backend.plans_dense(&e.plan_pair(0, &own)));
+        assert!(!e.backend.plans_dense(&e.plan_pair(0, &frozen)));
+        let read_z = parse("w0 & z -> AX w0").unwrap();
+        assert_eq!(decides(&|| prove(&e, &trivial, &read_z)), (1, true));
+        // Not a trivially restricted Rule-2 obligation on one component: a
+        // pinned existential, an `EX`, and the whole composition.
+        let e = engine(BackendChoice::Auto, &[&m8]);
         let pinned = Restriction::with_init(parse("w0").unwrap());
-        assert_eq!(decides(BackendChoice::Auto, &at(&m8), &pinned, &step), None);
+        let ef = parse("EF w0").unwrap();
+        assert_eq!(decides(&|| prove(&e, &pinned, &ef)), (0, true));
         let ex = parse("w0 -> EX w0").unwrap();
-        assert_eq!(decides(BackendChoice::Auto, &at(&m8), &trivial, &ex), None);
-        let both = Target::composition(vec![&other, &m8]);
-        assert_eq!(decides(BackendChoice::Auto, &both, &trivial, &step), None);
+        assert_eq!(decides(&|| prove(&e, &trivial, &ex)), (0, true));
+        let both = engine(BackendChoice::Auto, &[&other, &m8]);
+        let whole = || both.monolithic_check(&trivial, &step).unwrap();
+        assert_eq!(decides(&whole), (0, true));
+    }
+
+    /// A conjunct that reads no proposition fits every footprint, so level
+    /// 2's hypothesis keeps it: here `FALSE & k ⇒ AX k` holds vacuously at
+    /// level 2, although the move `{k} → ∅` breaks `k ⇒ AX k`. A
+    /// hypothesis without the `FALSE` would fall through to level 3.
+    #[test]
+    fn neighbourhood_keeps_conjuncts_that_read_no_proposition() {
+        let mut m = System::new(Alphabet::new(["k"]));
+        m.add_transition_named(&["k"], &[]);
+        let e = Engine::new(vec![Component::new("m", m)]);
+        let inv = parse("FALSE & k").unwrap();
+        let cert = e.prove_invariant(&inv, &Formula::False, &[]).unwrap();
+        assert_eq!(
+            cert.to_string(),
+            "goal: system ⊨_(FALSE, {TRUE}) AG (FALSE & k)\n\
+             \x20 [ok] validity of FALSE -> FALSE & k\n\
+             \x20 [ok] m: Inv ⇒ AX (FALSE) by frame (Lemma 8)\n\
+             \x20 [ok] m: Inv ⇒ AX (k) via neighbourhood mutual induction [explicit]\n\
+             \x20 [ok] invariant rule: I ⇒ Inv and Inv ⇒ AX Inv (universal) give AG Inv \
+             under r\n\
+             verdict: established\n"
+        );
+    }
+
+    /// The pool a random component declares a prefix of, and the frozen
+    /// propositions a second component owns.
+    const POOL: [&str; 4] = ["a", "b", "c", "d"];
+    const FROZEN: [&str; 3] = ["x", "y", "z"];
+
+    /// A propositional formula over `POOL` and `FROZEN`, both constants among its
+    /// leaves and a frozen name as likely as a pool name.
+    fn arb_prop() -> impl Strategy<Value = Formula> {
+        let leaf = prop_oneof![
+            Just(Formula::True),
+            Just(Formula::False),
+            proptest::sample::select(POOL.to_vec()).prop_map(Formula::ap),
+            proptest::sample::select(FROZEN.to_vec()).prop_map(Formula::ap),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|f| f.not()),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                (inner.clone(), inner).prop_map(|(a, b)| a.iff(b)),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lemma 6 on masks, as the ladder poses it, gives the explicit
+        /// checker's verdict on `H ⇒ AX K` over the engine's own minimal
+        /// expansion: a random component over 1–4 pool names, 0–3 frozen
+        /// propositions read, and a hypothesis of 1–4 conjuncts, half the
+        /// time led by `K` as on levels 2 and 3 (names neither declared
+        /// nor frozen folded to the constant `fill`).
+        #[test]
+        fn lemma6_on_masks_decides_like_the_explicit_checker(
+            width in 1usize..5,
+            moves in proptest::collection::vec((0u32..16, 0u32..16), 0..10),
+            frozen in 0usize..4,
+            hyp in proptest::collection::vec(arb_prop(), 1..5),
+            goal in arb_prop(),
+            goal_first in any::<bool>(),
+            fill in any::<bool>(),
+        ) {
+            let mut m = System::new(Alphabet::new(POOL[..width].iter().copied()));
+            let states = (1u32 << width) - 1;
+            for (s, t) in moves {
+                let state = |bits: u32| cmc_kripke::State((bits & states) as u128);
+                m.add_transition(state(s), state(t));
+            }
+            let e = Engine::new(vec![
+                Component::new("m", m.clone()),
+                Component::new("env", System::new(Alphabet::new(FROZEN))),
+            ]);
+            let within = |f: Formula| {
+                POOL[width..]
+                    .iter()
+                    .chain(&FROZEN[frozen..])
+                    .fold(f, |f, n| f.assign(n, fill))
+            };
+            let goal = within(goal);
+            let first = goal_first.then(|| goal.clone());
+            let rest = hyp.into_iter().skip(usize::from(goal_first)).map(within);
+            let hyp: Vec<Formula> = first.into_iter().chain(rest).collect();
+            let compiled: Vec<_> = hyp.iter().map(|h| e.compile(h).unwrap()).collect();
+            let (q, q_mask) = e.compile(&goal).unwrap();
+            let read = compiled.iter().fold(q_mask, |acc, (_, mask)| acc.or(mask));
+            let mut scratch = Lemma6::new(e.union.len());
+            let p = compiled.iter().map(|(table, _)| table);
+            let decided = e.lemma6_on_masks(&mut scratch, 0, &read, p, &q);
+            let f = Formula::and_many(hyp).implies(goal.ax());
+            let oracle = ExplicitBackend::default()
+                .check(&e.minimal_target(0, &read), &Restriction::trivial(), &f)
+                .unwrap();
+            prop_assert_eq!(decided, oracle.holds, "{} on {:?}", f, m);
+        }
     }
 
     /// Minimal expansions: obligations whose propositions live inside one

@@ -48,83 +48,155 @@ pub fn lemma6_ax_structural(m: &System, f: &Formula, g: &Formula) -> Result<bool
 /// The frame rule (Lemma 8) is the case where no move remains. Cost is
 /// exponential in the number of propositions `p` and `q` read, so the
 /// engine poses it only on expansions no wider than the dense explicit
-/// kernel, which labels every state of `2^(Σ ∪ Σ')` instead.
+/// kernel, which labels every state of `2^(Σ ∪ Σ')` instead. The engine
+/// runs the same procedure on tables it compiles once per proof.
 ///
 /// Panics if `p` or `q` is temporal or reads a proposition outside
 /// `Σ ∪ Σ'`.
 pub fn lemma6_ax_holds(m: &System, frozen: &Alphabet, p: &Formula, q: &Formula) -> bool {
-    let mut names = Vec::new();
+    // Slots number the propositions read, in order of first appearance.
+    let mut names: Vec<&str> = Vec::new();
+    let mut slot = |name| {
+        Some(names.iter().position(|n| *n == name).unwrap_or_else(|| {
+            names.push(name);
+            names.len() - 1
+        }))
+    };
     let (p, q) = (
-        TruthTable::new(p, &mut names),
-        TruthTable::new(q, &mut names),
+        TruthTable::new(p, &mut slot).expect("every name has a slot"),
+        TruthTable::new(q, &mut slot).expect("every name has a slot"),
     );
-    // Where each read proposition's value comes from: a bit of `M`'s own
-    // state, or a frozen proposition, numbered among the frozen ones read.
-    let (mut owned, mut frozen_read) = (0u128, 0);
-    let sources: Vec<Source> = names
-        .iter()
-        .map(|name| match m.alphabet().position(name) {
-            Some(pos) => {
-                owned |= 1 << pos;
-                Source::Owned(pos)
-            }
+    let (mut owned, mut frozen_read) = (Vec::new(), Vec::new());
+    for (slot, name) in names.iter().enumerate() {
+        match m.alphabet().position(name) {
+            Some(bit) => owned.push((slot, bit)),
             None => {
                 assert!(frozen.contains(name), "{name:?} is outside Σ ∪ Σ'");
-                frozen_read += 1;
-                Source::Frozen(frozen_read - 1)
+                frozen_read.push(slot);
             }
-        })
-        .collect();
-    let mut stack = Vec::new();
-    // The stutter step: every proposition read is a variable.
-    let mut words = vec![0; names.len()];
-    for chunk in 0..chunks(names.len()) {
-        for (var, w) in words.iter_mut().enumerate() {
-            *w = column(var, chunk);
-        }
-        if p.eval(&words, &mut stack) & !q.eval(&words, &mut stack) != 0 {
-            return false;
         }
     }
-    // The proper moves, projected onto the propositions read: the frozen
-    // ones are the variables, the same on both sides of the move.
-    let mut moves: Vec<(u128, u128)> = m
-        .proper_transitions()
-        .map(|(s, t)| (s.0 & owned, t.0 & owned))
-        .filter(|(s, t)| s != t)
-        .collect();
-    moves.sort_unstable();
-    moves.dedup();
-    let mut after = vec![0; names.len()];
-    for (s, t) in moves {
-        for chunk in 0..chunks(frozen_read) {
-            for (slot, source) in sources.iter().enumerate() {
-                (words[slot], after[slot]) = match *source {
-                    Source::Owned(pos) => (bit_word(s, pos), bit_word(t, pos)),
-                    Source::Frozen(var) => (column(var, chunk), column(var, chunk)),
-                };
+    let moves: Vec<(u128, u128)> = m.proper_transitions().map(|(s, t)| (s.0, t.0)).collect();
+    Lemma6::new(names.len()).decide(owned, frozen_read, &moves, std::iter::once(&p), &q)
+}
+
+/// [`lemma6_ax_holds`]'s procedure on truth tables over numbered slots,
+/// with the buffers it evaluates in kept across decisions.
+pub(crate) struct Lemma6 {
+    /// `(slot, bit)`: the slot's value is bit `bit` of the component's
+    /// state.
+    owned: Vec<(usize, usize)>,
+    /// Slots of the frozen propositions read: truth-table variables, the
+    /// same on both sides of a move.
+    frozen: Vec<usize>,
+    /// Each slot's word before and after a move.
+    words: Vec<u64>,
+    after: Vec<u64>,
+    stack: Vec<u64>,
+    /// The moves projected onto the owned bits read.
+    projected: Vec<(u128, u128)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lemma-6 decisions made on this thread, so that tests can see
+    /// which obligations the engine decides this way.
+    pub(crate) static DECISIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Lemma6 {
+    /// Buffers for tables over slots `0..slots`.
+    pub(crate) fn new(slots: usize) -> Self {
+        Lemma6 {
+            owned: Vec::new(),
+            frozen: Vec::new(),
+            words: vec![0; slots],
+            after: vec![0; slots],
+            stack: Vec::new(),
+            projected: Vec::new(),
+        }
+    }
+
+    /// Does `p ⇒ AX q` hold on the expansion of a component with proper
+    /// `moves` (over its own state bits), `p` conjoining the tables `p`?
+    /// The tables read only the slots in `owned`, each with the state bit
+    /// it stands for, and the frozen slots in `frozen`.
+    pub(crate) fn decide<'t>(
+        &mut self,
+        owned: impl IntoIterator<Item = (usize, usize)>,
+        frozen: impl IntoIterator<Item = usize>,
+        moves: &[(u128, u128)],
+        p: impl Iterator<Item = &'t TruthTable> + Clone,
+        q: &TruthTable,
+    ) -> bool {
+        #[cfg(test)]
+        DECISIONS.with(|d| d.set(d.get() + 1));
+        let Lemma6 {
+            owned: owned_read,
+            frozen: frozen_read,
+            words,
+            after,
+            stack,
+            projected,
+        } = self;
+        owned_read.clear();
+        owned_read.extend(owned);
+        frozen_read.clear();
+        frozen_read.extend(frozen);
+        let hypothesis = |words: &[u64], stack: &mut Vec<u64>| {
+            p.clone().fold(!0, |acc, t| {
+                if acc == 0 {
+                    0
+                } else {
+                    acc & t.eval(words, stack)
+                }
+            })
+        };
+        // The stutter step: every proposition read is a variable.
+        let slots = owned_read.iter().map(|&(slot, _)| slot);
+        let vars = owned_read.len() + frozen_read.len();
+        for chunk in 0..chunks(vars) {
+            for (var, slot) in slots.clone().chain(frozen_read.iter().copied()).enumerate() {
+                words[slot] = column(var, chunk);
             }
-            if p.eval(&words, &mut stack) & !q.eval(&after, &mut stack) != 0 {
+            if hypothesis(words, stack) & !q.eval(words, stack) != 0 {
                 return false;
             }
         }
+        // The proper moves, projected onto the owned bits read: the frozen
+        // propositions are the variables, the same on both sides.
+        let bits = owned_read.iter().fold(0u128, |m, &(_, bit)| m | 1 << bit);
+        projected.clear();
+        projected.extend(
+            moves
+                .iter()
+                .map(|&(s, t)| (s & bits, t & bits))
+                .filter(|(s, t)| s != t),
+        );
+        projected.sort_unstable();
+        projected.dedup();
+        for &(s, t) in projected.iter() {
+            for &(slot, bit) in owned_read.iter() {
+                words[slot] = bit_word(s, bit);
+                after[slot] = bit_word(t, bit);
+            }
+            for chunk in 0..chunks(frozen_read.len()) {
+                for (var, &slot) in frozen_read.iter().enumerate() {
+                    (words[slot], after[slot]) = (column(var, chunk), column(var, chunk));
+                }
+                if hypothesis(words, stack) & !q.eval(after, stack) != 0 {
+                    return false;
+                }
+            }
+        }
+        true
     }
-    true
-}
-
-/// Where [`lemma6_ax_holds`] reads a proposition's value.
-#[derive(Clone, Copy)]
-enum Source {
-    /// Bit `pos` of the component's state.
-    Owned(usize),
-    /// The `var`-th frozen proposition read, a truth-table variable.
-    Frozen(usize),
 }
 
 /// A propositional formula compiled to postfix over numbered slots, one
 /// per distinct proposition, evaluated on 64 valuations at once: slot
 /// `i`'s word holds the proposition's value in each valuation.
-struct TruthTable(Vec<Op>);
+pub(crate) struct TruthTable(Vec<Op>);
 
 #[derive(Clone, Copy)]
 enum Op {
@@ -138,35 +210,36 @@ enum Op {
 }
 
 impl TruthTable {
-    /// Compile `f`, numbering its propositions by their position in
-    /// `names` (appending the ones not there yet).
-    fn new<'f>(f: &'f Formula, names: &mut Vec<&'f str>) -> Self {
+    /// Compile `f`, numbering each proposition by `slot`; `None` if
+    /// `slot` has no number for one of them. Panics if `f` is temporal.
+    pub(crate) fn new<'f>(
+        f: &'f Formula,
+        slot: &mut impl FnMut(&'f str) -> Option<usize>,
+    ) -> Option<Self> {
         let mut ops = Vec::new();
-        Self::compile(f, names, &mut ops);
-        TruthTable(ops)
+        Self::compile(f, slot, &mut ops)?;
+        Some(TruthTable(ops))
     }
 
-    fn compile<'f>(f: &'f Formula, names: &mut Vec<&'f str>, ops: &mut Vec<Op>) {
+    fn compile<'f>(
+        f: &'f Formula,
+        slot: &mut impl FnMut(&'f str) -> Option<usize>,
+        ops: &mut Vec<Op>,
+    ) -> Option<()> {
         match f {
             Formula::True => ops.push(Op::Const(!0)),
             Formula::False => ops.push(Op::Const(0)),
-            Formula::Ap(name) => {
-                let slot = names.iter().position(|n| n == name).unwrap_or_else(|| {
-                    names.push(name);
-                    names.len() - 1
-                });
-                ops.push(Op::Slot(slot));
-            }
+            Formula::Ap(name) => ops.push(Op::Slot(slot(name)?)),
             Formula::Not(g) => {
-                Self::compile(g, names, ops);
+                Self::compile(g, slot, ops)?;
                 ops.push(Op::Not);
             }
             Formula::And(a, b)
             | Formula::Or(a, b)
             | Formula::Implies(a, b)
             | Formula::Iff(a, b) => {
-                Self::compile(a, names, ops);
-                Self::compile(b, names, ops);
+                Self::compile(a, slot, ops)?;
+                Self::compile(b, slot, ops)?;
                 ops.push(match f {
                     Formula::And(..) => Op::And,
                     Formula::Or(..) => Op::Or,
@@ -176,6 +249,7 @@ impl TruthTable {
             }
             _ => panic!("Lemma 6 on temporal formula {f}"),
         }
+        Some(())
     }
 
     /// The formula's value in the 64 valuations `words` describe.

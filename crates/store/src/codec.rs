@@ -1,6 +1,6 @@
 //! The entry codec shared by every on-disk segment: store entries as
-//! hand-rolled, checksummed JSON, plus the atomic file write segments
-//! are published with.
+//! hand-rolled, checksummed JSON, plus the atomic, synced file write
+//! segments are published with.
 //!
 //! Every entry carries a checksum over its canonical payload; an entry
 //! whose checksum does not match (tampered, truncated, or written by a
@@ -18,28 +18,40 @@ use crate::hash::hash_bytes_seeded;
 use crate::json::Json;
 use crate::key::ObligationKey;
 use cmc_kripke::{Alphabet, State, System};
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Checksum domain seed ("cmc-sum1").
 const SEED_CHECKSUM: u64 = 0x636D_632D_7375_6D31;
 
-/// Write `bytes` to `path` atomically: write a temporary sibling, then
-/// rename it into place. Readers see either the old file or the new one.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write the file at `path` atomically and durably: `write` fills a
+/// temporary sibling through a buffer, which is flushed and synced to disk
+/// before it is renamed into place, and the directory is synced after the
+/// rename. Readers see either the old file or the new one, and once this
+/// returns `Ok` the new file survives a crash under its name. On any error
+/// the temporary file is removed.
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let file_name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "store".to_string());
     let tmp = path.with_file_name(format!(".tmp-{}-{file_name}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
-    }
+    let publish = || {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write(&mut out)?;
+        out.flush()?;
+        out.get_ref().sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+    };
+    publish().inspect_err(|_| {
+        std::fs::remove_file(&tmp).ok();
+    })
 }
 
 /// Canonical checksum payload: key, verdict, and the compact certificate

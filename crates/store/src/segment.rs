@@ -5,9 +5,10 @@
 //! Layout: a directory of `seg-NNNNNNNN.json` files, each a self-
 //! contained document with a header (`format`, `version`, `seq`) and a
 //! list of checksummed entries. Writers only ever *add* segments, and
-//! every segment is written to a temporary sibling and renamed into
-//! place — a crash mid-write can leave a stray temp file (ignored on
-//! load) but never a torn, checksum-failing segment under a live name.
+//! every segment is streamed to a temporary sibling, synced, renamed into
+//! place and the rename synced — a crash mid-write can leave a stray temp
+//! file (ignored on load) but never a torn, checksum-failing segment under
+//! a live name.
 //!
 //! Readers are concurrent and lock-free: loading lists the directory,
 //! reads segments in ascending sequence order (later segments win on key
@@ -19,8 +20,8 @@
 //! Compaction is single-writer by construction: a mutex serialises
 //! [`SegmentedDiskStore::compact`], which merges every live segment into
 //! one (newest entry per key wins), applies the optional byte budget by
-//! evicting oldest-first, writes the merged segment atomically and only
-//! then unlinks the inputs. The budget counts the merged segment's bytes
+//! evicting oldest-first, writes the merged segment atomically and
+//! durably, and only then unlinks the inputs. The budget counts the merged segment's bytes
 //! as written, frame included, and one pass from the newest entry back
 //! renders each kept entry once and cuts the oldest prefix. Telemetry
 //! (compaction count, budget evictions, resulting disk bytes) lands in
@@ -32,7 +33,7 @@ use crate::json::Json;
 use crate::key::ObligationKey;
 use crate::store::CertStore;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,19 +82,16 @@ impl SegmentedDiskStore {
         &self.dir
     }
 
-    /// Append `entries` as one new segment, written atomically
-    /// (temp file + rename). Returns the segment's sequence number.
+    /// Append `entries` as one new segment, each entry rendered straight
+    /// into the file, written atomically and synced (temp file, sync,
+    /// rename, directory sync). Returns the segment's sequence number.
     pub fn append(&self, entries: &[(ObligationKey, Entry)]) -> io::Result<u64> {
         let mut next = self.writer.lock().expect("segment writer poisoned");
         let seq = *next;
-        let rendered: Vec<String> = entries
-            .iter()
-            .map(|(key, entry)| render_entry(*key, entry))
-            .collect();
-        write_atomic(
-            &self.segment_path(seq),
-            segment_text(seq, &rendered).as_bytes(),
-        )?;
+        let rendered = entries.iter().map(|(key, entry)| render_entry(*key, entry));
+        write_atomic(&self.segment_path(seq), |out| {
+            write_segment(out, seq, rendered)
+        })?;
         *next = seq + 1;
         Ok(seq)
     }
@@ -168,9 +166,10 @@ impl SegmentedDiskStore {
         kept.reverse();
         let budget_evicted = total - kept.len();
         let entries_kept = kept.len();
-        let text = segment_text(seq, &kept);
+        write_atomic(&self.segment_path(seq), |out| {
+            write_segment(out, seq, &kept)
+        })?;
         drop(kept);
-        write_atomic(&self.segment_path(seq), text.as_bytes())?;
         *next = seq + 1;
         // The merged segment is durable under its live name; only now
         // unlink the inputs. A reader racing this sees merged + some
@@ -352,35 +351,32 @@ fn render_entry(key: ObligationKey, entry: &Entry) -> String {
     out
 }
 
-/// The segment document around entries rendered by [`render_entry`]:
-/// byte for byte the pretty-printed object with fields `format`,
-/// `version`, `seq` and `entries`.
-fn segment_text(seq: u64, rendered: &[String]) -> String {
-    let mut out = format!(
+/// Write the segment document around entries rendered by
+/// [`render_entry`] to `out`: byte for byte the pretty-printed object
+/// with fields `format`, `version`, `seq` and `entries`.
+fn write_segment(
+    out: &mut impl Write,
+    seq: u64,
+    rendered: impl IntoIterator<Item = impl AsRef<str>>,
+) -> io::Result<()> {
+    write!(
+        out,
         "{{\n  \"format\": \"{FORMAT}\",\n  \"version\": {VERSION},\n  \"seq\": {seq},\n  \"entries\": "
-    );
-    // Room for every entry, its separator and the closing brackets.
-    out.reserve(
-        rendered
-            .iter()
-            .map(|text| text.len() + ENTRY_SEP.len())
-            .sum::<usize>()
-            + "[\n\n  ]\n}\n".len(),
-    );
-    if rendered.is_empty() {
-        out.push_str("[]");
-    } else {
-        out.push_str("[\n");
-        for (i, text) in rendered.iter().enumerate() {
-            if i > 0 {
-                out.push_str(ENTRY_SEP);
-            }
-            out.push_str(text);
-        }
-        out.push_str("\n  ]");
+    )?;
+    let mut empty = true;
+    for text in rendered {
+        out.write_all(if empty { "[\n" } else { ENTRY_SEP }.as_bytes())?;
+        out.write_all(text.as_ref().as_bytes())?;
+        empty = false;
     }
-    out.push_str("\n}\n");
-    out
+    out.write_all(if empty { "[]\n}\n" } else { "\n  ]\n}\n" }.as_bytes())
+}
+
+/// [`write_segment`] into memory: the document as text.
+fn segment_text(seq: u64, rendered: &[String]) -> String {
+    let mut out = Vec::new();
+    write_segment(&mut out, seq, rendered).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("a segment is UTF-8")
 }
 
 /// Read `segments` in the order given, handing every entry that passes
@@ -461,7 +457,6 @@ mod tests {
     use super::*;
     use crate::entry::{StoredCertificate, StoredStep, StoredSubstitution};
     use cmc_kripke::{Alphabet, System};
-    use std::io::Write as _;
 
     fn key(n: u128) -> ObligationKey {
         ObligationKey(n)
@@ -937,6 +932,58 @@ mod tests {
                 assert_eq!(segment_text(seq, &rendered), doc.to_pretty());
             }
         }
+    }
+
+    /// A compacted segment file is the document of the entries it keeps,
+    /// streamed out byte for byte as [`segment_text`] renders it in
+    /// memory, without a budget and under one that evicts.
+    #[test]
+    fn compacted_file_is_the_rendered_document_of_its_kept_entries() {
+        let entries: Vec<(ObligationKey, Entry)> = substituted_store()
+            .snapshot()
+            .into_iter()
+            .chain(sample_store().snapshot())
+            .collect();
+        let rendered: Vec<String> = entries
+            .iter()
+            .map(|(key, entry)| render_entry(*key, entry))
+            .collect();
+        // Two input segments, so the merged one is number 2.
+        let newest_two = segment_text(2, &rendered[1..]).len() as u64;
+        for (budget, kept) in [(None, 3), (Some(newest_two), 2)] {
+            let dir = tmp_dir(&format!("streamed-{kept}"));
+            let disk = SegmentedDiskStore::open(&dir).unwrap();
+            disk.append(&entries[..1]).unwrap();
+            disk.append(&entries[1..]).unwrap();
+            let report = disk.compact(&CertStore::new(), budget).unwrap();
+            assert_eq!(report.entries_kept, kept, "budget {budget:?}");
+            let file = std::fs::read_to_string(disk.segment_path(2)).unwrap();
+            assert_eq!(file, segment_text(2, &rendered[rendered.len() - kept..]));
+            assert_eq!(report.disk_bytes, file.len() as u64);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A write that fails, in the writer or at the rename, leaves neither
+    /// the file nor its temporary sibling behind.
+    #[test]
+    fn failed_writes_leave_no_temp_file() {
+        let dir = tmp_dir("failed-write");
+        std::fs::create_dir_all(&dir).unwrap();
+        let refused = write_atomic(&dir.join("seg-00000000.json"), |out| {
+            out.write_all(b"partial")?;
+            Err(io::Error::other("refused"))
+        });
+        assert_eq!(refused.unwrap_err().to_string(), "refused");
+        // A file cannot be renamed onto a non-empty directory.
+        std::fs::create_dir_all(dir.join("busy").join("inner")).unwrap();
+        assert!(write_atomic(&dir.join("busy"), |out| out.write_all(b"x")).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|d| d.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["busy"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Under any budget the merged segment keeps the longest newest run

@@ -88,6 +88,29 @@ fn certificates_match_the_golden_files() {
     }
 }
 
+/// 64-bit FNV-1a of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The 20- and 48-station ring proofs, about 0.26 MB and 3.5 MB of text,
+/// are pinned by byte length and [`fnv1a`] digest rather than by golden
+/// files. The constants were taken from `ring_proof(n)` as rendered
+/// before the engine planned and decided its pairs on union masks, so a
+/// change to how pairs are decided may not move a byte of either proof.
+#[test]
+fn large_ring_proofs_match_their_digests() {
+    for (n, len, digest) in [
+        (20, 263_839, 0x0140_f800_c6fe_780d),
+        (48, 3_539_615, 0xf9ba_e1f1_a928_05dd),
+    ] {
+        let text = ring_proof(n);
+        assert_eq!((text.len(), fnv1a(&text)), (len, digest), "ring-{n}");
+    }
+}
+
 /// Rewrites every golden file from the current engine.
 #[test]
 #[ignore = "rewrites tests/golden; run explicitly to regenerate"]
